@@ -184,25 +184,21 @@ def _validate_combo(combo: Combo) -> None:
             )
 
 
-def _run_combo(combo: Combo, x: BlockMatrix, record_trace: bool = False) -> BGSResult:
+def _run_combo(combo: Combo, x: BlockMatrix) -> BGSResult:
     k = combo.skeleton
     if k is SkeletonKind.BCGS:
-        return skeletons.bcgs(x, combo.io_a, record_trace=record_trace)
+        return skeletons.bcgs(x, combo.io_a)
     if k is SkeletonKind.BCGS_A:
-        return skeletons.bcgs_a(x, combo.io_a, combo.io1, record_trace=record_trace)
+        return skeletons.bcgs_a(x, combo.io_a, combo.io1)
     if k is SkeletonKind.BCGSI_PLUS:
-        return skeletons.bcgsi_plus(x, combo.io_a, record_trace=record_trace)
+        return skeletons.bcgsi_plus(x, combo.io_a)
     if k is SkeletonKind.BCGSI_PLUS_A:
-        return skeletons.bcgsi_plus_a(
-            x, combo.io_a, combo.io1, combo.io2, record_trace=record_trace
-        )
+        return skeletons.bcgsi_plus_a(x, combo.io_a, combo.io1, combo.io2)
     if k is SkeletonKind.BCGSI_A_3S:
-        return skeletons.bcgsi_a_3s(
-            x, combo.io_a, combo.io1, record_trace=record_trace
-        )
+        return skeletons.bcgsi_a_3s(x, combo.io_a, combo.io1)
     if k is SkeletonKind.BCGSI_A_2S:
-        return skeletons.bcgsi_a_2s(x, combo.io_a, record_trace=record_trace)
-    return skeletons.bcgsi_a_1s(x, combo.io_a, record_trace=record_trace)
+        return skeletons.bcgsi_a_2s(x, combo.io_a)
+    return skeletons.bcgsi_a_1s(x, combo.io_a)
 
 
 @dataclass
@@ -256,8 +252,16 @@ def _validate_config(config: SweepConfig) -> None:
         raise ConfigError("no skeleton/muscle combinations requested")
     if not config.kappas:
         raise ConfigError("no kappa sweep points requested")
+    if not all(math.isfinite(k) for k in config.kappas):
+        raise ConfigError("kappa targets must be finite")
     if any(k < 1.0 for k in config.kappas):
         raise ConfigError("kappa targets must be >= 1")
+    if config.p < 1 or config.s < 1:
+        raise ConfigError("block count p and block width s must be >= 1")
+    if config.m < config.p * config.s:
+        raise ConfigError(
+            f"matrix must be tall: m={config.m} < p*s={config.p * config.s}"
+        )
     for combo in config.combos:
         _validate_combo(combo)
 
@@ -273,13 +277,13 @@ def run_single(
     matrix_class: str = "custom",
     kappa_target: float = math.nan,
     kappa_actual: float | None = None,
-    record_trace: bool = False,
 ) -> RunRecord:
     """Run one combination on one matrix and measure everything.
 
     ``kappa_actual`` may be passed in when the caller already measured the
     matrix (a sweep measures once per point); otherwise it is computed
-    here, and set to NaN when the conditioning is unmeasurable.
+    here, and set to NaN when the conditioning is unmeasurable.  The record
+    carries no iteration trace, so none is recorded.
     """
     _validate_combo(combo)
     if kappa_actual is None:
@@ -288,7 +292,7 @@ def run_single(
         except ValueError:
             kappa_actual = math.nan
     start = time.perf_counter()
-    result = _run_combo(combo, x, record_trace=record_trace)
+    result = _run_combo(combo, x)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     if result.failed:
         loo_v = res_v = chol_v = math.nan
@@ -419,7 +423,6 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
                 matrix_class=config.matrix_class,
                 kappa_target=kt,
                 kappa_actual=kappa_actual,
-                record_trace=config.trace,
             )
             rec.matrix_digest = digest
             rec.elapsed_ms = 0.0
@@ -629,7 +632,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--trace",
         action="store_true",
-        help="record per-point matrix digests and iteration traces",
+        help=(
+            "hash each sweep point's matrix (SHA-256, kept on the in-memory"
+            " records; the CSV is unchanged)"
+        ),
     )
 
     check = sub.add_parser(

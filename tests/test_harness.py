@@ -7,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from blockgs import blockcore, metrics, skeletons
 from blockgs.blockcore import BlockMatrix
 from blockgs.harness import (
     CSV_FIELDS,
@@ -199,6 +200,58 @@ def test_run_sweep_trace_digests():
         assert a.matrix_digest == b.matrix_digest  # same point, same bytes
         assert len(a.matrix_digest) == 64
     assert records[0].matrix_digest != records[2].matrix_digest
+
+
+def test_traced_sweep_keeps_digests_without_iteration_traces(monkeypatch):
+    calls = []
+    for kind in SkeletonKind:
+        real = getattr(skeletons, kind.value)
+
+        def spy(*args, _real=real, **kwargs):
+            result = _real(*args, **kwargs)
+            calls.append((kwargs.get("record_trace", False), result.trace))
+            return result
+
+        monkeypatch.setattr(skeletons, kind.value, spy)
+    records = run_sweep(_small_sweep(trace=True))
+    assert all(len(r.matrix_digest) == 64 for r in records)
+    assert calls and all(not flag and tr is None for flag, tr in calls)
+
+
+def test_sweep_metrics_take_no_tall_svd(monkeypatch):
+    metric_shapes, svd_shapes = [], []
+
+    def recording(fn, shapes):
+        def wrapped(a):
+            shapes.append(np.shape(a))
+            return fn(a)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        metrics, "spectral_norm", recording(metrics.spectral_norm, metric_shapes)
+    )
+    monkeypatch.setattr(
+        blockcore,
+        "_singular_values",
+        recording(blockcore._singular_values, svd_shapes),
+    )
+    m, p, s = 2000, 4, 5
+    kappas = (1.0e2, 1.0e6)
+    config = SweepConfig(
+        matrix_class="default",
+        combos=tuple(make_combo(kind) for kind in SkeletonKind),
+        kappas=kappas,
+        m=m,
+        p=p,
+        s=s,
+    )
+    records = run_sweep(config)
+    assert sum(not r.failed for r in records) >= len(SkeletonKind)
+    assert metric_shapes
+    assert all(rows <= p * s for rows, _ in metric_shapes)
+    # cond_2 is the only tall SVD: one per sweep point.
+    assert [sh for sh in svd_shapes if sh[0] > p * s] == [(m, p * s)] * len(kappas)
 
 
 def test_run_sweep_piled_calibration_miss_is_skipped():
@@ -551,9 +604,35 @@ def test_cli_syncs_output():
             ["sweep", "--matrix", "monomial", "--kappas", "ten"],
             "bad --kappas",
         ),
+        (
+            ["sweep", "--matrix", "monomial", "--kappas", "nan"],
+            "must be finite",
+        ),
+        (
+            ["sweep", "--matrix", "monomial", "--kappas", "10,inf"],
+            "must be finite",
+        ),
+        (
+            ["sweep", "--matrix", "piled", "--kappa-range", "nan:1e3:3"],
+            "must be finite",
+        ),
+        (
+            ["sweep", "--matrix", "default", "--m", "10", "--p", "10",
+             "--s", "5", "--kappas", "10"],
+            "must be tall",
+        ),
+        (
+            ["sweep", "--matrix", "default", "--s", "0", "--kappas", "10"],
+            "must be >= 1",
+        ),
+        (
+            ["sweep", "--matrix", "monomial", "--p", "0", "--kappas", "10"],
+            "must be >= 1",
+        ),
     ],
 )
-def test_cli_config_errors_exit_2(argv, fragment):
+def test_cli_config_errors_exit_2(argv, fragment, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # an accepted config would write sweep.csv
     code, _, err = _capture(cli_main, argv)
     assert code == 2
     assert "blockgs: error:" in err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockgs.blockcore import BlockMatrix
+from blockgs.blockcore import BlockMatrix, spectral_norm
 from blockgs.metrics import (
     C_TOL,
     EPS,
@@ -18,7 +18,7 @@ from blockgs.metrics import (
     rel_chol_res,
     rel_res,
 )
-from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS
+from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS, house_qr
 from blockgs.skeletons import SkeletonKind
 
 
@@ -87,6 +87,66 @@ def test_rel_res_scale_invariance(seed, c):
     r = np.triu(rng.standard_normal((4, 4)))
     assert rel_res(c * x, q, c * r) == rel_res(x, q, r)
     assert rel_chol_res(c * x, c * r) == rel_chol_res(x, r)
+
+
+def _svd_rel_res(x, q, r):
+    return spectral_norm(x - q @ r) / spectral_norm(x)
+
+
+def _svd_rel_chol_res(x, r):
+    return spectral_norm(x.T @ x - r.T @ r) / spectral_norm(x) ** 2
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=12),
+    extra_rows=st.integers(min_value=0, max_value=60),
+    factors=st.sampled_from(["house", "random"]),
+    k=st.sampled_from([0, 600, -600]),
+)
+@settings(max_examples=60, deadline=None)
+def test_tall_norms_match_svd_definitions(seed, n, extra_rows, factors, k):
+    # The Gram route agrees with the SVD definitions, on roundoff-level
+    # residuals too; X scaled by 2**+-600 would overflow or underflow an
+    # unscaled Gram, and power-of-two scaling must change nothing.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n + extra_rows, n))
+    if factors == "house":
+        out = house_qr(x)
+        q, r = out.q, out.r
+    else:
+        q = rng.standard_normal(x.shape)
+        r = np.triu(rng.standard_normal((n, n)))
+    c = 2.0**k
+    res = rel_res(c * x, q, c * r)
+    chol = rel_chol_res(c * x, c * r)
+    assert res == pytest.approx(_svd_rel_res(x, q, r), rel=1e-12, abs=0.0)
+    assert chol == pytest.approx(_svd_rel_chol_res(x, r), rel=1e-12, abs=0.0)
+    assert res == rel_res(x, q, r)
+    assert chol == rel_chol_res(x, r)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=8),
+    extra_rows=st.integers(min_value=0, max_value=30),
+    k=st.sampled_from([0, 600, -600]),
+)
+@settings(max_examples=30, deadline=None)
+def test_tall_norms_exact_zero_residual(seed, n, extra_rows, k):
+    # Q holds signed unit columns on disjoint rows and R small integers, so
+    # X = QR and X^T X = R^T R hold exactly in floating point.
+    rng = np.random.default_rng(seed)
+    m = n + extra_rows
+    q = np.zeros((m, n))
+    q[rng.permutation(m)[:n], np.arange(n)] = rng.choice([-1.0, 1.0], n)
+    r = np.triu(rng.integers(-4, 5, (n, n))).astype(np.float64)
+    r[np.diag_indices(n)] = rng.integers(1, 5, n)
+    c = 2.0**k
+    x = c * (q @ r)
+    assert rel_res(x, q, c * r) == 0.0
+    assert rel_chol_res(x, c * r) == 0.0
+    assert math.copysign(1.0, rel_res(x, q, c * r)) == 1.0  # never -0.0
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
