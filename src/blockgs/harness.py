@@ -7,15 +7,17 @@ per (target, combination) pair.  ``check-bounds`` re-reads such a CSV and
 verifies every row against its theoretical envelope; ``syncs`` prints the
 steady-state reduction counts measured from live ledgers.
 
-Exit codes: 0 success, 1 bound violation, 2 configuration error.
+Exit codes: 0 success, 1 bound violation, 2 configuration or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -476,15 +478,24 @@ def _parse_float(token: str) -> float:
 
 
 def read_csv(path) -> list[RunRecord]:
-    """Read back a CSV written by :func:`write_csv`."""
+    """Read back a CSV written by :func:`write_csv`.
+
+    Raises ``OSError`` when the file cannot be read and ``ValueError`` when
+    its header or a row is malformed.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(CSV_FIELDS):
             raise ValueError(f"{path}: unexpected CSV header")
         for row in reader:
-            records.append(
-                RunRecord(
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected"
+                    f" {len(CSV_FIELDS)} fields"
+                )
+            try:
+                record = RunRecord(
                     matrix_class=row["matrix_class"],
                     m=int(row["m"]),
                     p=int(row["p"]),
@@ -502,7 +513,9 @@ def read_csv(path) -> list[RunRecord]:
                     failed=row["failed"] == "true",
                     elapsed_ms=_parse_float(row["elapsed_ms"]),
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            records.append(record)
     return records
 
 
@@ -576,6 +589,49 @@ def sync_table(
 # ---------------------------------------------------------------------------
 # Command line interface
 # ---------------------------------------------------------------------------
+
+# A thread count the user chose through any of these is left alone.
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "GOTO_NUM_THREADS",
+    "OMP_NUM_THREADS",
+)
+# numpy's and scipy's wheels each bundle an OpenBLAS, under its own prefix.
+_BLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread(maps: str = "/proc/self/maps") -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    Does nothing when the user set a thread count in the environment, when
+    ``maps`` (the process's memory map) cannot be read, or when a library
+    exports no setter (MKL, Accelerate).
+    """
+    if any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+        return
+    try:
+        with open(maps) as fh:
+            lines = [line for line in fh if "openblas" in line.lower()]
+    except OSError:
+        return
+    paths = {line.split()[-1] for line in lines}
+    for path in sorted(p for p in paths if p.startswith("/")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -695,13 +751,36 @@ def _config_from_args(args) -> SweepConfig:
     )
 
 
+def _error_exit(exc: Exception) -> int:
+    print(f"blockgs: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cli_main(argv=None) -> int:
+    """Run one ``blockgs`` command and return its exit code.
+
+    The CLI owns its process, so before any command runs it sets every
+    loaded OpenBLAS to one thread: a sweep's BLAS calls are small (m×s
+    blocks, n×n Gram matrices), and on them threads cost more in fork, join
+    and spin than they save.  One thread also makes the CSV bytes
+    independent of the host's core count.  A thread count set through
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+    kept.  The library functions, called directly, leave the caller's
+    settings alone.
+
+    Exit codes: 0 success, 1 bound violations found by ``check-bounds``,
+    2 configuration errors and unreadable or unwritable files.
+    """
     args = _build_parser().parse_args(argv)
+    _one_blas_thread()
     try:
         if args.command == "sweep":
             config = _config_from_args(args)
             records = run_sweep(config)
-            write_csv(records, config.out)
+            try:
+                write_csv(records, config.out)
+            except OSError as exc:
+                return _error_exit(exc)
             skipped = sum(1 for r in records if r.note)
             msg = f"wrote {len(records)} records to {config.out}"
             if skipped:
@@ -709,7 +788,10 @@ def cli_main(argv=None) -> int:
             print(msg)
             return 0
         if args.command == "check-bounds":
-            violations = check_bounds(args.csv_path)
+            try:
+                violations = check_bounds(args.csv_path)
+            except (OSError, ValueError) as exc:
+                return _error_exit(exc)
             return 1 if violations else 0
         if args.command == "syncs":
             rows = sync_table()
@@ -719,8 +801,7 @@ def cli_main(argv=None) -> int:
                 print(f"{name:<{width}}  {value:g}")
             return 0
     except ConfigError as exc:
-        print(f"blockgs: error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
     raise AssertionError("unreachable")
 
 

@@ -1,12 +1,17 @@
 import contextlib
 import io
+import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockgs
 from blockgs import blockcore, metrics, skeletons
 from blockgs.blockcore import BlockMatrix
 from blockgs.harness import (
@@ -568,6 +573,52 @@ def test_cli_check_bounds_exit_codes(tmp_path):
     assert "1 violation(s)" in out
 
 
+_HEADER = ",".join(CSV_FIELDS) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command,setup,fragment",
+    [
+        pytest.param("check-bounds", None, "No such file", id="missing-csv"),
+        pytest.param("check-bounds", "dir", "Is a directory", id="dir-csv"),
+        pytest.param(
+            "check-bounds", "a,b,c\n1,2,3\n", "unexpected CSV header",
+            id="garbled-header",
+        ),
+        pytest.param(
+            "check-bounds", _HEADER + "monomial,ten\n",
+            ":2: expected 16 fields", id="short-row",
+        ),
+        pytest.param(
+            "check-bounds", _HEADER + ",".join(["x"] * 16) + "\n",
+            ":2: invalid literal", id="garbled-row",
+        ),
+        pytest.param(
+            "sweep", None, "cannot write CSV to", id="unwritable-out"
+        ),
+    ],
+)
+def test_cli_unreadable_or_unwritable_files_exit_2(
+    command, setup, fragment, tmp_path
+):
+    path = tmp_path / "no" / "such.csv"
+    if setup == "dir":
+        path = tmp_path
+    elif setup is not None:
+        path = tmp_path / "garbled.csv"
+        path.write_text(setup)
+    if command == "sweep":
+        argv = ["sweep", "--matrix", "monomial", "--skeletons", "1s",
+                "--kappas", "10", "--out", str(path)]
+    else:
+        argv = ["check-bounds", str(path)]
+    code, out, err = _capture(cli_main, argv)
+    assert code == 2
+    assert err.startswith("blockgs: error:") and err.count("\n") == 1
+    assert fragment in err
+    assert "Traceback" not in err + out
+
+
 def test_cli_syncs_output():
     code, out, _ = _capture(cli_main, ["syncs"])
     assert code == 0
@@ -652,6 +703,127 @@ def test_cli_argparse_rejections_exit_2():
             with pytest.raises(SystemExit) as exc:
                 cli_main(argv)
         assert exc.value.code == 2, argv
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread policy (each test runs in a fresh interpreter, because the
+# policy changes the process it runs in)
+# ---------------------------------------------------------------------------
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Defines blas_threads(): the thread count of each loaded OpenBLAS, by file.
+_BLAS_THREADS = """
+import contextlib, ctypes, io, json, os
+import blockgs.harness as harness
+
+def blas_threads():
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    found = {}
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("openblas_get_num_threads",
+                       "openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "scipy_openblas_get_num_threads64_"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                found[os.path.basename(path)] = fn()
+                break
+    return found
+
+before = blas_threads()
+with contextlib.redirect_stdout(io.StringIO()):
+"""
+
+
+def _python(body, env=None, args=()):
+    """Run ``body`` in a fresh interpreter without the thread variables."""
+    clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = str(Path(blockgs.__file__).resolve().parent.parent)
+    clean["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, clean.get("PYTHONPATH")])
+    )
+    clean.update(env or {})
+    proc = subprocess.run(
+        [sys.executable, "-c", body, *args], env=clean, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _threads_around(statement, env=None):
+    """OpenBLAS thread counts before and after ``statement`` runs."""
+    body = _BLAS_THREADS + f"    {statement}\n"
+    body += "print(json.dumps([before, blas_threads()]))\n"
+    before, after = json.loads(_python(body, env).stdout.splitlines()[-1])
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    assert set(after) == set(before)
+    return before, after
+
+
+def test_cli_runs_blas_on_one_thread():
+    _, after = _threads_around('assert harness.cli_main(["syncs"]) == 0')
+    assert set(after.values()) == {1}
+
+
+def test_cli_keeps_a_thread_count_set_by_the_user():
+    before, after = _threads_around(
+        'assert harness.cli_main(["syncs"]) == 0',
+        env={"OPENBLAS_NUM_THREADS": "2"},
+    )
+    assert after == before
+
+
+def test_library_calls_keep_the_thread_count():
+    before, after = _threads_around(
+        "harness.run_sweep(harness.SweepConfig(matrix_class='piled',"
+        " combos=(harness.make_combo('bcgsi_a_1s'),), kappas=(1e4,),"
+        " m=400, p=20))"
+    )
+    assert after == before
+
+
+def test_thread_policy_is_a_silent_no_op_without_openblas(tmp_path):
+    # A maps file that cannot be opened; one naming a file that is no
+    # library; one naming a real library that exports no setter.
+    with open("/proc/self/maps") as fh:
+        libc = next(
+            line.split()[-1]
+            for line in fh
+            if "/libc.so" in line or "/libc-" in line
+        )
+    stub = tmp_path / "libopenblas_stub.so"
+    stub.symlink_to(libc)
+    fake = tmp_path / "libopenblas_fake.so"
+    fake.write_text("not a library")
+    maps = tmp_path / "maps"
+    maps.write_text(
+        f"7f00-7f01 r-xp 0 0:0 0 {stub}\n7f01-7f02 r-xp 0 0:0 0 {fake}\n"
+    )
+    before, after = _threads_around(
+        f"harness._one_blas_thread({str(tmp_path / 'missing')!r});"
+        f" harness._one_blas_thread({str(maps)!r})"
+    )
+    assert after == before
+
+
+def test_cli_sweep_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # At m=400 a two-thread OpenBLAS rounds differently from one thread.
+    body = (
+        "import sys\nfrom blockgs.harness import cli_main\n"
+        "sys.exit(cli_main(['sweep', '--matrix', 'piled', '--m', '400',"
+        " '--p', '20', '--s', '5', '--kappas', '1e4', '--skeletons',"
+        " 'bcgsi_plus_a,2s', '--out', sys.argv[1]]))\n"
+    )
+    a, b = tmp_path / "unset.csv", tmp_path / "one.csv"
+    _python(body, args=[str(a)])
+    _python(body, {"OPENBLAS_NUM_THREADS": "1"}, args=[str(b)])
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_installed_console_script():
