@@ -20,7 +20,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .matgen import (
 from .metrics import bound_envelope, bound_for, loo, rel_chol_res, rel_res
 from .muscles import IO_BY_NAME, IOSpec
 from . import skeletons
-from .skeletons import DISPLAY_NAMES, BGSResult, SkeletonKind
+from .skeletons import SKELETONS, BGSResult, SkeletonKind
 from .syncmodel import syncs_per_block
 
 __all__ = [
@@ -54,36 +55,6 @@ __all__ = [
     "main",
 ]
 
-CSV_FIELDS = (
-    "matrix_class",
-    "m",
-    "p",
-    "s",
-    "kappa_target",
-    "kappa_actual",
-    "skeleton",
-    "io_a",
-    "io1",
-    "io2",
-    "loo",
-    "rel_res",
-    "rel_chol_res",
-    "sync_per_block",
-    "failed",
-    "elapsed_ms",
-)
-
-_SKELETON_BY_DISPLAY = {name: kind for kind, name in DISPLAY_NAMES.items()}
-
-# Accepted CLI spellings for each skeleton, case-insensitive.
-_SKELETON_ALIASES: dict[str, SkeletonKind] = {}
-for _kind in SkeletonKind:
-    _SKELETON_ALIASES[_kind.value] = _kind
-    _SKELETON_ALIASES[DISPLAY_NAMES[_kind].lower()] = _kind
-_SKELETON_ALIASES["3s"] = SkeletonKind.BCGSI_A_3S
-_SKELETON_ALIASES["2s"] = SkeletonKind.BCGSI_A_2S
-_SKELETON_ALIASES["1s"] = SkeletonKind.BCGSI_A_1S
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2)."""
@@ -99,25 +70,16 @@ class Combo:
     io2: IOSpec | None = None
 
 
-# Slot usage per skeleton: True = consumed, False = must be empty.
-_SLOT_USAGE: dict[SkeletonKind, tuple[bool, bool, bool]] = {
-    SkeletonKind.BCGS: (True, True, False),
-    SkeletonKind.BCGS_A: (True, True, False),
-    SkeletonKind.BCGSI_PLUS: (True, True, True),
-    SkeletonKind.BCGSI_PLUS_A: (True, True, True),
-    SkeletonKind.BCGSI_A_3S: (True, True, False),
-    SkeletonKind.BCGSI_A_2S: (True, False, False),
-    SkeletonKind.BCGSI_A_1S: (True, False, False),
-}
-
-_TIED = (SkeletonKind.BCGS, SkeletonKind.BCGSI_PLUS)
+_SLOTS = tuple(f.name for f in fields(Combo) if f.name != "skeleton")
 
 
 def _parse_skeleton(token: str) -> SkeletonKind:
-    try:
-        return _SKELETON_ALIASES[token.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"unknown skeleton {token!r}") from None
+    """The skeleton named by its value, display name or a shorthand."""
+    key = token.strip().lower()
+    for kind, spec in SKELETONS.items():
+        if key in (kind.value, spec.display.lower(), *spec.shorthands):
+            return kind
+    raise ConfigError(f"unknown skeleton {token!r}")
 
 
 def _parse_io(token: str | None, flag: str) -> IOSpec | None:
@@ -142,72 +104,52 @@ def make_combo(
     slots fall back to HouseQR for the first block and CholQR elsewhere.
     """
     kind = SkeletonKind(skeleton)
-    use_a, use_1, use_2 = _SLOT_USAGE[kind]
-    if kind in _TIED:
+    spec = SKELETONS[kind]
+    if spec.tied:
         supplied = {io for io in (io_a, io1, io2) if io is not None}
         if len(supplied) > 1:
             names = sorted(io.kind for io in supplied)
             raise ConfigError(
-                f"{DISPLAY_NAMES[kind]} ties all muscle slots; got {names}"
+                f"{spec.display} ties all muscle slots; got {names}"
             )
         tied = supplied.pop() if supplied else IO_BY_NAME["houseqr"]
-        return Combo(
-            kind,
-            io_a=tied,
-            io1=tied,
-            io2=tied if use_2 else None,
-        )
-    return Combo(
-        kind,
-        io_a=(io_a or IO_BY_NAME["houseqr"]) if use_a else None,
-        io1=(io1 or IO_BY_NAME["cholqr"]) if use_1 else None,
-        io2=(io2 or IO_BY_NAME["cholqr"]) if use_2 else None,
-    )
+        return Combo(kind, **{slot: tied for slot in spec.slots})
+    pool = {
+        "io_a": io_a or IO_BY_NAME["houseqr"],
+        "io1": io1 or IO_BY_NAME["cholqr"],
+        "io2": io2 or IO_BY_NAME["cholqr"],
+    }
+    return Combo(kind, **{slot: pool[slot] for slot in spec.slots})
 
 
 def _validate_combo(combo: Combo) -> None:
-    use = _SLOT_USAGE[combo.skeleton]
-    slots = (combo.io_a, combo.io1, combo.io2)
-    names = ("io_a", "io1", "io2")
-    for used, slot, name in zip(use, slots, names):
-        if used and slot is None:
-            raise ConfigError(
-                f"{DISPLAY_NAMES[combo.skeleton]} requires {name}"
-            )
-        if not used and slot is not None:
-            raise ConfigError(
-                f"{DISPLAY_NAMES[combo.skeleton]} takes no {name}"
-            )
-    if combo.skeleton in _TIED:
-        tied = {io for io, used in zip(slots, use) if used}
-        if len(tied) > 1:
-            raise ConfigError(
-                f"{DISPLAY_NAMES[combo.skeleton]} requires tied muscle slots"
-            )
+    spec = SKELETONS[combo.skeleton]
+    for slot in _SLOTS:
+        used, io = slot in spec.slots, getattr(combo, slot)
+        if used and io is None:
+            raise ConfigError(f"{spec.display} requires {slot}")
+        if not used and io is not None:
+            raise ConfigError(f"{spec.display} takes no {slot}")
+    if spec.tied and len({getattr(combo, slot) for slot in spec.slots}) > 1:
+        raise ConfigError(f"{spec.display} requires tied muscle slots")
 
 
 def _run_combo(combo: Combo, x: BlockMatrix) -> BGSResult:
-    k = combo.skeleton
-    if k is SkeletonKind.BCGS:
-        return skeletons.bcgs(x, combo.io_a)
-    if k is SkeletonKind.BCGS_A:
-        return skeletons.bcgs_a(x, combo.io_a, combo.io1)
-    if k is SkeletonKind.BCGSI_PLUS:
-        return skeletons.bcgsi_plus(x, combo.io_a)
-    if k is SkeletonKind.BCGSI_PLUS_A:
-        return skeletons.bcgsi_plus_a(x, combo.io_a, combo.io1, combo.io2)
-    if k is SkeletonKind.BCGSI_A_3S:
-        return skeletons.bcgsi_a_3s(x, combo.io_a, combo.io1)
-    if k is SkeletonKind.BCGSI_A_2S:
-        return skeletons.bcgsi_a_2s(x, combo.io_a)
-    return skeletons.bcgsi_a_1s(x, combo.io_a)
+    spec = SKELETONS[combo.skeleton]
+    muscles = [getattr(combo, slot) for slot in spec.slots]
+    if spec.tied:
+        muscles = muscles[:1]
+    # Looked up by name at call time, so a rebound module attribute is used.
+    return getattr(skeletons, combo.skeleton.value)(x, *muscles)
 
 
 @dataclass
 class RunRecord:
     """One experiment point; the CSV row plus non-serialized context.
 
-    ``matrix_digest`` (trace mode: SHA-256 of the generated matrix bytes,
+    The CSV columns are the fields in declaration order, each written and
+    read by its declared type; fields with ``metadata={"csv": False}`` stay
+    out.  ``matrix_digest`` (trace mode: SHA-256 of the generated matrix bytes,
     shared by every combo at one sweep point) and ``note`` (reason label for
     skipped rows) never enter the CSV.
     """
@@ -228,8 +170,37 @@ class RunRecord:
     sync_per_block: float
     failed: bool
     elapsed_ms: float
-    matrix_digest: str = ""
-    note: str = ""
+    matrix_digest: str = field(default="", metadata={"csv": False})
+    note: str = field(default="", metadata={"csv": False})
+
+
+def _fmt_float(v: float) -> str:
+    if math.isnan(v):
+        return "NaN"
+    return "%.16e" % v
+
+
+def _parse_float(token: str) -> float:
+    if token == "NaN":
+        return math.nan
+    return float(token)
+
+
+# CSV text of each declared field type: (format, parse).
+_CSV_CODECS = {
+    str: (str, str),
+    int: (str, int),
+    float: (_fmt_float, _parse_float),
+    bool: (lambda v: "true" if v else "false", lambda t: t == "true"),
+}
+_CSV_TYPES = typing.get_type_hints(RunRecord)
+# (name, (format, parse)) of each CSV column, in RunRecord's field order.
+_CSV_COLUMNS = tuple(
+    (f.name, _CSV_CODECS[_CSV_TYPES[f.name]])
+    for f in fields(RunRecord)
+    if f.metadata.get("csv", True)
+)
+CSV_FIELDS = tuple(name for name, _ in _CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -268,8 +239,42 @@ def _validate_config(config: SweepConfig) -> None:
         _validate_combo(combo)
 
 
-def _combo_io_names(combo: Combo) -> tuple[str, str, str]:
-    return tuple(io.kind if io is not None else "" for io in (combo.io_a, combo.io1, combo.io2))
+def _record(
+    combo: Combo,
+    matrix_class: str,
+    shape: tuple[int, int, int],
+    kappa_target: float,
+    kappa_actual: float,
+    **outcome,
+) -> RunRecord:
+    """The record of one combo at one point.
+
+    ``outcome`` sets the measured fields; those not given read as a run
+    that did not happen (NaN metrics, ``failed``, zero time).
+    """
+    m, p, s = shape
+    ios = {slot: getattr(combo, slot) for slot in _SLOTS}
+    muscles = {slot: "" if io is None else io.kind for slot, io in ios.items()}
+    measured = dict(
+        loo=math.nan,
+        rel_res=math.nan,
+        rel_chol_res=math.nan,
+        sync_per_block=math.nan,
+        failed=True,
+        elapsed_ms=0.0,
+    )
+    measured.update(outcome)
+    return RunRecord(
+        matrix_class=matrix_class,
+        m=m,
+        p=p,
+        s=s,
+        kappa_target=kappa_target,
+        kappa_actual=kappa_actual,
+        skeleton=SKELETONS[combo.skeleton].display,
+        **muscles,
+        **measured,
+    )
 
 
 def run_single(
@@ -303,18 +308,12 @@ def run_single(
         res_v = rel_res(x, result.q, result.r)
         chol_v = rel_chol_res(x, result.r)
     sync_v = syncs_per_block(result) if x.block_count >= 3 else math.nan
-    io_a, io1, io2 = _combo_io_names(combo)
-    return RunRecord(
-        matrix_class=matrix_class,
-        m=x.m,
-        p=x.block_count,
-        s=x.block_width,
-        kappa_target=kappa_target,
-        kappa_actual=kappa_actual,
-        skeleton=DISPLAY_NAMES[combo.skeleton],
-        io_a=io_a,
-        io1=io1,
-        io2=io2,
+    return _record(
+        combo,
+        matrix_class,
+        (x.m, x.block_count, x.block_width),
+        kappa_target,
+        kappa_actual,
         loo=loo_v,
         rel_res=res_v,
         rel_chol_res=chol_v,
@@ -375,29 +374,6 @@ def _measure(x: BlockMatrix) -> float:
         return math.nan
 
 
-def _skip_record(config: SweepConfig, combo: Combo, kt: float, note: str) -> RunRecord:
-    io_a, io1, io2 = _combo_io_names(combo)
-    return RunRecord(
-        matrix_class=config.matrix_class,
-        m=config.m,
-        p=config.p,
-        s=config.s,
-        kappa_target=kt,
-        kappa_actual=math.nan,
-        skeleton=DISPLAY_NAMES[combo.skeleton],
-        io_a=io_a,
-        io1=io1,
-        io2=io2,
-        loo=math.nan,
-        rel_res=math.nan,
-        rel_chol_res=math.nan,
-        sync_per_block=math.nan,
-        failed=True,
-        elapsed_ms=0.0,
-        note=note,
-    )
-
-
 def run_sweep(config: SweepConfig) -> list[RunRecord]:
     """Run every combination at every sweep point, in deterministic order.
 
@@ -409,8 +385,12 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
     records: list[RunRecord] = []
     for kt, x, kappa_actual, note in _sweep_points(config):
         if x is None:
+            shape = (config.m, config.p, config.s)
             records.extend(
-                _skip_record(config, combo, kt, note) for combo in config.combos
+                _record(
+                    combo, config.matrix_class, shape, kt, math.nan, note=note
+                )
+                for combo in config.combos
             )
             continue
         digest = (
@@ -432,32 +412,10 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
     return records
 
 
-def _fmt_float(v: float) -> str:
-    if math.isnan(v):
-        return "NaN"
-    return "%.16e" % v
-
-
 def _record_row(rec: RunRecord) -> str:
-    fields = (
-        rec.matrix_class,
-        str(rec.m),
-        str(rec.p),
-        str(rec.s),
-        _fmt_float(rec.kappa_target),
-        _fmt_float(rec.kappa_actual),
-        rec.skeleton,
-        rec.io_a,
-        rec.io1,
-        rec.io2,
-        _fmt_float(rec.loo),
-        _fmt_float(rec.rel_res),
-        _fmt_float(rec.rel_chol_res),
-        _fmt_float(rec.sync_per_block),
-        "true" if rec.failed else "false",
-        _fmt_float(rec.elapsed_ms),
+    return ",".join(
+        fmt(getattr(rec, name)) for name, (fmt, _) in _CSV_COLUMNS
     )
-    return ",".join(fields)
 
 
 def write_csv(records, path) -> None:
@@ -469,12 +427,6 @@ def write_csv(records, path) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def _parse_float(token: str) -> float:
-    if token == "NaN":
-        return math.nan
-    return float(token)
 
 
 def read_csv(path) -> list[RunRecord]:
@@ -496,22 +448,10 @@ def read_csv(path) -> list[RunRecord]:
                 )
             try:
                 record = RunRecord(
-                    matrix_class=row["matrix_class"],
-                    m=int(row["m"]),
-                    p=int(row["p"]),
-                    s=int(row["s"]),
-                    kappa_target=_parse_float(row["kappa_target"]),
-                    kappa_actual=_parse_float(row["kappa_actual"]),
-                    skeleton=row["skeleton"],
-                    io_a=row["io_a"],
-                    io1=row["io1"],
-                    io2=row["io2"],
-                    loo=_parse_float(row["loo"]),
-                    rel_res=_parse_float(row["rel_res"]),
-                    rel_chol_res=_parse_float(row["rel_chol_res"]),
-                    sync_per_block=_parse_float(row["sync_per_block"]),
-                    failed=row["failed"] == "true",
-                    elapsed_ms=_parse_float(row["elapsed_ms"]),
+                    **{
+                        name: parse(row[name])
+                        for name, (_, parse) in _CSV_COLUMNS
+                    }
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
@@ -531,11 +471,12 @@ def check_bounds(path, *, out=None) -> list[str]:
     if out is None:
         out = sys.stdout
     records = read_csv(path)
+    by_display = {spec.display: kind for kind, spec in SKELETONS.items()}
     violations = []
     checked = 0
     for i, rec in enumerate(records, start=2):  # line number in file
         try:
-            kind = _SKELETON_BY_DISPLAY[rec.skeleton]
+            kind = by_display[rec.skeleton]
         except KeyError:
             raise ValueError(f"{path}:{i}: unknown skeleton {rec.skeleton!r}")
         io_a = _parse_io(rec.io_a or None, "io_a")
@@ -579,10 +520,10 @@ def sync_table(
     x = gen_default(spec)
     cholqr = IO_BY_NAME["cholqr"]
     rows = []
-    for kind in SkeletonKind:
+    for kind, spec in SKELETONS.items():
         combo = make_combo(kind, io_a=cholqr, io1=cholqr, io2=cholqr)
         result = _run_combo(combo, x)
-        rows.append((DISPLAY_NAMES[kind], syncs_per_block(result)))
+        rows.append((spec.display, syncs_per_block(result)))
     return rows
 
 
@@ -657,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--skeletons",
-        default=",".join(k.value for k in SkeletonKind),
+        default=",".join(kind.value for kind in SKELETONS),
         help="comma-separated skeleton list (default: all)",
     )
     sweep.add_argument(
@@ -751,7 +692,7 @@ def _config_from_args(args) -> SweepConfig:
     )
 
 
-def _error_exit(exc: Exception) -> int:
+def _error_exit(exc: Exception | str) -> int:
     print(f"blockgs: error: {exc}", file=sys.stderr)
     return 2
 
@@ -776,6 +717,12 @@ def cli_main(argv=None) -> int:
     try:
         if args.command == "sweep":
             config = _config_from_args(args)
+            _validate_config(config)
+            try:
+                # An unwritable --out fails here, before the sweep runs.
+                open(config.out, "w").close()
+            except OSError as exc:
+                return _error_exit(f"cannot write CSV to {config.out}: {exc}")
             records = run_sweep(config)
             try:
                 write_csv(records, config.out)

@@ -45,7 +45,6 @@ __all__ = [
     "EPS",
     "C_TOL",
     "BoundSpec",
-    "StabilityReport",
     "loo",
     "rel_res",
     "rel_chol_res",
@@ -119,16 +118,6 @@ def rel_chol_res(x, r) -> float:
     rs = np.ldexp(rd, -e)
     gram = xs.T @ xs
     return spectral_norm(gram - rs.T @ rs) / _lambda_max(gram)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """The three measures of one run, alongside the measured conditioning."""
-
-    loo: float
-    rel_res: float
-    rel_chol_res: float
-    kappa: float
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ chol_qr     O(eps) * kappa(X)^2    1
 ``chol_qr`` deliberately has no positive-definiteness fail-safe: when the
 Gram matrix is numerically indefinite the Cholesky sweep produces NaNs, runs
 to completion, and the output is flagged ``failed`` instead of raising.
-Downstream consumers treat failure as data.
+Likewise ``mgs_qr`` returns a NaN-filled, ``failed`` output on an exactly
+zero pivot.  Downstream consumers treat failure as data.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ IO_BY_NAME: dict[str, IOSpec] = {
 class QROutput:
     """Economic QR pair for one block, plus a failure flag.
 
-    ``failed`` is only ever set by ``chol_qr`` (indefinite Gram matrix) or by
-    any routine receiving non-finite input downstream of such a failure; in
+    ``failed`` is only ever set by ``chol_qr`` (indefinite Gram matrix), by
+    ``mgs_qr`` (exactly zero pivot) or by any routine receiving non-finite
+    input downstream of such a failure; in
     that case ``q`` and/or ``r`` contain NaN and must be propagated, not
     trusted.
     """
@@ -182,7 +184,8 @@ def mgs_qr(x) -> QROutput:
     """Column-wise modified Gram-Schmidt.
 
     Loss of orthogonality grows like O(eps) * kappa(X); the residual stays
-    O(eps).  An exactly zero pivot norm means the block is rank deficient.
+    O(eps).  An exactly zero pivot norm means the block is rank deficient;
+    the output is then NaN-filled and flagged ``failed``.
     """
     x = _as_block(x)
     m, s = x.shape
@@ -198,7 +201,7 @@ def mgs_qr(x) -> QROutput:
             v -= rij * q[:, i]
         nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
-            raise ValueError("rank deficient block")
+            return _nan_output(m, s)
         r[j, j] = nrm
         q[:, j] = v / nrm
     return QROutput(q, r, failed=False)

@@ -17,7 +17,13 @@ column once Gram-product muscles are plugged in:
 
 The ``_a`` variants accept a distinguished, typically stronger muscle for
 the first block; ``bcgs`` and ``bcgsi_plus`` are the aliases with all
-muscle slots tied to a single routine.
+muscle slots tied to a single routine.  :data:`SKELETONS` holds each
+variant's display name, CLI shorthands, muscle slots and tied-ness.
+
+The ledger charges come from the products themselves: every tall product
+(``proj``, ``proj2``, ``batch``) is formed by ``SyncLedger.reduce``, which
+charges its one reduction, and each muscle call charges its own cost in
+:func:`~blockgs.muscles.apply_io`.
 
 Failure handling: after the first failed muscle call (indefinite Gram
 matrix inside ``chol_qr`` or the fused Cholesky steps), NaNs propagate
@@ -39,6 +45,8 @@ from .syncmodel import SyncEvent, SyncLedger
 
 __all__ = [
     "SkeletonKind",
+    "SkeletonSpec",
+    "SKELETONS",
     "DISPLAY_NAMES",
     "TraceStep",
     "IterationTrace",
@@ -65,15 +73,42 @@ class SkeletonKind(str, Enum):
     BCGSI_A_1S = "bcgsi_a_1s"
 
 
-DISPLAY_NAMES: dict[SkeletonKind, str] = {
-    SkeletonKind.BCGS: "BCGS",
-    SkeletonKind.BCGS_A: "BCGS-A",
-    SkeletonKind.BCGSI_PLUS: "BCGSI+",
-    SkeletonKind.BCGSI_PLUS_A: "BCGSI+A",
-    SkeletonKind.BCGSI_A_3S: "BCGSI+A-3S",
-    SkeletonKind.BCGSI_A_2S: "BCGSI+A-2S",
-    SkeletonKind.BCGSI_A_1S: "BCGSI+A-1S",
+@dataclass(frozen=True)
+class SkeletonSpec:
+    """What the harness needs to know about one skeleton.
+
+    ``slots`` names the muscle slots a run consumes (fields of a
+    :class:`~blockgs.harness.Combo`), in the order the skeleton function
+    takes them.  A ``tied`` skeleton takes a single muscle, which fills
+    every slot.  ``shorthands`` are extra CLI spellings beyond the kind's
+    value and the display name.
+    """
+
+    display: str
+    slots: tuple[str, ...]
+    tied: bool = False
+    shorthands: tuple[str, ...] = ()
+
+
+SKELETONS: dict[SkeletonKind, SkeletonSpec] = {
+    SkeletonKind.BCGS: SkeletonSpec("BCGS", ("io_a", "io1"), tied=True),
+    SkeletonKind.BCGS_A: SkeletonSpec("BCGS-A", ("io_a", "io1")),
+    SkeletonKind.BCGSI_PLUS: SkeletonSpec(
+        "BCGSI+", ("io_a", "io1", "io2"), tied=True
+    ),
+    SkeletonKind.BCGSI_PLUS_A: SkeletonSpec("BCGSI+A", ("io_a", "io1", "io2")),
+    SkeletonKind.BCGSI_A_3S: SkeletonSpec(
+        "BCGSI+A-3S", ("io_a", "io1"), shorthands=("3s",)
+    ),
+    SkeletonKind.BCGSI_A_2S: SkeletonSpec(
+        "BCGSI+A-2S", ("io_a",), shorthands=("2s",)
+    ),
+    SkeletonKind.BCGSI_A_1S: SkeletonSpec(
+        "BCGSI+A-1S", ("io_a",), shorthands=("1s",)
+    ),
 }
+
+DISPLAY_NAMES = {kind: spec.display for kind, spec in SKELETONS.items()}
 
 
 @dataclass
@@ -184,8 +219,7 @@ def bcgs_a(
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
         xk = x.block(k)
-        ledger.record(k, "proj", 1)
-        s_col = qprev.T @ xk
+        s_col = ledger.reduce(k, "proj", qprev, xk)
         w = xk - qprev @ s_col
         out = apply_io(io, w, ledger=ledger, block=k)
         q_data[:, lo:hi] = out.q
@@ -225,12 +259,10 @@ def bcgsi_plus_a(
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
         xk = x.block(k)
-        ledger.record(k, "proj", 1)
-        s_col = qprev.T @ xk
+        s_col = ledger.reduce(k, "proj", qprev, xk)
         w = xk - qprev @ s_col
         out1 = apply_io(io1, w, ledger=ledger, block=k)
-        ledger.record(k, "proj2", 1)
-        t_col = qprev.T @ out1.q
+        t_col = ledger.reduce(k, "proj2", qprev, out1.q)
         v = out1.q - qprev @ t_col
         out2 = apply_io(io2, v, ledger=ledger, block=k)
         q_data[:, lo:hi] = out2.q
@@ -277,11 +309,9 @@ def bcgsi_a_3s(
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
         xk = x.block(k)
-        ledger.record(k, "proj", 1)
-        s_col = qprev.T @ xk
+        s_col = ledger.reduce(k, "proj", qprev, xk)
         v = xk - qprev @ s_col
-        ledger.record(k, "proj2", 1)
-        y_col = qprev.T @ v
+        y_col = ledger.reduce(k, "proj2", qprev, v)
         w = v - qprev @ y_col
         out = apply_io(io, w, ledger=ledger, block=k)
         q_data[:, lo:hi] = out.q
@@ -295,6 +325,20 @@ def bcgsi_a_3s(
     return _finish(x, q_data, r, ledger, trace, failed)
 
 
+def _fused_cholesky(qprev, v, y_col, omega):
+    """The Cholesky-based cleanup shared by the two- and one-sync loops.
+
+    Y_kk is the fail-safe-free Cholesky factor of ``Omega - Y^T Y`` and the
+    new Q block is ``(V - Q_prev Y) Y_kk^{-1}``; a failed factor or an
+    exactly zero pivot gives a NaN Q block instead.  Returns
+    ``(y_kk, q_k, failed)``.
+    """
+    fac = chol_free(omega - y_col.T @ y_col)
+    if fac.failed or np.any(np.diagonal(fac.r) == 0.0):
+        return fac.r, np.full(v.shape, np.nan), True
+    return fac.r, tri_solve_right(v - qprev @ y_col, fac.r), False
+
+
 def _fused_normalization(
     qprev: np.ndarray,
     v: np.ndarray,
@@ -304,22 +348,13 @@ def _fused_normalization(
     """Batched product [Q_prev, V]^T V, then the Cholesky-based cleanup.
 
     One reduction yields both the reorthogonalization coefficients Y and the
-    Gram block Omega; Y_kk comes from the fail-safe-free Cholesky of
-    ``Omega - Y^T Y`` and the new Q block from a right triangular solve.
-    Returns ``(y_col, omega, y_kk, q_k, failed)``.
+    Gram block Omega.  Returns ``(y_col, omega, y_kk, q_k, failed)``.
     """
-    ledger.record(k, "batch", 1)
-    stacked = np.hstack([qprev, v])
-    prods = stacked.T @ v
+    prods = ledger.reduce(k, "batch", (qprev, v), v)
     n_prev = qprev.shape[1]
     y_col = prods[:n_prev, :]
     omega = prods[n_prev:, :]
-    fac = chol_free(omega - y_col.T @ y_col)
-    y_kk = fac.r
-    if fac.failed or np.any(np.diagonal(y_kk) == 0.0):
-        return y_col, omega, y_kk, np.full(v.shape, np.nan), True
-    qk = tri_solve_right(v - qprev @ y_col, y_kk)
-    return y_col, omega, y_kk, qk, False
+    return (y_col, omega, *_fused_cholesky(qprev, v, y_col, omega))
 
 
 def bcgsi_a_2s(
@@ -342,8 +377,7 @@ def bcgsi_a_2s(
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
         xk = x.block(k)
-        ledger.record(k, "proj", 1)
-        s_col = qprev.T @ xk
+        s_col = ledger.reduce(k, "proj", qprev, xk)
         v = xk - qprev @ s_col
         y_col, omega, y_kk, qk, step_failed = _fused_normalization(
             qprev, v, ledger, k
@@ -384,7 +418,7 @@ def bcgsi_a_1s(
     p-2 loop batches, 1 final batch).
     """
     x = _require_block_matrix(x)
-    m, s, p = x.m, x.block_width, x.block_count
+    s, p = x.block_width, x.block_count
     q_data, r, ledger, trace = _setup(x, record_trace)
     failed = _first_block(x, io_a, q_data, r, ledger, trace)
     if p == 1:
@@ -392,30 +426,22 @@ def bcgsi_a_1s(
 
     # Setup: the only standalone projection in the whole run.
     q1 = q_data[:, :s]
-    ledger.record(1, "proj", 1)
-    s_col = q1.T @ x.block(2)
+    s_col = ledger.reduce(1, "proj", q1, x.block(2))
     v = x.block(2) - q1 @ s_col
 
     for k in range(2, p):
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
         x_next = x.block(k + 1)
-        ledger.record(k, "batch", 1)
-        stacked = np.hstack([qprev, v])
-        rhs = np.hstack([v, x_next])
-        prods = stacked.T @ rhs
+        prods = ledger.reduce(k, "batch", (qprev, v), (v, x_next))
         y_col = prods[:lo, :s]
         z_blk = prods[:lo, s:]
         omega = prods[lo:, :s]
         p_blk = prods[lo:, s:]
-        fac = chol_free(omega - y_col.T @ y_col)
-        y_kk = fac.r
-        step_failed = fac.failed or bool(np.any(np.diagonal(y_kk) == 0.0))
+        y_kk, qk, step_failed = _fused_cholesky(qprev, v, y_col, omega)
         if step_failed:
-            qk = np.full((m, s), np.nan)
             bottom = np.full((s, s), np.nan)
         else:
-            qk = tri_solve_right(v - qprev @ y_col, y_kk)
             bottom = tri_solve_left_transposed(y_kk, p_blk - y_col.T @ z_blk)
         q_data[:, lo:hi] = qk
         r[:lo, lo:hi] = s_col + y_col

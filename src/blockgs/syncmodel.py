@@ -5,12 +5,15 @@ reduction across the m-dimensional row space: a Gram product ``X^T X``, a
 projection ``Q^T X``, or a fused product of several such factors counts as a
 single reduction regardless of how many small columns it produces.  Purely
 local work on s-by-s quantities (Cholesky factors, triangular solves, sums)
-is free.
+is free.  :meth:`SyncLedger.reduce` forms such a product and charges it in
+one step, so a skeleton's ledger is the list of products it computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = ["SyncEvent", "SyncLedger", "syncs_per_block"]
 
@@ -37,6 +40,19 @@ class SyncLedger:
             raise ValueError("sync cost must be >= 1")
         self.events.append(SyncEvent(int(block), str(label), cost))
         return self
+
+    def reduce(self, block: int, label: str, left, right) -> np.ndarray:
+        """One tall reduction ``left^T @ right``, charged to ``block``.
+
+        A tuple operand is stacked column-wise first, so a fused product
+        such as ``[Q, V]^T [V, X]`` is a single call and a single charge.
+        """
+        self.record(block, label, 1)
+        if isinstance(left, tuple):
+            left = np.hstack(left)
+        if isinstance(right, tuple):
+            right = np.hstack(right)
+        return left.T @ right
 
     @property
     def total(self) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import blockgs
-from blockgs import blockcore, metrics, skeletons
+from blockgs import blockcore, harness, metrics, skeletons
 from blockgs.blockcore import BlockMatrix
 from blockgs.harness import (
     CSV_FIELDS,
@@ -128,6 +128,22 @@ def test_run_single_failure_yields_nan_metrics():
     assert rec.failed or rec.loo > 1e-2
     if rec.failed:
         assert math.isnan(rec.loo) and math.isnan(rec.rel_res)
+
+
+@pytest.mark.parametrize("zero_col", [0, 3], ids=["first-block", "block-2"])
+@pytest.mark.parametrize("kind", [k.value for k in SkeletonKind])
+def test_run_single_mgs_on_an_exact_zero_column_is_a_failed_row(
+    kind, zero_col
+):
+    # MGS meets an exactly zero pivot: in the first-block slot (every
+    # skeleton) or in an inner slot (the skeletons that take one).
+    data = np.random.default_rng(5).standard_normal((12, 6))
+    data[:, zero_col] = 0.0
+    x = BlockMatrix(data, 2)
+    rec = run_single(x, make_combo(kind, io_a=MGS, io1=MGS, io2=MGS))
+    assert rec.failed
+    assert math.isnan(rec.loo)
+    assert math.isnan(rec.rel_res) and math.isnan(rec.rel_chol_res)
 
 
 def test_run_single_low_sync_on_moderate_matrix():
@@ -477,6 +493,30 @@ def test_cli_sweep_writes_csv(tmp_path):
     assert all(r.io_a == "houseqr" for r in records)
 
 
+def test_skeleton_registry_round_trips(tmp_path):
+    # Every spelling the registry lists parses back to its kind, and
+    # check-bounds resolves every display name a sweep writes.
+    for kind, spec in skeletons.SKELETONS.items():
+        spellings = (kind.value, spec.display, spec.display.lower())
+        for token in spellings + spec.shorthands:
+            assert harness._parse_skeleton(token) is kind
+        assert skeletons.DISPLAY_NAMES[kind] == spec.display
+    assert set(skeletons.SKELETONS) == set(SkeletonKind)
+    config = SweepConfig(
+        matrix_class="default",
+        combos=tuple(make_combo(kind) for kind in SkeletonKind),
+        kappas=(10.0,),
+        m=40,
+        p=4,
+        s=2,
+    )
+    path = tmp_path / "all.csv"
+    write_csv(run_sweep(config), path)
+    out = io.StringIO()
+    assert check_bounds(path, out=out) == []
+    assert out.getvalue().endswith("out of 7: 0 violation(s)\n")
+
+
 def test_cli_sweep_accepts_display_name_aliases(tmp_path):
     out_path = tmp_path / "run.csv"
     code, _, _ = _capture(
@@ -599,7 +639,7 @@ _HEADER = ",".join(CSV_FIELDS) + "\n"
     ],
 )
 def test_cli_unreadable_or_unwritable_files_exit_2(
-    command, setup, fragment, tmp_path
+    command, setup, fragment, tmp_path, monkeypatch
 ):
     path = tmp_path / "no" / "such.csv"
     if setup == "dir":
@@ -612,11 +652,20 @@ def test_cli_unreadable_or_unwritable_files_exit_2(
                 "--kappas", "10", "--out", str(path)]
     else:
         argv = ["check-bounds", str(path)]
+    generated = []
+
+    def gen_monomial(spec):
+        generated.append(spec)
+        raise AssertionError("a matrix was generated")
+
+    monkeypatch.setattr(harness, "gen_monomial", gen_monomial)
     code, out, err = _capture(cli_main, argv)
     assert code == 2
     assert err.startswith("blockgs: error:") and err.count("\n") == 1
     assert fragment in err
     assert "Traceback" not in err + out
+    # An unwritable --out is found before the sweep generates anything.
+    assert generated == []
 
 
 def test_cli_syncs_output():
@@ -688,6 +737,7 @@ def test_cli_config_errors_exit_2(argv, fragment, tmp_path, monkeypatch):
     assert code == 2
     assert "blockgs: error:" in err
     assert fragment in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_argparse_rejections_exit_2():

@@ -175,10 +175,18 @@ def test_mgs_near_dependent_columns():
     assert rel_res(x, out.q, out.r) <= 100.0 * EPS
 
 
-def test_mgs_rejects_exact_rank_deficiency():
+def test_mgs_exact_rank_deficiency_fails_as_data():
     x = np.column_stack([np.ones(4), np.ones(4)])
-    with pytest.raises(ValueError, match="rank deficient block"):
-        mgs_qr(x)
+    out = mgs_qr(x)
+    assert out.failed
+    assert out.q.shape == (4, 2) and out.r.shape == (2, 2)
+    assert np.isnan(out.q).all() and np.isnan(out.r).all()
+    # The reductions are charged whether or not the call succeeds.
+    ledger = SyncLedger()
+    assert apply_io(MGS, x, ledger=ledger, block=3).failed
+    assert [(e.block, e.label, e.cost) for e in ledger.events] == [
+        (3, "io-cols", 2)
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIZERS))

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from blockgs.matgen import MatrixClassSpec, generate
@@ -36,6 +37,16 @@ def test_ledger_record_and_totals():
 def test_ledger_rejects_free_events():
     with pytest.raises(ValueError, match="sync cost must be >= 1"):
         SyncLedger().record(1, "proj", 0)
+
+
+def test_ledger_reduce_forms_the_product_and_charges_it_once():
+    rng = np.random.default_rng(3)
+    q, v, x = (rng.standard_normal((9, 2)) for _ in range(3))
+    ledger = SyncLedger()
+    assert np.array_equal(ledger.reduce(2, "proj", q, x), q.T @ x)
+    fused = ledger.reduce(3, "batch", (q, v), (v, x))
+    assert np.array_equal(fused, np.hstack([q, v]).T @ np.hstack([v, x]))
+    assert ledger.events == [SyncEvent(2, "proj", 1), SyncEvent(3, "batch", 1)]
 
 
 def _well_conditioned(p=6, s=2):
@@ -111,3 +122,63 @@ def test_one_sync_interior_blocks_single_event():
 def test_skeleton_kind_display_round_trip():
     assert SkeletonKind("bcgsi_a_1s") is SkeletonKind.BCGSI_A_1S
     assert SkeletonKind.BCGS.value == "bcgs"
+
+
+# The full ledger of every skeleton at p=4, s=2, written out charge by
+# charge as "block:label:cost".  Interior muscles are CholQR, except in the
+# tied aliases, where the first-block muscle fills every slot.
+_FROZEN_STREAMS = {
+    ("bcgs", "houseqr"): "1:io-cols:2 2:proj:1 2:io-cols:2 3:proj:1"
+    " 3:io-cols:2 4:proj:1 4:io-cols:2",
+    ("bcgs", "cholqr"): "1:io-gram:1 2:proj:1 2:io-gram:1 3:proj:1"
+    " 3:io-gram:1 4:proj:1 4:io-gram:1",
+    ("bcgs_a", "houseqr"): "1:io-cols:2 2:proj:1 2:io-gram:1 3:proj:1"
+    " 3:io-gram:1 4:proj:1 4:io-gram:1",
+    ("bcgs_a", "cholqr"): "1:io-gram:1 2:proj:1 2:io-gram:1 3:proj:1"
+    " 3:io-gram:1 4:proj:1 4:io-gram:1",
+    ("bcgsi_plus", "houseqr"): "1:io-cols:2 2:proj:1 2:io-cols:2 2:proj2:1"
+    " 2:io-cols:2 3:proj:1 3:io-cols:2 3:proj2:1 3:io-cols:2 4:proj:1"
+    " 4:io-cols:2 4:proj2:1 4:io-cols:2",
+    ("bcgsi_plus", "cholqr"): "1:io-gram:1 2:proj:1 2:io-gram:1 2:proj2:1"
+    " 2:io-gram:1 3:proj:1 3:io-gram:1 3:proj2:1 3:io-gram:1 4:proj:1"
+    " 4:io-gram:1 4:proj2:1 4:io-gram:1",
+    ("bcgsi_plus_a", "houseqr"): "1:io-cols:2 2:proj:1 2:io-gram:1"
+    " 2:proj2:1 2:io-gram:1 3:proj:1 3:io-gram:1 3:proj2:1 3:io-gram:1"
+    " 4:proj:1 4:io-gram:1 4:proj2:1 4:io-gram:1",
+    ("bcgsi_plus_a", "cholqr"): "1:io-gram:1 2:proj:1 2:io-gram:1"
+    " 2:proj2:1 2:io-gram:1 3:proj:1 3:io-gram:1 3:proj2:1 3:io-gram:1"
+    " 4:proj:1 4:io-gram:1 4:proj2:1 4:io-gram:1",
+    ("bcgsi_a_3s", "houseqr"): "1:io-cols:2 2:proj:1 2:proj2:1 2:io-gram:1"
+    " 3:proj:1 3:proj2:1 3:io-gram:1 4:proj:1 4:proj2:1 4:io-gram:1",
+    ("bcgsi_a_3s", "cholqr"): "1:io-gram:1 2:proj:1 2:proj2:1 2:io-gram:1"
+    " 3:proj:1 3:proj2:1 3:io-gram:1 4:proj:1 4:proj2:1 4:io-gram:1",
+    ("bcgsi_a_2s", "houseqr"): "1:io-cols:2 2:proj:1 2:batch:1 3:proj:1"
+    " 3:batch:1 4:proj:1 4:batch:1",
+    ("bcgsi_a_2s", "cholqr"): "1:io-gram:1 2:proj:1 2:batch:1 3:proj:1"
+    " 3:batch:1 4:proj:1 4:batch:1",
+    ("bcgsi_a_1s", "houseqr"): "1:io-cols:2 1:proj:1 2:batch:1 3:batch:1"
+    " 4:batch:1",
+    ("bcgsi_a_1s", "cholqr"): "1:io-gram:1 1:proj:1 2:batch:1 3:batch:1"
+    " 4:batch:1",
+}
+
+
+@pytest.mark.parametrize("kind,io_a", sorted(_FROZEN_STREAMS))
+def test_ledger_event_stream_is_frozen(kind, io_a):
+    x = _well_conditioned(p=4, s=2)
+    io = {"houseqr": HOUSE_QR, "cholqr": CHOL_QR}[io_a]
+    runners = {
+        "bcgs": lambda: bcgs(x, io),
+        "bcgs_a": lambda: bcgs_a(x, io, CHOL_QR),
+        "bcgsi_plus": lambda: bcgsi_plus(x, io),
+        "bcgsi_plus_a": lambda: bcgsi_plus_a(x, io, CHOL_QR, CHOL_QR),
+        "bcgsi_a_3s": lambda: bcgsi_a_3s(x, io, CHOL_QR),
+        "bcgsi_a_2s": lambda: bcgsi_a_2s(x, io),
+        "bcgsi_a_1s": lambda: bcgsi_a_1s(x, io),
+    }
+    result = runners[kind]()
+    tokens = (t.split(":") for t in _FROZEN_STREAMS[kind, io_a].split())
+    expected = [(int(b), label, int(c)) for b, label, c in tokens]
+    events = [(e.block, e.label, e.cost) for e in result.ledger.events]
+    assert events == expected
+    assert {k for k, _ in _FROZEN_STREAMS} == {k.value for k in SkeletonKind}
