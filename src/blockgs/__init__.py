@@ -66,9 +66,7 @@ from .muscles import (
     mgs_qr,
 )
 from .skeletons import (
-    DISPLAY_NAMES,
     BGSResult,
-    IterationTrace,
     SkeletonKind,
     bcgs,
     bcgs_a,
@@ -90,13 +88,11 @@ __all__ = [
     "CHOL_QR",
     "Combo",
     "ConfigError",
-    "DISPLAY_NAMES",
     "EPS",
     "GIVENS_QR",
     "HOUSE_QR",
     "IO_BY_NAME",
     "IOSpec",
-    "IterationTrace",
     "MGS",
     "MatrixClassSpec",
     "QROutput",

@@ -289,8 +289,7 @@ def run_single(
 
     ``kappa_actual`` may be passed in when the caller already measured the
     matrix (a sweep measures once per point); otherwise it is computed
-    here, and set to NaN when the conditioning is unmeasurable.  The record
-    carries no iteration trace, so none is recorded.
+    here, and set to NaN when the conditioning is unmeasurable.
     """
     _validate_combo(combo)
     if kappa_actual is None:
@@ -459,6 +458,26 @@ def read_csv(path) -> list[RunRecord]:
     return records
 
 
+def _row_envelope(
+    rec: RunRecord, by_display: dict[str, SkeletonKind]
+) -> tuple[bool, float]:
+    """``(applicable, loo ceiling)`` of one CSV row's envelope.
+
+    The row's skeleton and muscles must form a combo a sweep accepts, and
+    its measured kappa must be >= 1; otherwise raises ``ValueError``.
+    Unenforced envelopes and unmeasured kappas are never applicable.
+    """
+    if rec.skeleton not in by_display:
+        raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
+    ios = (_parse_io(getattr(rec, slot), slot) for slot in _SLOTS)
+    combo = Combo(by_display[rec.skeleton], *ios)
+    _validate_combo(combo)
+    spec = bound_for(combo.skeleton, combo.io_a, combo.io1, combo.io2, p=rec.p)
+    if not spec.enforced or not math.isfinite(rec.kappa_actual):
+        return False, math.nan
+    return bound_envelope(spec, rec.kappa_actual)
+
+
 def check_bounds(path, *, out=None) -> list[str]:
     """Verify every CSV row against its theoretical envelope.
 
@@ -476,18 +495,9 @@ def check_bounds(path, *, out=None) -> list[str]:
     checked = 0
     for i, rec in enumerate(records, start=2):  # line number in file
         try:
-            kind = by_display[rec.skeleton]
-        except KeyError:
-            raise ValueError(f"{path}:{i}: unknown skeleton {rec.skeleton!r}")
-        io_a = _parse_io(rec.io_a or None, "io_a")
-        io1 = _parse_io(rec.io1 or None, "io1")
-        io2 = _parse_io(rec.io2 or None, "io2")
-        if io_a is None:
-            raise ValueError(f"{path}:{i}: missing io_a")
-        spec = bound_for(kind, io_a, io1, io2, p=rec.p)
-        if not spec.enforced or not math.isfinite(rec.kappa_actual):
-            continue
-        applicable, bound = bound_envelope(spec, rec.kappa_actual)
+            applicable, bound = _row_envelope(rec, by_display)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: {exc}") from None
         if not applicable:
             continue
         checked += 1

@@ -22,24 +22,23 @@ sigma_min as well.
 Metrics of failed (NaN-bearing) computations are NaN, never an exception,
 so sweep curves can simply terminate the way failed runs do.
 
-:func:`bound_for` maps a (skeleton, muscle choices) combination to the
-envelope its theory predicts: an applicability condition of the form
-``eps * kappa**theta <= 1/2`` plus a loss-of-orthogonality ceiling
-``100 * eps * kappa**loo_exponent``.  The plain BCGS family gets an
-envelope whose exponent grows with the block count; it is recorded for
-diagnostics but never enforced, since no known input attains it.
+:func:`bound_for` looks up the envelope a (skeleton, muscle choices)
+combination's theory predicts; each envelope lives in its skeleton's
+:data:`~blockgs.skeletons.SKELETONS` entry.  An envelope is an
+applicability condition of the form ``eps * kappa**theta <= 1/2`` plus a
+loss-of-orthogonality ceiling ``100 * eps * kappa**loo_exponent``, which
+:func:`bound_envelope` evaluates at a measured condition number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .blockcore import BlockMatrix, spectral_norm
 from .muscles import IOSpec
-from .skeletons import SkeletonKind
+from .skeletons import SKELETONS, BoundSpec, SkeletonKind
 
 __all__ = [
     "EPS",
@@ -120,25 +119,6 @@ def rel_chol_res(x, r) -> float:
     return spectral_norm(gram - rs.T @ rs) / _lambda_max(gram)
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """Predicted stability envelope of one skeleton/muscle combination.
-
-    ``theta`` controls applicability (``eps * kappa**theta <= 1/2``);
-    ``loo_exponent`` is the power of kappa in the loss-of-orthogonality
-    ceiling.  ``io_a_ok`` records whether the first-block muscle meets the
-    strength premise of the corresponding theory; a violated premise makes
-    the envelope inapplicable rather than wrong.  ``enforced`` is False for
-    the diagnostic-only BCGS/BCGS-A envelopes.
-    """
-
-    skeleton: SkeletonKind
-    theta: float
-    loo_exponent: float
-    io_a_ok: bool = True
-    enforced: bool = True
-
-
 def bound_for(
     kind: SkeletonKind | str,
     io_a: IOSpec,
@@ -146,53 +126,21 @@ def bound_for(
     io2: IOSpec | None = None,
     p: int | None = None,
 ) -> BoundSpec:
-    """Envelope metadata for one combination.
+    """The envelope of one combination, read from its ``SKELETONS`` entry.
 
-    For the tied aliases pass the tied muscle in every slot it occupies
-    (``io_a`` and ``io1`` for ``bcgs``; all three for ``bcgsi_plus``).
-    ``p`` is only needed for the BCGS-family diagnostic exponent.
+    Every muscle slot the skeleton consumes must be given; for the tied
+    aliases pass the tied muscle in each (``io_a`` and ``io1`` for
+    ``bcgs``; all three for ``bcgsi_plus``).  ``p`` is only needed for the
+    BCGS-family diagnostic exponent.
     """
     kind = SkeletonKind(kind)
-    if kind in (SkeletonKind.BCGSI_PLUS, SkeletonKind.BCGSI_PLUS_A):
-        if io1 is None:
-            raise ValueError("reorthogonalized variants need io1")
-        return BoundSpec(
-            skeleton=kind,
-            theta=max(io1.alpha, 1),
-            loo_exponent=0.0,
-            io_a_ok=(io_a.alpha == 0),
-        )
-    if kind is SkeletonKind.BCGSI_A_3S:
-        if io1 is None:
-            raise ValueError("the three-sync variant needs io1")
-        a = io1.alpha
-        return BoundSpec(
-            skeleton=kind,
-            theta=max(a + 1, 2),
-            loo_exponent=max(a, 1),
-            io_a_ok=(io_a.alpha <= a),
-        )
-    if kind in (SkeletonKind.BCGSI_A_2S, SkeletonKind.BCGSI_A_1S):
-        return BoundSpec(
-            skeleton=kind,
-            theta=3.0,
-            loo_exponent=2.0,
-            io_a_ok=(io_a.alpha <= 2),
-        )
-    # Plain BCGS family: exponent grows with the block count; diagnostic
-    # only — no known input attains it, so it is never enforced.
-    if io1 is None:
-        raise ValueError("the BCGS family needs io1")
-    if p is None:
-        raise ValueError("the BCGS family envelope needs the block count p")
-    exponent = (p - 2) + max(io_a.alpha + 1, io1.alpha)
-    return BoundSpec(
-        skeleton=kind,
-        theta=1.0,
-        loo_exponent=float(exponent),
-        io_a_ok=True,
-        enforced=False,
-    )
+    spec = SKELETONS[kind]
+    given = {"io_a": io_a, "io1": io1, "io2": io2}
+    muscles = [given[slot] for slot in spec.slots]
+    for slot, io in zip(spec.slots, muscles):
+        if io is None:
+            raise ValueError(f"the {spec.display} envelope needs {slot}")
+    return spec.envelope(kind, *muscles, p=p)
 
 
 def bound_envelope(

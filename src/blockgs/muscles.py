@@ -59,13 +59,10 @@ class IOSpec:
     alpha : int
         Exponent of kappa(X) in the routine's loss-of-orthogonality class
         ``O(eps) * kappa(X)**alpha``.
-    rho_class : str
-        Residual class; ``"eps"`` (i.e. O(eps)) for every supported routine.
     """
 
     kind: str
     alpha: int
-    rho_class: str = "eps"
 
     def sync_cost(self, block_width: int) -> int:
         """Simulated global reductions for one call on an m-by-w block.

@@ -18,7 +18,8 @@ column once Gram-product muscles are plugged in:
 The ``_a`` variants accept a distinguished, typically stronger muscle for
 the first block; ``bcgs`` and ``bcgsi_plus`` are the aliases with all
 muscle slots tied to a single routine.  :data:`SKELETONS` holds each
-variant's display name, CLI shorthands, muscle slots and tied-ness.
+variant's display name, CLI shorthands, muscle slots, tied-ness and bound
+envelope; no other module needs to tell the variants apart.
 
 The ledger charges come from the products themselves: every tall product
 (``proj``, ``proj2``, ``batch``) is formed by ``SyncLedger.reduce``, which
@@ -34,22 +35,21 @@ down instead of aborting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .blockcore import BlockMatrix, tri_solve_left_transposed, tri_solve_right
 from .muscles import IOSpec, apply_io, chol_free
-from .syncmodel import SyncEvent, SyncLedger
+from .syncmodel import SyncLedger
 
 __all__ = [
     "SkeletonKind",
+    "BoundSpec",
     "SkeletonSpec",
     "SKELETONS",
-    "DISPLAY_NAMES",
-    "TraceStep",
-    "IterationTrace",
     "BGSResult",
     "bcgs",
     "bcgs_a",
@@ -74,73 +74,110 @@ class SkeletonKind(str, Enum):
 
 
 @dataclass(frozen=True)
+class BoundSpec:
+    """Predicted stability envelope of one skeleton/muscle combination.
+
+    ``theta`` controls applicability (``eps * kappa**theta <= 1/2``);
+    ``loo_exponent`` is the power of kappa in the loss-of-orthogonality
+    ceiling.  ``io_a_ok`` records whether the first-block muscle meets the
+    strength premise of the corresponding theory; a violated premise makes
+    the envelope inapplicable rather than wrong.  ``enforced`` is False for
+    the diagnostic-only BCGS/BCGS-A envelopes.
+    """
+
+    skeleton: SkeletonKind
+    theta: float
+    loo_exponent: float
+    io_a_ok: bool = True
+    enforced: bool = True
+
+
+# Envelopes: (kind, muscles in slot order, p) -> BoundSpec.  ``alpha`` is a
+# muscle's loss-of-orthogonality exponent (O(eps) * kappa**alpha).
+
+
+def _bcgs_envelope(kind, io_a, io1, *, p):
+    """BCGS / BCGS-A, without reorthogonalization: an exponent that grows
+    with the block count.  Not a result of the paper; recorded for
+    diagnostics only and never enforced, since no known input attains it.
+    """
+    if p is None:
+        raise ValueError("the BCGS family envelope needs the block count p")
+    exponent = (p - 2) + max(io_a.alpha + 1, io1.alpha)
+    return BoundSpec(kind, 1.0, float(exponent), enforced=False)
+
+
+def _reorthogonalized_envelope(kind, io_a, io1, io2, *, p):
+    """BCGSI+ / BCGSI+A (four syncs per block column): the paper shows a
+    "strong" muscle is needed only for the very first block to keep the
+    loss of orthogonality at O(eps).  Premise alpha_a = 0; applicable while
+    eps * kappa**max(alpha_1, 1) <= 1/2.
+    """
+    return BoundSpec(kind, max(io1.alpha, 1), 0.0, io_a_ok=(io_a.alpha == 0))
+
+
+def _three_sync_envelope(kind, io_a, io1, *, p):
+    """BCGSI+A-3S: the paper finds that stability degrades with the first
+    removed synchronization.  Loss of orthogonality O(eps) *
+    kappa**max(alpha_1, 1), applicable while eps * kappa**max(alpha_1 + 1,
+    2) <= 1/2; premise alpha_a <= alpha_1.
+    """
+    a = io1.alpha
+    return BoundSpec(kind, max(a + 1, 2), max(a, 1), io_a_ok=(io_a.alpha <= a))
+
+
+def _low_sync_envelope(kind, io_a, *, p):
+    """BCGSI+A-2S / -1S: degraded further; the paper shows the one-sync
+    variant cannot be guaranteed stable in practice.  Loss of orthogonality
+    O(eps) * kappa**2, applicable only while eps * kappa**3 <= 1/2; premise
+    alpha_a <= 2.
+    """
+    return BoundSpec(kind, 3.0, 2.0, io_a_ok=(io_a.alpha <= 2))
+
+
+@dataclass(frozen=True)
 class SkeletonSpec:
-    """What the harness needs to know about one skeleton.
+    """Everything the rest of the package knows about one skeleton.
 
     ``slots`` names the muscle slots a run consumes (fields of a
     :class:`~blockgs.harness.Combo`), in the order the skeleton function
-    takes them.  A ``tied`` skeleton takes a single muscle, which fills
-    every slot.  ``shorthands`` are extra CLI spellings beyond the kind's
-    value and the display name.
+    takes them.  ``envelope`` maps the kind, those muscles (in the same
+    order) and the block count ``p`` to the :class:`BoundSpec` its theory
+    predicts.  A ``tied`` skeleton takes a single muscle, which fills every
+    slot.  ``shorthands`` are extra CLI spellings beyond the kind's value
+    and the display name.
     """
 
     display: str
     slots: tuple[str, ...]
+    envelope: Callable[..., BoundSpec]
     tied: bool = False
     shorthands: tuple[str, ...] = ()
 
 
 SKELETONS: dict[SkeletonKind, SkeletonSpec] = {
-    SkeletonKind.BCGS: SkeletonSpec("BCGS", ("io_a", "io1"), tied=True),
-    SkeletonKind.BCGS_A: SkeletonSpec("BCGS-A", ("io_a", "io1")),
-    SkeletonKind.BCGSI_PLUS: SkeletonSpec(
-        "BCGSI+", ("io_a", "io1", "io2"), tied=True
+    SkeletonKind.BCGS: SkeletonSpec(
+        "BCGS", ("io_a", "io1"), _bcgs_envelope, tied=True
     ),
-    SkeletonKind.BCGSI_PLUS_A: SkeletonSpec("BCGSI+A", ("io_a", "io1", "io2")),
+    SkeletonKind.BCGS_A: SkeletonSpec(
+        "BCGS-A", ("io_a", "io1"), _bcgs_envelope
+    ),
+    SkeletonKind.BCGSI_PLUS: SkeletonSpec(
+        "BCGSI+", ("io_a", "io1", "io2"), _reorthogonalized_envelope, tied=True
+    ),
+    SkeletonKind.BCGSI_PLUS_A: SkeletonSpec(
+        "BCGSI+A", ("io_a", "io1", "io2"), _reorthogonalized_envelope
+    ),
     SkeletonKind.BCGSI_A_3S: SkeletonSpec(
-        "BCGSI+A-3S", ("io_a", "io1"), shorthands=("3s",)
+        "BCGSI+A-3S", ("io_a", "io1"), _three_sync_envelope, shorthands=("3s",)
     ),
     SkeletonKind.BCGSI_A_2S: SkeletonSpec(
-        "BCGSI+A-2S", ("io_a",), shorthands=("2s",)
+        "BCGSI+A-2S", ("io_a",), _low_sync_envelope, shorthands=("2s",)
     ),
     SkeletonKind.BCGSI_A_1S: SkeletonSpec(
-        "BCGSI+A-1S", ("io_a",), shorthands=("1s",)
+        "BCGSI+A-1S", ("io_a",), _low_sync_envelope, shorthands=("1s",)
     ),
 }
-
-DISPLAY_NAMES = {kind: spec.display for kind, spec in SKELETONS.items()}
-
-
-@dataclass
-class TraceStep:
-    """Intermediates recorded for one block column (trace mode only).
-
-    Which fields are populated depends on the variant: the two-pass loops
-    fill ``s_col``/``t_col``, the low-sync loops fill ``y_col``/``omega``,
-    and only the one-sync loop fills the look-ahead fields ``z_block``,
-    ``p_block`` and ``s_next``.
-    """
-
-    s_col: np.ndarray | None = None
-    s_kk: np.ndarray | None = None
-    t_col: np.ndarray | None = None
-    t_kk: np.ndarray | None = None
-    y_col: np.ndarray | None = None
-    y_kk: np.ndarray | None = None
-    u_block: np.ndarray | None = None
-    v_block: np.ndarray | None = None
-    omega: np.ndarray | None = None
-    z_block: np.ndarray | None = None
-    p_block: np.ndarray | None = None
-    s_next: np.ndarray | None = None
-
-
-@dataclass
-class IterationTrace:
-    """Per-block intermediates plus the sync events that produced them."""
-
-    steps: dict[int, TraceStep] = field(default_factory=dict)
-    sync_events: list[SyncEvent] = field(default_factory=list)
 
 
 @dataclass
@@ -149,7 +186,6 @@ class BGSResult:
 
     q: BlockMatrix
     r: np.ndarray
-    trace: IterationTrace | None
     ledger: SyncLedger
     failed: bool
 
@@ -160,13 +196,11 @@ def _require_block_matrix(x) -> BlockMatrix:
     return x
 
 
-def _setup(x: BlockMatrix, record_trace: bool):
+def _setup(x: BlockMatrix):
     m, n = x.m, x.cols
     q_data = np.full((m, n), np.nan)
     r = np.zeros((n, n))
-    ledger = SyncLedger()
-    trace = IterationTrace() if record_trace else None
-    return q_data, r, ledger, trace
+    return q_data, r, SyncLedger()
 
 
 def _first_block(
@@ -175,14 +209,11 @@ def _first_block(
     q_data: np.ndarray,
     r: np.ndarray,
     ledger: SyncLedger,
-    trace: IterationTrace | None,
 ) -> bool:
     out = apply_io(io_a, x.block(1), ledger=ledger, block=1)
     s = x.block_width
     q_data[:, :s] = out.q
     r[:s, :s] = out.r
-    if trace is not None:
-        trace.steps[1] = TraceStep(v_block=x.block(1).copy(), y_kk=out.r)
     return out.failed
 
 
@@ -191,21 +222,13 @@ def _finish(
     q_data: np.ndarray,
     r: np.ndarray,
     ledger: SyncLedger,
-    trace: IterationTrace | None,
     failed: bool,
 ) -> BGSResult:
-    if trace is not None:
-        trace.sync_events = list(ledger.events)
     q = BlockMatrix(q_data, x.block_width, x.block_count)
-    return BGSResult(q=q, r=r, trace=trace, ledger=ledger, failed=failed)
+    return BGSResult(q=q, r=r, ledger=ledger, failed=failed)
 
 
-def bcgs_a(
-    x: BlockMatrix,
-    io_a: IOSpec,
-    io: IOSpec,
-    record_trace: bool = False,
-) -> BGSResult:
+def bcgs_a(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     """Block classical Gram-Schmidt with a distinguished first-block muscle.
 
     For each block after the first: one fused projection against all
@@ -213,8 +236,8 @@ def bcgs_a(
     """
     x = _require_block_matrix(x)
     s, p = x.block_width, x.block_count
-    q_data, r, ledger, trace = _setup(x, record_trace)
-    failed = _first_block(x, io_a, q_data, r, ledger, trace)
+    q_data, r, ledger = _setup(x)
+    failed = _first_block(x, io_a, q_data, r, ledger)
     for k in range(2, p + 1):
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
@@ -226,14 +249,12 @@ def bcgs_a(
         r[:lo, lo:hi] = s_col
         r[lo:hi, lo:hi] = out.r
         failed = failed or out.failed
-        if trace is not None:
-            trace.steps[k] = TraceStep(s_col=s_col, s_kk=out.r, v_block=w)
-    return _finish(x, q_data, r, ledger, trace, failed)
+    return _finish(x, q_data, r, ledger, failed)
 
 
-def bcgs(x: BlockMatrix, io: IOSpec, record_trace: bool = False) -> BGSResult:
+def bcgs(x: BlockMatrix, io: IOSpec) -> BGSResult:
     """Alias: :func:`bcgs_a` with the first-block muscle tied to ``io``."""
-    return bcgs_a(x, io, io, record_trace=record_trace)
+    return bcgs_a(x, io, io)
 
 
 def bcgsi_plus_a(
@@ -241,7 +262,6 @@ def bcgsi_plus_a(
     io_a: IOSpec,
     io1: IOSpec,
     io2: IOSpec,
-    record_trace: bool = False,
 ) -> BGSResult:
     """Reorthogonalized block classical Gram-Schmidt (two full passes).
 
@@ -253,8 +273,8 @@ def bcgsi_plus_a(
     """
     x = _require_block_matrix(x)
     s, p = x.block_width, x.block_count
-    q_data, r, ledger, trace = _setup(x, record_trace)
-    failed = _first_block(x, io_a, q_data, r, ledger, trace)
+    q_data, r, ledger = _setup(x)
+    failed = _first_block(x, io_a, q_data, r, ledger)
     for k in range(2, p + 1):
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
@@ -269,31 +289,15 @@ def bcgsi_plus_a(
         r[:lo, lo:hi] = s_col + t_col @ out1.r
         r[lo:hi, lo:hi] = out2.r @ out1.r
         failed = failed or out1.failed or out2.failed
-        if trace is not None:
-            trace.steps[k] = TraceStep(
-                s_col=s_col,
-                s_kk=out1.r,
-                t_col=t_col,
-                t_kk=out2.r,
-                u_block=out1.q,
-                v_block=v,
-            )
-    return _finish(x, q_data, r, ledger, trace, failed)
+    return _finish(x, q_data, r, ledger, failed)
 
 
-def bcgsi_plus(
-    x: BlockMatrix, io: IOSpec, record_trace: bool = False
-) -> BGSResult:
+def bcgsi_plus(x: BlockMatrix, io: IOSpec) -> BGSResult:
     """Alias: :func:`bcgsi_plus_a` with all three muscle slots tied."""
-    return bcgsi_plus_a(x, io, io, io, record_trace=record_trace)
+    return bcgsi_plus_a(x, io, io, io)
 
 
-def bcgsi_a_3s(
-    x: BlockMatrix,
-    io_a: IOSpec,
-    io: IOSpec,
-    record_trace: bool = False,
-) -> BGSResult:
+def bcgsi_a_3s(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     """Three-sync variant: reorthogonalize, skipping the first normalization.
 
     The deflated block V_k is *not* normalized between the two projection
@@ -303,8 +307,8 @@ def bcgsi_a_3s(
     """
     x = _require_block_matrix(x)
     s, p = x.block_width, x.block_count
-    q_data, r, ledger, trace = _setup(x, record_trace)
-    failed = _first_block(x, io_a, q_data, r, ledger, trace)
+    q_data, r, ledger = _setup(x)
+    failed = _first_block(x, io_a, q_data, r, ledger)
     for k in range(2, p + 1):
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
@@ -318,11 +322,7 @@ def bcgsi_a_3s(
         r[:lo, lo:hi] = s_col + y_col
         r[lo:hi, lo:hi] = out.r
         failed = failed or out.failed
-        if trace is not None:
-            trace.steps[k] = TraceStep(
-                s_col=s_col, y_col=y_col, y_kk=out.r, v_block=v
-            )
-    return _finish(x, q_data, r, ledger, trace, failed)
+    return _finish(x, q_data, r, ledger, failed)
 
 
 def _fused_cholesky(qprev, v, y_col, omega):
@@ -348,20 +348,16 @@ def _fused_normalization(
     """Batched product [Q_prev, V]^T V, then the Cholesky-based cleanup.
 
     One reduction yields both the reorthogonalization coefficients Y and the
-    Gram block Omega.  Returns ``(y_col, omega, y_kk, q_k, failed)``.
+    Gram block Omega.  Returns ``(y_col, y_kk, q_k, failed)``.
     """
     prods = ledger.reduce(k, "batch", (qprev, v), v)
     n_prev = qprev.shape[1]
     y_col = prods[:n_prev, :]
     omega = prods[n_prev:, :]
-    return (y_col, omega, *_fused_cholesky(qprev, v, y_col, omega))
+    return (y_col, *_fused_cholesky(qprev, v, y_col, omega))
 
 
-def bcgsi_a_2s(
-    x: BlockMatrix,
-    io_a: IOSpec,
-    record_trace: bool = False,
-) -> BGSResult:
+def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     """Two-sync variant: fused Gram-product normalization.
 
     The second projection and the normalization collapse into one batched
@@ -371,33 +367,25 @@ def bcgsi_a_2s(
     """
     x = _require_block_matrix(x)
     s, p = x.block_width, x.block_count
-    q_data, r, ledger, trace = _setup(x, record_trace)
-    failed = _first_block(x, io_a, q_data, r, ledger, trace)
+    q_data, r, ledger = _setup(x)
+    failed = _first_block(x, io_a, q_data, r, ledger)
     for k in range(2, p + 1):
         lo, hi = (k - 1) * s, k * s
         qprev = q_data[:, :lo]
         xk = x.block(k)
         s_col = ledger.reduce(k, "proj", qprev, xk)
         v = xk - qprev @ s_col
-        y_col, omega, y_kk, qk, step_failed = _fused_normalization(
+        y_col, y_kk, qk, step_failed = _fused_normalization(
             qprev, v, ledger, k
         )
         q_data[:, lo:hi] = qk
         r[:lo, lo:hi] = s_col + y_col
         r[lo:hi, lo:hi] = y_kk
         failed = failed or step_failed
-        if trace is not None:
-            trace.steps[k] = TraceStep(
-                s_col=s_col, y_col=y_col, y_kk=y_kk, omega=omega, v_block=v
-            )
-    return _finish(x, q_data, r, ledger, trace, failed)
+    return _finish(x, q_data, r, ledger, failed)
 
 
-def bcgsi_a_1s(
-    x: BlockMatrix,
-    io_a: IOSpec,
-    record_trace: bool = False,
-) -> BGSResult:
+def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     """One-sync variant: look-ahead batching of projection and normalization.
 
     The projection coefficients of block k+1 are reverse-engineered from
@@ -419,10 +407,10 @@ def bcgsi_a_1s(
     """
     x = _require_block_matrix(x)
     s, p = x.block_width, x.block_count
-    q_data, r, ledger, trace = _setup(x, record_trace)
-    failed = _first_block(x, io_a, q_data, r, ledger, trace)
+    q_data, r, ledger = _setup(x)
+    failed = _first_block(x, io_a, q_data, r, ledger)
     if p == 1:
-        return _finish(x, q_data, r, ledger, trace, failed)
+        return _finish(x, q_data, r, ledger, failed)
 
     # Setup: the only standalone projection in the whole run.
     q1 = q_data[:, :s]
@@ -449,30 +437,14 @@ def bcgsi_a_1s(
         failed = failed or step_failed
         s_next = np.vstack([z_blk, bottom])
         v = x_next - q_data[:, :hi] @ s_next
-        if trace is not None:
-            trace.steps[k] = TraceStep(
-                s_col=s_col,
-                y_col=y_col,
-                y_kk=y_kk,
-                omega=omega,
-                z_block=z_blk,
-                p_block=p_blk,
-                s_next=s_next,
-            )
         s_col = s_next
 
     # Final block: identical to the two-sync inner step, without look-ahead.
     lo = (p - 1) * s
     qprev = q_data[:, :lo]
-    y_col, omega, y_kk, qk, step_failed = _fused_normalization(
-        qprev, v, ledger, p
-    )
+    y_col, y_kk, qk, step_failed = _fused_normalization(qprev, v, ledger, p)
     q_data[:, lo:] = qk
     r[:lo, lo:] = s_col + y_col
     r[lo:, lo:] = y_kk
     failed = failed or step_failed
-    if trace is not None:
-        trace.steps[p] = TraceStep(
-            s_col=s_col, y_col=y_col, y_kk=y_kk, omega=omega
-        )
-    return _finish(x, q_data, r, ledger, trace, failed)
+    return _finish(x, q_data, r, ledger, failed)

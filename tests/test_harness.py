@@ -223,22 +223,6 @@ def test_run_sweep_trace_digests():
     assert records[0].matrix_digest != records[2].matrix_digest
 
 
-def test_traced_sweep_keeps_digests_without_iteration_traces(monkeypatch):
-    calls = []
-    for kind in SkeletonKind:
-        real = getattr(skeletons, kind.value)
-
-        def spy(*args, _real=real, **kwargs):
-            result = _real(*args, **kwargs)
-            calls.append((kwargs.get("record_trace", False), result.trace))
-            return result
-
-        monkeypatch.setattr(skeletons, kind.value, spy)
-    records = run_sweep(_small_sweep(trace=True))
-    assert all(len(r.matrix_digest) == 64 for r in records)
-    assert calls and all(not flag and tr is None for flag, tr in calls)
-
-
 def test_sweep_metrics_take_no_tall_svd(monkeypatch):
     metric_shapes, svd_shapes = [], []
 
@@ -500,7 +484,6 @@ def test_skeleton_registry_round_trips(tmp_path):
         spellings = (kind.value, spec.display, spec.display.lower())
         for token in spellings + spec.shorthands:
             assert harness._parse_skeleton(token) is kind
-        assert skeletons.DISPLAY_NAMES[kind] == spec.display
     assert set(skeletons.SKELETONS) == set(SkeletonKind)
     config = SweepConfig(
         matrix_class="default",
@@ -616,6 +599,15 @@ def test_cli_check_bounds_exit_codes(tmp_path):
 _HEADER = ",".join(CSV_FIELDS) + "\n"
 
 
+def _row(skeleton, io_a="", io1="", io2="", kappa_actual=10.0):
+    """A header and one well-formed row (line 2) naming this combo."""
+    rec = RunRecord(
+        "default", 40, 4, 2, 10.0, kappa_actual, skeleton, io_a, io1, io2,
+        1e-15, 1e-16, 1e-16, 2.0, False, 0.0,
+    )
+    return _HEADER + harness._record_row(rec) + "\n"
+
+
 @pytest.mark.parametrize(
     "command,setup,fragment",
     [
@@ -632,6 +624,22 @@ _HEADER = ",".join(CSV_FIELDS) + "\n"
         pytest.param(
             "check-bounds", _HEADER + ",".join(["x"] * 16) + "\n",
             ":2: invalid literal", id="garbled-row",
+        ),
+        pytest.param(
+            "check-bounds", _row("BCGS", "houseqr", "cholqr"),
+            ":2: BCGS requires tied muscle slots", id="untied-bcgs-row",
+        ),
+        pytest.param(
+            "check-bounds", _row("BCGSI+A", "houseqr", "", "cholqr"),
+            ":2: BCGSI+A requires io1", id="missing-io1-row",
+        ),
+        pytest.param(
+            "check-bounds", _row("BCGSI+A-2S", "houseqr", "cholqr"),
+            ":2: BCGSI+A-2S takes no io1", id="extra-io1-row",
+        ),
+        pytest.param(
+            "check-bounds", _row("BCGSI+A-2S", "houseqr", kappa_actual=0.5),
+            ":2: kappa must be >= 1", id="sub-1-kappa-row",
         ),
         pytest.param(
             "sweep", None, "cannot write CSV to", id="unwritable-out"

@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from blockgs.metrics import (
     rel_chol_res,
     rel_res,
 )
-from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS, house_qr
+from blockgs.harness import ConfigError, make_combo
+from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS, house_qr
 from blockgs.skeletons import SkeletonKind
 
 
@@ -218,7 +221,7 @@ def test_bound_bcgs_family_is_diagnostic_only():
 
 
 def test_bound_for_argument_validation():
-    with pytest.raises(ValueError, match="need io1"):
+    with pytest.raises(ValueError, match="needs io1"):
         bound_for("bcgsi_plus_a", HOUSE_QR)
     with pytest.raises(ValueError, match="needs io1"):
         bound_for("bcgsi_a_3s", HOUSE_QR)
@@ -228,6 +231,37 @@ def test_bound_for_argument_validation():
         bound_for("bcgs", HOUSE_QR, HOUSE_QR)
     with pytest.raises(ValueError):
         bound_for("not_a_skeleton", HOUSE_QR, HOUSE_QR)
+
+
+ENVELOPE_TABLE = Path(__file__).with_name("bound_envelopes.csv")
+
+
+def _envelope_table() -> list[str]:
+    """One line per (combo, p): every combo ``make_combo`` builds from the
+    four muscles in every slot, at p = 3 and p = 10."""
+    lines = []
+    for kind in SkeletonKind:
+        combos = {}
+        for ios in itertools.product(IO_BY_NAME.values(), repeat=3):
+            try:
+                combos.setdefault(make_combo(kind, *ios), None)
+            except ConfigError:  # a tied skeleton given untied muscles
+                continue
+        for combo, p in itertools.product(combos, (3, 10)):
+            spec = bound_for(kind, combo.io_a, combo.io1, combo.io2, p=p)
+            names = [io.kind if io else "" for io in
+                     (combo.io_a, combo.io1, combo.io2)]
+            lines.append(",".join([
+                kind.value, str(p), *names,
+                repr(float(spec.theta)), repr(float(spec.loo_exponent)),
+                str(spec.io_a_ok), str(spec.enforced),
+            ]))
+    return lines
+
+
+def test_bound_envelope_table_is_frozen():
+    # skeleton,p,io_a,io1,io2,theta,loo_exponent,io_a_ok,enforced
+    assert _envelope_table() == ENVELOPE_TABLE.read_text().splitlines()
 
 
 def test_bound_envelope_edge_cases():

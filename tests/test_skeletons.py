@@ -1,14 +1,19 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import blockgs
 from blockgs.blockcore import BlockMatrix, spectral_norm
 from blockgs.matgen import MatrixClassSpec, generate
 from blockgs.metrics import EPS, loo, rel_res
 from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS, apply_io, house_qr
 from blockgs.skeletons import (
+    SkeletonKind,
     bcgs,
     bcgs_a,
     bcgsi_a_1s,
@@ -17,17 +22,16 @@ from blockgs.skeletons import (
     bcgsi_plus,
     bcgsi_plus_a,
 )
+from blockgs.syncmodel import SyncLedger
 
 ALL_RUNNERS = {
-    "bcgs": lambda x, **kw: bcgs(x, HOUSE_QR, **kw),
-    "bcgs_a": lambda x, **kw: bcgs_a(x, HOUSE_QR, HOUSE_QR, **kw),
-    "bcgsi_plus": lambda x, **kw: bcgsi_plus(x, HOUSE_QR, **kw),
-    "bcgsi_plus_a": lambda x, **kw: bcgsi_plus_a(
-        x, HOUSE_QR, HOUSE_QR, HOUSE_QR, **kw
-    ),
-    "bcgsi_a_3s": lambda x, **kw: bcgsi_a_3s(x, HOUSE_QR, HOUSE_QR, **kw),
-    "bcgsi_a_2s": lambda x, **kw: bcgsi_a_2s(x, HOUSE_QR, **kw),
-    "bcgsi_a_1s": lambda x, **kw: bcgsi_a_1s(x, HOUSE_QR, **kw),
+    "bcgs": lambda x: bcgs(x, HOUSE_QR),
+    "bcgs_a": lambda x: bcgs_a(x, HOUSE_QR, HOUSE_QR),
+    "bcgsi_plus": lambda x: bcgsi_plus(x, HOUSE_QR),
+    "bcgsi_plus_a": lambda x: bcgsi_plus_a(x, HOUSE_QR, HOUSE_QR, HOUSE_QR),
+    "bcgsi_a_3s": lambda x: bcgsi_a_3s(x, HOUSE_QR, HOUSE_QR),
+    "bcgsi_a_2s": lambda x: bcgsi_a_2s(x, HOUSE_QR),
+    "bcgsi_a_1s": lambda x: bcgsi_a_1s(x, HOUSE_QR),
 }
 
 
@@ -150,35 +154,50 @@ def test_well_conditioned_stability(name):
     assert rel_res(x, result.q, result.r) <= 1e-13
 
 
-def test_trace_mode_records_every_block():
-    x = _gaussian(m=40, p=4, s=2, seed=3)
-    for name, runner in ALL_RUNNERS.items():
-        result = runner(x, record_trace=True)
-        assert result.trace is not None, name
-        assert sorted(result.trace.steps) == [1, 2, 3, 4], name
-        assert result.trace.sync_events == list(result.ledger.events), name
-    plain = ALL_RUNNERS["bcgs"](x)
-    assert plain.trace is None
+def test_one_sync_lookahead_coefficients_match_direct_projection(monkeypatch):
+    # The look-ahead coefficients s_next of block k+1, recovered by a
+    # triangular solve at block k, must agree with the plain projection
+    # Q_1..k^T X_{k+1}.  The next batch measures the difference: its Y part
+    # is Q_1..k^T V_{k+1} = Q_1..k^T X_{k+1} - s_next (Q orthonormal).
+    batches = []
+    real_reduce = SyncLedger.reduce
 
+    def spy(self, block, label, left, right):
+        out = real_reduce(self, block, label, left, right)
+        if label == "batch":
+            batches.append((block, out))
+        return out
 
-def test_trace_off_by_default_and_ledger_independent_of_trace():
-    x = _gaussian(m=40, p=4, s=2, seed=3)
-    with_trace = bcgsi_a_1s(x, HOUSE_QR, record_trace=True)
-    without = bcgsi_a_1s(x, HOUSE_QR)
-    assert with_trace.ledger.total == without.ledger.total
-    assert with_trace.q.data.tobytes() == without.q.data.tobytes()
-
-
-def test_one_sync_lookahead_coefficients_match_direct_projection():
-    # The look-ahead rows recovered by triangular solves must agree with
-    # the coefficients Q_1..k^T X_{k+1} a plain projection would compute.
-    x = _gaussian(m=50, p=5, s=2, seed=17)
-    result = bcgsi_a_1s(x, HOUSE_QR, record_trace=True)
+    monkeypatch.setattr(SyncLedger, "reduce", spy)
+    s = 2
+    x = _gaussian(m=50, p=5, s=s, seed=17)
+    result = bcgsi_a_1s(x, HOUSE_QR)
     assert not result.failed
-    for k in range(2, 5):
-        step = result.trace.steps[k]
-        direct = result.q.prefix(k).T @ x.block(k + 1)
-        assert spectral_norm(step.s_next - direct) <= 1e-12
+    assert [block for block, _ in batches] == [2, 3, 4, 5]
+    for block, out in batches[1:]:
+        lo = (block - 1) * s
+        assert spectral_norm(out[:lo, :s]) <= 1e-12, block
+
+
+def test_no_module_but_skeletons_names_a_skeleton_kind():
+    # Every fact about a variant lives in its SKELETONS entry, so no other
+    # module branches on (or otherwise names) a SkeletonKind member.
+    offenders = []
+    for path in sorted(Path(blockgs.__file__).parent.glob("*.py")):
+        if path.name == "skeletons.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Attribute)
+                and node.attr in SkeletonKind.__members__
+            ):
+                continue
+            # SkeletonKind.X or <module>.SkeletonKind.X
+            value = node.value
+            owner = getattr(value, "attr", getattr(value, "id", None))
+            if owner == "SkeletonKind":
+                offenders.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert offenders == []
 
 
 def test_reorthogonalized_variants_beat_low_sync_on_hard_matrix():
