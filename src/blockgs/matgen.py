@@ -17,7 +17,9 @@ piled
     A cumulative-sum family: X_1 plus increasingly similar blocks
     X_k = X_{k-1} + Z_k, where every increment Z_k has the same prescribed
     condition number and shrinking spectral norm 1/kappa_z; conditioning
-    grows as the increments shrink.
+    grows as the increments shrink.  The random factors depend on the
+    shape, the seed and kappa_x1 only, so they are drawn once and reused
+    while calibration varies kappa_z (see :func:`gen_piled`).
 default
     An explicit SVD with log-spaced singular values from 1 down to
     1/kappa_target.
@@ -25,6 +27,8 @@ default
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -107,6 +111,30 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
     return house_qr(g).q
 
 
+def _check_kappa(kappa: float, name: str = "kappa") -> None:
+    if not kappa >= 1.0 or not math.isfinite(kappa):
+        raise ValueError(f"{name} must be >= 1 and finite")
+
+
+def _svd_factors(
+    rng: np.random.Generator, rows: int, cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the orthonormal factors U (rows×cols) and V (cols×cols), U first."""
+    u = _orthonormal_columns(rng, rows, cols)
+    v = _orthonormal_columns(rng, cols, cols)
+    return u, v
+
+
+def _log_sigma(kappa: float, cols: int) -> np.ndarray:
+    """Singular values log-spaced from 1 down to 1/kappa."""
+    return np.logspace(0.0, -np.log10(kappa), cols)
+
+
+def _compose(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """U diag(sigma) V^T."""
+    return (u * sigma) @ v.T
+
+
 def svd_with_cond(
     rows: int,
     cols: int,
@@ -119,18 +147,16 @@ def svd_with_cond(
 
     Built as U diag(sigma) V^T with U, V drawn as QR factors of seeded
     Gaussian matrices and sigma log-spaced from 1 down to 1/kappa.  Pass
-    ``rng`` to draw from an existing stream instead of ``seed``.
+    ``rng`` to draw from an existing stream instead of ``seed``.  ``kappa``
+    must be finite and >= 1.
     """
     if rows < cols:
         raise ValueError("matrix must be tall: rows >= cols")
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    _check_kappa(kappa)
     if rng is None:
         rng = make_rng(seed)
-    u = _orthonormal_columns(rng, rows, cols)
-    v = _orthonormal_columns(rng, cols, cols)
-    sigma = np.logspace(0.0, -np.log10(kappa), cols)
-    return (u * sigma) @ v.T
+    u, v = _svd_factors(rng, rows, cols)
+    return _compose(u, v, _log_sigma(kappa, cols))
 
 
 def gen_default(spec: MatrixClassSpec) -> BlockMatrix:
@@ -174,25 +200,54 @@ def gen_monomial(spec: MatrixClassSpec) -> BlockMatrix:
     return BlockMatrix(cols, spec.s, spec.p)
 
 
+@functools.lru_cache(maxsize=1)
+def _piled_factors(
+    m: int, p: int, s: int, seed: int, kappa_x1: float
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """X_1 and the p-1 factor pairs (U_k, V_k) of the piled increments.
+
+    None of them depends on ``kappa_z``, so a calibration's probes share
+    one draw.  They are drawn from the seed's stream in the order the
+    matrix uses them, and returned read-only, since every caller of the
+    cache sees the same arrays.
+    """
+    rng = make_rng(seed)
+    x1 = svd_with_cond(m, s, kappa_x1, rng=rng)
+    pairs = tuple(_svd_factors(rng, m, s) for _ in range(p - 1))
+    for a in (x1, *(f for pair in pairs for f in pair)):
+        a.setflags(write=False)
+    return x1, pairs
+
+
 def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
     """Cumulative-sum family X_k = X_{k-1} + Z_k.
 
     X_1 has condition number ``kappa_x1`` and unit spectral norm; every
-    increment Z_k has condition number ``kappa_z`` and spectral norm
-    1/kappa_z, so raising the knob makes consecutive blocks nearly equal
-    and drives the overall conditioning up for any block width, including
-    single columns.
+    increment Z_k = U_k diag(sigma) V_k^T / kappa_z has condition number
+    ``kappa_z`` and spectral norm 1/kappa_z, so raising the knob makes
+    consecutive blocks nearly equal and drives the overall conditioning up
+    for any block width, including single columns.
+
+    X_1 and the factors U_k, V_k depend on (m, p, s, seed, kappa_x1) only.
+    They are drawn once and the last such set is kept (about one matrix of
+    memory), so a calibration that varies only ``kappa_z`` recomposes the
+    increments Z_k and their running sums on each call.  The result is
+    bit-identical to drawing every factor afresh.
     """
     if spec.kappa_z is None:
         raise ValueError("piled class needs a kappa_z knob")
-    if spec.kappa_z < 1.0 or spec.kappa_x1 < 1.0:
-        raise ValueError("kappa knobs must be >= 1")
-    rng = make_rng(spec.seed)
-    blocks = [svd_with_cond(spec.m, spec.s, spec.kappa_x1, rng=rng)]
-    for _ in range(2, spec.p + 1):
-        z = svd_with_cond(spec.m, spec.s, spec.kappa_z, rng=rng) / spec.kappa_z
-        blocks.append(blocks[-1] + z)
-    return BlockMatrix(np.hstack(blocks), spec.s, spec.p)
+    _check_kappa(spec.kappa_z, "kappa knobs")
+    _check_kappa(spec.kappa_x1, "kappa knobs")
+    m, p, s = spec.m, spec.p, spec.s
+    x1, pairs = _piled_factors(m, p, s, spec.seed, spec.kappa_x1)
+    # Column-major, so BlockMatrix takes the array without copying it.
+    out = np.empty((m, p * s), order="F")
+    out[:, :s] = x1
+    sigma = _log_sigma(spec.kappa_z, s)
+    for k, (u, v) in enumerate(pairs, start=1):
+        z = _compose(u, v, sigma) / spec.kappa_z
+        np.add(out[:, (k - 1) * s : k * s], z, out=out[:, k * s : (k + 1) * s])
+    return BlockMatrix(out, s, p)
 
 
 def calibrate_piled(
@@ -210,11 +265,12 @@ def calibrate_piled(
 
     The knob-to-conditioning map is empirical, so this bisects on
     log10(kappa_z) against the measured cond_2 of the generated matrix.
-    Returns the calibrated spec and the measured condition number; callers
-    decide how far off target is acceptable.
+    Every probe shares one draw of the random factors (see
+    :func:`gen_piled`).  Returns the calibrated spec and the measured
+    condition number; callers decide how far off target is acceptable.
+    ``kappa_target`` must be finite and >= 1.
     """
-    if kappa_target < 1.0:
-        raise ValueError("kappa must be >= 1")
+    _check_kappa(kappa_target)
 
     def measure(log_kz: float) -> tuple[MatrixClassSpec, float]:
         spec = MatrixClassSpec(

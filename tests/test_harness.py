@@ -884,6 +884,18 @@ def test_cli_sweep_bytes_do_not_depend_on_the_thread_count(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_python_m_blockgs_runs_the_cli():
+    src = str(Path(blockgs.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockgs", "syncs"], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "BCGSI+A-1S" in proc.stdout
+
+
 def test_installed_console_script():
     exe = shutil.which("blockgs")
     assert exe is not None, "console script not on PATH"

@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from blockgs.blockcore import cond_2, spectral_norm
+from blockgs import matgen
+from blockgs.blockcore import BlockMatrix, cond_2, spectral_norm
 from blockgs.matgen import (
     MatrixClassSpec,
     calibrate_piled,
@@ -67,8 +70,9 @@ def test_svd_with_cond_hits_target():
 def test_svd_with_cond_validation():
     with pytest.raises(ValueError, match="rows >= cols"):
         svd_with_cond(3, 5, 10.0)
-    with pytest.raises(ValueError, match="kappa must be >= 1"):
-        svd_with_cond(5, 3, 0.5)
+    for kappa in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
+            svd_with_cond(5, 3, kappa)
 
 
 def test_default_family_within_factor_two_of_target():
@@ -126,8 +130,17 @@ def test_piled_family_structure():
 def test_piled_validation():
     with pytest.raises(ValueError, match="needs a kappa_z knob"):
         gen_piled(MatrixClassSpec("piled", 60, 5, 2, 7))
-    with pytest.raises(ValueError, match="knobs must be >= 1"):
-        gen_piled(MatrixClassSpec("piled", 60, 5, 2, 7, kappa_z=0.5))
+    for knobs in (
+        {"kappa_z": 0.5},
+        {"kappa_z": np.nan},
+        {"kappa_z": np.inf},
+        {"kappa_z": 10.0, "kappa_x1": 0.5},
+        {"kappa_z": 10.0, "kappa_x1": np.nan},
+        {"kappa_z": 10.0, "kappa_x1": np.inf},
+    ):
+        spec = MatrixClassSpec("piled", 60, 5, 2, 7, **knobs)
+        with pytest.raises(ValueError, match="knobs must be >= 1 and finite"):
+            gen_piled(spec)
 
 
 def test_piled_calibration_hits_targets():
@@ -151,8 +164,105 @@ def test_piled_calibration_has_a_floor():
 
 
 def test_piled_calibration_rejects_bad_target():
-    with pytest.raises(ValueError, match="kappa must be >= 1"):
-        calibrate_piled(100, 10, 5, 0.1, seed=42)
+    for target in (0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
+            calibrate_piled(100, 10, 5, target, seed=42)
+
+
+def _piled_reference(spec):
+    """The piled matrix drawn afresh: every factor from the seed's stream."""
+    rng = make_rng(spec.seed)
+    blocks = [svd_with_cond(spec.m, spec.s, spec.kappa_x1, rng=rng)]
+    for _ in range(2, spec.p + 1):
+        z = svd_with_cond(spec.m, spec.s, spec.kappa_z, rng=rng) / spec.kappa_z
+        blocks.append(blocks[-1] + z)
+    return BlockMatrix(np.hstack(blocks), spec.s, spec.p).data
+
+
+def _assert_same_matrix(x, ref):
+    assert x.dtype == ref.dtype
+    assert x.shape == ref.shape
+    assert x.flags.f_contiguous == ref.flags.f_contiguous
+    assert x.flags.c_contiguous == ref.flags.c_contiguous
+    assert x.tobytes() == ref.tobytes()
+
+
+@given(
+    p=st.integers(min_value=1, max_value=6),
+    s=st.integers(min_value=1, max_value=4),
+    extra_rows=st.integers(min_value=0, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kappa_zs=st.lists(
+        st.floats(min_value=1.0, max_value=1e16), min_size=2, max_size=2
+    ),
+    kappa_x1=st.floats(min_value=1.0, max_value=1e8),
+)
+@settings(max_examples=60, deadline=None)
+def test_piled_matches_a_fresh_draw_bit_for_bit(
+    p, s, extra_rows, seed, kappa_zs, kappa_x1
+):
+    # The second knob reuses the first one's cached factors.
+    for kappa_z in kappa_zs:
+        spec = MatrixClassSpec(
+            "piled", p * s + extra_rows, p, s, seed,
+            kappa_x1=kappa_x1, kappa_z=kappa_z,
+        )
+        _assert_same_matrix(gen_piled(spec).data, _piled_reference(spec))
+
+
+def test_piled_cache_serves_no_stale_factors():
+    base = dict(m=40, p=4, s=2, seed=3, kappa_x1=10.0)
+    variants = [
+        dict(base, seed=4),
+        dict(base, m=41),
+        dict(base, p=3),
+        dict(base, s=1),
+        dict(base, kappa_x1=100.0),
+    ]
+    for variant in variants:
+        for fields in (base, variant, base, variant):
+            spec = MatrixClassSpec("piled", kappa_z=1e4, **fields)
+            _assert_same_matrix(gen_piled(spec).data, _piled_reference(spec))
+
+
+def test_piled_output_aliases_no_cached_array():
+    for p in (1, 4):
+        spec = MatrixClassSpec("piled", 40, p, 2, 3, kappa_z=1e4)
+        gen_piled(spec).data[:] = np.nan
+        _assert_same_matrix(gen_piled(spec).data, _piled_reference(spec))
+
+
+def test_piled_factor_cache_is_read_only_and_holds_one_set():
+    assert matgen._piled_factors.cache_info().maxsize == 1
+    x1, pairs = matgen._piled_factors(40, 4, 2, 3, 10.0)
+    assert len(pairs) == 3
+    for a in (x1, *(f for pair in pairs for f in pair)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+
+
+def test_piled_calibration_probe_schedule_is_frozen(monkeypatch):
+    # Drawing the factors once changes the cost of a probe, not how many
+    # probes run: an out-of-reach target stops after the two end probes,
+    # a reachable one runs all 40 bisection steps.
+    calls = {"gen_piled": 0, "cond_2": 0}
+
+    def counting(name):
+        fn = getattr(matgen, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(matgen, name, counting(name))
+    for target, probes in ((1.0, 2), (1.0e8, 42)):
+        calls.update(gen_piled=0, cond_2=0)
+        calibrate_piled(100, 10, 5, target, seed=42)
+        assert calls == {"gen_piled": probes, "cond_2": probes}, target
 
 
 def test_generate_dispatch_matches_family_functions():
