@@ -27,6 +27,7 @@ import numpy as np
 
 from .blockcore import BlockMatrix, cond_2
 from .matgen import (
+    MATRIX_CLASSES,
     MatrixClassSpec,
     calibrate_piled,
     gen_default,
@@ -219,7 +220,7 @@ class SweepConfig:
 
 
 def _validate_config(config: SweepConfig) -> None:
-    if config.matrix_class not in ("monomial", "piled", "default"):
+    if config.matrix_class not in MATRIX_CLASSES:
         raise ConfigError(f"unknown matrix class {config.matrix_class!r}")
     if not config.combos:
         raise ConfigError("no skeleton/muscle combinations requested")
@@ -293,10 +294,7 @@ def run_single(
     """
     _validate_combo(combo)
     if kappa_actual is None:
-        try:
-            kappa_actual = cond_2(x.data)
-        except ValueError:
-            kappa_actual = math.nan
+        kappa_actual = _measure(x)
     start = time.perf_counter()
     result = _run_combo(combo, x)
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -598,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--matrix",
         required=True,
-        choices=["monomial", "piled", "default"],
+        choices=MATRIX_CLASSES,
         help="matrix family to sweep",
     )
     sweep.add_argument("--m", type=int, default=100, help="rows (default 100)")
@@ -765,3 +763,7 @@ def cli_main(argv=None) -> int:
 def main(argv=None) -> int:
     """Console-script entry point."""
     return cli_main(argv)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

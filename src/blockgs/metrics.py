@@ -20,7 +20,8 @@ only SVD of a tall matrix a sweep takes is that of ``cond_2``, which needs
 sigma_min as well.
 
 Metrics of failed (NaN-bearing) computations are NaN, never an exception,
-so sweep curves can simply terminate the way failed runs do.
+so sweep curves can simply terminate the way failed runs do.  The relative
+residuals of an all-zero X are NaN too: 0/0 has no relative size.
 
 :func:`bound_for` looks up the envelope a (skeleton, muscle choices)
 combination's theory predicts; each envelope lives in its skeleton's
@@ -90,7 +91,10 @@ def _lambda_max(g: np.ndarray) -> float:
 
 
 def rel_res(x, q, r) -> float:
-    """Relative residual ||X - Q R|| / ||X|| (spectral norm)."""
+    """Relative residual ||X - Q R|| / ||X|| (spectral norm).
+
+    NaN when Q or R has non-finite entries (failed run) or X is zero.
+    """
     xd, qd, rd = _dense(x), _dense(q), _dense(r)
     if not (np.isfinite(qd).all() and np.isfinite(rd).all()):
         return float("nan")
@@ -103,11 +107,16 @@ def rel_res(x, q, r) -> float:
     e_x = _binary_exponent(xd)
     np.ldexp(xd, -e_x, out=buf)
     lam_x = _lambda_max(buf.T @ buf)
+    if lam_x == 0.0:
+        return float("nan")
     return math.ldexp(math.sqrt(lam_res / lam_x), e_res - e_x)
 
 
 def rel_chol_res(x, r) -> float:
-    """Relative Cholesky residual ||X^T X - R^T R|| / ||X||^2."""
+    """Relative Cholesky residual ||X^T X - R^T R|| / ||X||^2.
+
+    NaN when R has non-finite entries (failed run) or X is zero.
+    """
     xd, rd = _dense(x), _dense(r)
     if not np.isfinite(rd).all():
         return float("nan")
@@ -116,7 +125,10 @@ def rel_chol_res(x, r) -> float:
     xs = np.ldexp(xd, -e)
     rs = np.ldexp(rd, -e)
     gram = xs.T @ xs
-    return spectral_norm(gram - rs.T @ rs) / _lambda_max(gram)
+    lam_x = _lambda_max(gram)
+    if lam_x == 0.0:
+        return float("nan")
+    return spectral_norm(gram - rs.T @ rs) / lam_x
 
 
 def bound_for(

@@ -15,6 +15,9 @@ column once Gram-product muscles are plugged in:
                                    product (2/column)
 * ``bcgsi_a_1s``                   look-ahead batched form (1/column)
 
+All seven share one block loop, ``_run``; a variant is only its per-block
+step, which turns X_k into Q_k and the k-th block column of R.
+
 The ``_a`` variants accept a distinguished, typically stronger muscle for
 the first block; ``bcgs`` and ``bcgsi_plus`` are the aliases with all
 muscle slots tied to a single routine.  :data:`SKELETONS` holds each
@@ -190,41 +193,35 @@ class BGSResult:
     failed: bool
 
 
-def _require_block_matrix(x) -> BlockMatrix:
+def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
+    """The block loop every skeleton shares.
+
+    Block 1 goes to the first-block muscle ``io_a``.  For k = 2..p,
+    ``step(ledger, k, qprev, xk)`` gets the orthonormal blocks so far
+    (``qprev``, a view of Q_1..Q_{k-1}) and X_k, and returns
+    ``(r_col, r_kk, q_k, failed)``: R's column above the diagonal, the
+    diagonal block R_kk and the new block Q_k.
+    """
     if not isinstance(x, BlockMatrix):
         raise TypeError("skeletons require a BlockMatrix input")
-    return x
-
-
-def _setup(x: BlockMatrix):
-    m, n = x.m, x.cols
-    q_data = np.full((m, n), np.nan)
-    r = np.zeros((n, n))
-    return q_data, r, SyncLedger()
-
-
-def _first_block(
-    x: BlockMatrix,
-    io_a: IOSpec,
-    q_data: np.ndarray,
-    r: np.ndarray,
-    ledger: SyncLedger,
-) -> bool:
+    s, p = x.block_width, x.block_count
+    q_data = np.full((x.m, x.cols), np.nan)
+    r = np.zeros((x.cols, x.cols))
+    ledger = SyncLedger()
     out = apply_io(io_a, x.block(1), ledger=ledger, block=1)
-    s = x.block_width
     q_data[:, :s] = out.q
     r[:s, :s] = out.r
-    return out.failed
-
-
-def _finish(
-    x: BlockMatrix,
-    q_data: np.ndarray,
-    r: np.ndarray,
-    ledger: SyncLedger,
-    failed: bool,
-) -> BGSResult:
-    q = BlockMatrix(q_data, x.block_width, x.block_count)
+    failed = out.failed
+    for k in range(2, p + 1):
+        lo, hi = (k - 1) * s, k * s
+        r_col, r_kk, q_k, step_failed = step(
+            ledger, k, q_data[:, :lo], x.block(k)
+        )
+        q_data[:, lo:hi] = q_k
+        r[:lo, lo:hi] = r_col
+        r[lo:hi, lo:hi] = r_kk
+        failed = failed or step_failed
+    q = BlockMatrix(q_data, s, p)
     return BGSResult(q=q, r=r, ledger=ledger, failed=failed)
 
 
@@ -234,22 +231,14 @@ def bcgs_a(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     For each block after the first: one fused projection against all
     previous blocks (one reduction), one deflation, one muscle call.
     """
-    x = _require_block_matrix(x)
-    s, p = x.block_width, x.block_count
-    q_data, r, ledger = _setup(x)
-    failed = _first_block(x, io_a, q_data, r, ledger)
-    for k in range(2, p + 1):
-        lo, hi = (k - 1) * s, k * s
-        qprev = q_data[:, :lo]
-        xk = x.block(k)
+
+    def step(ledger, k, qprev, xk):
         s_col = ledger.reduce(k, "proj", qprev, xk)
         w = xk - qprev @ s_col
         out = apply_io(io, w, ledger=ledger, block=k)
-        q_data[:, lo:hi] = out.q
-        r[:lo, lo:hi] = s_col
-        r[lo:hi, lo:hi] = out.r
-        failed = failed or out.failed
-    return _finish(x, q_data, r, ledger, failed)
+        return s_col, out.r, out.q, out.failed
+
+    return _run(x, io_a, step)
 
 
 def bcgs(x: BlockMatrix, io: IOSpec) -> BGSResult:
@@ -271,25 +260,18 @@ def bcgsi_plus_a(
     ``S + T @ S_kk`` with diagonal block ``T_kk @ S_kk``.  Four reductions
     per block column when both inner muscles are Gram-product based.
     """
-    x = _require_block_matrix(x)
-    s, p = x.block_width, x.block_count
-    q_data, r, ledger = _setup(x)
-    failed = _first_block(x, io_a, q_data, r, ledger)
-    for k in range(2, p + 1):
-        lo, hi = (k - 1) * s, k * s
-        qprev = q_data[:, :lo]
-        xk = x.block(k)
+
+    def step(ledger, k, qprev, xk):
         s_col = ledger.reduce(k, "proj", qprev, xk)
         w = xk - qprev @ s_col
         out1 = apply_io(io1, w, ledger=ledger, block=k)
         t_col = ledger.reduce(k, "proj2", qprev, out1.q)
         v = out1.q - qprev @ t_col
         out2 = apply_io(io2, v, ledger=ledger, block=k)
-        q_data[:, lo:hi] = out2.q
-        r[:lo, lo:hi] = s_col + t_col @ out1.r
-        r[lo:hi, lo:hi] = out2.r @ out1.r
-        failed = failed or out1.failed or out2.failed
-    return _finish(x, q_data, r, ledger, failed)
+        r_col = s_col + t_col @ out1.r
+        return r_col, out2.r @ out1.r, out2.q, out1.failed or out2.failed
+
+    return _run(x, io_a, step)
 
 
 def bcgsi_plus(x: BlockMatrix, io: IOSpec) -> BGSResult:
@@ -305,28 +287,20 @@ def bcgsi_a_3s(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     the plain sum ``S + Y``.  Three reductions per block column with a
     Gram-product muscle.
     """
-    x = _require_block_matrix(x)
-    s, p = x.block_width, x.block_count
-    q_data, r, ledger = _setup(x)
-    failed = _first_block(x, io_a, q_data, r, ledger)
-    for k in range(2, p + 1):
-        lo, hi = (k - 1) * s, k * s
-        qprev = q_data[:, :lo]
-        xk = x.block(k)
+
+    def step(ledger, k, qprev, xk):
         s_col = ledger.reduce(k, "proj", qprev, xk)
         v = xk - qprev @ s_col
         y_col = ledger.reduce(k, "proj2", qprev, v)
         w = v - qprev @ y_col
         out = apply_io(io, w, ledger=ledger, block=k)
-        q_data[:, lo:hi] = out.q
-        r[:lo, lo:hi] = s_col + y_col
-        r[lo:hi, lo:hi] = out.r
-        failed = failed or out.failed
-    return _finish(x, q_data, r, ledger, failed)
+        return s_col + y_col, out.r, out.q, out.failed
+
+    return _run(x, io_a, step)
 
 
 def _fused_cholesky(qprev, v, y_col, omega):
-    """The Cholesky-based cleanup shared by the two- and one-sync loops.
+    """The Cholesky-based cleanup shared by the two- and one-sync steps.
 
     Y_kk is the fail-safe-free Cholesky factor of ``Omega - Y^T Y`` and the
     new Q block is ``(V - Q_prev Y) Y_kk^{-1}``; a failed factor or an
@@ -365,24 +339,14 @@ def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     Cholesky step, so only the first-block muscle is pluggable.  Two
     reductions per block column.
     """
-    x = _require_block_matrix(x)
-    s, p = x.block_width, x.block_count
-    q_data, r, ledger = _setup(x)
-    failed = _first_block(x, io_a, q_data, r, ledger)
-    for k in range(2, p + 1):
-        lo, hi = (k - 1) * s, k * s
-        qprev = q_data[:, :lo]
-        xk = x.block(k)
+
+    def step(ledger, k, qprev, xk):
         s_col = ledger.reduce(k, "proj", qprev, xk)
         v = xk - qprev @ s_col
-        y_col, y_kk, qk, step_failed = _fused_normalization(
-            qprev, v, ledger, k
-        )
-        q_data[:, lo:hi] = qk
-        r[:lo, lo:hi] = s_col + y_col
-        r[lo:hi, lo:hi] = y_kk
-        failed = failed or step_failed
-    return _finish(x, q_data, r, ledger, failed)
+        y_col, y_kk, qk, failed = _fused_normalization(qprev, v, ledger, k)
+        return s_col + y_col, y_kk, qk, failed
+
+    return _run(x, io_a, step)
 
 
 def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
@@ -390,61 +354,47 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
 
     The projection coefficients of block k+1 are reverse-engineered from
     the same batched product that normalizes block k, so the steady-state
-    loop spends exactly one reduction per block column:
+    loop spends exactly one reduction per block column.  Block k's step:
 
-    * setup: project X_2 against Q_1 (charged to block 1 as a boundary
-      cost) and deflate it into V_2;
-    * for k = 2..p-1: one batched product [Q_prev, V_k]^T [V_k, X_{k+1}]
+    * its projection coefficients S: at k = 2 the plain projection of X_2
+      on Q_1 (charged to block 1 as a boundary cost), later the look-ahead
+      coefficients carried over from block k-1; V_k = X_k - Q_prev S;
+    * for k < p: one batched product [Q_prev, V_k]^T [V_k, X_{k+1}]
       yields Y (reorthogonalization), Omega (Gram block), Z (projection of
       X_{k+1} on Q_prev) and P (V_k^T X_{k+1}); Y_kk and Q_k come from the
-      fused Cholesky step, the missing coefficient row Q_k^T X_{k+1} from a
-      transposed triangular solve of ``P - Y^T Z``, and V_{k+1} is deflated
-      locally;
-    * final block: the plain fused normalization, no look-ahead.
+      fused Cholesky step, and the missing coefficient row Q_k^T X_{k+1}
+      from a transposed triangular solve of ``P - Y^T Z``;
+    * for k = p: the plain fused normalization, no look-ahead.
 
     Total ledger cost: sync_cost(io_a) + p reductions (1 setup projection,
     p-2 loop batches, 1 final batch).
     """
-    x = _require_block_matrix(x)
-    s, p = x.block_width, x.block_count
-    q_data, r, ledger = _setup(x)
-    failed = _first_block(x, io_a, q_data, r, ledger)
-    if p == 1:
-        return _finish(x, q_data, r, ledger, failed)
+    s_next = None  # Q_1..Q_k^T X_{k+1}, carried from block k to block k+1
 
-    # Setup: the only standalone projection in the whole run.
-    q1 = q_data[:, :s]
-    s_col = ledger.reduce(1, "proj", q1, x.block(2))
-    v = x.block(2) - q1 @ s_col
-
-    for k in range(2, p):
-        lo, hi = (k - 1) * s, k * s
-        qprev = q_data[:, :lo]
+    def step(ledger, k, qprev, xk):
+        nonlocal s_next
+        if k == 2:
+            # The only standalone projection in the whole run.
+            s_col = ledger.reduce(1, "proj", qprev, xk)
+        else:
+            s_col = s_next
+        v = xk - qprev @ s_col
+        if k == x.block_count:
+            y_col, y_kk, qk, failed = _fused_normalization(qprev, v, ledger, k)
+            return s_col + y_col, y_kk, qk, failed
+        lo, s = qprev.shape[1], x.block_width
         x_next = x.block(k + 1)
         prods = ledger.reduce(k, "batch", (qprev, v), (v, x_next))
         y_col = prods[:lo, :s]
         z_blk = prods[:lo, s:]
         omega = prods[lo:, :s]
         p_blk = prods[lo:, s:]
-        y_kk, qk, step_failed = _fused_cholesky(qprev, v, y_col, omega)
-        if step_failed:
+        y_kk, qk, failed = _fused_cholesky(qprev, v, y_col, omega)
+        if failed:
             bottom = np.full((s, s), np.nan)
         else:
             bottom = tri_solve_left_transposed(y_kk, p_blk - y_col.T @ z_blk)
-        q_data[:, lo:hi] = qk
-        r[:lo, lo:hi] = s_col + y_col
-        r[lo:hi, lo:hi] = y_kk
-        failed = failed or step_failed
         s_next = np.vstack([z_blk, bottom])
-        v = x_next - q_data[:, :hi] @ s_next
-        s_col = s_next
+        return s_col + y_col, y_kk, qk, failed
 
-    # Final block: identical to the two-sync inner step, without look-ahead.
-    lo = (p - 1) * s
-    qprev = q_data[:, :lo]
-    y_col, y_kk, qk, step_failed = _fused_normalization(qprev, v, ledger, p)
-    q_data[:, lo:] = qk
-    r[:lo, lo:] = s_col + y_col
-    r[lo:, lo:] = y_kk
-    failed = failed or step_failed
-    return _finish(x, q_data, r, ledger, failed)
+    return _run(x, io_a, step)

@@ -120,6 +120,12 @@ def test_run_single_unmeasurable_conditioning():
     assert rec.failed
 
 
+def test_run_single_on_a_zero_matrix_returns_a_row():
+    rec = run_single(BlockMatrix(np.zeros((6, 4)), 2), make_combo("bcgs"))
+    assert math.isnan(rec.kappa_actual)
+    assert math.isnan(rec.rel_res) and math.isnan(rec.rel_chol_res)
+
+
 def test_run_single_failure_yields_nan_metrics():
     # Plain BCGS with a Gram-based muscle collapses on a hard Krylov
     # matrix: either the Cholesky dies or orthogonality is fully lost.
@@ -894,6 +900,25 @@ def test_python_m_blockgs_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "BCGSI+A-1S" in proc.stdout
+
+
+def test_python_m_blockgs_harness_runs_the_cli(tmp_path):
+    src = str(Path(blockgs.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = src
+    outputs = []
+    for module in ("blockgs", "blockgs.harness"):
+        out = tmp_path / f"{module}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "sweep", "--matrix", "default",
+             "--m", "40", "--p", "4", "--s", "2", "--kappas", "1e2,1e6",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1 + 2 * 7
 
 
 def test_installed_console_script():

@@ -68,6 +68,16 @@ def test_metrics_nan_on_non_finite_factors():
     assert math.isnan(rel_chol_res(x, bad))
 
 
+def test_relative_residuals_of_a_zero_x_are_nan():
+    # 0/0: a zero X has no relative residual, whatever Q and R are.
+    x = np.zeros((6, 4))
+    q = np.eye(6)[:, :4]
+    assert math.isnan(rel_res(x, q, np.zeros((4, 4))))
+    assert math.isnan(rel_res(x, q, np.eye(4)))
+    assert math.isnan(rel_chol_res(x, np.zeros((4, 4))))
+    assert math.isnan(rel_chol_res(x, np.eye(4)))
+
+
 def test_metrics_accept_block_matrices():
     x = BlockMatrix(np.eye(6)[:, :4].copy(), block_width=2)
     assert loo(x) == 0.0

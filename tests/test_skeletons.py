@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import blockgs
+from blockgs import skeletons
 from blockgs.blockcore import BlockMatrix, spectral_norm
+from blockgs.harness import RunRecord, make_combo, run_single
 from blockgs.matgen import MatrixClassSpec, generate
 from blockgs.metrics import EPS, loo, rel_res
-from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS, apply_io, house_qr
+from blockgs.muscles import (
+    CHOL_QR,
+    HOUSE_QR,
+    IO_BY_NAME,
+    MGS,
+    apply_io,
+    house_qr,
+)
 from blockgs.skeletons import (
+    SKELETONS,
     SkeletonKind,
     bcgs,
     bcgs_a,
@@ -200,6 +211,31 @@ def test_no_module_but_skeletons_names_a_skeleton_kind():
     assert offenders == []
 
 
+def test_skeletons_share_one_block_loop():
+    # Every variant is a per-block step handed to ``_run``: only the driver
+    # builds a ledger or a result, and the module has one block loop.
+    tree = ast.parse(Path(skeletons.__file__).read_text())
+    owners = {
+        id(node): func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+    }
+    built = sorted(
+        (node.func.id, owners.get(id(node), "<module>"))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("SyncLedger", "BGSResult")
+    )
+    assert built == [("BGSResult", "_run"), ("SyncLedger", "_run")]
+    loops = [
+        owners.get(id(node), "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.While))
+    ]
+    assert loops == ["_run"]
+
+
 def test_reorthogonalized_variants_beat_low_sync_on_hard_matrix():
     # On a Krylov-style matrix near kappa ~ 1e12 the fully
     # reorthogonalized loop is the most accurate, the three-sync loop is
@@ -236,3 +272,52 @@ def test_factorization_property(seed, name, p, s):
     assert loo(result.q) <= 1e-12
     assert rel_res(x, result.q, result.r) <= 1e-12
     assert_allclose(result.r, np.triu(result.r), atol=0.0)
+
+
+# Every skeleton with every muscle in each of its slots (the tied aliases
+# take one muscle for all of them).
+ALL_CHOICES = [
+    (kind, dict(zip(spec.slots, ios)))
+    for kind, spec in SKELETONS.items()
+    for ios in itertools.product(
+        IO_BY_NAME.values(), repeat=1 if spec.tied else len(spec.slots)
+    )
+]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.integers(min_value=1, max_value=3),
+    s=st.integers(min_value=1, max_value=3),
+    extra_rows=st.sampled_from([0, 3]),
+    shape=st.sampled_from(["gaussian", "zero block", "copied block", "zero"]),
+    zeroed=st.integers(min_value=1, max_value=3),
+    exponent=st.sampled_from([-900, 0, 900]),
+)
+@settings(max_examples=15, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at 2**900
+def test_degenerate_inputs_fail_cleanly(
+    seed, p, s, extra_rows, shape, zeroed, exponent
+):
+    # Square and single-column blocks, zero or repeated blocks, entries near
+    # the ends of the exponent range and an all-zero X: no skeleton raises,
+    # ``failed`` is set exactly when Q holds a non-finite entry, and
+    # ``run_single`` still returns a row.
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((p * s + extra_rows, p * s))
+    if shape == "zero block":
+        k = min(zeroed, p)
+        data[:, (k - 1) * s : k * s] = 0.0
+    elif shape == "copied block":
+        data[:, (p - 1) * s :] = data[:, :s]
+    elif shape == "zero":
+        data[:] = 0.0
+    x = BlockMatrix(np.ldexp(data, exponent), s)
+    for kind, muscles in ALL_CHOICES:
+        run = getattr(skeletons, kind.value)
+        result = run(x, *muscles.values())
+        finite = np.isfinite(result.q.data).all()
+        assert result.failed == (not finite), (kind, muscles)
+        rec = run_single(x, make_combo(kind, **muscles))
+        assert isinstance(rec, RunRecord)
+        assert rec.failed == result.failed
