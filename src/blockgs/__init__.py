@@ -17,18 +17,6 @@ from .blockcore import (
     tri_solve_left_transposed,
     tri_solve_right,
 )
-from .harness import (
-    Combo,
-    ConfigError,
-    RunRecord,
-    SweepConfig,
-    check_bounds,
-    make_combo,
-    run_single,
-    run_sweep,
-    sync_table,
-    write_csv,
-)
 from .matgen import (
     MatrixClassSpec,
     calibrate_piled,
@@ -79,6 +67,30 @@ from .skeletons import (
 from .syncmodel import SyncEvent, SyncLedger, syncs_per_block
 
 __version__ = "0.1.0"
+
+# The harness is imported on first use, not here: ``python -m
+# blockgs.harness`` imports this package before it runs the harness as
+# ``__main__``, and an eager import would load a second copy of it.
+_HARNESS_NAMES = (
+    "Combo",
+    "ConfigError",
+    "RunRecord",
+    "SweepConfig",
+    "check_bounds",
+    "make_combo",
+    "run_single",
+    "run_sweep",
+    "sync_table",
+    "write_csv",
+)
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BGSResult",

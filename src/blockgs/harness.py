@@ -34,7 +34,15 @@ from .matgen import (
     gen_monomial,
     gen_piled,
 )
-from .metrics import bound_envelope, bound_for, loo, rel_chol_res, rel_res
+from .metrics import (
+    ScaledGram,
+    bound_envelope,
+    bound_for,
+    loo,
+    rel_chol_res,
+    rel_res,
+    scaled_gram,
+)
 from .muscles import IO_BY_NAME, IOSpec
 from . import skeletons
 from .skeletons import SKELETONS, BGSResult, SkeletonKind
@@ -285,12 +293,15 @@ def run_single(
     matrix_class: str = "custom",
     kappa_target: float = math.nan,
     kappa_actual: float | None = None,
+    x_gram: ScaledGram | None = None,
 ) -> RunRecord:
     """Run one combination on one matrix and measure everything.
 
-    ``kappa_actual`` may be passed in when the caller already measured the
-    matrix (a sweep measures once per point); otherwise it is computed
-    here, and set to NaN when the conditioning is unmeasurable.
+    ``kappa_actual`` and ``x_gram`` (:func:`~blockgs.metrics.scaled_gram`
+    of X) may be passed in when the caller already formed them (a sweep
+    does, once per point).  Otherwise ``kappa_actual`` is computed here,
+    and set to NaN when the conditioning is unmeasurable, and the metrics
+    form ``x_gram`` themselves.
     """
     _validate_combo(combo)
     if kappa_actual is None:
@@ -302,8 +313,8 @@ def run_single(
         loo_v = res_v = chol_v = math.nan
     else:
         loo_v = loo(result.q)
-        res_v = rel_res(x, result.q, result.r)
-        chol_v = rel_chol_res(x, result.r)
+        res_v = rel_res(x, result.q, result.r, x_gram)
+        chol_v = rel_chol_res(x, result.r, x_gram)
     sync_v = syncs_per_block(result) if x.block_count >= 3 else math.nan
     return _record(
         combo,
@@ -371,12 +382,24 @@ def _measure(x: BlockMatrix) -> float:
         return math.nan
 
 
+def _scaled_gram(x: BlockMatrix) -> ScaledGram | None:
+    """X's shared metric statistics, or None for a non-finite X (a long
+    monomial panel overflows), on which every run fails and no metric is
+    taken."""
+    try:
+        return scaled_gram(x)
+    except ValueError:
+        return None
+
+
 def run_sweep(config: SweepConfig) -> list[RunRecord]:
     """Run every combination at every sweep point, in deterministic order.
 
     Records are ordered (kappa index, combo index).  All combos at one
-    point consume the identical generated matrix.  ``elapsed_ms`` is zeroed
-    so that identical configs yield byte-identical CSVs.
+    point consume the identical generated matrix, measured once: its
+    conditioning and its scaled Gram matrix are formed before the first
+    combo runs.  ``elapsed_ms`` is zeroed so that identical configs yield
+    byte-identical CSVs.
     """
     _validate_config(config)
     records: list[RunRecord] = []
@@ -395,6 +418,7 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
             if config.trace
             else ""
         )
+        x_gram = _scaled_gram(x)
         for combo in config.combos:
             rec = run_single(
                 x,
@@ -402,6 +426,7 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
                 matrix_class=config.matrix_class,
                 kappa_target=kt,
                 kappa_actual=kappa_actual,
+                x_gram=x_gram,
             )
             rec.matrix_digest = digest
             rec.elapsed_ms = 0.0

@@ -17,7 +17,8 @@ relative to itself, so these norms agree with the SVD definitions to about
 included, and an exactly zero residual gives exactly 0.0.  The n-by-n
 quantities (I - Q^T Q and X^T X - R^T R) keep their SVD spectral norm; the
 only SVD of a tall matrix a sweep takes is that of ``cond_2``, which needs
-sigma_min as well.
+sigma_min as well.  X's scale and scaled Gram matrix (:func:`scaled_gram`)
+serve both residuals; a sweep forms them once per matrix and passes them in.
 
 Metrics of failed (NaN-bearing) computations are NaN, never an exception,
 so sweep curves can simply terminate the way failed runs do.  The relative
@@ -34,6 +35,7 @@ loss-of-orthogonality ceiling ``100 * eps * kappa**loo_exponent``, which
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +50,8 @@ __all__ = [
     "loo",
     "rel_res",
     "rel_chol_res",
+    "ScaledGram",
+    "scaled_gram",
     "bound_for",
     "bound_envelope",
 ]
@@ -90,44 +94,70 @@ def _lambda_max(g: np.ndarray) -> float:
     return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
 
 
-def rel_res(x, q, r) -> float:
+class ScaledGram(NamedTuple):
+    """X's statistics that both relative residuals share.
+
+    ``exponent`` is the ``e`` that brings X's largest entry into [1/2, 1)
+    after scaling by ``2**-e``, ``gram`` the Gram matrix of that scaled X
+    and ``lam_max`` its largest eigenvalue (0.0 for an all-zero X).
+    """
+
+    exponent: int
+    gram: np.ndarray
+    lam_max: float
+
+
+def scaled_gram(x) -> ScaledGram:
+    """X's power-of-two scale, scaled Gram matrix and its largest eigenvalue.
+
+    A sweep forms these once per matrix and hands them to :func:`rel_res`
+    and :func:`rel_chol_res` for every run on it.  Raises ``ValueError`` on
+    non-finite X.
+    """
+    xd = _dense(x)
+    e = _binary_exponent(xd)
+    xs = np.ldexp(xd, -e)
+    gram = xs.T @ xs
+    return ScaledGram(e, gram, _lambda_max(gram))
+
+
+def rel_res(x, q, r, x_gram: ScaledGram | None = None) -> float:
     """Relative residual ||X - Q R|| / ||X|| (spectral norm).
 
+    ``x_gram`` is :func:`scaled_gram` of X, formed here when not given.
     NaN when Q or R has non-finite entries (failed run) or X is zero.
     """
     xd, qd, rd = _dense(x), _dense(q), _dense(r)
     if not (np.isfinite(qd).all() and np.isfinite(rd).all()):
         return float("nan")
-    # One m-by-n buffer holds the scaled residual, then the scaled X.
+    # One m-by-n buffer holds the scaled residual; it is freed before
+    # scaled_gram, when called here, allocates the scaled X.
     buf = np.matmul(qd, rd, out=np.empty_like(xd))
     np.subtract(xd, buf, out=buf)
     e_res = _binary_exponent(buf)
     np.ldexp(buf, -e_res, out=buf)
     lam_res = _lambda_max(buf.T @ buf)
-    e_x = _binary_exponent(xd)
-    np.ldexp(xd, -e_x, out=buf)
-    lam_x = _lambda_max(buf.T @ buf)
+    del buf
+    e_x, _, lam_x = scaled_gram(xd) if x_gram is None else x_gram
     if lam_x == 0.0:
         return float("nan")
     return math.ldexp(math.sqrt(lam_res / lam_x), e_res - e_x)
 
 
-def rel_chol_res(x, r) -> float:
+def rel_chol_res(x, r, x_gram: ScaledGram | None = None) -> float:
     """Relative Cholesky residual ||X^T X - R^T R|| / ||X||^2.
 
+    ``x_gram`` is :func:`scaled_gram` of X, formed here when not given.
     NaN when R has non-finite entries (failed run) or X is zero.
     """
-    xd, rd = _dense(x), _dense(r)
+    rd = _dense(r)
     if not np.isfinite(rd).all():
         return float("nan")
     # X and R share one power-of-two scale, so the ratio needs no unscaling.
-    e = _binary_exponent(xd)
-    xs = np.ldexp(xd, -e)
-    rs = np.ldexp(rd, -e)
-    gram = xs.T @ xs
-    lam_x = _lambda_max(gram)
+    e, gram, lam_x = scaled_gram(x) if x_gram is None else x_gram
     if lam_x == 0.0:
         return float("nan")
+    rs = np.ldexp(rd, -e)
     return spectral_norm(gram - rs.T @ rs) / lam_x
 
 

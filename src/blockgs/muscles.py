@@ -125,11 +125,12 @@ def _nan_output(m: int, s: int) -> QROutput:
 
 
 def _fix_signs(q: np.ndarray, r: np.ndarray) -> QROutput:
-    """Flip Q columns / R rows so that diag(R) >= 0."""
+    """Flip Q columns / R rows in place so that diag(R) >= 0.
+
+    ``q`` and ``r`` must be the caller's fresh arrays, never its input.
+    """
     neg = np.diagonal(r) < 0.0
     if neg.any():
-        q = q.copy()
-        r = r.copy()
         q[:, neg] *= -1.0
         r[neg, :] *= -1.0
     return QROutput(q, r, failed=False)

@@ -27,7 +27,10 @@ envelope; no other module needs to tell the variants apart.
 The ledger charges come from the products themselves: every tall product
 (``proj``, ``proj2``, ``batch``) is formed by ``SyncLedger.reduce``, which
 charges its one reduction, and each muscle call charges its own cost in
-:func:`~blockgs.muscles.apply_io`.
+:func:`~blockgs.muscles.apply_io`.  A batched product reads its factors in
+place: the two- and one-sync steps write V_k (and X_{k+1}) into the free
+slots of the row-major Q workspace, so [Q_prev, V_k] and [V_k, X_{k+1}] are
+views of it, never stacked copies.
 
 Failure handling: after the first failed muscle call (indefinite Gram
 matrix inside ``chol_qr`` or the fused Cholesky steps), NaNs propagate
@@ -197,8 +200,10 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     """The block loop every skeleton shares.
 
     Block 1 goes to the first-block muscle ``io_a``.  For k = 2..p,
-    ``step(ledger, k, qprev, xk)`` gets the orthonormal blocks so far
-    (``qprev``, a view of Q_1..Q_{k-1}) and X_k, and returns
+    ``step(ledger, k, q, lo, xk)`` gets the row-major m-by-(p*s) Q
+    workspace ``q``, whose first ``lo = (k-1)*s`` columns hold Q_1..Q_{k-1},
+    and X_k.  It may use block k's slot and the slots after it as scratch,
+    since the loop writes Q_k there next.  It returns
     ``(r_col, r_kk, q_k, failed)``: R's column above the diagonal, the
     diagonal block R_kk and the new block Q_k.
     """
@@ -214,9 +219,7 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     failed = out.failed
     for k in range(2, p + 1):
         lo, hi = (k - 1) * s, k * s
-        r_col, r_kk, q_k, step_failed = step(
-            ledger, k, q_data[:, :lo], x.block(k)
-        )
+        r_col, r_kk, q_k, step_failed = step(ledger, k, q_data, lo, x.block(k))
         q_data[:, lo:hi] = q_k
         r[:lo, lo:hi] = r_col
         r[lo:hi, lo:hi] = r_kk
@@ -232,7 +235,8 @@ def bcgs_a(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     previous blocks (one reduction), one deflation, one muscle call.
     """
 
-    def step(ledger, k, qprev, xk):
+    def step(ledger, k, q, lo, xk):
+        qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
         w = xk - qprev @ s_col
         out = apply_io(io, w, ledger=ledger, block=k)
@@ -261,7 +265,8 @@ def bcgsi_plus_a(
     per block column when both inner muscles are Gram-product based.
     """
 
-    def step(ledger, k, qprev, xk):
+    def step(ledger, k, q, lo, xk):
+        qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
         w = xk - qprev @ s_col
         out1 = apply_io(io1, w, ledger=ledger, block=k)
@@ -288,7 +293,8 @@ def bcgsi_a_3s(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     Gram-product muscle.
     """
 
-    def step(ledger, k, qprev, xk):
+    def step(ledger, k, q, lo, xk):
+        qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
         v = xk - qprev @ s_col
         y_col = ledger.reduce(k, "proj2", qprev, v)
@@ -314,21 +320,25 @@ def _fused_cholesky(qprev, v, y_col, omega):
 
 
 def _fused_normalization(
-    qprev: np.ndarray,
-    v: np.ndarray,
     ledger: SyncLedger,
     k: int,
+    q: np.ndarray,
+    lo: int,
+    v: np.ndarray,
 ):
     """Batched product [Q_prev, V]^T V, then the Cholesky-based cleanup.
 
-    One reduction yields both the reorthogonalization coefficients Y and the
-    Gram block Omega.  Returns ``(y_col, y_kk, q_k, failed)``.
+    V is written into block k's slot of the workspace ``q``, so [Q_prev, V]
+    is the view ``q[:, :lo + s]`` and nothing is stacked.  One reduction
+    yields both the reorthogonalization coefficients Y and the Gram block
+    Omega.  Returns ``(y_col, y_kk, q_k, failed)``.
     """
-    prods = ledger.reduce(k, "batch", (qprev, v), v)
-    n_prev = qprev.shape[1]
-    y_col = prods[:n_prev, :]
-    omega = prods[n_prev:, :]
-    return (y_col, *_fused_cholesky(qprev, v, y_col, omega))
+    hi = lo + v.shape[1]
+    q[:, lo:hi] = v
+    prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo:hi])
+    y_col = prods[:lo, :]
+    omega = prods[lo:, :]
+    return (y_col, *_fused_cholesky(q[:, :lo], v, y_col, omega))
 
 
 def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
@@ -340,10 +350,11 @@ def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     reductions per block column.
     """
 
-    def step(ledger, k, qprev, xk):
+    def step(ledger, k, q, lo, xk):
+        qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
         v = xk - qprev @ s_col
-        y_col, y_kk, qk, failed = _fused_normalization(qprev, v, ledger, k)
+        y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, v)
         return s_col + y_col, y_kk, qk, failed
 
     return _run(x, io_a, step)
@@ -371,8 +382,9 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     """
     s_next = None  # Q_1..Q_k^T X_{k+1}, carried from block k to block k+1
 
-    def step(ledger, k, qprev, xk):
+    def step(ledger, k, q, lo, xk):
         nonlocal s_next
+        qprev = q[:, :lo]
         if k == 2:
             # The only standalone projection in the whole run.
             s_col = ledger.reduce(1, "proj", qprev, xk)
@@ -380,11 +392,15 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
             s_col = s_next
         v = xk - qprev @ s_col
         if k == x.block_count:
-            y_col, y_kk, qk, failed = _fused_normalization(qprev, v, ledger, k)
+            y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, v)
             return s_col + y_col, y_kk, qk, failed
-        lo, s = qprev.shape[1], x.block_width
-        x_next = x.block(k + 1)
-        prods = ledger.reduce(k, "batch", (qprev, v), (v, x_next))
+        s = x.block_width
+        hi = lo + s
+        # V_k and X_{k+1} side by side in slots k and k+1 (the loop
+        # overwrites both later), so both batch operands are views of q.
+        q[:, lo:hi] = v
+        q[:, hi : hi + s] = x.block(k + 1)
+        prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo : hi + s])
         y_col = prods[:lo, :s]
         z_blk = prods[:lo, s:]
         omega = prods[lo:, :s]

@@ -44,14 +44,11 @@ class SyncLedger:
     def reduce(self, block: int, label: str, left, right) -> np.ndarray:
         """One tall reduction ``left^T @ right``, charged to ``block``.
 
-        A tuple operand is stacked column-wise first, so a fused product
-        such as ``[Q, V]^T [V, X]`` is a single call and a single charge.
+        A fused product such as ``[Q, V]^T [V, X]`` is still one call and
+        one charge: the skeletons lay its factors side by side in their Q
+        workspace and pass views of it, so nothing is stacked here.
         """
         self.record(block, label, 1)
-        if isinstance(left, tuple):
-            left = np.hstack(left)
-        if isinstance(right, tuple):
-            right = np.hstack(right)
         return left.T @ right
 
     @property

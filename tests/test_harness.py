@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -6,10 +7,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockgs
 from blockgs import blockcore, harness, metrics, skeletons
@@ -282,6 +286,28 @@ def test_run_sweep_piled_calibration_miss_is_skipped():
     assert abs(math.log10(good.kappa_actual) - 6.0) < 0.1
 
 
+def test_run_sweep_on_an_overflowing_matrix_fails_its_rows():
+    # The longest monomial panel, up to A^319 v with eigenvalues of A near
+    # 10, overflows: X holds inf, its conditioning is unmeasurable, every
+    # run fails, and the sweep still returns one NaN row per combo.
+    config = SweepConfig(
+        matrix_class="monomial",
+        combos=(make_combo("bcgsi_plus_a"), make_combo("bcgsi_a_2s")),
+        kappas=(1.0e300,),
+        m=320,
+        p=2,
+        s=160,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        ((_, x, _, _),) = harness._sweep_points(config)
+        assert not np.isfinite(x.data).all()
+        records = run_sweep(config)
+    assert len(records) == 2
+    for rec in records:
+        assert rec.failed and math.isnan(rec.kappa_actual)
+        assert math.isnan(rec.loo) and math.isnan(rec.rel_res)
+
+
 def test_run_sweep_config_validation():
     good = _small_sweep()
     with pytest.raises(ConfigError, match="unknown matrix class"):
@@ -294,6 +320,49 @@ def test_run_sweep_config_validation():
         run_sweep(SweepConfig("monomial", good.combos, ()))
     with pytest.raises(ConfigError, match="targets must be >= 1"):
         run_sweep(SweepConfig("monomial", good.combos, (0.5,)))
+
+
+def _same_field(a, b) -> bool:
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize(
+    "matrix_class, kappas",
+    [
+        ("default", (1.0e2, 1.0e10, 1.0e15)),
+        ("monomial", (1.0e1, 1.0e8)),
+        ("piled", (1.0e3, 1.0e12)),
+    ],
+)
+def test_run_sweep_rows_equal_run_single_rows(matrix_class, kappas):
+    # A sweep measures each point once (cond_2 and the metrics' scaled
+    # Gram matrix) and shares it across the combos; each row must still be
+    # what a standalone run_single on that matrix measures, field for field.
+    combos = tuple(make_combo(kind) for kind in SkeletonKind) + (
+        make_combo("bcgsi_plus_a", io_a=MGS, io1=MGS, io2=MGS),
+    )
+    config = SweepConfig(
+        matrix_class=matrix_class, combos=combos, kappas=kappas,
+        m=60, p=6, s=3,
+    )
+    records = iter(run_sweep(config))
+    compared = 0
+    for kt, x, _, note in harness._sweep_points(config):
+        assert note == ""
+        for combo in combos:
+            swept = next(records)
+            alone = run_single(
+                x, combo, matrix_class=matrix_class, kappa_target=kt
+            )
+            alone.elapsed_ms = 0.0
+            for f in dataclasses.fields(RunRecord):
+                a, b = getattr(swept, f.name), getattr(alone, f.name)
+                assert _same_field(a, b), (f.name, a, b)
+            compared += 1
+    assert compared == len(kappas) * len(combos)
+    assert next(records, None) is None
 
 
 def test_run_sweep_is_deterministic():
@@ -769,6 +838,48 @@ def test_cli_argparse_rejections_exit_2():
         assert exc.value.code == 2, argv
 
 
+def _sweep_exit_code(argv) -> int:
+    """``cli_main``'s exit code, in process; argparse exits through
+    ``SystemExit``, whose code is the process's exit code."""
+    try:
+        return _capture(cli_main, argv)[0]
+    except SystemExit as exc:
+        return exc.code
+
+
+_KAPPA_TOKENS = ("0.5", "-3", "0", "1", "10", "1e3", "nan", "inf", "-inf")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=st.sampled_from(["default", "monomial", "piled", "hilbert"]),
+    m=st.integers(-1, 9),
+    p=st.integers(-1, 3),
+    s=st.integers(-1, 3),
+    kappas=st.lists(st.sampled_from(_KAPPA_TOKENS), min_size=1, max_size=2),
+)
+def test_cli_sweep_exit_codes_property(matrix, m, p, s, kappas):
+    # Any sweep argument list exits 0 or 2 and raises nothing else, and
+    # a CSV is written exactly when the sweep succeeded.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        argv = [
+            "sweep", "--matrix", matrix, f"--m={m}", f"--p={p}", f"--s={s}",
+            "--kappas=" + ",".join(kappas), "--out", str(out),
+        ]
+        code = _sweep_exit_code(argv)
+        assert code in (0, 2), argv
+        assert out.exists() == (code == 0), argv
+        valid = (
+            matrix != "hilbert"
+            and p >= 1
+            and s >= 1
+            and m >= p * s
+            and all(1.0 <= float(k) < math.inf for k in kappas)
+        )
+        assert (code == 0) == valid, argv
+
+
 # ---------------------------------------------------------------------------
 # BLAS thread policy (each test runs in a fresh interpreter, because the
 # policy changes the process it runs in)
@@ -916,6 +1027,8 @@ def test_python_m_blockgs_harness_runs_the_cli(tmp_path):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        # runpy warns when the package import already loaded the module.
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 1 + 2 * 7

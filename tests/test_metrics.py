@@ -17,9 +17,10 @@ from blockgs.metrics import (
     loo,
     rel_chol_res,
     rel_res,
+    scaled_gram,
 )
 from blockgs.harness import ConfigError, make_combo
-from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS, house_qr
+from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS, house_qr, mgs_qr
 from blockgs.skeletons import SkeletonKind
 
 
@@ -76,6 +77,36 @@ def test_relative_residuals_of_a_zero_x_are_nan():
     assert math.isnan(rel_res(x, q, np.eye(4)))
     assert math.isnan(rel_chol_res(x, np.zeros((4, 4))))
     assert math.isnan(rel_chol_res(x, np.eye(4)))
+
+
+@pytest.mark.parametrize("scale", [0, 900, -900])
+def test_relative_residuals_take_the_shared_gram_bit_for_bit(scale):
+    # A sweep forms scaled_gram(X) once and passes it to every run's
+    # residuals; they must read exactly what they compute without it.
+    # The factors come from the unscaled X, so none overflows at 2^+-900.
+    rng = np.random.default_rng(11)
+    x0 = rng.standard_normal((40, 6))
+    x = BlockMatrix(np.ldexp(x0, scale), 2)
+    x_gram = scaled_gram(x)
+    for runner in (house_qr, mgs_qr):
+        out = runner(x0)
+        r = np.ldexp(out.r, scale)
+        assert rel_res(x, out.q, r, x_gram) == rel_res(x, out.q, r)
+        assert rel_chol_res(x, r, x_gram) == rel_chol_res(x, r)
+        assert rel_res(x, out.q, r) > 0.0
+    assert 0.5 <= np.abs(np.ldexp(x.data, -x_gram.exponent)).max() < 1.0
+
+
+def test_shared_gram_of_a_zero_x_gives_nan_residuals():
+    x = np.zeros((6, 4))
+    x_gram = scaled_gram(x)
+    assert x_gram.exponent == 0 and x_gram.lam_max == 0.0
+    q = np.eye(6)[:, :4]
+    for r in (np.zeros((4, 4)), np.eye(4)):
+        assert math.isnan(rel_res(x, q, r, x_gram))
+        assert math.isnan(rel_res(x, q, r))
+        assert math.isnan(rel_chol_res(x, r, x_gram))
+        assert math.isnan(rel_chol_res(x, r))
 
 
 def test_metrics_accept_block_matrices():

@@ -101,6 +101,27 @@ def test_house_sign_convention():
     assert_allclose(h.q, g.q, atol=1e-13)
 
 
+@pytest.mark.parametrize("name", sorted(FACTORIZERS))
+def test_muscles_never_write_to_their_input(name):
+    # The sign fix flips the fresh Q and R in place; the caller's X (a
+    # whole array, or a block view of a column-major matrix as the
+    # skeletons pass it) stays bitwise as it was and shares no memory
+    # with the output.
+    rng = np.random.default_rng(5)
+    whole = rng.standard_normal((30, 4))
+    parent = np.asfortranarray(rng.standard_normal((30, 12)))
+    for x in (whole, -whole, parent[:, 4:8]):
+        assert np.any(np.diag(np.linalg.qr(x)[1]) < 0.0)  # flips happen
+        before = x.copy()
+        out = FACTORIZERS[name](x)
+        assert not out.failed
+        assert x.tobytes() == before.tobytes()
+        assert np.all(np.diag(out.r) >= 0.0)
+        for a in (out.q, out.r):
+            assert not np.shares_memory(a, x)
+            assert not np.shares_memory(a, parent)
+
+
 def test_non_finite_input_yields_failed_output():
     x = np.ones((4, 2))
     x[2, 1] = np.nan

@@ -190,6 +190,42 @@ def test_one_sync_lookahead_coefficients_match_direct_projection(monkeypatch):
         assert spectral_norm(out[:lo, :s]) <= 1e-12, block
 
 
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("runner", [bcgsi_a_2s, bcgsi_a_1s])
+def test_batches_are_views_of_the_q_workspace(monkeypatch, runner, s):
+    # The batched products [Q_prev, V]^T V and [Q_prev, V]^T [V, X_{k+1}]
+    # read their factors where the block loop keeps them: both operands are
+    # views of the one Q workspace, and the product is bitwise the one
+    # formed from contiguous copies (the BLAS call differs only in its
+    # leading dimension).  The check runs inside the spy, since the loop
+    # overwrites those slots afterwards.  At s = 1 the right operand is a
+    # single column and numpy takes a matrix-vector path instead, whose
+    # rounding does depend on the layout; that is why s starts at 2 here.
+    checked = []
+    real_reduce = SyncLedger.reduce
+
+    def spy(self, block, label, left, right):
+        out = real_reduce(self, block, label, left, right)
+        if label == "batch":
+            copies = np.ascontiguousarray(left).T @ np.ascontiguousarray(right)
+            checked.append(
+                (
+                    block,
+                    left.base is not None and left.base is right.base,
+                    left.base.shape == (50, 5 * s),
+                    not (left.flags.owndata or right.flags.owndata),
+                    out.tobytes() == copies.tobytes(),
+                )
+            )
+        return out
+
+    monkeypatch.setattr(SyncLedger, "reduce", spy)
+    x = _gaussian(m=50, p=5, s=s, seed=23)
+    assert not runner(x, HOUSE_QR).failed
+    assert [c[0] for c in checked] == [2, 3, 4, 5]
+    assert all(all(c[1:]) for c in checked), checked
+
+
 def test_no_module_but_skeletons_names_a_skeleton_kind():
     # Every fact about a variant lives in its SKELETONS entry, so no other
     # module branches on (or otherwise names) a SkeletonKind member.

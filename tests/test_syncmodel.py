@@ -40,12 +40,16 @@ def test_ledger_rejects_free_events():
 
 
 def test_ledger_reduce_forms_the_product_and_charges_it_once():
+    # A fused product [Q, V]^T [V, X] is one call on two views of one
+    # workspace whose columns hold Q, V and X side by side.
     rng = np.random.default_rng(3)
-    q, v, x = (rng.standard_normal((9, 2)) for _ in range(3))
+    q, x = (rng.standard_normal((9, 2)) for _ in range(2))
+    work = rng.standard_normal((9, 6))
     ledger = SyncLedger()
     assert np.array_equal(ledger.reduce(2, "proj", q, x), q.T @ x)
-    fused = ledger.reduce(3, "batch", (q, v), (v, x))
-    assert np.array_equal(fused, np.hstack([q, v]).T @ np.hstack([v, x]))
+    fused = ledger.reduce(3, "batch", work[:, :4], work[:, 2:6])
+    assert np.array_equal(fused, work[:, :4].T @ work[:, 2:6])
+    assert fused.shape == (4, 4)
     assert ledger.events == [SyncEvent(2, "proj", 1), SyncEvent(3, "batch", 1)]
 
 
