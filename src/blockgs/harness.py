@@ -28,6 +28,7 @@ import numpy as np
 from .blockcore import BlockMatrix, cond_2
 from .matgen import (
     MATRIX_CLASSES,
+    SEED_LIMIT,
     MatrixClassSpec,
     calibrate_piled,
     gen_default,
@@ -240,6 +241,8 @@ def _validate_config(config: SweepConfig) -> None:
         raise ConfigError("kappa targets must be >= 1")
     if config.p < 1 or config.s < 1:
         raise ConfigError("block count p and block width s must be >= 1")
+    if not 0 <= config.seed < SEED_LIMIT:
+        raise ConfigError(f"seed must be in [0, 2**128), got {config.seed}")
     if config.m < config.p * config.s:
         raise ConfigError(
             f"matrix must be tall: m={config.m} < p*s={config.p * config.s}"
@@ -752,8 +755,9 @@ def cli_main(argv=None) -> int:
             config = _config_from_args(args)
             _validate_config(config)
             try:
-                # An unwritable --out fails here, before the sweep runs.
-                open(config.out, "w").close()
+                # An unwritable --out fails here, before the sweep runs;
+                # mode "a" leaves an earlier CSV whole until write_csv.
+                open(config.out, "a").close()
             except OSError as exc:
                 return _error_exit(f"cannot write CSV to {config.out}: {exc}")
             records = run_sweep(config)

@@ -41,6 +41,7 @@ from .muscles import house_qr
 
 __all__ = [
     "MatrixClassSpec",
+    "SEED_LIMIT",
     "make_rng",
     "uniform_open",
     "standard_normal",
@@ -60,10 +61,19 @@ _TWO53 = float(1 << 53)
 
 MATRIX_CLASSES = ("monomial", "piled", "default")
 
+# Philox takes a 128-bit key: seeds are the integers in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 128
+
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox-keyed generator; the sole randomness source of this module."""
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    """Philox-keyed generator; the sole randomness source of this module.
+
+    Raises ``ValueError`` unless ``0 <= seed < 2**128``.
+    """
+    seed = int(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def uniform_open(rng: np.random.Generator, size) -> np.ndarray:

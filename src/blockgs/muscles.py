@@ -18,6 +18,11 @@ Gram matrix is numerically indefinite the Cholesky sweep produces NaNs, runs
 to completion, and the output is flagged ``failed`` instead of raising.
 Likewise ``mgs_qr`` returns a NaN-filled, ``failed`` output on an exactly
 zero pivot.  Downstream consumers treat failure as data.
+
+Every routine works in O(m·s) memory except ``givens_qr``: it rotates R's
+rows and an explicit m-by-m Qᵀ in one m-by-(s+m) workspace, so it needs
+O(m²).  That exception stands until the Givens muscle stops forming the
+full Qᵀ.
 """
 
 from __future__ import annotations
@@ -155,26 +160,43 @@ def givens_qr(x) -> QROutput:
 
     Rotations are applied bottom-up within each column, so previously
     created zeros are preserved.  Stability class matches ``house_qr``.
+
+    R's rows and Qᵀ's rows share one C-order m-by-(s+m) workspace
+    ``W = [X | I]``, so each rotation turns the row pair ``W[i-1:i+1, j:]``
+    with one 2-by-2 BLAS product (gemm).  Its O(m²) memory, the same as
+    that of a separate m-by-m Qᵀ, is the one exception to the muscles'
+    O(m·s) contract.  In the last column (j = s-1) R's part of the pair is
+    one column wide, and numpy sends a one-column product to gemv, which
+    rounds differently from gemm; that column therefore keeps its own
+    product, and Qᵀ's part takes a second one.  Every output bit then
+    equals that of rotating R and Qᵀ in separate products.
     """
     x = _as_block(x)
     m, s = x.shape
     if not np.isfinite(x).all():
         return _nan_output(m, s)
-    a = x.copy()
-    qt = np.eye(m)
+    w = np.zeros((m, s + m))
+    w[:, :s] = x
+    np.fill_diagonal(w[:, s:], 1.0)
+    rot = np.empty((2, 2))
     for j in range(s):
         for i in range(m - 1, j, -1):
-            f, g = a[i - 1, j], a[i, j]
+            f, g = w[i - 1, j], w[i, j]
             if g == 0.0:
                 continue
             h = np.hypot(f, g)
             c, sn = f / h, g / h
-            rot = np.array([[c, sn], [-sn, c]])
-            a[i - 1 : i + 1, j:] = rot @ a[i - 1 : i + 1, j:]
-            a[i, j] = 0.0
-            qt[i - 1 : i + 1, :] = rot @ qt[i - 1 : i + 1, :]
-    q = qt[:s, :].T.copy()
-    r = np.triu(a[:s, :])
+            rot[0, 0] = rot[1, 1] = c
+            rot[0, 1] = sn
+            rot[1, 0] = -sn
+            if j < s - 1:
+                w[i - 1 : i + 1, j:] = rot @ w[i - 1 : i + 1, j:]
+            else:
+                w[i - 1 : i + 1, j:s] = rot @ w[i - 1 : i + 1, j:s]
+                w[i - 1 : i + 1, s:] = rot @ w[i - 1 : i + 1, s:]
+            w[i, j] = 0.0
+    q = w[:s, s:].T.copy()
+    r = np.triu(w[:s, :s])
     return _fix_signs(q, r)
 
 

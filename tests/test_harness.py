@@ -812,6 +812,16 @@ def test_cli_syncs_output():
             ["sweep", "--matrix", "monomial", "--p", "0", "--kappas", "10"],
             "must be >= 1",
         ),
+        (
+            ["sweep", "--matrix", "default", "--kappas", "10",
+             "--seed", "-1"],
+            "seed must be in [0, 2**128)",
+        ),
+        (
+            ["sweep", "--matrix", "default", "--kappas", "10",
+             "--seed", str(2**128)],
+            "seed must be in [0, 2**128)",
+        ),
     ],
 )
 def test_cli_config_errors_exit_2(argv, fragment, tmp_path, monkeypatch):
@@ -821,6 +831,20 @@ def test_cli_config_errors_exit_2(argv, fragment, tmp_path, monkeypatch):
     assert "blockgs: error:" in err
     assert fragment in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_interrupted_sweep_keeps_the_previous_csv(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    out.write_text("sentinel\n")
+
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_sweep", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli_main(["sweep", "--matrix", "monomial", "--kappas", "10",
+                  "--out", str(out)])
+    assert out.read_text() == "sentinel\n"
 
 
 def test_cli_argparse_rejections_exit_2():

@@ -34,6 +34,14 @@ def test_rng_streams_are_reproducible():
     assert a.tobytes() != c.tobytes()
 
 
+def test_make_rng_names_the_seed_range():
+    make_rng(0)
+    make_rng(2**128 - 1)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*128\)"):
+            make_rng(seed)
+
+
 def test_uniform_open_stays_strictly_inside_unit_interval():
     u = uniform_open(make_rng(0), (200_000,))
     assert u.min() > 0.0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,6 +14,7 @@ from blockgs.muscles import (
     IO_BY_NAME,
     MGS,
     IOSpec,
+    _fix_signs,
     apply_io,
     chol_free,
     chol_qr,
@@ -281,3 +282,64 @@ def test_factorization_property_random(seed, name):
     assert loo(out.q) <= 1e-13
     assert rel_res(x, out.q, out.r) <= 1e-13
     assert np.all(np.diag(out.r) > 0.0)
+
+
+def _givens_oracle(x):
+    """The two-products-per-rotation Givens loop, kept as the bit-level
+    reference for ``givens_qr``."""
+    m, s = x.shape
+    a = x.copy()
+    qt = np.eye(m)
+    for j in range(s):
+        for i in range(m - 1, j, -1):
+            f, g = a[i - 1, j], a[i, j]
+            if g == 0.0:
+                continue
+            h = np.hypot(f, g)
+            c, sn = f / h, g / h
+            rot = np.array([[c, sn], [-sn, c]])
+            a[i - 1 : i + 1, j:] = rot @ a[i - 1 : i + 1, j:]
+            a[i, j] = 0.0
+            qt[i - 1 : i + 1, :] = rot @ qt[i - 1 : i + 1, :]
+    q = qt[:s, :].T.copy()
+    r = np.triu(a[:s, :])
+    return _fix_signs(q, r)
+
+
+@st.composite
+def _givens_blocks(draw):
+    """m-by-s blocks with exact zeros, zero or duplicated columns, 2^±300
+    scaling, in C order, F order or as a view into a larger array."""
+    m = draw(st.integers(1, 40))
+    s = draw(st.integers(1, min(m, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((m, s))
+    x[rng.random((m, s)) < draw(st.sampled_from((0.0, 0.3, 0.8)))] = 0.0
+    col, other = rng.integers(s), rng.integers(s)
+    edit = draw(st.sampled_from(("none", "zero", "duplicate")))
+    if edit == "zero":
+        x[:, col] = 0.0
+    elif edit == "duplicate":
+        x[:, col] = x[:, other]
+    x *= draw(st.sampled_from((1.0, 2.0**300, 2.0**-300)))
+    layout = draw(st.sampled_from(("C", "F", "view")))
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "view":
+        big = rng.standard_normal((m + 3, s + 4))
+        big[1 : m + 1, 2 : s + 2] = x
+        return big[1 : m + 1, 2 : s + 2]
+    return x
+
+
+@given(x=_givens_blocks())
+@example(x=np.array([[-2.0]]))
+@example(x=np.array([[3.0], [0.0], [4.0]]))
+@example(x=np.triu(np.arange(1.0, 37.0).reshape(6, 6)).T.copy())
+@settings(max_examples=300, deadline=None)
+def test_givens_matches_the_two_product_loop_bit_for_bit(x):
+    want, got = _givens_oracle(x), givens_qr(x)
+    assert not got.failed
+    for a, b in ((want.q, got.q), (want.r, got.r)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
