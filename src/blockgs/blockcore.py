@@ -18,6 +18,7 @@ __all__ = [
     "spectral_norm",
     "sigma_min",
     "cond_2",
+    "project_out",
     "tri_solve_left_transposed",
     "tri_solve_right",
 ]
@@ -131,6 +132,22 @@ def cond_2(a) -> float:
     return float(sv[0]) / smin
 
 
+def project_out(x, q, c) -> np.ndarray:
+    """Deflate ``X - Q C`` for tall m-by-s ``X`` and m-by-n ``Q``.
+
+    The product is formed as ``C^T Q^T``, the orientation of
+    :meth:`~blockgs.syncmodel.SyncLedger.reduce`, so BLAS reads a
+    column-major ``Q`` in place, and the subtraction runs in place on the
+    transposes.  The result is the transpose of a C-ordered s-by-m array,
+    that is an m-by-s Fortran-ordered matrix.  For s >= 5 every bit equals
+    that of ``x - q @ c``; for narrower blocks BLAS takes another kernel
+    for one of the two orientations, and the last bits may differ.
+    """
+    t = c.T @ q.T
+    np.subtract(x.T, t, out=t)
+    return t.T
+
+
 def _check_triangle(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -145,7 +162,10 @@ def tri_solve_left_transposed(r, b) -> np.ndarray:
 
     Forward substitution on the transposed factor.  NaN/Inf entries in
     either argument propagate into the result instead of raising, so failed
-    upstream computations flow through unchanged.
+    upstream computations flow through unchanged.  An exactly zero diagonal
+    entry of ``R`` raises ``ValueError``: called directly, the solve treats
+    a singular factor as a caller error.  The skeletons test for a zero
+    pivot before they call it and report it as a failed run instead.
     """
     r = _check_triangle(r)
     b = np.asarray(b, dtype=np.float64)
@@ -158,7 +178,10 @@ def tri_solve_right(b, r) -> np.ndarray:
     """Solve ``Z R = B`` for ``Z`` with ``R`` upper triangular.
 
     Back substitution applied from the right (equivalently, forward
-    substitution of ``R^T Z^T = B^T``).  Non-finite entries propagate.
+    substitution of ``R^T Z^T = B^T``).  Non-finite entries propagate.  An
+    exactly zero diagonal entry of ``R`` raises ``ValueError``; the
+    skeletons and ``chol_qr`` test for a zero pivot before they call it
+    and report a failed run instead.
     """
     r = _check_triangle(r)
     b = np.asarray(b, dtype=np.float64)

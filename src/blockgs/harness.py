@@ -754,13 +754,21 @@ def cli_main(argv=None) -> int:
         if args.command == "sweep":
             config = _config_from_args(args)
             _validate_config(config)
+            created = not os.path.exists(config.out)
             try:
                 # An unwritable --out fails here, before the sweep runs;
                 # mode "a" leaves an earlier CSV whole until write_csv.
                 open(config.out, "a").close()
             except OSError as exc:
                 return _error_exit(f"cannot write CSV to {config.out}: {exc}")
-            records = run_sweep(config)
+            try:
+                records = run_sweep(config)
+            except BaseException:
+                # A sweep that raises or is interrupted leaves no empty
+                # file where there was none.
+                if created:
+                    os.remove(config.out)
+                raise
             try:
                 write_csv(records, config.out)
             except OSError as exc:

@@ -159,7 +159,9 @@ def givens_qr(x) -> QROutput:
     """QR via Givens rotations, eliminating subdiagonals column by column.
 
     Rotations are applied bottom-up within each column, so previously
-    created zeros are preserved.  Stability class matches ``house_qr``.
+    created zeros are preserved.  An eliminated entry is left as its
+    rounding residue: no later rotation reads it, and ``np.triu`` drops it
+    from R.  Stability class matches ``house_qr``.
 
     R's rows and Qᵀ's rows share one C-order m-by-(s+m) workspace
     ``W = [X | I]``, so each rotation turns the row pair ``W[i-1:i+1, j:]``
@@ -194,7 +196,6 @@ def givens_qr(x) -> QROutput:
             else:
                 w[i - 1 : i + 1, j:s] = rot @ w[i - 1 : i + 1, j:s]
                 w[i - 1 : i + 1, s:] = rot @ w[i - 1 : i + 1, s:]
-            w[i, j] = 0.0
     q = w[:s, s:].T.copy()
     r = np.triu(w[:s, :s])
     return _fix_signs(q, r)

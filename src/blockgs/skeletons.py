@@ -29,8 +29,11 @@ The ledger charges come from the products themselves: every tall product
 charges its one reduction, and each muscle call charges its own cost in
 :func:`~blockgs.muscles.apply_io`.  A batched product reads its factors in
 place: the two- and one-sync steps write V_k (and X_{k+1}) into the free
-slots of the row-major Q workspace, so [Q_prev, V_k] and [V_k, X_{k+1}] are
-views of it, never stacked copies.
+slots of the column-major Q workspace, so [Q_prev, V_k] and [V_k, X_{k+1}]
+are views of it, never stacked copies.  Every tall product has one
+orientation: the reductions and the deflations X_k - Q_prev S
+(:func:`~blockgs.blockcore.project_out`) both multiply a narrow left factor
+by the transposed workspace.
 
 Failure handling: after the first failed muscle call (indefinite Gram
 matrix inside ``chol_qr`` or the fused Cholesky steps), NaNs propagate
@@ -47,7 +50,12 @@ from typing import Callable
 
 import numpy as np
 
-from .blockcore import BlockMatrix, tri_solve_left_transposed, tri_solve_right
+from .blockcore import (
+    BlockMatrix,
+    project_out,
+    tri_solve_left_transposed,
+    tri_solve_right,
+)
 from .muscles import IOSpec, apply_io, chol_free
 from .syncmodel import SyncLedger
 
@@ -200,17 +208,19 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     """The block loop every skeleton shares.
 
     Block 1 goes to the first-block muscle ``io_a``.  For k = 2..p,
-    ``step(ledger, k, q, lo, xk)`` gets the row-major m-by-(p*s) Q
+    ``step(ledger, k, q, lo, xk)`` gets the column-major m-by-(p*s) Q
     workspace ``q``, whose first ``lo = (k-1)*s`` columns hold Q_1..Q_{k-1},
     and X_k.  It may use block k's slot and the slots after it as scratch,
     since the loop writes Q_k there next.  It returns
     ``(r_col, r_kk, q_k, failed)``: R's column above the diagonal, the
-    diagonal block R_kk and the new block Q_k.
+    diagonal block R_kk and the new block Q_k.  The result's Q wraps the
+    workspace itself: it is already in the column-major order
+    :class:`~blockgs.blockcore.BlockMatrix` keeps, so it is not copied.
     """
     if not isinstance(x, BlockMatrix):
         raise TypeError("skeletons require a BlockMatrix input")
     s, p = x.block_width, x.block_count
-    q_data = np.full((x.m, x.cols), np.nan)
+    q_data = np.full((x.m, x.cols), np.nan, order="F")
     r = np.zeros((x.cols, x.cols))
     ledger = SyncLedger()
     out = apply_io(io_a, x.block(1), ledger=ledger, block=1)
@@ -238,7 +248,7 @@ def bcgs_a(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     def step(ledger, k, q, lo, xk):
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
-        w = xk - qprev @ s_col
+        w = project_out(xk, qprev, s_col)
         out = apply_io(io, w, ledger=ledger, block=k)
         return s_col, out.r, out.q, out.failed
 
@@ -268,10 +278,10 @@ def bcgsi_plus_a(
     def step(ledger, k, q, lo, xk):
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
-        w = xk - qprev @ s_col
+        w = project_out(xk, qprev, s_col)
         out1 = apply_io(io1, w, ledger=ledger, block=k)
         t_col = ledger.reduce(k, "proj2", qprev, out1.q)
-        v = out1.q - qprev @ t_col
+        v = project_out(out1.q, qprev, t_col)
         out2 = apply_io(io2, v, ledger=ledger, block=k)
         r_col = s_col + t_col @ out1.r
         return r_col, out2.r @ out1.r, out2.q, out1.failed or out2.failed
@@ -296,9 +306,9 @@ def bcgsi_a_3s(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     def step(ledger, k, q, lo, xk):
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
-        v = xk - qprev @ s_col
+        v = project_out(xk, qprev, s_col)
         y_col = ledger.reduce(k, "proj2", qprev, v)
-        w = v - qprev @ y_col
+        w = project_out(v, qprev, y_col)
         out = apply_io(io, w, ledger=ledger, block=k)
         return s_col + y_col, out.r, out.q, out.failed
 
@@ -316,7 +326,7 @@ def _fused_cholesky(qprev, v, y_col, omega):
     fac = chol_free(omega - y_col.T @ y_col)
     if fac.failed or np.any(np.diagonal(fac.r) == 0.0):
         return fac.r, np.full(v.shape, np.nan), True
-    return fac.r, tri_solve_right(v - qprev @ y_col, fac.r), False
+    return fac.r, tri_solve_right(project_out(v, qprev, y_col), fac.r), False
 
 
 def _fused_normalization(
@@ -353,7 +363,7 @@ def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     def step(ledger, k, q, lo, xk):
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
-        v = xk - qprev @ s_col
+        v = project_out(xk, qprev, s_col)
         y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, v)
         return s_col + y_col, y_kk, qk, failed
 
@@ -390,7 +400,7 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
             s_col = ledger.reduce(1, "proj", qprev, xk)
         else:
             s_col = s_next
-        v = xk - qprev @ s_col
+        v = project_out(xk, qprev, s_col)
         if k == x.block_count:
             y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, v)
             return s_col + y_col, y_kk, qk, failed

@@ -45,11 +45,19 @@ class SyncLedger:
         """One tall reduction ``left^T @ right``, charged to ``block``.
 
         A fused product such as ``[Q, V]^T [V, X]`` is still one call and
-        one charge: the skeletons lay its factors side by side in their Q
-        workspace and pass views of it, so nothing is stacked here.
+        one charge: the skeletons lay its factors side by side in their
+        column-major Q workspace and pass views of it, so nothing is
+        stacked here.  The product is formed as ``(R^T @ left)^T`` with
+        ``R`` a C-ordered copy of the narrow ``right``, the orientation of
+        :func:`~blockgs.blockcore.project_out`: BLAS then streams ``left``
+        in place, and the result, returned C-ordered, has the bits of
+        ``left.T @ right`` on views of a row-major workspace.  Only a
+        single-column operand, which numpy hands to gemv, may round
+        differently.
         """
         self.record(block, label, 1)
-        return left.T @ right
+        r = np.ascontiguousarray(right)
+        return np.ascontiguousarray((r.T @ left).T)
 
     @property
     def total(self) -> int:

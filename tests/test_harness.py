@@ -847,6 +847,23 @@ def test_cli_interrupted_sweep_keeps_the_previous_csv(tmp_path, monkeypatch):
     assert out.read_text() == "sentinel\n"
 
 
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_cli_failed_sweep_leaves_no_file_at_a_fresh_path(
+    tmp_path, monkeypatch, error
+):
+    out = tmp_path / "fresh.csv"
+
+    def failing(config):
+        assert out.exists()  # the --out check ran first
+        raise error
+
+    monkeypatch.setattr(harness, "run_sweep", failing)
+    with pytest.raises(error):
+        cli_main(["sweep", "--matrix", "monomial", "--kappas", "10",
+                  "--out", str(out)])
+    assert not out.exists()
+
+
 def test_cli_argparse_rejections_exit_2():
     for argv in (
         [],

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import blockgs
 from blockgs import skeletons
-from blockgs.blockcore import BlockMatrix, spectral_norm
+from blockgs.blockcore import BlockMatrix, project_out, spectral_norm
 from blockgs.harness import RunRecord, make_combo, run_single
 from blockgs.matgen import MatrixClassSpec, generate
 from blockgs.metrics import EPS, loo, rel_res
@@ -357,3 +357,75 @@ def test_degenerate_inputs_fail_cleanly(
         rec = run_single(x, make_combo(kind, **muscles))
         assert isinstance(rec, RunRecord)
         assert rec.failed == result.failed
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    s=st.integers(min_value=1, max_value=8),
+    blocks=st.integers(min_value=1, max_value=5),
+    extra_rows=st.integers(min_value=0, max_value=200),
+    layout=st.sampled_from("CF"),
+    standalone=st.booleans(),
+    batched=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_tall_products_keep_the_bits_of_the_row_major_products(
+    seed, s, blocks, extra_rows, layout, standalone, batched
+):
+    # The oracle is each product as written, ``left.T @ right`` and
+    # ``x - q @ c``, on operands that are views of a row-major workspace.
+    # The code under test gets the same values as views of a workspace in
+    # ``layout`` at the same column offsets, or as standalone copies.
+    rng = np.random.default_rng(seed)
+    lo = blocks * s
+    rows = rng.standard_normal(((blocks + 2) * s + extra_rows, lo + 2 * s))
+    work = np.array(rows, order=layout)
+    # proj: Q_prev^T X_k; batch: [Q_prev, V_k]^T [V_k, X_{k+1}].
+    hi, width = (lo + s, 2 * s) if batched else (lo, s)
+    left, right = work[:, :hi], work[:, lo : lo + width]
+    if standalone:
+        left = np.array(left, order=layout)
+        right = np.array(right, order=layout)
+    got = SyncLedger().reduce(2, "batch", left, right)
+    want = rows[:, :hi].T @ rows[:, lo : lo + width]
+    assert got.flags.c_contiguous
+    if 1 in (hi, width):
+        # A single-column operand makes numpy call gemv instead of gemm,
+        # and gemv's rounding depends on the orientation and memory layout
+        # of its operands (that of ``left.T @ right`` itself does too).
+        # The two then agree to the rounding bound of an m-term sum.
+        bound = 2 * len(rows) * EPS * (np.abs(left).T @ np.abs(right))
+        assert np.all(np.abs(got - want) <= bound)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+    x, q = work[:, lo : lo + s], work[:, :lo]
+    c = rng.standard_normal((lo, s))
+    got = project_out(x, q, c)
+    want = rows[:, lo : lo + s] - rows[:, :lo] @ c
+    if s >= 5:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # Below five columns OpenBLAS takes a different kernel for the
+        # s-by-m product ``c.T @ q.T`` than for the m-by-s ``q @ c``, so
+        # the dot products may round in another order: the two agree to
+        # the rounding bound of a lo-term sum, not bit for bit.
+        scale = np.abs(x) + np.abs(q) @ np.abs(c)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_RUNNERS))
+def test_the_result_q_is_the_column_major_workspace(monkeypatch, name):
+    # The block loop writes Q into a column-major workspace that the result
+    # wraps as it is: BlockMatrix keeps a Fortran-ordered array uncopied.
+    seen = []
+    real_reduce = SyncLedger.reduce
+
+    def spy(self, block, label, left, right):
+        seen.append(left.base)
+        return real_reduce(self, block, label, left, right)
+
+    monkeypatch.setattr(SyncLedger, "reduce", spy)
+    result = ALL_RUNNERS[name](_gaussian(m=40, p=4, s=3, seed=5))
+    assert seen and all(base is result.q.data for base in seen)
+    assert result.q.data.flags.f_contiguous

@@ -1,11 +1,17 @@
+import ast
 import dataclasses
+import types
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blockgs import blockcore, muscles, skeletons, syncmodel
 from blockgs.matgen import MatrixClassSpec, generate
-from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS
+from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS
 from blockgs.skeletons import (
+    SKELETONS,
     SkeletonKind,
     bcgs,
     bcgs_a,
@@ -186,3 +192,113 @@ def test_ledger_event_stream_is_frozen(kind, io_a):
     events = [(e.block, e.label, e.cost) for e in result.ledger.events]
     assert events == expected
     assert {k for k, _ in _FROZEN_STREAMS} == {k.value for k in SkeletonKind}
+
+
+# Ledger audit: the charges are exactly the row contractions the code forms.
+
+_TALL_LABELS = ("proj", "proj2", "batch", "io-gram")
+
+
+def _row_contraction_array(rows, log):
+    """An ndarray type that logs each matmul contracting over ``rows`` rows.
+
+    Every ufunc result with such an operand is again of this type, so the
+    blocks deflated from X or read from the Q workspace stay marked.
+    """
+
+    class RowContractions(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.matmul and method == "__call__":
+                if np.shape(inputs[0])[-1] == rows:
+                    log.append(("contract",))
+            if out is not None:
+                kwargs["out"] = tuple(np.asarray(o) for o in out)
+            result = getattr(ufunc, method)(
+                *(np.asarray(a) for a in inputs), **kwargs
+            )
+            if out is not None:
+                return out[0] if len(out) == 1 else out
+            if isinstance(result, np.ndarray):
+                return result.view(RowContractions)
+            return result
+
+    return RowContractions
+
+
+def _numpy_with(**overrides):
+    """A stand-in for the ``np`` name of one module."""
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(vars(np), **overrides)
+    return proxy
+
+
+def test_every_product_in_a_run_is_a_matmul():
+    # The audit below sees ``@`` and ``np.matmul`` only; ``ndarray.dot``,
+    # ``np.dot``, ``np.inner`` or ``np.einsum`` in a module a run goes
+    # through would slip past it.
+    names = {"dot", "vdot", "inner", "einsum", "tensordot"}
+    for module in (blockcore, muscles, skeletons, syncmodel):
+        found = [
+            node.attr
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in names
+        ]
+        assert found == [], module.__name__
+
+
+@pytest.mark.parametrize("io", sorted(IO_BY_NAME))
+@pytest.mark.parametrize("kind", list(SkeletonKind))
+def test_ledger_charges_are_the_row_contractions_the_code_forms(
+    monkeypatch, kind, io
+):
+    # Every matmul that contracts over the m rows is logged between the
+    # ledger's charges; each proj / proj2 / batch / io-gram charge must be
+    # followed by exactly one such product, and nothing else may form one.
+    # X's blocks, the Q workspace and every block deflated from them are
+    # logging arrays, and CholQR (the io-gram muscle) receives them as they
+    # are.  The column-sweep muscles (houseqr, givensqr, mgs) are charged s
+    # per call by the cost model, one reduction per column; that is a model
+    # and not counted here, so they run on plain arrays.
+    p, s = 4, 3
+    x = _well_conditioned(p=p, s=s)
+    log = []
+    marked = _row_contraction_array(x.m, log)
+    real_record = SyncLedger.record
+
+    def record(self, block, label, cost):
+        log.append(("charge", block, label))
+        return real_record(self, block, label, cost)
+
+    monkeypatch.setattr(SyncLedger, "record", record)
+    monkeypatch.setattr(
+        skeletons,
+        "np",
+        _numpy_with(full=lambda *a, **k: np.full(*a, **k).view(marked)),
+    )
+    monkeypatch.setattr(muscles, "np", _numpy_with(asarray=np.asanyarray))
+    for name, routine in list(muscles._ROUTINES.items()):
+        if name != "cholqr":
+            monkeypatch.setitem(
+                muscles._ROUTINES,
+                name,
+                lambda x, routine=routine: routine(np.asarray(x)),
+            )
+
+    x.data = x.data.view(marked)
+    spec = SKELETONS[kind]
+    slots = 1 if spec.tied else len(spec.slots)
+    result = getattr(skeletons, kind.value)(x, *[IO_BY_NAME[io]] * slots)
+    assert not result.failed
+
+    counted, charge = Counter(), None
+    for entry in log:
+        if entry[0] == "charge":
+            charge = entry[1:]
+        else:
+            counted[charge] += 1
+    charged = Counter()
+    for e in result.ledger.events:
+        if e.label in _TALL_LABELS:
+            charged[e.block, e.label] += e.cost
+    assert counted == charged
+    assert sum(counted.values()) >= p - 1
