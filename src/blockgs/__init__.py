@@ -12,7 +12,6 @@ measures stability (:mod:`blockgs.metrics`) on seeded test-matrix families
 from .blockcore import (
     BlockMatrix,
     cond_2,
-    sigma_min,
     spectral_norm,
     tri_solve_left_transposed,
     tri_solve_right,
@@ -143,7 +142,6 @@ __all__ = [
     "run_single",
     "run_sweep",
     "save_bgsm",
-    "sigma_min",
     "spectral_norm",
     "svd_with_cond",
     "sync_table",

@@ -16,7 +16,6 @@ __all__ = [
     "BlockMatrix",
     "as_matrix",
     "spectral_norm",
-    "sigma_min",
     "cond_2",
     "project_out",
     "tri_solve_left_transposed",
@@ -97,14 +96,6 @@ class BlockMatrix:
         s = self.block_width
         return self.data[:, (k - 1) * s : k * s]
 
-    def prefix(self, k: int) -> np.ndarray:
-        """Return the first ``k`` blocks as an m-by-(k*s) view."""
-        if not 0 <= k <= self.block_count:
-            raise IndexError(
-                f"prefix length {k} out of range 0..{self.block_count}"
-            )
-        return self.data[:, : k * self.block_width]
-
 
 def _singular_values(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
@@ -116,11 +107,6 @@ def _singular_values(a) -> np.ndarray:
 def spectral_norm(a) -> float:
     """Largest singular value of ``a`` (the induced 2-norm)."""
     return float(_singular_values(a)[0])
-
-
-def sigma_min(a) -> float:
-    """Smallest singular value of ``a``."""
-    return float(_singular_values(a)[-1])
 
 
 def cond_2(a) -> float:

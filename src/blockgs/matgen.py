@@ -33,7 +33,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 from scipy.special import ndtri
 
 from .blockcore import BlockMatrix, cond_2
@@ -78,13 +77,15 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
     """Uniform variates in the open interval (0, 1) with 53-bit resolution."""
-    ints = rng.integers(1, 1 << 53, size=size, dtype=np.int64)
-    return ints.astype(np.float64) / _TWO53
+    u = rng.integers(1, 1 << 53, size=size, dtype=np.int64).astype(np.float64)
+    u /= _TWO53
+    return u
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normal variates via the inverse CDF of uniform draws."""
-    return ndtri(uniform_open(rng, size))
+    u = uniform_open(rng, size)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,13 @@ def _log_sigma(kappa: float, cols: int) -> np.ndarray:
 
 
 def _compose(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """U diag(sigma) V^T."""
-    return (u * sigma) @ v.T
+    """U diag(sigma) V^T, written into a fresh column-major array.
+
+    Column-major, so :class:`BlockMatrix` takes the result without copying
+    it.
+    """
+    out = np.empty((u.shape[0], v.shape[0]), order="F")
+    return np.matmul(u * sigma, v.T, out=out)
 
 
 def svd_with_cond(
@@ -366,9 +372,13 @@ def load_bgsm(path) -> np.ndarray:
 
 def save_matrix_market(path, a) -> None:
     """Write dense MatrixMarket array text (interop with other toolchains)."""
+    import scipy.io  # not at module level: no sweep reads MatrixMarket
+
     scipy.io.mmwrite(str(path), np.asarray(a, dtype=np.float64))
 
 
 def load_matrix_market(path) -> np.ndarray:
     """Read a dense MatrixMarket array file."""
+    import scipy.io
+
     return np.asarray(scipy.io.mmread(str(path)), dtype=np.float64)

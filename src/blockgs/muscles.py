@@ -19,6 +19,10 @@ to completion, and the output is flagged ``failed`` instead of raising.
 Likewise ``mgs_qr`` returns a NaN-filled, ``failed`` output on an exactly
 zero pivot.  Downstream consumers treat failure as data.
 
+``house_qr`` calls LAPACK ``geqrf`` and ``orgqr`` on one column-major copy
+of X, which becomes Q; its Q and R equal those of numpy's QR bit for bit,
+without numpy's internal buffers.
+
 Every routine works in O(m·s) memory except ``givens_qr``: it rotates R's
 rows and an explicit m-by-m Qᵀ in one m-by-(s+m) workspace, so it needs
 O(m²).  That exception stands until the Givens muscle stops forming the
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .blockcore import tri_solve_right
 from .syncmodel import SyncLedger
@@ -120,6 +125,8 @@ def _as_block(x) -> np.ndarray:
     m, s = x.shape
     if m < s:
         raise ValueError("block wider than tall")
+    if s == 0:
+        raise ValueError("block has no columns")
     return x
 
 
@@ -146,12 +153,29 @@ def house_qr(x) -> QROutput:
 
     Unconditionally stable: the loss of orthogonality of ``q`` is O(eps)
     independent of kappa(X).  Never fails on finite full-width input.
+
+    X is copied once into a column-major m-by-s buffer.  LAPACK ``geqrf``
+    factors it in place, R is read off its upper triangle, and ``orgqr``
+    then forms Q in the same buffer, so ``q`` comes back Fortran-ordered
+    and the call holds one m-by-s copy plus O(s·nb) workspace.  Both
+    routines get their optimal (blocked) workspace from a query, as in
+    numpy's QR, whose factors Q and R then equal bit for bit; the minimal
+    workspace rounds differently on large blocks.
     """
     x = _as_block(x)
     m, s = x.shape
     if not np.isfinite(x).all():
         return _nan_output(m, s)
-    q, r = np.linalg.qr(x, mode="reduced")
+    a = np.array(x, order="F")
+    work, _ = lapack.dgeqrf_lwork(m, s)
+    a, tau, _, info = lapack.dgeqrf(a, lwork=int(work), overwrite_a=1)
+    if info != 0:
+        raise RuntimeError(f"LAPACK dgeqrf returned info={info}")
+    r = np.triu(a[:s])
+    _, work, _ = lapack.dorgqr(a, tau, lwork=-1)
+    q, _, info = lapack.dorgqr(a, tau, lwork=int(work[0]), overwrite_a=1)
+    if info != 0:
+        raise RuntimeError(f"LAPACK dorgqr returned info={info}")
     return _fix_signs(q, r)
 
 

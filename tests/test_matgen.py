@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import blockgs
 from blockgs import matgen
 from blockgs.blockcore import BlockMatrix, cond_2, spectral_norm
 from blockgs.matgen import (
@@ -327,3 +332,57 @@ def test_matrix_market_round_trip(tmp_path):
     path = tmp_path / "x.mtx"
     save_matrix_market(path, a)
     assert_allclose(load_matrix_market(path), a, rtol=1e-12, atol=0.0)
+
+
+def _python(body):
+    """Run ``body`` in a fresh interpreter that imports this ``blockgs``."""
+    env = dict(os.environ)
+    src = str(Path(blockgs.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", body], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_blockgs_leaves_scipy_io_unloaded():
+    # No sweep reads MatrixMarket, so only its two functions import it.
+    out = _python(
+        "import sys, blockgs, blockgs.harness\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))\n"
+    )
+    assert out.strip() == "[]"
+
+
+def test_default_family_wraps_the_composed_array(monkeypatch):
+    made = []
+
+    def recording(u, v, sigma):
+        made.append(compose(u, v, sigma))
+        return made[-1]
+
+    compose = matgen._compose
+    monkeypatch.setattr(matgen, "_compose", recording)
+    x = gen_default(MatrixClassSpec("default", 60, 4, 3, 5, kappa=1e6))
+    assert x.data.flags.f_contiguous
+    assert x.data is made[-1]
+
+
+def test_default_family_generation_peak_memory():
+    # Growth of the resident high-water mark while one 20000-by-200 matrix
+    # is generated, in units of the matrix's bytes.  Householder QR holds
+    # one copy of its block, so the peak is the product's U, U·diag(σ) and
+    # X: about 3.1 here.  A QR holding numpy's internal buffers reads 5.1.
+    out = _python(
+        "import resource\n"
+        "from blockgs.matgen import MatrixClassSpec, gen_default\n"
+        "def spec(m): return MatrixClassSpec('default', m, 20, 10, 42, kappa=1e8)\n"
+        "gen_default(spec(200))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "x = gen_default(spec(20000))\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) * 1024 / x.data.nbytes)\n"  # KiB on Linux
+    )
+    assert float(out) <= 3.5

@@ -14,6 +14,7 @@ from blockgs.muscles import (
     IO_BY_NAME,
     MGS,
     IOSpec,
+    QROutput,
     _fix_signs,
     apply_io,
     chol_free,
@@ -343,3 +344,58 @@ def test_givens_matches_the_two_product_loop_bit_for_bit(x):
     for a, b in ((want.q, got.q), (want.r, got.r)):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _house_oracle(x) -> QROutput:
+    """Householder QR through numpy, the routine ``house_qr`` replaced."""
+    q, r = np.linalg.qr(x, mode="reduced")
+    return _fix_signs(q, r)
+
+
+@st.composite
+def _house_blocks(draw):
+    """m-by-s blocks, m = s included, with columns scaled over 1e±8, an
+    optional zero column, in C order, F order or as a strided view."""
+    s = draw(st.integers(1, 12))
+    m = s + draw(st.sampled_from((0, 1, 2, 7, 30, 200, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((m, s)) * 10.0 ** rng.uniform(-8.0, 8.0, s)
+    if draw(st.booleans()):
+        x[:, rng.integers(s)] = 0.0
+    layout = draw(st.sampled_from(("C", "F", "view")))
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "view":
+        big = rng.standard_normal((m + 3, 2 * s + 1))
+        big[1 : m + 1, 1::2] = x
+        return big[1 : m + 1, 1::2]
+    return x
+
+
+@given(x=_house_blocks())
+@example(x=np.array([[-2.0]]))
+@example(x=np.zeros((3, 2)))
+# Wide enough for LAPACK's blocked code, where the minimal workspace
+# rounds differently from numpy's optimal one.
+@example(x=np.random.default_rng(11).standard_normal((300, 140)))
+@settings(max_examples=200, deadline=None)
+def test_house_matches_numpy_qr_bit_for_bit(x):
+    before = x.copy()
+    want, got = _house_oracle(x), house_qr(x)
+    assert x.tobytes() == before.tobytes()
+    assert not got.failed
+    assert got.q.flags.f_contiguous
+    for a, b in ((want.q, got.q), (want.r, got.r)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    bad = x.copy()
+    bad[-1, -1] = np.nan
+    out = house_qr(bad)
+    assert out.failed
+    assert np.isnan(out.q).all() and np.isnan(out.r).all()
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZERS))
+def test_muscles_reject_blocks_without_columns(name):
+    with pytest.raises(ValueError, match="block has no columns"):
+        FACTORIZERS[name](np.ones((3, 0)))
