@@ -316,7 +316,9 @@ def run_single(
         loo_v = res_v = chol_v = math.nan
     else:
         loo_v = loo(result.q)
-        res_v = rel_res(x, result.q, result.r, x_gram)
+        # Q is this run's own and read for the last time: the residual
+        # takes its storage instead of a third m-by-n array.
+        res_v = rel_res(x, result.q, result.r, x_gram, overwrite_q=True)
         chol_v = rel_chol_res(x, result.r, x_gram)
     sync_v = syncs_per_block(result) if x.block_count >= 3 else math.nan
     return _record(

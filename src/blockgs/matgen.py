@@ -144,11 +144,15 @@ def _log_sigma(kappa: float, cols: int) -> np.ndarray:
 def _compose(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """U diag(sigma) V^T, written into a fresh column-major array.
 
-    Column-major, so :class:`BlockMatrix` takes the result without copying
-    it.
+    U is scaled by sigma in its own storage, so it must be the caller's to
+    overwrite: the default family's U comes fresh from
+    :func:`~blockgs.muscles.house_qr`, and the piled family passes a copy
+    of its shared, read-only U_k.  The call then holds U and the result,
+    no third tall array.  Column-major, so :class:`BlockMatrix` takes the
+    result without copying it.
     """
     out = np.empty((u.shape[0], v.shape[0]), order="F")
-    return np.matmul(u * sigma, v.T, out=out)
+    return np.matmul(np.multiply(u, sigma, out=u), v.T, out=out)
 
 
 def svd_with_cond(
@@ -261,7 +265,8 @@ def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
     out[:, :s] = x1
     sigma = _log_sigma(spec.kappa_z, s)
     for k, (u, v) in enumerate(pairs, start=1):
-        z = _compose(u, v, sigma) / spec.kappa_z
+        # np.array keeps U_k's column-major layout, and with it the bits.
+        z = _compose(np.array(u), v, sigma) / spec.kappa_z
         np.add(out[:, (k - 1) * s : k * s], z, out=out[:, k * s : (k + 1) * s])
     return BlockMatrix(out, s, p)
 

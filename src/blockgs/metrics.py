@@ -3,7 +3,8 @@
 Three spectral-norm measures summarize a factorization X ~ Q R:
 
 * ``loo``           loss of orthogonality, ||I - Q^T Q||
-* ``rel_res``       relative residual, ||X - Q R|| / ||X||
+* ``rel_res``       relative residual, ||X - Q R|| / ||X||, for an upper
+                    triangular R
 * ``rel_chol_res``  relative Cholesky residual, ||X^T X - R^T R|| / ||X||^2
 
 No m-by-n matrix is ever handed to an SVD here.  The norm of a tall matrix
@@ -19,6 +20,10 @@ quantities (I - Q^T Q and X^T X - R^T R) keep their SVD spectral norm; the
 only SVD of a tall matrix a sweep takes is that of ``cond_2``, which needs
 sigma_min as well.  X's scale and scaled Gram matrix (:func:`scaled_gram`)
 serve both residuals; a sweep forms them once per matrix and passes them in.
+``rel_res`` forms Q R with one triangular BLAS product (``trmm``) in a
+single m-by-n buffer, which is where it then forms the residual; that
+buffer is a copy of Q unless the caller passes ``overwrite_q=True`` and
+gives Q's own storage up (a sweep does, once ``loo`` has read Q).
 
 Metrics of failed (NaN-bearing) computations are NaN, never an exception,
 so sweep curves can simply terminate the way failed runs do.  The relative
@@ -38,6 +43,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import blas
 
 from .blockcore import BlockMatrix, spectral_norm
 from .muscles import IOSpec
@@ -121,8 +127,25 @@ def scaled_gram(x) -> ScaledGram:
     return ScaledGram(e, gram, _lambda_max(gram))
 
 
-def rel_res(x, q, r, x_gram: ScaledGram | None = None) -> float:
+def rel_res(
+    x,
+    q,
+    r,
+    x_gram: ScaledGram | None = None,
+    *,
+    overwrite_q: bool = False,
+) -> float:
     """Relative residual ||X - Q R|| / ||X|| (spectral norm).
+
+    R must be upper triangular, as every QR factor is: Q R is one BLAS
+    ``trmm`` product, which reads R's upper triangle only.  A non-zero
+    entry below R's diagonal raises ``ValueError``.
+
+    The product and then the residual are formed in one m-by-n buffer: a
+    copy of Q by default.  With ``overwrite_q=True`` the buffer is Q's own
+    storage when Q is a Fortran-ordered float64 array, whose entries are
+    then destroyed; a caller that owns Q and is done with it saves one
+    m-by-n array.
 
     ``x_gram`` is :func:`scaled_gram` of X, formed here when not given.
     NaN when Q or R has non-finite entries (failed run) or X is zero.
@@ -130,9 +153,11 @@ def rel_res(x, q, r, x_gram: ScaledGram | None = None) -> float:
     xd, qd, rd = _dense(x), _dense(q), _dense(r)
     if not (np.isfinite(qd).all() and np.isfinite(rd).all()):
         return float("nan")
-    # One m-by-n buffer holds the scaled residual; it is freed before
-    # scaled_gram, when called here, allocates the scaled X.
-    buf = np.matmul(qd, rd, out=np.empty_like(xd))
+    if np.tril(rd, -1).any():
+        raise ValueError("R must be upper triangular")
+    # The buffer is freed before scaled_gram, when called here, allocates
+    # the scaled X.
+    buf = blas.dtrmm(1.0, rd, qd, side=1, overwrite_b=overwrite_q)
     np.subtract(xd, buf, out=buf)
     e_res = _binary_exponent(buf)
     np.ldexp(buf, -e_res, out=buf)

@@ -140,11 +140,15 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> QROutput:
     """Flip Q columns / R rows in place so that diag(R) >= 0.
 
     ``q`` and ``r`` must be the caller's fresh arrays, never its input.
+    Every column of Q and row of R is multiplied by +-1 in its own
+    storage: the product is exact, and no flipped columns are gathered
+    into an m-by-s temporary.
     """
     neg = np.diagonal(r) < 0.0
     if neg.any():
-        q[:, neg] *= -1.0
-        r[neg, :] *= -1.0
+        signs = np.where(neg, -1.0, 1.0)
+        q *= signs
+        r *= signs[:, np.newaxis]
     return QROutput(q, r, failed=False)
 
 
@@ -160,7 +164,11 @@ def house_qr(x) -> QROutput:
     and the call holds one m-by-s copy plus O(s·nb) workspace.  Both
     routines get their optimal (blocked) workspace from a query, as in
     numpy's QR, whose factors Q and R then equal bit for bit; the minimal
-    workspace rounds differently on large blocks.
+    workspace rounds differently on large blocks.  The ``orgqr`` query
+    also passes the buffer with ``overwrite_a``: LAPACK writes only
+    ``work(1)`` during a query, and without the flag the wrapper would
+    copy the whole buffer to read back that one number.  The sign fix
+    flips Q's columns in the same buffer.
     """
     x = _as_block(x)
     m, s = x.shape
@@ -172,7 +180,7 @@ def house_qr(x) -> QROutput:
     if info != 0:
         raise RuntimeError(f"LAPACK dgeqrf returned info={info}")
     r = np.triu(a[:s])
-    _, work, _ = lapack.dorgqr(a, tau, lwork=-1)
+    _, work, _ = lapack.dorgqr(a, tau, lwork=-1, overwrite_a=1)
     q, _, info = lapack.dorgqr(a, tau, lwork=int(work[0]), overwrite_a=1)
     if info != 0:
         raise RuntimeError(f"LAPACK dorgqr returned info={info}")

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,26 @@ def test_run_single_low_sync_on_moderate_matrix():
     assert rec.loo <= 100.0 * EPS * rec.kappa_actual**2
     assert rec.rel_res <= 100.0 * EPS
     assert rec.sync_per_block == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["bcgs", "bcgsi_plus_a", "bcgsi_a_1s"])
+def test_run_single_holds_x_q_and_block_sized_scratch(kind):
+    # With X, its conditioning and its scaled Gram formed beforehand, as a
+    # sweep does, a run holds the Q workspace and O(m·s) scratch: the
+    # residual is formed in Q's storage once loo has read it.  A separate
+    # m-by-n residual buffer reads about 2.1 here.
+    x = generate(MatrixClassSpec("default", 4000, 20, 10, 42, kappa=1e8))
+    x_gram = metrics.scaled_gram(x)
+    combo = make_combo(kind)
+    want = run_single(x, combo, kappa_actual=1e8, x_gram=x_gram)
+    tracemalloc.start()
+    try:
+        rec = run_single(x, combo, kappa_actual=1e8, x_gram=x_gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rec.failed and rec.rel_res == want.rel_res
+    assert peak <= 1.5 * x.data.nbytes
 
 
 # ---------------------------------------------------------------------------

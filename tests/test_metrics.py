@@ -116,6 +116,39 @@ def test_metrics_accept_block_matrices():
     assert rel_chol_res(x, np.eye(4)) == 0.0
 
 
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_rel_res_overwriting_q_reads_the_same_bits(order):
+    # The copying default leaves Q as it was; overwrite_q=True may form
+    # the residual in Q's own storage, and must read the same value.
+    rng = np.random.default_rng(17)
+    x = np.asfortranarray(rng.standard_normal((300, 12)))
+    out = house_qr(x)
+    q = np.array(out.q, order=order)
+    before = q.copy()
+    want = rel_res(x, q, out.r)
+    assert np.array_equal(q, before)
+    assert want > 0.0
+    assert rel_res(x, q, out.r, overwrite_q=True) == want
+
+
+def test_rel_res_of_a_nan_r_is_nan_before_the_triangle_check():
+    x = np.eye(4)
+    r = np.eye(4)
+    r[3, 0] = np.nan
+    assert math.isnan(rel_res(x, np.eye(4), r))
+    assert math.isnan(rel_res(x, np.eye(4), r, overwrite_q=True))
+
+
+def test_rel_res_rejects_a_non_triangular_r():
+    # Q R is a triangular product that reads R's upper triangle only, so
+    # an entry below the diagonal would be silently dropped.
+    x = np.eye(4)
+    r = np.eye(4)
+    r[2, 1] = 1e-300
+    with pytest.raises(ValueError, match="upper triangular"):
+        rel_res(x, np.eye(4), r)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     c=st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -393,6 +395,29 @@ def test_house_matches_numpy_qr_bit_for_bit(x):
     out = house_qr(bad)
     assert out.failed
     assert np.isnan(out.q).all() and np.isnan(out.r).all()
+
+
+def test_house_qr_holds_one_copy_of_its_block():
+    # tracemalloc sees numpy's and the LAPACK wrappers' allocations.  The
+    # block is factored and turned into Q in one column-major copy; a
+    # wrapper copy for the orgqr workspace query, or a gather of the
+    # flipped columns in the sign fix, would each add a second one.  The
+    # large diagonal makes every entry of LAPACK's diag(R) negative, so
+    # the sign fix flips all columns.
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((4000, 50))
+    x[:50] += 100.0 * np.eye(50)
+    assert x.flags.c_contiguous
+    assert (np.diagonal(np.linalg.qr(x, mode="r")) < 0.0).all()
+    house_qr(x)
+    tracemalloc.start()
+    try:
+        out = house_qr(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (np.diagonal(out.r) > 0.0).all()
+    assert peak <= 1.25 * x.nbytes
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIZERS))
