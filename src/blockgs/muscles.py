@@ -23,6 +23,12 @@ zero pivot.  Downstream consumers treat failure as data.
 of X, which becomes Q; its Q and R equal those of numpy's QR bit for bit,
 without numpy's internal buffers.
 
+``givens_qr`` issues its rotations in the staggered stages of Sameh & Kuck
+(J. ACM 1978), where column j+1 trails column j by two rows: each stage
+turns its disjoint row pairs with one stacked product of 2-by-2 rotations,
+for which numpy issues one gemm per rotation, so every bit equals that of
+rotating one row pair at a time in the bottom-up order.
+
 Every routine works in O(m·s) memory except ``givens_qr``: it rotates R's
 rows and an explicit m-by-m Qᵀ in one m-by-(s+m) workspace, so it needs
 O(m²).  That exception stands until the Givens muscle stops forming the
@@ -187,47 +193,117 @@ def house_qr(x) -> QROutput:
     return _fix_signs(q, r)
 
 
+# Stages of fewer rotations turn their row pairs one at a time: at two, the
+# stacked product and its setup cost more than two 2-by-2 products.
+_STACK_MIN = 3
+
+
+def _givens_stages(m: int, s: int):
+    """The Sameh–Kuck stages of an m-by-s Givens QR, as ``(top, j0, k)``.
+
+    Column j rotates the row pair (i-1, i) at stage t = (m-1-i) + 2j, so
+    column j+1 trails column j by two rows.  A stage's k rotations turn the
+    row pairs ``(top + 2r, top + 2r + 1)`` in column ``j0 + r`` for
+    r = 0..k-1: disjoint pairs that tile rows ``top .. top+2k-1``.  Every
+    rotation meets its two rows after the same rotations, and before the
+    same ones, as in the bottom-up, column-by-column order.  The stages,
+    m+s-2 of them when s < m, come in order.
+    """
+    t = np.arange(m - 1 + min(s - 1, m - 2))
+    j0 = np.maximum(t - m + 2, 0)
+    k = np.minimum(t // 2, s - 1) - j0 + 1
+    return zip((m - 2 - t + 2 * j0).tolist(), j0.tolist(), k.tolist())
+
+
+def _rotate_pair(
+    w: np.ndarray, top: int, j: int, s: int, rot: np.ndarray
+) -> None:
+    """One Givens rotation of rows top, top+1 of ``W = [R | Qᵀ]``, zeroing
+    ``w[top+1, j]``, with ``rot`` as its 2-by-2 scratch; nothing is done
+    when that entry is already zero.
+
+    R's part of the last column (j = s-1) is one column wide, and numpy
+    sends a one-column product to gemv, which rounds differently from
+    gemm; so that part takes its own product and Qᵀ's part a second one.
+    """
+    f, g = w[top, j], w[top + 1, j]
+    if g == 0.0:
+        return
+    h = np.hypot(f, g)
+    c, sn = f / h, g / h
+    rot[0, 0] = rot[1, 1] = c
+    rot[0, 1] = sn
+    rot[1, 0] = -sn
+    if j < s - 1:
+        w[top : top + 2, j:] = np.matmul(rot, w[top : top + 2, j:])
+    else:
+        w[top : top + 2, j:s] = np.matmul(rot, w[top : top + 2, j:s])
+        w[top : top + 2, s:] = np.matmul(rot, w[top : top + 2, s:])
+
+
 def givens_qr(x) -> QROutput:
     """QR via Givens rotations, eliminating subdiagonals column by column.
 
-    Rotations are applied bottom-up within each column, so previously
-    created zeros are preserved.  An eliminated entry is left as its
-    rounding residue: no later rotation reads it, and ``np.triu`` drops it
-    from R.  Stability class matches ``house_qr``.
+    Within each column the rotations run bottom-up, so previously created
+    zeros are preserved.  An eliminated entry is left as its rounding
+    residue: no later rotation reads it, and ``np.triu`` drops it from R.
+    Stability class matches ``house_qr``.
 
     R's rows and Qᵀ's rows share one C-order m-by-(s+m) workspace
-    ``W = [X | I]``, so each rotation turns the row pair ``W[i-1:i+1, j:]``
-    with one 2-by-2 BLAS product (gemm).  Its O(m²) memory, the same as
-    that of a separate m-by-m Qᵀ, is the one exception to the muscles'
-    O(m·s) contract.  In the last column (j = s-1) R's part of the pair is
-    one column wide, and numpy sends a one-column product to gemv, which
-    rounds differently from gemm; that column therefore keeps its own
-    product, and Qᵀ's part takes a second one.  Every output bit then
-    equals that of rotating R and Qᵀ in separate products.
+    ``W = [X | I]``.  Its O(m²) memory, the same as that of a separate
+    m-by-m Qᵀ, is the one exception to the muscles' O(m·s) contract.
+
+    The rotations are issued in the staggered order of Sameh & Kuck, "On
+    stable parallel linear system solvers" (J. ACM 1978): column j turns
+    the row pair (i-1, i) at stage (m-1-i) + 2j, so about m·s rotations
+    take m+s-2 sequential stages (``_givens_stages``).  A stage's k
+    rotations turn disjoint, adjacent row pairs, and each meets its two
+    rows in the same state as in the bottom-up loop: only independent
+    rotations are reordered.
+
+    A stage reads its f and g as a diagonal view of its rows, forms its k
+    rotations with ``np.hypot`` and divisions on length-k arrays (the
+    ufunc loops of the scalar case, so the same bits), and turns its rows
+    ``W[top:top+2k, j0:]`` with one product of a C-contiguous k×2×2
+    rotation stack, for which numpy issues one 2-by-2 gemm per rotation:
+    every element keeps the bits of a per-rotation product.  A
+    non-contiguous stack sends numpy off BLAS and changes the bits.  The
+    deeper rotations also turn columns j0..j-1 of their rows, which hold
+    residues that no later rotation reads.  R's part of column s-1 is one
+    column wide, and its per-rotation product is a gemv, which rounds
+    differently from gemm: that pair's 2-by-1 product is formed before the
+    stacked one and written back after it.  A stage of fewer than
+    ``_STACK_MIN`` rotations, or with an exactly zero g (a skipped
+    rotation), turns its pairs one at a time (``_rotate_pair``).
     """
     x = _as_block(x)
     m, s = x.shape
     if not np.isfinite(x).all():
         return _nan_output(m, s)
-    w = np.zeros((m, s + m))
+    n = s + m
+    w = np.zeros((m, n))
     w[:, :s] = x
     np.fill_diagonal(w[:, s:], 1.0)
-    rot = np.empty((2, 2))
-    for j in range(s):
-        for i in range(m - 1, j, -1):
-            f, g = w[i - 1, j], w[i, j]
-            if g == 0.0:
+    pair_rot = np.empty((2, 2))
+    for top, j0, k in _givens_stages(m, s):
+        if k >= _STACK_MIN:
+            rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
+            fg = np.diagonal(rows, axis1=0, axis2=2)
+            if np.count_nonzero(fg[1]) == k:
+                rot = np.empty((k, 2, 2))
+                np.divide(fg, np.hypot(*fg), out=rot[:, 0].T)
+                rot[:, 1, 1] = rot[:, 0, 0]
+                np.negative(rot[:, 0, 1], out=rot[:, 1, 0])
+                if j0 + k < s:
+                    rows[...] = np.matmul(rot, rows)
+                else:
+                    col = slice(s - 1 - j0, s - j0)
+                    last = np.matmul(rot[-1], rows[-1, :, col])
+                    rows[...] = np.matmul(rot, rows)
+                    rows[-1, :, col] = last
                 continue
-            h = np.hypot(f, g)
-            c, sn = f / h, g / h
-            rot[0, 0] = rot[1, 1] = c
-            rot[0, 1] = sn
-            rot[1, 0] = -sn
-            if j < s - 1:
-                w[i - 1 : i + 1, j:] = rot @ w[i - 1 : i + 1, j:]
-            else:
-                w[i - 1 : i + 1, j:s] = rot @ w[i - 1 : i + 1, j:s]
-                w[i - 1 : i + 1, s:] = rot @ w[i - 1 : i + 1, s:]
+        for r in range(k):
+            _rotate_pair(w, top + 2 * r, j0 + r, s, pair_rot)
     q = w[:s, s:].T.copy()
     r = np.triu(w[:s, :s])
     return _fix_signs(q, r)

@@ -54,6 +54,12 @@ class SyncLedger:
         ``left.T @ right`` on views of a row-major workspace.  Only a
         single-column operand, which numpy hands to gemv, may round
         differently.
+
+        The copy of ``right`` holds those bits, even when ``right`` is
+        already a column-major view: passing such a view uncopied changes
+        the BLAS call numpy makes, and with it the digits of ``loo``,
+        ``rel_res`` and ``rel_chol_res`` in every piled-calib row at
+        s = 5 (and the ``failed`` flag of two).
         """
         self.record(block, label, 1)
         r = np.ascontiguousarray(right)

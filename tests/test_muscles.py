@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from blockgs import muscles
 from blockgs.blockcore import cond_2, spectral_norm
-from blockgs.matgen import svd_with_cond
+from blockgs.matgen import MatrixClassSpec, generate, svd_with_cond
 from blockgs.metrics import EPS, loo, rel_res
 from blockgs.muscles import (
     CHOL_QR,
@@ -18,6 +20,7 @@ from blockgs.muscles import (
     IOSpec,
     QROutput,
     _fix_signs,
+    _givens_stages,
     apply_io,
     chol_free,
     chol_qr,
@@ -313,8 +316,8 @@ def _givens_oracle(x):
 def _givens_blocks(draw):
     """m-by-s blocks with exact zeros, zero or duplicated columns, 2^±300
     scaling, in C order, F order or as a view into a larger array."""
-    m = draw(st.integers(1, 40))
-    s = draw(st.integers(1, min(m, 6)))
+    m = draw(st.integers(1, 120))
+    s = draw(st.integers(1, min(m, 10)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((m, s))
     x[rng.random((m, s)) < draw(st.sampled_from((0.0, 0.3, 0.8)))] = 0.0
@@ -335,10 +338,34 @@ def _givens_blocks(draw):
     return x
 
 
+def _muscle_grid_block(matrix_class, **knobs):
+    """The first 100-by-5 block of a muscle-grid matrix (m=100, p=10, s=5),
+    a view into its column-major data."""
+    spec = MatrixClassSpec(matrix_class, m=100, p=10, s=5, seed=42, **knobs)
+    return generate(spec).data[:, :5]
+
+
+def _alternate_zero_rows(m, s):
+    """Exact zero rows at even indices.  The first columns' rotations swap
+    them downwards, so at 20-by-5 a later stage of three or more rotations
+    meets an exactly zero g in its middle and falls back to turning its
+    pairs one at a time.  (Zeros in alternate rows of a single column do
+    not reach a stage's middle: the earlier columns' rotations fill them.)"""
+    x = np.arange(1.0, m * s + 1.0).reshape(m, s)
+    x[::2] = 0.0
+    return x
+
+
 @given(x=_givens_blocks())
 @example(x=np.array([[-2.0]]))
 @example(x=np.array([[3.0], [0.0], [4.0]]))
 @example(x=np.triu(np.arange(1.0, 37.0).reshape(6, 6)).T.copy())
+@example(x=_muscle_grid_block("default", kappa=1e14))
+@example(x=_muscle_grid_block("monomial", t=50))
+@example(x=np.random.default_rng(10).standard_normal((60, 10)))
+@example(x=_alternate_zero_rows(20, 5))
+@example(x=np.random.default_rng(12).standard_normal((12, 12)))
+@example(x=np.random.default_rng(1).standard_normal((40, 1)))
 @settings(max_examples=300, deadline=None)
 def test_givens_matches_the_two_product_loop_bit_for_bit(x):
     want, got = _givens_oracle(x), givens_qr(x)
@@ -346,6 +373,64 @@ def test_givens_matches_the_two_product_loop_bit_for_bit(x):
     for a, b in ((want.q, got.q), (want.r, got.r)):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_givens_stages_reorder_the_bottom_up_rotations():
+    # Rotation (j, i) turns rows i-1, i to zero entry (i, j).  The stages
+    # hold every rotation of the bottom-up, column-by-column loop once, in
+    # disjoint row pairs that tile a contiguous block of rows, and two
+    # rotations that share a row keep their order from that loop.
+    for m in range(1, 31):
+        for s in range(1, m + 1):
+            stage_of = {}
+            stages = list(_givens_stages(m, s))
+            assert len(stages) <= m + 2 * s - 3
+            for t, (top, j0, k) in enumerate(stages):
+                assert k >= 1
+                rows = []
+                for r in range(k):
+                    j, i = j0 + r, top + 2 * r + 1
+                    assert (j, i) not in stage_of
+                    stage_of[j, i] = t
+                    rows += [i - 1, i]
+                assert rows == list(range(top, top + 2 * k))
+            bottom_up = [(j, i) for j in range(s) for i in range(m - 1, j, -1)]
+            assert sorted(stage_of) == sorted(bottom_up)
+            for row in range(m):
+                turns = [
+                    stage_of[j, i] for j, i in bottom_up if row in (i - 1, i)
+                ]
+                assert turns == sorted(set(turns)), (m, s, row)
+
+
+def test_givens_turns_each_stage_with_one_product(monkeypatch):
+    # Every product of ``givens_qr`` reads its workspace, so marking the
+    # workspace counts them all, written as ``@`` or as ``np.matmul``.
+    # Turning one row pair at a time takes about m·s of them (580 at
+    # 100-by-5, column s-1 taking two per rotation); the staged loop takes
+    # one per stage of m+s-2, plus column s-1's one-column product.
+    products = []
+
+    class Marked(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.matmul:
+                products.append(ufunc)
+            if out is not None:
+                kwargs["out"] = tuple(np.asarray(o) for o in out)
+            return getattr(ufunc, method)(
+                *(np.asarray(a) for a in inputs), **kwargs
+            )
+
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(
+        vars(np), zeros=lambda *a, **k: np.zeros(*a, **k).view(Marked)
+    )
+    monkeypatch.setattr(muscles, "np", proxy)
+    m, s = 100, 5
+    x = np.random.default_rng(8).standard_normal((m, s))
+    out = givens_qr(x)
+    assert rel_res(x, np.asarray(out.q), np.asarray(out.r)) <= 100.0 * EPS
+    assert 0 < len(products) <= 2 * (m + s)
 
 
 def _house_oracle(x) -> QROutput:
