@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "BlockMatrix",
@@ -138,40 +138,65 @@ def _check_triangle(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("triangular factor must be square")
-    if np.any(np.diagonal(r) == 0.0):
+    if np.count_nonzero(np.diagonal(r)) < r.shape[0]:
         raise ValueError("singular triangular factor")
     return r
+
+
+def _solve_upper_transposed(r, b) -> np.ndarray:
+    """Solve ``R^T Z = B`` with LAPACK ``trtrs``, exactly as
+    ``scipy.linalg.solve_triangular(r, b, trans="T")`` calls it.
+
+    LAPACK reads the factor column-major.  A Fortran-ordered ``R`` goes in
+    as it is, as an upper triangle to be transposed; any other ``R`` goes in
+    as ``R^T``, whose column-major form is ``R``'s row-major data without a
+    copy, as a lower triangle that is not transposed.  Calling ``trtrs``
+    directly skips ``solve_triangular``'s batch and array-API wrappers; the
+    solve, and so every bit, is the same.  ``B`` is copied, never
+    overwritten, and ``Z`` comes back Fortran-ordered.  The two public
+    solves share this helper rather than one calling the other, so a
+    wrapper around either (as a tracer adds) counts each solve once.
+    """
+    r = _check_triangle(r)
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape[0] != r.shape[0]:
+        raise ValueError(
+            f"shapes of the factor {r.shape} and right-hand side {b.shape}"
+            " are incompatible"
+        )
+    if r.flags.f_contiguous:
+        z, info = lapack.dtrtrs(r, b, lower=0, trans=1)
+    else:
+        z, info = lapack.dtrtrs(r.T, b, lower=1, trans=0)
+    if info != 0:
+        raise RuntimeError(f"LAPACK dtrtrs returned info={info}")
+    return z
 
 
 def tri_solve_left_transposed(r, b) -> np.ndarray:
     """Solve ``R^T Z = B`` for ``Z`` with ``R`` upper triangular.
 
-    Forward substitution on the transposed factor.  NaN/Inf entries in
-    either argument propagate into the result instead of raising, so failed
-    upstream computations flow through unchanged.  An exactly zero diagonal
-    entry of ``R`` raises ``ValueError``: called directly, the solve treats
-    a singular factor as a caller error.  The skeletons test for a zero
-    pivot before they call it and report it as a failed run instead.
+    Forward substitution on the transposed factor, one LAPACK ``trtrs``
+    call (``_solve_upper_transposed``).  NaN/Inf entries in either argument
+    propagate into the result instead of raising, so failed upstream
+    computations flow through unchanged.  An exactly zero diagonal entry of
+    ``R`` raises ``ValueError``: called directly, the solve treats a
+    singular factor as a caller error.  The skeletons test for a zero pivot
+    before they call it and report it as a failed run instead.
     """
-    r = _check_triangle(r)
-    b = np.asarray(b, dtype=np.float64)
-    return scipy.linalg.solve_triangular(
-        r, b, trans="T", lower=False, check_finite=False
-    )
+    return _solve_upper_transposed(r, b)
 
 
 def tri_solve_right(b, r) -> np.ndarray:
     """Solve ``Z R = B`` for ``Z`` with ``R`` upper triangular.
 
-    Back substitution applied from the right (equivalently, forward
-    substitution of ``R^T Z^T = B^T``).  Non-finite entries propagate.  An
-    exactly zero diagonal entry of ``R`` raises ``ValueError``; the
-    skeletons and ``chol_qr`` test for a zero pivot before they call it
-    and report a failed run instead.
+    Back substitution applied from the right, computed as the forward
+    substitution ``R^T Z^T = B^T`` of one LAPACK ``trtrs`` call
+    (``_solve_upper_transposed``); ``Z`` comes back C-ordered, the
+    transpose of ``trtrs``'s column-major ``Z^T``.  Non-finite entries
+    propagate.  An exactly zero diagonal entry of ``R`` raises
+    ``ValueError``; the skeletons and ``chol_qr`` test for a zero pivot
+    before they call it and report a failed run instead.
     """
-    r = _check_triangle(r)
     b = np.asarray(b, dtype=np.float64)
-    zt = scipy.linalg.solve_triangular(
-        r, b.T, trans="T", lower=False, check_finite=False
-    )
-    return np.ascontiguousarray(zt.T)
+    return np.ascontiguousarray(_solve_upper_transposed(r, b.T).T)

@@ -27,7 +27,11 @@ without numpy's internal buffers.
 (J. ACM 1978), where column j+1 trails column j by two rows: each stage
 turns its disjoint row pairs with one stacked product of 2-by-2 rotations,
 for which numpy issues one gemm per rotation, so every bit equals that of
-rotating one row pair at a time in the bottom-up order.
+rotating one row pair at a time in the bottom-up order.  What does not
+depend on the stage is set up once per call: the flattened workspace whose
+strided slices give a stage's pivots, and one rotation stack per stage
+width with the views its entries are written through.  The stage schedule
+is cached per shape.
 
 Every routine works in O(m·s) memory except ``givens_qr``: it rotates R's
 rows and an explicit m-by-m Qᵀ in one m-by-(s+m) workspace, so it needs
@@ -37,6 +41,7 @@ full Qᵀ.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -193,12 +198,14 @@ def house_qr(x) -> QROutput:
     return _fix_signs(q, r)
 
 
-# Stages of fewer rotations turn their row pairs one at a time: at two, the
-# stacked product and its setup cost more than two 2-by-2 products.
-_STACK_MIN = 3
+# A stage of one rotation turns its row pair alone: there the stacked
+# product and its setup cost more than one 2-by-2 product.  With the stacks
+# and their views made once per call, two rotations already gain.
+_STACK_MIN = 2
 
 
-def _givens_stages(m: int, s: int):
+@functools.lru_cache(maxsize=16)
+def _givens_stages(m: int, s: int) -> tuple[tuple[int, int, int], ...]:
     """The Sameh–Kuck stages of an m-by-s Givens QR, as ``(top, j0, k)``.
 
     Column j rotates the row pair (i-1, i) at stage t = (m-1-i) + 2j, so
@@ -207,12 +214,13 @@ def _givens_stages(m: int, s: int):
     r = 0..k-1: disjoint pairs that tile rows ``top .. top+2k-1``.  Every
     rotation meets its two rows after the same rotations, and before the
     same ones, as in the bottom-up, column-by-column order.  The stages,
-    m+s-2 of them when s < m, come in order.
+    m+s-2 of them when s < m, come in order, as one immutable tuple that
+    is computed once per shape.
     """
     t = np.arange(m - 1 + min(s - 1, m - 2))
     j0 = np.maximum(t - m + 2, 0)
     k = np.minimum(t // 2, s - 1) - j0 + 1
-    return zip((m - 2 - t + 2 * j0).tolist(), j0.tolist(), k.tolist())
+    return tuple(zip((m - 2 - t + 2 * j0).tolist(), j0.tolist(), k.tolist()))
 
 
 def _rotate_pair(
@@ -241,6 +249,14 @@ def _rotate_pair(
         w[top : top + 2, s:] = np.matmul(rot, w[top : top + 2, s:])
 
 
+def _rotation_stack(k: int):
+    """A C-contiguous k×2×2 rotation stack with the views a stage writes
+    through: c and s (first rows), c again and -s (second rows), and the
+    last rotation."""
+    rot = np.empty((k, 2, 2))
+    return rot, rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 1], rot[:, 1, 0], rot[-1]
+
+
 def givens_qr(x) -> QROutput:
     """QR via Givens rotations, eliminating subdiagonals column by column.
 
@@ -261,20 +277,26 @@ def givens_qr(x) -> QROutput:
     rows in the same state as in the bottom-up loop: only independent
     rotations are reordered.
 
-    A stage reads its f and g as a diagonal view of its rows, forms its k
-    rotations with ``np.hypot`` and divisions on length-k arrays (the
-    ufunc loops of the scalar case, so the same bits), and turns its rows
-    ``W[top:top+2k, j0:]`` with one product of a C-contiguous k×2×2
-    rotation stack, for which numpy issues one 2-by-2 gemm per rotation:
-    every element keeps the bits of a per-rotation product.  A
-    non-contiguous stack sends numpy off BLAS and changes the bits.  The
-    deeper rotations also turn columns j0..j-1 of their rows, which hold
-    residues that no later rotation reads.  R's part of column s-1 is one
-    column wide, and its per-rotation product is a gemv, which rounds
-    differently from gemm: that pair's 2-by-1 product is formed before the
-    stacked one and written back after it.  A stage of fewer than
-    ``_STACK_MIN`` rotations, or with an exactly zero g (a skipped
-    rotation), turns its pairs one at a time (``_rotate_pair``).
+    A stage reads its f and g as two strided slices of the flattened
+    workspace (entry (top+2r, j0+r) lies 2(s+m)+1 elements after entry
+    (top+2r-2, j0+r-1)), forms its k rotations with ``np.hypot`` and
+    divisions on length-k arrays (the ufunc loops of the scalar case, so
+    the same bits), and turns its rows ``W[top:top+2k, j0:]`` with one
+    product of a C-contiguous k×2×2 rotation stack, for which numpy issues
+    one 2-by-2 gemm per rotation: every element keeps the bits of a
+    per-rotation product.  One stack per stage width, with the views its
+    entries are written through, is made once per call.  A non-contiguous
+    stack sends numpy off BLAS and changes the bits.  The product is
+    written back rather than passed ``out=`` the rows it reads: numpy then
+    copies the overlapping operand first, which costs more.  The deeper
+    rotations also turn columns j0..j-1 of their rows, which hold residues
+    that no later rotation reads.  R's part of column s-1 is one column
+    wide, and its per-rotation product is a gemv, which rounds differently
+    from gemm: that pair's 2-vector, the stage's last f and g, is turned by
+    its own product before the stacked one and written back after it.  A
+    stage of fewer than ``_STACK_MIN`` rotations, or with an exactly zero
+    g (a skipped rotation), turns its pairs one at a time
+    (``_rotate_pair``).
     """
     x = _as_block(x)
     m, s = x.shape
@@ -284,23 +306,31 @@ def givens_qr(x) -> QROutput:
     w = np.zeros((m, n))
     w[:, :s] = x
     np.fill_diagonal(w[:, s:], 1.0)
+    flat = w.reshape(-1)
+    step = 2 * n + 1
+    stacks = {k: _rotation_stack(k) for k in range(_STACK_MIN, s + 1)}
     pair_rot = np.empty((2, 2))
     for top, j0, k in _givens_stages(m, s):
         if k >= _STACK_MIN:
-            rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
-            fg = np.diagonal(rows, axis1=0, axis2=2)
-            if np.count_nonzero(fg[1]) == k:
-                rot = np.empty((k, 2, 2))
-                np.divide(fg, np.hypot(*fg), out=rot[:, 0].T)
-                rot[:, 1, 1] = rot[:, 0, 0]
-                np.negative(rot[:, 0, 1], out=rot[:, 1, 0])
+            a = top * n + j0
+            b = a + (k - 1) * step + 1
+            g = flat[a + n : b + n : step]
+            if np.count_nonzero(g) == k:
+                rot, c, sn, c2, nsn, last_rot = stacks[k]
+                f = flat[a:b:step]
+                h = np.hypot(f, g)
+                np.divide(f, h, out=c)
+                np.divide(g, h, out=sn)
+                c2[...] = c
+                np.negative(sn, out=nsn)
+                rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
                 if j0 + k < s:
                     rows[...] = np.matmul(rot, rows)
                 else:
-                    col = slice(s - 1 - j0, s - j0)
-                    last = np.matmul(rot[-1], rows[-1, :, col])
+                    col = flat[b - 1 : b + n : n]
+                    last = np.matmul(last_rot, col)
                     rows[...] = np.matmul(rot, rows)
-                    rows[-1, :, col] = last
+                    col[...] = last
                 continue
         for r in range(k):
             _rotate_pair(w, top + 2 * r, j0 + r, s, pair_rot)

@@ -113,6 +113,74 @@ def test_tri_solves_propagate_nan_payload():
     assert np.isnan(z[0, 0]) and z[1, 1] == 1.0
 
 
+def _laid_out(a, layout, rng):
+    """``a`` in C order, in F order or as a strided view into a larger
+    array."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "view":
+        rows, cols = a.shape
+        big = rng.standard_normal((2 * rows + 1, cols + 3))
+        big[1::2, 2 : cols + 2] = a
+        return big[1::2, 2 : cols + 2]
+    return np.ascontiguousarray(a)
+
+
+@st.composite
+def _tri_systems(draw):
+    """An s-by-s upper triangular factor, with junk below its diagonal, an
+    m-by-s right-hand side for the right solve and an s-by-q one for the
+    left solve; optional NaN entries, each array in any layout."""
+    s = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 300))
+    q = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = rng.standard_normal((s, s))
+    r[np.diag_indices(s)] += np.where(r.diagonal() < 0.0, -1.0, 1.0)
+    r *= draw(st.sampled_from((1.0, 1e-8, 1e8)))
+    b_right = rng.standard_normal((m, s))
+    b_left = rng.standard_normal((s, q))
+    if draw(st.booleans()):
+        for a in (r, b_right, b_left):
+            a.flat[rng.integers(a.size)] = np.nan
+    layouts = st.sampled_from(("C", "F", "view"))
+    return tuple(
+        _laid_out(a, draw(layouts), rng) for a in (r, b_right, b_left)
+    )
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a), np.signbit(b)
+    )
+
+
+@given(system=_tri_systems())
+@settings(max_examples=200, deadline=None)
+def test_tri_solves_match_solve_triangular_bit_for_bit(system):
+    r, b_right, b_left = system
+    inputs = [a.copy() for a in system]
+    z = tri_solve_right(b_right, r)
+    want = scipy.linalg.solve_triangular(
+        r, b_right.T, trans="T", lower=False, check_finite=False
+    ).T
+    assert z.flags.c_contiguous and _same_bits(z, want)
+    z = tri_solve_left_transposed(r, b_left)
+    want = scipy.linalg.solve_triangular(
+        r, b_left, trans="T", lower=False, check_finite=False
+    )
+    assert _same_bits(z, want)
+    assert all(_same_bits(a, b) for a, b in zip(system, inputs))
+
+
+def test_tri_solves_reject_mismatched_shapes():
+    r = np.eye(3)
+    with pytest.raises(ValueError, match="incompatible"):
+        tri_solve_left_transposed(r, np.ones((2, 1)))
+    with pytest.raises(ValueError, match="incompatible"):
+        tri_solve_right(np.ones((1, 2)), r)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_tri_solve_residuals_random(seed):

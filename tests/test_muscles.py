@@ -338,11 +338,11 @@ def _givens_blocks(draw):
     return x
 
 
-def _muscle_grid_block(matrix_class, **knobs):
-    """The first 100-by-5 block of a muscle-grid matrix (m=100, p=10, s=5),
-    a view into its column-major data."""
+def _muscle_grid_block(matrix_class, width=5, **knobs):
+    """The first ``width`` columns of a muscle-grid matrix (m=100, p=10,
+    s=5), a view into its column-major data."""
     spec = MatrixClassSpec(matrix_class, m=100, p=10, s=5, seed=42, **knobs)
-    return generate(spec).data[:, :5]
+    return generate(spec).data[:, :width]
 
 
 def _alternate_zero_rows(m, s):
@@ -362,6 +362,8 @@ def _alternate_zero_rows(m, s):
 @example(x=np.triu(np.arange(1.0, 37.0).reshape(6, 6)).T.copy())
 @example(x=_muscle_grid_block("default", kappa=1e14))
 @example(x=_muscle_grid_block("monomial", t=50))
+@example(x=_muscle_grid_block("default", width=1, kappa=1e14))
+@example(x=_muscle_grid_block("monomial", width=2, t=50))
 @example(x=np.random.default_rng(10).standard_normal((60, 10)))
 @example(x=_alternate_zero_rows(20, 5))
 @example(x=np.random.default_rng(12).standard_normal((12, 12)))
@@ -401,6 +403,14 @@ def test_givens_stages_reorder_the_bottom_up_rotations():
                     stage_of[j, i] for j, i in bottom_up if row in (i - 1, i)
                 ]
                 assert turns == sorted(set(turns)), (m, s, row)
+
+
+def test_givens_stages_are_one_tuple_per_shape():
+    stages = _givens_stages(100, 5)
+    assert _givens_stages(100, 5) is stages
+    assert isinstance(stages, tuple)
+    assert all(type(stage) is tuple for stage in stages)
+    assert stages[0] == (98, 0, 1) and len(stages) == 103
 
 
 def test_givens_turns_each_stage_with_one_product(monkeypatch):
