@@ -7,65 +7,22 @@ with a ledger of simulated global reductions (:mod:`blockgs.syncmodel`),
 measures stability (:mod:`blockgs.metrics`) on seeded test-matrix families
 (:mod:`blockgs.matgen`), and drives condition-number sweeps from a CLI
 (:mod:`blockgs.harness`).
+
+The package exports every name in the ``__all__`` of the six library
+modules, bound here at import, and the harness names below, which are
+resolved on first use.
 """
 
-from .blockcore import (
-    BlockMatrix,
-    cond_2,
-    spectral_norm,
-    tri_solve_left_transposed,
-    tri_solve_right,
-)
-from .matgen import (
-    MatrixClassSpec,
-    calibrate_piled,
-    gen_default,
-    gen_monomial,
-    gen_piled,
-    generate,
-    load_bgsm,
-    save_bgsm,
-    svd_with_cond,
-)
-from .metrics import (
-    C_TOL,
-    EPS,
-    BoundSpec,
-    bound_envelope,
-    bound_for,
-    loo,
-    rel_chol_res,
-    rel_res,
-)
-from .muscles import (
-    CHOL_QR,
-    GIVENS_QR,
-    HOUSE_QR,
-    IO_BY_NAME,
-    MGS,
-    IOSpec,
-    QROutput,
-    apply_io,
-    chol_free,
-    chol_qr,
-    givens_qr,
-    house_qr,
-    mgs_qr,
-)
-from .skeletons import (
-    BGSResult,
-    SkeletonKind,
-    bcgs,
-    bcgs_a,
-    bcgsi_a_1s,
-    bcgsi_a_2s,
-    bcgsi_a_3s,
-    bcgsi_plus,
-    bcgsi_plus_a,
-)
-from .syncmodel import SyncEvent, SyncLedger, syncs_per_block
+from . import blockcore, matgen, metrics, muscles, skeletons, syncmodel
 
 __version__ = "0.1.0"
+
+_LIBRARY = {
+    name: getattr(module, name)
+    for module in (blockcore, matgen, metrics, muscles, skeletons, syncmodel)
+    for name in module.__all__
+}
+globals().update(_LIBRARY)
 
 # The harness is imported on first use, not here: ``python -m
 # blockgs.harness`` imports this package before it runs the harness as
@@ -83,6 +40,8 @@ _HARNESS_NAMES = (
     "write_csv",
 )
 
+__all__ = [*_LIBRARY, *_HARNESS_NAMES]
+
 
 def __getattr__(name: str):
     if name in _HARNESS_NAMES:
@@ -90,63 +49,3 @@ def __getattr__(name: str):
 
         return getattr(harness, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "BGSResult",
-    "BlockMatrix",
-    "BoundSpec",
-    "C_TOL",
-    "CHOL_QR",
-    "Combo",
-    "ConfigError",
-    "EPS",
-    "GIVENS_QR",
-    "HOUSE_QR",
-    "IO_BY_NAME",
-    "IOSpec",
-    "MGS",
-    "MatrixClassSpec",
-    "QROutput",
-    "RunRecord",
-    "SkeletonKind",
-    "SweepConfig",
-    "SyncEvent",
-    "SyncLedger",
-    "apply_io",
-    "bcgs",
-    "bcgs_a",
-    "bcgsi_a_1s",
-    "bcgsi_a_2s",
-    "bcgsi_a_3s",
-    "bcgsi_plus",
-    "bcgsi_plus_a",
-    "bound_envelope",
-    "bound_for",
-    "calibrate_piled",
-    "check_bounds",
-    "chol_free",
-    "chol_qr",
-    "cond_2",
-    "gen_default",
-    "gen_monomial",
-    "gen_piled",
-    "generate",
-    "givens_qr",
-    "house_qr",
-    "load_bgsm",
-    "loo",
-    "make_combo",
-    "mgs_qr",
-    "rel_chol_res",
-    "rel_res",
-    "run_single",
-    "run_sweep",
-    "save_bgsm",
-    "spectral_norm",
-    "svd_with_cond",
-    "sync_table",
-    "syncs_per_block",
-    "tri_solve_left_transposed",
-    "tri_solve_right",
-    "write_csv",
-]

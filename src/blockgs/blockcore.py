@@ -18,18 +18,16 @@ __all__ = [
     "spectral_norm",
     "cond_2",
     "project_out",
+    "zero_pivot",
     "tri_solve_left_transposed",
     "tri_solve_right",
 ]
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-d float64 array in column-major order.
-
-    Copies only when the input is not already a Fortran-ordered float64
-    array.  One-dimensional input is rejected rather than promoted, so that
-    shape bugs surface at the boundary instead of deep inside a solver.
-    """
+    """Coerce ``a`` to a 2-d float64 array in column-major order, copying
+    only when it is not one already.  Raises ``ValueError`` unless ``a`` is
+    2-d."""
     out = np.asfortranarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={out.ndim}")
@@ -40,15 +38,10 @@ def as_matrix(a) -> np.ndarray:
 class BlockMatrix:
     """A tall m-by-(p*s) matrix partitioned into ``p`` blocks of ``s`` columns.
 
-    Parameters
-    ----------
-    data : array_like
-        The full matrix, m rows by p*s columns, with m >= p*s.
-    block_width : int
-        Columns per block (``s``).
-    block_count : int, optional
-        Number of blocks (``p``).  Inferred from the column count when
-        omitted; validated against it when given.
+    ``data`` (m >= p*s) is kept column-major, copied only when it is not
+    so already.  ``block_width`` is s; ``block_count`` is p, inferred from
+    the column count when 0.  A bad partition or a wide matrix raises
+    ``ValueError``.
     """
 
     data: np.ndarray
@@ -119,43 +112,43 @@ def cond_2(a) -> float:
 
 
 def project_out(x, q, c) -> np.ndarray:
-    """Deflate ``X - Q C`` for tall m-by-s ``X`` and m-by-n ``Q``.
+    """Deflate ``X - Q C`` for tall m-by-s ``X``, m-by-n ``Q``, n-by-s ``C``.
 
-    The product is formed as ``C^T Q^T``, the orientation of
-    :meth:`~blockgs.syncmodel.SyncLedger.reduce`, so BLAS reads a
-    column-major ``Q`` in place, and the subtraction runs in place on the
-    transposes.  The result is the transpose of a C-ordered s-by-m array,
-    that is an m-by-s Fortran-ordered matrix.  For s >= 5 every bit equals
-    that of ``x - q @ c``; for narrower blocks BLAS takes another kernel
-    for one of the two orientations, and the last bits may differ.
+    Formed as ``(X^T - C^T Q^T)^T`` in one s-by-m buffer, the orientation
+    of :meth:`~blockgs.syncmodel.SyncLedger.reduce`, so a column-major
+    ``Q`` is read in place; the result is Fortran-ordered.  For s >= 5 its
+    bits equal those of ``x - q @ c``; narrower blocks may differ in the
+    last bits.
     """
     t = c.T @ q.T
     np.subtract(x.T, t, out=t)
     return t.T
 
 
+def zero_pivot(r: np.ndarray) -> bool:
+    """True when the square factor ``r`` has an exactly zero (+0 or -0)
+    diagonal entry.  A NaN pivot is not zero."""
+    return np.count_nonzero(np.diagonal(r)) < r.shape[0]
+
+
 def _check_triangle(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("triangular factor must be square")
-    if np.count_nonzero(np.diagonal(r)) < r.shape[0]:
+    if zero_pivot(r):
         raise ValueError("singular triangular factor")
     return r
 
 
 def _solve_upper_transposed(r, b) -> np.ndarray:
-    """Solve ``R^T Z = B`` with LAPACK ``trtrs``, exactly as
-    ``scipy.linalg.solve_triangular(r, b, trans="T")`` calls it.
+    """Solve ``R^T Z = B`` with one LAPACK ``trtrs`` call: the call, and so
+    the bits, of ``scipy.linalg.solve_triangular(r, b, trans="T")``.
 
-    LAPACK reads the factor column-major.  A Fortran-ordered ``R`` goes in
-    as it is, as an upper triangle to be transposed; any other ``R`` goes in
-    as ``R^T``, whose column-major form is ``R``'s row-major data without a
-    copy, as a lower triangle that is not transposed.  Calling ``trtrs``
-    directly skips ``solve_triangular``'s batch and array-API wrappers; the
-    solve, and so every bit, is the same.  ``B`` is copied, never
-    overwritten, and ``Z`` comes back Fortran-ordered.  The two public
-    solves share this helper rather than one calling the other, so a
-    wrapper around either (as a tracer adds) counts each solve once.
+    A Fortran-ordered ``R`` goes in as an upper triangle to be transposed,
+    any other as ``R^T`` (``R``'s row-major data, uncopied), a lower
+    triangle.  ``B`` is copied, never overwritten; ``Z`` comes back
+    Fortran-ordered.  Both public solves call this helper rather than each
+    other, so a wrapper around either counts each solve once.
     """
     r = _check_triangle(r)
     b = np.asarray(b, dtype=np.float64)
@@ -176,13 +169,10 @@ def _solve_upper_transposed(r, b) -> np.ndarray:
 def tri_solve_left_transposed(r, b) -> np.ndarray:
     """Solve ``R^T Z = B`` for ``Z`` with ``R`` upper triangular.
 
-    Forward substitution on the transposed factor, one LAPACK ``trtrs``
-    call (``_solve_upper_transposed``).  NaN/Inf entries in either argument
-    propagate into the result instead of raising, so failed upstream
-    computations flow through unchanged.  An exactly zero diagonal entry of
-    ``R`` raises ``ValueError``: called directly, the solve treats a
-    singular factor as a caller error.  The skeletons test for a zero pivot
-    before they call it and report it as a failed run instead.
+    Forward substitution, one LAPACK ``trtrs`` call.  NaN/Inf entries in
+    either argument propagate into ``Z``.  A non-square ``R``, mismatched
+    shapes or an exactly zero diagonal entry of ``R`` (see
+    :func:`zero_pivot`) raise ``ValueError``.
     """
     return _solve_upper_transposed(r, b)
 
@@ -190,13 +180,9 @@ def tri_solve_left_transposed(r, b) -> np.ndarray:
 def tri_solve_right(b, r) -> np.ndarray:
     """Solve ``Z R = B`` for ``Z`` with ``R`` upper triangular.
 
-    Back substitution applied from the right, computed as the forward
-    substitution ``R^T Z^T = B^T`` of one LAPACK ``trtrs`` call
-    (``_solve_upper_transposed``); ``Z`` comes back C-ordered, the
-    transpose of ``trtrs``'s column-major ``Z^T``.  Non-finite entries
-    propagate.  An exactly zero diagonal entry of ``R`` raises
-    ``ValueError``; the skeletons and ``chol_qr`` test for a zero pivot
-    before they call it and report a failed run instead.
+    Computed as the forward substitution ``R^T Z^T = B^T``, one LAPACK
+    ``trtrs`` call; ``Z`` comes back C-ordered.  Errors and NaN propagation
+    as in :func:`tri_solve_left_transposed`.
     """
     b = np.asarray(b, dtype=np.float64)
     return np.ascontiguousarray(_solve_upper_transposed(r, b.T).T)

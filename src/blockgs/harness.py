@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import hashlib
 import math
 import os
 import sys
@@ -155,13 +154,12 @@ def _run_combo(combo: Combo, x: BlockMatrix) -> BGSResult:
 
 @dataclass
 class RunRecord:
-    """One experiment point; the CSV row plus non-serialized context.
+    """One experiment point: a CSV row, plus ``note``, the reason a sweep
+    skipped the point, which stays out of the CSV.
 
     The CSV columns are the fields in declaration order, each written and
     read by its declared type; fields with ``metadata={"csv": False}`` stay
-    out.  ``matrix_digest`` (trace mode: SHA-256 of the generated matrix bytes,
-    shared by every combo at one sweep point) and ``note`` (reason label for
-    skipped rows) never enter the CSV.
+    out.
     """
 
     matrix_class: str
@@ -180,7 +178,6 @@ class RunRecord:
     sync_per_block: float
     failed: bool
     elapsed_ms: float
-    matrix_digest: str = field(default="", metadata={"csv": False})
     note: str = field(default="", metadata={"csv": False})
 
 
@@ -196,12 +193,18 @@ def _parse_float(token: str) -> float:
     return float(token)
 
 
+def _parse_bool(token: str) -> bool:
+    if token not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {token!r}")
+    return token == "true"
+
+
 # CSV text of each declared field type: (format, parse).
 _CSV_CODECS = {
     str: (str, str),
     int: (str, int),
     float: (_fmt_float, _parse_float),
-    bool: (lambda v: "true" if v else "false", lambda t: t == "true"),
+    bool: (lambda v: "true" if v else "false", _parse_bool),
 }
 _CSV_TYPES = typing.get_type_hints(RunRecord)
 # (name, (format, parse)) of each CSV column, in RunRecord's field order.
@@ -225,7 +228,6 @@ class SweepConfig:
     s: int = 5
     seed: int = 42
     out: str | None = None
-    trace: bool = False
 
 
 def _validate_config(config: SweepConfig) -> None:
@@ -418,11 +420,6 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
                 for combo in config.combos
             )
             continue
-        digest = (
-            hashlib.sha256(x.data.tobytes(order="F")).hexdigest()
-            if config.trace
-            else ""
-        )
         x_gram = _scaled_gram(x)
         for combo in config.combos:
             rec = run_single(
@@ -433,7 +430,6 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
                 kappa_actual=kappa_actual,
                 x_gram=x_gram,
             )
-            rec.matrix_digest = digest
             rec.elapsed_ms = 0.0
             records.append(rec)
     return records
@@ -664,14 +660,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--seed", type=int, default=42)
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
-    sweep.add_argument(
-        "--trace",
-        action="store_true",
-        help=(
-            "hash each sweep point's matrix (SHA-256, kept on the in-memory"
-            " records; the CSV is unchanged)"
-        ),
-    )
 
     check = sub.add_parser(
         "check-bounds", help="verify a sweep CSV against the bound envelopes"
@@ -726,7 +714,6 @@ def _config_from_args(args) -> SweepConfig:
         s=args.s,
         seed=args.seed,
         out=args.out,
-        trace=args.trace,
     )
 
 
@@ -738,14 +725,9 @@ def _error_exit(exc: Exception | str) -> int:
 def cli_main(argv=None) -> int:
     """Run one ``blockgs`` command and return its exit code.
 
-    The CLI owns its process, so before any command runs it sets every
-    loaded OpenBLAS to one thread: a sweep's BLAS calls are small (m×s
-    blocks, n×n Gram matrices), and on them threads cost more in fork, join
-    and spin than they save.  One thread also makes the CSV bytes
-    independent of the host's core count.  A thread count set through
-    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
-    kept.  The library functions, called directly, leave the caller's
-    settings alone.
+    Before any command runs, every loaded OpenBLAS is set to one thread
+    (:func:`_one_blas_thread`), so the CSV bytes do not depend on the
+    host's core count.  The library functions leave the thread count alone.
 
     Exit codes: 0 success, 1 bound violations found by ``check-bounds``,
     2 configuration errors and unreadable or unwritable files.

@@ -1,11 +1,9 @@
 """Seeded generators for the three conditioning-controlled matrix families.
 
-All randomness flows through the Philox (4x64-10) counter-based generator so
-that a (family, dimensions, seed) triple pins down the matrix bit-for-bit
-across platforms and implementations.  Uniform variates are 53-bit integer
-draws mapped into the open interval (0, 1); Gaussian variates are obtained
-from uniforms by the inverse normal CDF — no rejection sampling, so the
-stream consumption is deterministic as well.
+All randomness flows through the Philox (4x64-10) counter-based generator,
+so a (family, dimensions, seed) triple pins down the matrix bit for bit.
+Uniform variates are 53-bit integer draws mapped into (0, 1); Gaussian
+variates are their inverse normal CDF, with no rejection sampling.
 
 Families
 --------
@@ -17,9 +15,7 @@ piled
     A cumulative-sum family: X_1 plus increasingly similar blocks
     X_k = X_{k-1} + Z_k, where every increment Z_k has the same prescribed
     condition number and shrinking spectral norm 1/kappa_z; conditioning
-    grows as the increments shrink.  The random factors depend on the
-    shape, the seed and kappa_x1 only, so they are drawn once and reused
-    while calibration varies kappa_z (see :func:`gen_piled`).
+    grows as the increments shrink.
 default
     An explicit SVD with log-spaced singular values from 1 down to
     1/kappa_target.
@@ -62,6 +58,11 @@ MATRIX_CLASSES = ("monomial", "piled", "default")
 
 # Philox takes a 128-bit key: seeds are the integers in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 128
+
+# Piled calibration bisects log10(kappa_z) on [0, CALIBRATION_MAX_LOG_KZ]
+# in CALIBRATION_STEPS steps.
+CALIBRATION_MAX_LOG_KZ = 16.0
+CALIBRATION_STEPS = 40
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -145,11 +146,7 @@ def _compose(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """U diag(sigma) V^T, written into a fresh column-major array.
 
     U is scaled by sigma in its own storage, so it must be the caller's to
-    overwrite: the default family's U comes fresh from
-    :func:`~blockgs.muscles.house_qr`, and the piled family passes a copy
-    of its shared, read-only U_k.  The call then holds U and the result,
-    no third tall array.  Column-major, so :class:`BlockMatrix` takes the
-    result without copying it.
+    overwrite; no third tall array is made.
     """
     out = np.empty((u.shape[0], v.shape[0]), order="F")
     return np.matmul(np.multiply(u, sigma, out=u), v.T, out=out)
@@ -224,13 +221,9 @@ def gen_monomial(spec: MatrixClassSpec) -> BlockMatrix:
 def _piled_factors(
     m: int, p: int, s: int, seed: int, kappa_x1: float
 ) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """X_1 and the p-1 factor pairs (U_k, V_k) of the piled increments.
-
-    None of them depends on ``kappa_z``, so a calibration's probes share
-    one draw.  They are drawn from the seed's stream in the order the
-    matrix uses them, and returned read-only, since every caller of the
-    cache sees the same arrays.
-    """
+    """X_1 and the p-1 factor pairs (U_k, V_k) of the piled increments,
+    drawn from the seed's stream in the order the matrix uses them and
+    returned read-only, since every caller of the cache shares them."""
     rng = make_rng(seed)
     x1 = svd_with_cond(m, s, kappa_x1, rng=rng)
     pairs = tuple(_svd_factors(rng, m, s) for _ in range(p - 1))
@@ -244,15 +237,9 @@ def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
 
     X_1 has condition number ``kappa_x1`` and unit spectral norm; every
     increment Z_k = U_k diag(sigma) V_k^T / kappa_z has condition number
-    ``kappa_z`` and spectral norm 1/kappa_z, so raising the knob makes
-    consecutive blocks nearly equal and drives the overall conditioning up
-    for any block width, including single columns.
-
-    X_1 and the factors U_k, V_k depend on (m, p, s, seed, kappa_x1) only.
-    They are drawn once and the last such set is kept (about one matrix of
-    memory), so a calibration that varies only ``kappa_z`` recomposes the
-    increments Z_k and their running sums on each call.  The result is
-    bit-identical to drawing every factor afresh.
+    ``kappa_z`` and spectral norm 1/kappa_z.  X_1, U_k and V_k do not depend
+    on ``kappa_z``: the last such set is cached (about one matrix of
+    memory), bit-identical to a fresh draw.
     """
     if spec.kappa_z is None:
         raise ValueError("piled class needs a kappa_z knob")
@@ -279,17 +266,15 @@ def calibrate_piled(
     seed: int,
     *,
     kappa_x1: float = 10.0,
-    max_log_kz: float = 16.0,
-    iterations: int = 40,
 ) -> tuple[MatrixClassSpec, float]:
     """Find the kappa_z knob whose generated matrix measures near a target.
 
-    The knob-to-conditioning map is empirical, so this bisects on
-    log10(kappa_z) against the measured cond_2 of the generated matrix.
-    Every probe shares one draw of the random factors (see
-    :func:`gen_piled`).  Returns the calibrated spec and the measured
-    condition number; callers decide how far off target is acceptable.
-    ``kappa_target`` must be finite and >= 1.
+    Bisects log10(kappa_z) on [0, ``CALIBRATION_MAX_LOG_KZ``] in
+    ``CALIBRATION_STEPS`` steps against the measured cond_2 (inf when
+    singular) of each probe.  Returns the spec and measured condition
+    number nearest the target in log10, or an end probe's when the target
+    lies outside their range; callers decide how far off is acceptable.
+    Raises ``ValueError`` unless ``kappa_target`` is finite and >= 1.
     """
     _check_kappa(kappa_target)
 
@@ -304,7 +289,7 @@ def calibrate_piled(
             return spec, np.inf
 
     target = np.log10(kappa_target)
-    lo, hi = 0.0, max_log_kz
+    lo, hi = 0.0, CALIBRATION_MAX_LOG_KZ
     spec_lo, kappa_lo = measure(lo)
     spec_hi, kappa_hi = measure(hi)
     if target <= np.log10(kappa_lo):
@@ -312,7 +297,7 @@ def calibrate_piled(
     if target >= np.log10(kappa_hi):
         return spec_hi, kappa_hi
     best, best_kappa = spec_lo, kappa_lo
-    for _ in range(iterations):
+    for _ in range(CALIBRATION_STEPS):
         mid = (lo + hi) / 2.0
         spec_mid, kappa_mid = measure(mid)
         if abs(np.log10(kappa_mid) - target) < abs(

@@ -7,27 +7,16 @@ Three spectral-norm measures summarize a factorization X ~ Q R:
                     triangular R
 * ``rel_chol_res``  relative Cholesky residual, ||X^T X - R^T R|| / ||X||^2
 
-No m-by-n matrix is ever handed to an SVD here.  The norm of a tall matrix
-A is taken as sqrt(lambda_max(A^T A)) from a symmetric eigensolver on the
-n-by-n Gram matrix, after A is scaled by the power of two that brings its
-largest entry into [1/2, 1): no finite input overflows or underflows, and
-scaling the inputs by a power of two leaves every ratio bit-identical.  The
-largest eigenvalue of a Gram matrix is accurate to a few units of roundoff
-relative to itself, so these norms agree with the SVD definitions to about
-1e-15 relative (1e-12 is the tested tolerance), residuals at roundoff level
-included, and an exactly zero residual gives exactly 0.0.  The n-by-n
-quantities (I - Q^T Q and X^T X - R^T R) keep their SVD spectral norm; the
-only SVD of a tall matrix a sweep takes is that of ``cond_2``, which needs
-sigma_min as well.  X's scale and scaled Gram matrix (:func:`scaled_gram`)
-serve both residuals; a sweep forms them once per matrix and passes them in.
-``rel_res`` forms Q R with one triangular BLAS product (``trmm``) in a
-single m-by-n buffer, which is where it then forms the residual; that
-buffer is a copy of Q unless the caller passes ``overwrite_q=True`` and
-gives Q's own storage up (a sweep does, once ``loo`` has read Q).
+No m-by-n matrix is handed to an SVD here.  The norm of a tall matrix A is
+sqrt(lambda_max(A^T A)) of its n-by-n Gram matrix, after A is scaled by
+the power of two that brings its largest entry into [1/2, 1): no finite
+input overflows or underflows, power-of-two scaling of the inputs leaves
+every ratio bit-identical, an exactly zero residual gives exactly 0.0, and
+the value agrees with the SVD norm to about 1e-15 relative (1e-12 is the
+tested tolerance).  The n-by-n quantities keep their SVD spectral norm.
 
-Metrics of failed (NaN-bearing) computations are NaN, never an exception,
-so sweep curves can simply terminate the way failed runs do.  The relative
-residuals of an all-zero X are NaN too: 0/0 has no relative size.
+Metrics of failed (NaN-bearing) computations are NaN, never an exception;
+so are the relative residuals of an all-zero X (0/0).
 
 :func:`bound_for` looks up the envelope a (skeleton, muscle choices)
 combination's theory predicts; each envelope lives in its skeleton's
@@ -137,16 +126,10 @@ def rel_res(
 ) -> float:
     """Relative residual ||X - Q R|| / ||X|| (spectral norm).
 
-    R must be upper triangular, as every QR factor is: Q R is one BLAS
-    ``trmm`` product, which reads R's upper triangle only.  A non-zero
-    entry below R's diagonal raises ``ValueError``.
-
-    The product and then the residual are formed in one m-by-n buffer: a
-    copy of Q by default.  With ``overwrite_q=True`` the buffer is Q's own
-    storage when Q is a Fortran-ordered float64 array, whose entries are
-    then destroyed; a caller that owns Q and is done with it saves one
-    m-by-n array.
-
+    R must be upper triangular; a non-zero entry below its diagonal raises
+    ``ValueError``.  Q R (one BLAS ``trmm``) and then the residual are
+    formed in one m-by-n buffer: a copy of Q, or with ``overwrite_q=True``
+    a Fortran-ordered float64 Q's own storage, which is then destroyed.
     ``x_gram`` is :func:`scaled_gram` of X, formed here when not given.
     NaN when Q or R has non-finite entries (failed run) or X is zero.
     """

@@ -13,30 +13,12 @@ mgs_qr      O(eps) * kappa(X)      s
 chol_qr     O(eps) * kappa(X)^2    1
 ==========  =====================  ==============================
 
-``chol_qr`` deliberately has no positive-definiteness fail-safe: when the
-Gram matrix is numerically indefinite the Cholesky sweep produces NaNs, runs
-to completion, and the output is flagged ``failed`` instead of raising.
-Likewise ``mgs_qr`` returns a NaN-filled, ``failed`` output on an exactly
-zero pivot.  Downstream consumers treat failure as data.
-
-``house_qr`` calls LAPACK ``geqrf`` and ``orgqr`` on one column-major copy
-of X, which becomes Q; its Q and R equal those of numpy's QR bit for bit,
-without numpy's internal buffers.
-
-``givens_qr`` issues its rotations in the staggered stages of Sameh & Kuck
-(J. ACM 1978), where column j+1 trails column j by two rows: each stage
-turns its disjoint row pairs with one stacked product of 2-by-2 rotations,
-for which numpy issues one gemm per rotation, so every bit equals that of
-rotating one row pair at a time in the bottom-up order.  What does not
-depend on the stage is set up once per call: the flattened workspace whose
-strided slices give a stage's pivots, and one rotation stack per stage
-width with the views its entries are written through.  The stage schedule
-is cached per shape.
-
-Every routine works in O(m·s) memory except ``givens_qr``: it rotates R's
-rows and an explicit m-by-m Qᵀ in one m-by-(s+m) workspace, so it needs
-O(m²).  That exception stands until the Givens muscle stops forming the
-full Qᵀ.
+Every routine raises ``ValueError`` on a block that is not 2-d, is wider
+than tall or has no columns.  Numerical failure is data, never an
+exception: non-finite input, an indefinite Gram matrix (``chol_qr``) or an
+exactly zero pivot (``chol_qr``, ``mgs_qr``) gives a NaN-bearing output
+flagged ``failed``.  Every routine works in O(m·s) memory except
+``givens_qr``, which forms an explicit m-by-m Qᵀ and so needs O(m²).
 """
 
 from __future__ import annotations
@@ -48,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .blockcore import tri_solve_right
+from .blockcore import tri_solve_right, zero_pivot
 from .syncmodel import SyncLedger
 
 __all__ = [
@@ -73,13 +55,9 @@ __all__ = [
 class IOSpec:
     """Identity and stability metadata of one intraorthogonalization routine.
 
-    Attributes
-    ----------
-    kind : str
-        Registry key: one of ``houseqr``, ``givensqr``, ``mgs``, ``cholqr``.
-    alpha : int
-        Exponent of kappa(X) in the routine's loss-of-orthogonality class
-        ``O(eps) * kappa(X)**alpha``.
+    ``kind`` is the registry key (``houseqr``, ``givensqr``, ``mgs`` or
+    ``cholqr``); ``alpha`` is the exponent of kappa(X) in the routine's loss
+    of orthogonality, O(eps) * kappa(X)**alpha.
     """
 
     kind: str
@@ -110,11 +88,8 @@ IO_BY_NAME: dict[str, IOSpec] = {
 class QROutput:
     """Economic QR pair for one block, plus a failure flag.
 
-    ``failed`` is only ever set by ``chol_qr`` (indefinite Gram matrix), by
-    ``mgs_qr`` (exactly zero pivot) or by any routine receiving non-finite
-    input downstream of such a failure; in
-    that case ``q`` and/or ``r`` contain NaN and must be propagated, not
-    trusted.
+    When ``failed`` is set (see the module docstring), ``q`` and/or ``r``
+    contain NaN and must be propagated, not trusted.
     """
 
     q: np.ndarray
@@ -150,10 +125,8 @@ def _nan_output(m: int, s: int) -> QROutput:
 def _fix_signs(q: np.ndarray, r: np.ndarray) -> QROutput:
     """Flip Q columns / R rows in place so that diag(R) >= 0.
 
-    ``q`` and ``r`` must be the caller's fresh arrays, never its input.
-    Every column of Q and row of R is multiplied by +-1 in its own
-    storage: the product is exact, and no flipped columns are gathered
-    into an m-by-s temporary.
+    ``q`` and ``r`` must be the caller's fresh arrays, never its input; the
+    flips are exact multiplications by -1.
     """
     neg = np.diagonal(r) < 0.0
     if neg.any():
@@ -166,31 +139,25 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> QROutput:
 def house_qr(x) -> QROutput:
     """Householder QR with explicitly assembled economic Q.
 
-    Unconditionally stable: the loss of orthogonality of ``q`` is O(eps)
-    independent of kappa(X).  Never fails on finite full-width input.
-
-    X is copied once into a column-major m-by-s buffer.  LAPACK ``geqrf``
-    factors it in place, R is read off its upper triangle, and ``orgqr``
-    then forms Q in the same buffer, so ``q`` comes back Fortran-ordered
-    and the call holds one m-by-s copy plus O(s·nb) workspace.  Both
-    routines get their optimal (blocked) workspace from a query, as in
-    numpy's QR, whose factors Q and R then equal bit for bit; the minimal
-    workspace rounds differently on large blocks.  The ``orgqr`` query
-    also passes the buffer with ``overwrite_a``: LAPACK writes only
-    ``work(1)`` during a query, and without the flag the wrapper would
-    copy the whole buffer to read back that one number.  The sign fix
-    flips Q's columns in the same buffer.
+    Loss of orthogonality O(eps) independent of kappa(X); never fails on
+    finite input.  LAPACK ``geqrf`` and ``orgqr``, each with its queried
+    optimal workspace, run in one column-major copy of X, which becomes the
+    Fortran-ordered ``q``: one m-by-s array plus O(s·nb) workspace.  Q and
+    R equal numpy's QR bit for bit.
     """
     x = _as_block(x)
     m, s = x.shape
     if not np.isfinite(x).all():
         return _nan_output(m, s)
     a = np.array(x, order="F")
+    # The optimal workspace, as numpy's QR queries it: the minimal one
+    # rounds differently on large blocks.
     work, _ = lapack.dgeqrf_lwork(m, s)
     a, tau, _, info = lapack.dgeqrf(a, lwork=int(work), overwrite_a=1)
     if info != 0:
         raise RuntimeError(f"LAPACK dgeqrf returned info={info}")
     r = np.triu(a[:s])
+    # A query writes only work(1); overwrite_a spares the wrapper a copy.
     _, work, _ = lapack.dorgqr(a, tau, lwork=-1, overwrite_a=1)
     q, _, info = lapack.dorgqr(a, tau, lwork=int(work[0]), overwrite_a=1)
     if info != 0:
@@ -198,9 +165,7 @@ def house_qr(x) -> QROutput:
     return _fix_signs(q, r)
 
 
-# A stage of one rotation turns its row pair alone: there the stacked
-# product and its setup cost more than one 2-by-2 product.  With the stacks
-# and their views made once per call, two rotations already gain.
+# Below two rotations the stacked product costs more than a 2-by-2 one.
 _STACK_MIN = 2
 
 
@@ -208,14 +173,11 @@ _STACK_MIN = 2
 def _givens_stages(m: int, s: int) -> tuple[tuple[int, int, int], ...]:
     """The Sameh–Kuck stages of an m-by-s Givens QR, as ``(top, j0, k)``.
 
-    Column j rotates the row pair (i-1, i) at stage t = (m-1-i) + 2j, so
-    column j+1 trails column j by two rows.  A stage's k rotations turn the
-    row pairs ``(top + 2r, top + 2r + 1)`` in column ``j0 + r`` for
-    r = 0..k-1: disjoint pairs that tile rows ``top .. top+2k-1``.  Every
-    rotation meets its two rows after the same rotations, and before the
-    same ones, as in the bottom-up, column-by-column order.  The stages,
-    m+s-2 of them when s < m, come in order, as one immutable tuple that
-    is computed once per shape.
+    Column j rotates the row pair (i-1, i) at stage t = (m-1-i) + 2j.  A
+    stage's k rotations turn the disjoint row pairs ``(top + 2r,
+    top + 2r + 1)`` in column ``j0 + r`` for r = 0..k-1; each meets its
+    rows in the state of the bottom-up, column-by-column order.  One
+    immutable tuple per shape, m+s-2 stages when s < m.
     """
     t = np.arange(m - 1 + min(s - 1, m - 2))
     j0 = np.maximum(t - m + 2, 0)
@@ -227,12 +189,9 @@ def _rotate_pair(
     w: np.ndarray, top: int, j: int, s: int, rot: np.ndarray
 ) -> None:
     """One Givens rotation of rows top, top+1 of ``W = [R | Qᵀ]``, zeroing
-    ``w[top+1, j]``, with ``rot`` as its 2-by-2 scratch; nothing is done
-    when that entry is already zero.
-
-    R's part of the last column (j = s-1) is one column wide, and numpy
-    sends a one-column product to gemv, which rounds differently from
-    gemm; so that part takes its own product and Qᵀ's part a second one.
+    ``w[top+1, j]`` (skipped when it is already zero), with ``rot`` as its
+    2-by-2 scratch.  R's part of column s-1 takes its own product (a gemv,
+    which rounds differently from gemm), Qᵀ's part a second one.
     """
     f, g = w[top, j], w[top + 1, j]
     if g == 0.0:
@@ -250,53 +209,30 @@ def _rotate_pair(
 
 
 def _rotation_stack(k: int):
-    """A C-contiguous k×2×2 rotation stack with the views a stage writes
-    through: c and s (first rows), c again and -s (second rows), and the
-    last rotation."""
+    """A k×2×2 rotation stack with the views a stage writes through: c and
+    s (first rows), c again and -s (second rows), and the last rotation.
+    It must be C-contiguous: a strided stack sends numpy off BLAS and
+    changes the bits."""
     rot = np.empty((k, 2, 2))
     return rot, rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 1], rot[:, 1, 0], rot[-1]
 
 
 def givens_qr(x) -> QROutput:
-    """QR via Givens rotations, eliminating subdiagonals column by column.
+    """QR via Givens rotations, bottom-up within each column.
 
-    Within each column the rotations run bottom-up, so previously created
-    zeros are preserved.  An eliminated entry is left as its rounding
-    residue: no later rotation reads it, and ``np.triu`` drops it from R.
-    Stability class matches ``house_qr``.
+    Loss of orthogonality O(eps), as for ``house_qr``.  R's and Qᵀ's rows
+    share one C-order m-by-(s+m) workspace ``W = [X | I]``: O(m²) memory,
+    the one exception to the muscles' O(m·s) contract.
 
-    R's rows and Qᵀ's rows share one C-order m-by-(s+m) workspace
-    ``W = [X | I]``.  Its O(m²) memory, the same as that of a separate
-    m-by-m Qᵀ, is the one exception to the muscles' O(m·s) contract.
-
-    The rotations are issued in the staggered order of Sameh & Kuck, "On
-    stable parallel linear system solvers" (J. ACM 1978): column j turns
-    the row pair (i-1, i) at stage (m-1-i) + 2j, so about m·s rotations
-    take m+s-2 sequential stages (``_givens_stages``).  A stage's k
-    rotations turn disjoint, adjacent row pairs, and each meets its two
-    rows in the same state as in the bottom-up loop: only independent
-    rotations are reordered.
-
-    A stage reads its f and g as two strided slices of the flattened
-    workspace (entry (top+2r, j0+r) lies 2(s+m)+1 elements after entry
-    (top+2r-2, j0+r-1)), forms its k rotations with ``np.hypot`` and
-    divisions on length-k arrays (the ufunc loops of the scalar case, so
-    the same bits), and turns its rows ``W[top:top+2k, j0:]`` with one
-    product of a C-contiguous k×2×2 rotation stack, for which numpy issues
-    one 2-by-2 gemm per rotation: every element keeps the bits of a
-    per-rotation product.  One stack per stage width, with the views its
-    entries are written through, is made once per call.  A non-contiguous
-    stack sends numpy off BLAS and changes the bits.  The product is
-    written back rather than passed ``out=`` the rows it reads: numpy then
-    copies the overlapping operand first, which costs more.  The deeper
-    rotations also turn columns j0..j-1 of their rows, which hold residues
-    that no later rotation reads.  R's part of column s-1 is one column
-    wide, and its per-rotation product is a gemv, which rounds differently
-    from gemm: that pair's 2-vector, the stage's last f and g, is turned by
-    its own product before the stacked one and written back after it.  A
-    stage of fewer than ``_STACK_MIN`` rotations, or with an exactly zero
-    g (a skipped rotation), turns its pairs one at a time
-    (``_rotate_pair``).
+    The rotations run in the staggered stages of Sameh & Kuck (J. ACM
+    1978), ``_givens_stages``.  A stage reads its pivots f and g as strided
+    slices of the flattened workspace and turns its rows with one product
+    of a C-contiguous k×2×2 rotation stack, one 2-by-2 gemm per rotation,
+    so Q and R keep every bit of the one-pair-at-a-time bottom-up loop.
+    R's part of column s-1 gets its own product (see ``_rotate_pair``).  A
+    stage of fewer than ``_STACK_MIN`` rotations, or with a zero g, turns
+    its pairs one at a time.  Eliminated entries keep their rounding
+    residue, which no later rotation reads and ``np.triu`` drops.
     """
     x = _as_block(x)
     m, s = x.shape
@@ -405,7 +341,7 @@ def chol_qr(x) -> QROutput:
         return _nan_output(m, s)
     gram = x.T @ x
     fac = chol_free(gram)
-    if fac.failed or np.any(np.diagonal(fac.r) == 0.0):
+    if fac.failed or zero_pivot(fac.r):
         return QROutput(q=np.full((m, s), np.nan), r=fac.r, failed=True)
     q = tri_solve_right(x, fac.r)
     return QROutput(q=q, r=fac.r, failed=False)

@@ -16,30 +16,20 @@ column once Gram-product muscles are plugged in:
 * ``bcgsi_a_1s``                   look-ahead batched form (1/column)
 
 All seven share one block loop, ``_run``; a variant is only its per-block
-step, which turns X_k into Q_k and the k-th block column of R.
+step.  The ``_a`` variants take a distinguished muscle for the first block;
+``bcgs`` and ``bcgsi_plus`` tie every muscle slot to one routine.
+:data:`SKELETONS` holds each variant's display name, CLI shorthands,
+muscle slots, tied-ness and bound envelope.
 
-The ``_a`` variants accept a distinguished, typically stronger muscle for
-the first block; ``bcgs`` and ``bcgsi_plus`` are the aliases with all
-muscle slots tied to a single routine.  :data:`SKELETONS` holds each
-variant's display name, CLI shorthands, muscle slots, tied-ness and bound
-envelope; no other module needs to tell the variants apart.
+Every tall product (``proj``, ``proj2``, ``batch``) is formed, and its
+one reduction charged, by ``SyncLedger.reduce``; each muscle call charges
+its own cost in :func:`~blockgs.muscles.apply_io`.  Batched products read
+[Q_prev, V_k] and [V_k, X_{k+1}] as views of the Q workspace, never as
+stacked copies.
 
-The ledger charges come from the products themselves: every tall product
-(``proj``, ``proj2``, ``batch``) is formed by ``SyncLedger.reduce``, which
-charges its one reduction, and each muscle call charges its own cost in
-:func:`~blockgs.muscles.apply_io`.  A batched product reads its factors in
-place: the two- and one-sync steps write V_k (and X_{k+1}) into the free
-slots of the column-major Q workspace, so [Q_prev, V_k] and [V_k, X_{k+1}]
-are views of it, never stacked copies.  Every tall product has one
-orientation: the reductions and the deflations X_k - Q_prev S
-(:func:`~blockgs.blockcore.project_out`) both multiply a narrow left factor
-by the transposed workspace.
-
-Failure handling: after the first failed muscle call (indefinite Gram
-matrix inside ``chol_qr`` or the fused Cholesky steps), NaNs propagate
-through the remaining blocks, every block still executes, and the result
-carries ``failed=True``.  This lets a sweep report *where* a variant broke
-down instead of aborting.
+Breakdown is data: after the first failed muscle call or fused Cholesky
+step, NaNs propagate through the remaining blocks, every block still
+executes, and the result carries ``failed=True``.
 """
 
 from __future__ import annotations
@@ -55,6 +45,7 @@ from .blockcore import (
     project_out,
     tri_solve_left_transposed,
     tri_solve_right,
+    zero_pivot,
 )
 from .muscles import IOSpec, apply_io, chol_free
 from .syncmodel import SyncLedger
@@ -214,8 +205,7 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     since the loop writes Q_k there next.  It returns
     ``(r_col, r_kk, q_k, failed)``: R's column above the diagonal, the
     diagonal block R_kk and the new block Q_k.  The result's Q wraps the
-    workspace itself: it is already in the column-major order
-    :class:`~blockgs.blockcore.BlockMatrix` keeps, so it is not copied.
+    workspace uncopied.  Raises ``TypeError`` unless X is a ``BlockMatrix``.
     """
     if not isinstance(x, BlockMatrix):
         raise TypeError("skeletons require a BlockMatrix input")
@@ -324,7 +314,7 @@ def _fused_cholesky(qprev, v, y_col, omega):
     ``(y_kk, q_k, failed)``.
     """
     fac = chol_free(omega - y_col.T @ y_col)
-    if fac.failed or np.any(np.diagonal(fac.r) == 0.0):
+    if fac.failed or zero_pivot(fac.r):
         return fac.r, np.full(v.shape, np.nan), True
     return fac.r, tri_solve_right(project_out(v, qprev, y_col), fac.r), False
 
@@ -373,22 +363,14 @@ def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
 def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     """One-sync variant: look-ahead batching of projection and normalization.
 
-    The projection coefficients of block k+1 are reverse-engineered from
-    the same batched product that normalizes block k, so the steady-state
-    loop spends exactly one reduction per block column.  Block k's step:
-
-    * its projection coefficients S: at k = 2 the plain projection of X_2
-      on Q_1 (charged to block 1 as a boundary cost), later the look-ahead
-      coefficients carried over from block k-1; V_k = X_k - Q_prev S;
-    * for k < p: one batched product [Q_prev, V_k]^T [V_k, X_{k+1}]
-      yields Y (reorthogonalization), Omega (Gram block), Z (projection of
-      X_{k+1} on Q_prev) and P (V_k^T X_{k+1}); Y_kk and Q_k come from the
-      fused Cholesky step, and the missing coefficient row Q_k^T X_{k+1}
-      from a transposed triangular solve of ``P - Y^T Z``;
-    * for k = p: the plain fused normalization, no look-ahead.
-
-    Total ledger cost: sync_cost(io_a) + p reductions (1 setup projection,
-    p-2 loop batches, 1 final batch).
+    Block k's projection coefficients S are, at k = 2, the plain projection
+    of X_2 on Q_1 (charged to block 1), and later those carried over from
+    block k-1; V_k = X_k - Q_prev S.  For k < p one batched product
+    [Q_prev, V_k]^T [V_k, X_{k+1}] yields Y, Omega, Z = Q_prev^T X_{k+1}
+    and P = V_k^T X_{k+1}; the fused Cholesky step gives Y_kk and Q_k, and
+    a transposed triangular solve of ``P - Y^T Z`` the row Q_k^T X_{k+1}.
+    Block p takes the plain fused normalization.  Total ledger cost:
+    sync_cost(io_a) + p reductions.
     """
     s_next = None  # Q_1..Q_k^T X_{k+1}, carried from block k to block k+1
 

@@ -44,22 +44,12 @@ class SyncLedger:
     def reduce(self, block: int, label: str, left, right) -> np.ndarray:
         """One tall reduction ``left^T @ right``, charged to ``block``.
 
-        A fused product such as ``[Q, V]^T [V, X]`` is still one call and
-        one charge: the skeletons lay its factors side by side in their
-        column-major Q workspace and pass views of it, so nothing is
-        stacked here.  The product is formed as ``(R^T @ left)^T`` with
-        ``R`` a C-ordered copy of the narrow ``right``, the orientation of
-        :func:`~blockgs.blockcore.project_out`: BLAS then streams ``left``
-        in place, and the result, returned C-ordered, has the bits of
-        ``left.T @ right`` on views of a row-major workspace.  Only a
-        single-column operand, which numpy hands to gemv, may round
-        differently.
-
-        The copy of ``right`` holds those bits, even when ``right`` is
-        already a column-major view: passing such a view uncopied changes
-        the BLAS call numpy makes, and with it the digits of ``loo``,
-        ``rel_res`` and ``rel_chol_res`` in every piled-calib row at
-        s = 5 (and the ``failed`` flag of two).
+        ``left`` is m-by-n, ``right`` a narrow m-by-w; a fused product such
+        as ``[Q, V]^T [V, X]`` is one call and one charge.  Formed as
+        ``(R^T @ left)^T`` with ``R`` a C-ordered copy of ``right``, so
+        ``left`` is read in place; the n-by-w result is C-ordered.  The
+        copy keeps the sweeps' bits: an uncopied column-major ``right``
+        changes the BLAS call and the metric digits.
         """
         self.record(block, label, 1)
         r = np.ascontiguousarray(right)
@@ -76,17 +66,11 @@ class SyncLedger:
 
 
 def syncs_per_block(result) -> float:
-    """Steady-state reductions per interior block column.
+    """Steady-state reductions per interior block column of a ``BGSResult``.
 
-    Averages the ledger cost attributed to blocks 2..p-1 over the p-2
-    interior columns, excluding the first block (whose muscle choice is a
-    boundary effect) and the final column (which lacks look-ahead work in
-    the one-sync variant).
-
-    Parameters
-    ----------
-    result : BGSResult
-        A finished skeleton run with ``result.q.block_count >= 3``.
+    Averages the ledger cost of blocks 2..p-1, leaving out the first block
+    (its muscle is a boundary effect) and the last (no look-ahead work in
+    the one-sync variant).  Raises ``ValueError`` when p < 3.
     """
     p = result.q.block_count
     if p < 3:

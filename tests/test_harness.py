@@ -193,12 +193,11 @@ def test_run_single_holds_x_q_and_block_sized_scratch(kind):
 # ---------------------------------------------------------------------------
 
 
-def _small_sweep(trace=False):
+def _small_sweep():
     return SweepConfig(
         matrix_class="monomial",
         combos=(make_combo("bcgsi_plus_a"), make_combo("bcgsi_a_2s")),
         kappas=(1.0e1, 1.0e6, 1.0e12),
-        trace=trace,
     )
 
 
@@ -218,7 +217,6 @@ def test_run_sweep_record_grid():
     actuals = [r.kappa_actual for r in records[::2]]
     assert actuals[0] < actuals[1] < actuals[2]
     assert all(r.elapsed_ms == 0.0 for r in records)
-    assert all(r.matrix_digest == "" for r in records)
 
 
 def test_run_sweep_full_grid_all_skeletons():
@@ -246,12 +244,24 @@ def test_run_sweep_full_grid_all_skeletons():
         assert all(a < b for a, b in zip(actuals, actuals[1:]))
 
 
-def test_run_sweep_trace_digests():
-    records = run_sweep(_small_sweep(trace=True))
-    for a, b in zip(records[::2], records[1::2]):
-        assert a.matrix_digest == b.matrix_digest  # same point, same bytes
-        assert len(a.matrix_digest) == 64
-    assert records[0].matrix_digest != records[2].matrix_digest
+def test_run_sweep_gives_every_combo_at_a_point_the_same_matrix(monkeypatch):
+    seen = []
+    real = harness.run_single
+
+    def recording(x, combo, **kwargs):
+        seen.append((kwargs["kappa_target"], x.data.tobytes(order="F")))
+        return real(x, combo, **kwargs)
+
+    monkeypatch.setattr(harness, "run_single", recording)
+    config = _small_sweep()
+    records = run_sweep(config)
+    assert len(seen) == len(records) == 6
+    points = [seen[i : i + 2] for i in range(0, 6, 2)]
+    for kt, point in zip(config.kappas, points):
+        assert [k for k, _ in point] == [kt, kt]
+        assert point[0][1] == point[1][1]  # same point, same bytes
+    for a, b in zip(points, points[1:]):
+        assert a[0][1] != b[0][1]  # consecutive points, different matrices
 
 
 def test_sweep_metrics_take_no_tall_svd(monkeypatch):
@@ -720,6 +730,11 @@ def _row(skeleton, io_a="", io1="", io2="", kappa_actual=10.0):
         pytest.param(
             "check-bounds", _HEADER + ",".join(["x"] * 16) + "\n",
             ":2: invalid literal", id="garbled-row",
+        ),
+        pytest.param(
+            "check-bounds",
+            _row("BCGSI+A-2S", "houseqr").replace(",false,", ",maybe,"),
+            ":2: expected true or false, got 'maybe'", id="garbled-failed-row",
         ),
         pytest.param(
             "check-bounds", _row("BCGS", "houseqr", "cholqr"),
