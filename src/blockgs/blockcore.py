@@ -7,6 +7,7 @@ dense matrix.  Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.linalg import lapack
 __all__ = [
     "BlockMatrix",
     "as_matrix",
+    "all_finite",
     "spectral_norm",
     "cond_2",
     "project_out",
@@ -90,9 +92,20 @@ class BlockMatrix:
         return self.data[:, (k - 1) * s : k * s]
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """True when no entry of the float array ``a`` is NaN or infinite; an
+    empty ``a`` is finite.
+
+    Read from ``a.max()`` and ``a.min()``, so no mask the size of ``a`` is
+    formed: NaN propagates through ``max``, and an infinity is the largest
+    or the smallest entry.
+    """
+    return a.size == 0 or (math.isfinite(a.max()) and math.isfinite(a.min()))
+
+
 def _singular_values(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise ValueError("non-finite matrix")
     return np.linalg.svd(a, compute_uv=False)
 
@@ -103,12 +116,19 @@ def spectral_norm(a) -> float:
 
 
 def cond_2(a) -> float:
-    """2-norm condition number, largest over smallest singular value."""
+    """2-norm condition number, largest over smallest singular value.
+
+    Always finite: a non-finite ``a``, a zero smallest singular value or a
+    ratio that overflows raises ``ValueError``.
+    """
     sv = _singular_values(a)
     smin = float(sv[-1])
     if smin == 0.0:
         raise ValueError("singular matrix, kappa undefined")
-    return float(sv[0]) / smin
+    kappa = float(sv[0]) / smin
+    if math.isinf(kappa):
+        raise ValueError("kappa overflows")
+    return kappa
 
 
 def project_out(x, q, c) -> np.ndarray:

@@ -187,10 +187,21 @@ def _fmt_float(v: float) -> str:
     return "%.16e" % v
 
 
+def _parse_int(token: str) -> int:
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(f"expected a plain integer, got {token!r}")
+    return value
+
+
 def _parse_float(token: str) -> float:
+    """NaN, or a finite float in :func:`_fmt_float`'s spelling."""
     if token == "NaN":
         return math.nan
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value) or _fmt_float(value) != token:
+        raise ValueError(f"expected NaN or a %.16e float, got {token!r}")
+    return value
 
 
 def _parse_bool(token: str) -> bool:
@@ -202,7 +213,7 @@ def _parse_bool(token: str) -> bool:
 # CSV text of each declared field type: (format, parse).
 _CSV_CODECS = {
     str: (str, str),
-    int: (str, int),
+    int: (str, _parse_int),
     float: (_fmt_float, _parse_float),
     bool: (lambda v: "true" if v else "false", _parse_bool),
 }
@@ -455,8 +466,10 @@ def write_csv(records, path) -> None:
 def read_csv(path) -> list[RunRecord]:
     """Read back a CSV written by :func:`write_csv`.
 
-    Raises ``OSError`` when the file cannot be read and ``ValueError`` when
-    its header or a row is malformed.
+    Every cell must be spelled as the writer spells its value, and every
+    row's shape must be one a sweep accepts (p, s >= 1 and m >= p*s).
+    Raises ``OSError`` when the file cannot be read and ``ValueError``,
+    naming the line, when its header or a row is malformed.
     """
     records = []
     with open(path, newline="") as fh:
@@ -478,6 +491,12 @@ def read_csv(path) -> list[RunRecord]:
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            m, p, s = record.m, record.p, record.s
+            if p < 1 or s < 1 or m < p * s:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: shape m={m}, p={p}, s={s}"
+                    " is not a tall partition into p, s >= 1 blocks"
+                )
             records.append(record)
     return records
 

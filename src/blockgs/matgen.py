@@ -142,13 +142,15 @@ def _log_sigma(kappa: float, cols: int) -> np.ndarray:
     return np.logspace(0.0, -np.log10(kappa), cols)
 
 
-def _compose(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """U diag(sigma) V^T, written into a fresh column-major array.
+def _compose(
+    u: np.ndarray, v: np.ndarray, sigma: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """U diag(sigma) V^T, written into the caller's fresh column-major
+    ``out``.
 
     U is scaled by sigma in its own storage, so it must be the caller's to
     overwrite; no third tall array is made.
     """
-    out = np.empty((u.shape[0], v.shape[0]), order="F")
     return np.matmul(np.multiply(u, sigma, out=u), v.T, out=out)
 
 
@@ -172,8 +174,13 @@ def svd_with_cond(
     _check_kappa(kappa)
     if rng is None:
         rng = make_rng(seed)
+    # X's storage is taken before the factors', so theirs, freed on return,
+    # leaves no X-sized hole below X in the heap.  cond_2's SVD copy of X
+    # is a few KB larger than such a hole; when it does not fit, it takes
+    # fresh memory while the hole stays resident, one X more at the peak.
+    out = np.empty((rows, cols), order="F")
     u, v = _svd_factors(rng, rows, cols)
-    return _compose(u, v, _log_sigma(kappa, cols))
+    return _compose(u, v, _log_sigma(kappa, cols), out)
 
 
 def gen_default(spec: MatrixClassSpec) -> BlockMatrix:
@@ -253,7 +260,8 @@ def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
     sigma = _log_sigma(spec.kappa_z, s)
     for k, (u, v) in enumerate(pairs, start=1):
         # np.array keeps U_k's column-major layout, and with it the bits.
-        z = _compose(np.array(u), v, sigma) / spec.kappa_z
+        u = np.array(u)
+        z = _compose(u, v, sigma, np.empty_like(u)) / spec.kappa_z
         np.add(out[:, (k - 1) * s : k * s], z, out=out[:, k * s : (k + 1) * s])
     return BlockMatrix(out, s, p)
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas
 
-from .blockcore import BlockMatrix, spectral_norm
+from .blockcore import BlockMatrix, all_finite, spectral_norm
 from .muscles import IOSpec
 from .skeletons import SKELETONS, BoundSpec, SkeletonKind
 
@@ -67,7 +67,7 @@ def loo(q) -> float:
     NaN when Q contains non-finite entries (failed run).
     """
     qd = _dense(q)
-    if not np.isfinite(qd).all():
+    if not all_finite(qd):
         return float("nan")
     n = qd.shape[1]
     return spectral_norm(np.eye(n) - qd.T @ qd)
@@ -134,7 +134,7 @@ def rel_res(
     NaN when Q or R has non-finite entries (failed run) or X is zero.
     """
     xd, qd, rd = _dense(x), _dense(q), _dense(r)
-    if not (np.isfinite(qd).all() and np.isfinite(rd).all()):
+    if not (all_finite(qd) and all_finite(rd)):
         return float("nan")
     if np.tril(rd, -1).any():
         raise ValueError("R must be upper triangular")
@@ -159,7 +159,7 @@ def rel_chol_res(x, r, x_gram: ScaledGram | None = None) -> float:
     NaN when R has non-finite entries (failed run) or X is zero.
     """
     rd = _dense(r)
-    if not np.isfinite(rd).all():
+    if not all_finite(rd):
         return float("nan")
     # X and R share one power-of-two scale, so the ratio needs no unscaling.
     e, gram, lam_x = scaled_gram(x) if x_gram is None else x_gram

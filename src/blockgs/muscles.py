@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .blockcore import tri_solve_right, zero_pivot
+from .blockcore import all_finite, tri_solve_right, zero_pivot
 from .syncmodel import SyncLedger
 
 __all__ = [
@@ -147,7 +147,7 @@ def house_qr(x) -> QROutput:
     """
     x = _as_block(x)
     m, s = x.shape
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         return _nan_output(m, s)
     a = np.array(x, order="F")
     # The optimal workspace, as numpy's QR queries it: the minimal one
@@ -236,7 +236,7 @@ def givens_qr(x) -> QROutput:
     """
     x = _as_block(x)
     m, s = x.shape
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         return _nan_output(m, s)
     n = s + m
     w = np.zeros((m, n))
@@ -284,7 +284,7 @@ def mgs_qr(x) -> QROutput:
     """
     x = _as_block(x)
     m, s = x.shape
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         return _nan_output(m, s)
     q = np.empty((m, s))
     r = np.zeros((s, s))
@@ -324,7 +324,7 @@ def chol_free(g) -> CholFactor:
                 row = a[k, k + 1 :] / pivot
                 r[k, k + 1 :] = row
                 a[k + 1 :, k + 1 :] -= np.outer(row, row)
-    return CholFactor(r=r, failed=not bool(np.isfinite(r).all()))
+    return CholFactor(r=r, failed=not all_finite(r))
 
 
 def chol_qr(x) -> QROutput:
@@ -337,7 +337,7 @@ def chol_qr(x) -> QROutput:
     """
     x = _as_block(x)
     m, s = x.shape
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         return _nan_output(m, s)
     gram = x.T @ x
     fac = chol_free(gram)

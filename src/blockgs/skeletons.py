@@ -201,11 +201,18 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     Block 1 goes to the first-block muscle ``io_a``.  For k = 2..p,
     ``step(ledger, k, q, lo, xk)`` gets the column-major m-by-(p*s) Q
     workspace ``q``, whose first ``lo = (k-1)*s`` columns hold Q_1..Q_{k-1},
-    and X_k.  It may use block k's slot and the slots after it as scratch,
-    since the loop writes Q_k there next.  It returns
+    and X_k.  It may use block k's slot and the slots after it as scratch
+    (a step may deflate V_k straight into block k's slot), since the loop
+    writes Q_k there next; so the Q_k it returns must be an array of its
+    own, never a view of those slots.  It returns
     ``(r_col, r_kk, q_k, failed)``: R's column above the diagonal, the
     diagonal block R_kk and the new block Q_k.  The result's Q wraps the
     workspace uncopied.  Raises ``TypeError`` unless X is a ``BlockMatrix``.
+
+    Memory: beside X, the workspace and R, a run holds at most two m-by-s
+    blocks at once.  Each step drops an m-by-s temporary once it has read
+    it for the last time, and the loop drops each muscle output and Q_k
+    once it has copied it into the workspace.
     """
     if not isinstance(x, BlockMatrix):
         raise TypeError("skeletons require a BlockMatrix input")
@@ -217,10 +224,12 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     q_data[:, :s] = out.q
     r[:s, :s] = out.r
     failed = out.failed
+    del out
     for k in range(2, p + 1):
         lo, hi = (k - 1) * s, k * s
         r_col, r_kk, q_k, step_failed = step(ledger, k, q_data, lo, x.block(k))
         q_data[:, lo:hi] = q_k
+        del q_k
         r[:lo, lo:hi] = r_col
         r[lo:hi, lo:hi] = r_kk
         failed = failed or step_failed
@@ -238,8 +247,9 @@ def bcgs_a(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     def step(ledger, k, q, lo, xk):
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
-        w = project_out(xk, qprev, s_col)
-        out = apply_io(io, w, ledger=ledger, block=k)
+        out = apply_io(
+            io, project_out(xk, qprev, s_col), ledger=ledger, block=k
+        )
         return s_col, out.r, out.q, out.failed
 
     return _run(x, io_a, step)
@@ -268,13 +278,16 @@ def bcgsi_plus_a(
     def step(ledger, k, q, lo, xk):
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
-        w = project_out(xk, qprev, s_col)
-        out1 = apply_io(io1, w, ledger=ledger, block=k)
+        out1 = apply_io(
+            io1, project_out(xk, qprev, s_col), ledger=ledger, block=k
+        )
         t_col = ledger.reduce(k, "proj2", qprev, out1.q)
         v = project_out(out1.q, qprev, t_col)
+        s_kk, failed = out1.r, out1.failed
+        del out1  # U_k, read for the last time
         out2 = apply_io(io2, v, ledger=ledger, block=k)
-        r_col = s_col + t_col @ out1.r
-        return r_col, out2.r @ out1.r, out2.q, out1.failed or out2.failed
+        r_col = s_col + t_col @ s_kk
+        return r_col, out2.r @ s_kk, out2.q, failed or out2.failed
 
     return _run(x, io_a, step)
 
@@ -299,6 +312,7 @@ def bcgsi_a_3s(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
         v = project_out(xk, qprev, s_col)
         y_col = ledger.reduce(k, "proj2", qprev, v)
         w = project_out(v, qprev, y_col)
+        del v  # V_k, read for the last time
         out = apply_io(io, w, ledger=ledger, block=k)
         return s_col + y_col, out.r, out.q, out.failed
 
@@ -324,18 +338,20 @@ def _fused_normalization(
     k: int,
     q: np.ndarray,
     lo: int,
-    v: np.ndarray,
+    s: int,
 ):
     """Batched product [Q_prev, V]^T V, then the Cholesky-based cleanup.
 
-    V is written into block k's slot of the workspace ``q``, so [Q_prev, V]
-    is the view ``q[:, :lo + s]`` and nothing is stacked.  One reduction
-    yields both the reorthogonalization coefficients Y and the Gram block
-    Omega.  Returns ``(y_col, y_kk, q_k, failed)``.
+    Precondition: the caller has deflated V into block k's slot
+    ``q[:, lo:lo + s]`` of the workspace, so [Q_prev, V] is the view
+    ``q[:, :lo + s]`` and V is read there, never stacked or copied.  One
+    reduction yields both the reorthogonalization coefficients Y and the
+    Gram block Omega.  Returns ``(y_col, y_kk, q_k, failed)``; Q_k is a new
+    array, and the slot still holds V.
     """
-    hi = lo + v.shape[1]
-    q[:, lo:hi] = v
-    prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo:hi])
+    hi = lo + s
+    v = q[:, lo:hi]
+    prods = ledger.reduce(k, "batch", q[:, :hi], v)
     y_col = prods[:lo, :]
     omega = prods[lo:, :]
     return (y_col, *_fused_cholesky(q[:, :lo], v, y_col, omega))
@@ -349,12 +365,13 @@ def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     Cholesky step, so only the first-block muscle is pluggable.  Two
     reductions per block column.
     """
+    s = x.block_width
 
     def step(ledger, k, q, lo, xk):
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
-        v = project_out(xk, qprev, s_col)
-        y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, v)
+        q[:, lo : lo + s] = project_out(xk, qprev, s_col)
+        y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, s)
         return s_col + y_col, y_kk, qk, failed
 
     return _run(x, io_a, step)
@@ -372,6 +389,7 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
     Block p takes the plain fused normalization.  Total ledger cost:
     sync_cost(io_a) + p reductions.
     """
+    s = x.block_width
     s_next = None  # Q_1..Q_k^T X_{k+1}, carried from block k to block k+1
 
     def step(ledger, k, q, lo, xk):
@@ -382,15 +400,14 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
             s_col = ledger.reduce(1, "proj", qprev, xk)
         else:
             s_col = s_next
-        v = project_out(xk, qprev, s_col)
-        if k == x.block_count:
-            y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, v)
-            return s_col + y_col, y_kk, qk, failed
-        s = x.block_width
         hi = lo + s
-        # V_k and X_{k+1} side by side in slots k and k+1 (the loop
-        # overwrites both later), so both batch operands are views of q.
-        q[:, lo:hi] = v
+        q[:, lo:hi] = project_out(xk, qprev, s_col)
+        if k == x.block_count:
+            y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, s)
+            return s_col + y_col, y_kk, qk, failed
+        # X_{k+1} beside V_k, in slot k+1 (the loop overwrites both
+        # later), so both batch operands are views of q.
+        v = q[:, lo:hi]
         q[:, hi : hi + s] = x.block(k + 1)
         prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo : hi + s])
         y_col = prods[:lo, :s]

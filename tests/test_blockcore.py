@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,11 +9,14 @@ from numpy.testing import assert_allclose
 
 from blockgs.blockcore import (
     BlockMatrix,
+    all_finite,
     cond_2,
     spectral_norm,
     tri_solve_left_transposed,
     tri_solve_right,
 )
+from blockgs.metrics import loo, rel_chol_res, rel_res
+from blockgs.muscles import chol_qr, givens_qr, house_qr, mgs_qr
 
 EPS = 2.0**-53
 
@@ -69,6 +74,52 @@ def test_norms_reject_non_finite():
         spectral_norm(bad)
 
 
+_POSITIONS = {
+    "first": lambda a: (0, 0),
+    "middle": lambda a: (a.shape[0] // 2, a.shape[1] // 2),
+    "last": lambda a: (-1, -1),
+}
+
+
+def _planted(a, value, where):
+    """A copy of ``a`` with ``value`` at position ``where``."""
+    a = a.copy()
+    a[_POSITIONS[where](a)] = value
+    return a
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (1, 1)], ids=["6x3", "1x1"])
+@pytest.mark.parametrize("where", list(_POSITIONS))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_keep_each_documented_outcome(value, where, shape):
+    # all_finite reads max and min, not a mask; every caller must still see
+    # a non-finite entry wherever it sits, in blocks of any size.
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape) + 3.0 * np.eye(*shape)
+    r = np.triu(rng.standard_normal((shape[1], shape[1]))) + 3.0 * np.eye(
+        shape[1]
+    )
+    assert all_finite(x) and all_finite(r) and all_finite(np.empty((0, 2)))
+    for fn in (house_qr, givens_qr, mgs_qr, chol_qr):
+        out = fn(x)
+        assert not out.failed and all_finite(out.q), fn.__name__
+    assert math.isfinite(loo(x)) and math.isfinite(cond_2(x))
+    assert math.isfinite(rel_res(x, x, r))
+    assert math.isfinite(rel_chol_res(x, r))
+
+    bad_x, bad_r = _planted(x, value, where), _planted(r, value, where)
+    assert not all_finite(bad_x) and not all_finite(bad_r)
+    for fn in (house_qr, givens_qr, mgs_qr, chol_qr):
+        out = fn(bad_x)
+        assert out.failed and np.isnan(out.q).all(), fn.__name__
+    assert math.isnan(loo(bad_x))
+    assert math.isnan(rel_res(x, bad_x, r))
+    assert math.isnan(rel_res(x, x, bad_r))
+    assert math.isnan(rel_chol_res(x, bad_r))
+    with pytest.raises(ValueError, match="non-finite matrix"):
+        cond_2(bad_x)
+
+
 def test_cond_2_trivial():
     assert cond_2(np.eye(4)) == pytest.approx(1.0)
     assert cond_2(np.diag([10.0, 0.1])) == pytest.approx(100.0)
@@ -77,6 +128,15 @@ def test_cond_2_trivial():
 def test_cond_2_singular():
     with pytest.raises(ValueError, match="singular matrix, kappa undefined"):
         cond_2(np.zeros((3, 2)))
+
+
+def test_cond_2_never_returns_an_infinity():
+    # A sweep writes kappa_actual with %.16e, which spells an infinity
+    # "inf", a cell read_csv rejects; so an overflowing ratio is
+    # unmeasurable conditioning, like a singular matrix.
+    with pytest.raises(ValueError, match="kappa overflows"):
+        cond_2(np.diag([1e200, 1e-200]))
+    assert cond_2(np.diag([1e300, 1e-7])) == pytest.approx(1e307)
 
 
 def test_tri_solve_left_transposed_trivial():

@@ -36,7 +36,7 @@ from blockgs.harness import (
 )
 from blockgs.matgen import MatrixClassSpec, generate
 from blockgs.metrics import EPS
-from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS
+from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS
 from blockgs.skeletons import SkeletonKind
 
 
@@ -168,15 +168,24 @@ def test_run_single_low_sync_on_moderate_matrix():
     assert rec.sync_per_block == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("kind", ["bcgs", "bcgsi_plus_a", "bcgsi_a_1s"])
-def test_run_single_holds_x_q_and_block_sized_scratch(kind):
-    # With X, its conditioning and its scaled Gram formed beforehand, as a
-    # sweep does, a run holds the Q workspace and O(m·s) scratch: the
-    # residual is formed in Q's storage once loo has read it.  A separate
-    # m-by-n residual buffer reads about 2.1 here.
+@pytest.fixture(scope="module")
+def tall_x():
+    """A 4000x200 default-class X and its scaled Gram, formed once."""
     x = generate(MatrixClassSpec("default", 4000, 20, 10, 42, kappa=1e8))
-    x_gram = metrics.scaled_gram(x)
-    combo = make_combo(kind)
+    return x, metrics.scaled_gram(x)
+
+
+@pytest.mark.parametrize("muscle", ["houseqr", "cholqr", "mgs"])
+@pytest.mark.parametrize("kind", [k.value for k in SkeletonKind])
+def test_run_single_holds_x_q_and_block_sized_scratch(kind, muscle, tall_x):
+    # With X, its conditioning and its scaled Gram formed beforehand, as a
+    # sweep does, a run holds the Q workspace, R and at most two m-by-s
+    # blocks (1.15 of X's bytes at this shape, where n*n = m*s, with loo's
+    # n-by-n temporaries 1.20).  Each further live m-by-s block adds 0.05,
+    # an m-by-n finiteness mask 0.125.
+    x, x_gram = tall_x
+    io = IO_BY_NAME[muscle]
+    combo = make_combo(kind, io, io, io)
     want = run_single(x, combo, kappa_actual=1e8, x_gram=x_gram)
     tracemalloc.start()
     try:
@@ -185,7 +194,7 @@ def test_run_single_holds_x_q_and_block_sized_scratch(kind):
     finally:
         tracemalloc.stop()
     assert not rec.failed and rec.rel_res == want.rel_res
-    assert peak <= 1.5 * x.data.nbytes
+    assert peak <= 1.25 * x.data.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +794,46 @@ def test_cli_unreadable_or_unwritable_files_exit_2(
     assert "Traceback" not in err + out
     # An unwritable --out is found before the sweep generates anything.
     assert generated == []
+
+
+def _respelled_row(column, token):
+    """``_row``'s well-formed BCGSI+A-2S row with one cell respelled."""
+    cells = _row("BCGSI+A-2S", "houseqr").splitlines()[1].split(",")
+    cells[CSV_FIELDS.index(column)] = token
+    return _HEADER + ",".join(cells) + "\n"
+
+
+@pytest.mark.parametrize(
+    "column,token,fragment",
+    [
+        ("m", "4_0", "'4_0'"),
+        ("m", " 40", "' 40'"),
+        ("p", "+4", "'+4'"),
+        ("s", "02", "'02'"),
+        ("kappa_actual", "nan", "'nan'"),
+        ("kappa_actual", "inf", "'inf'"),
+        ("kappa_target", "-inf", "'-inf'"),
+        ("loo", "1e2", "'1e2'"),
+        ("loo", "1.0e-15", "'1.0e-15'"),
+        ("p", "0", "p=0"),
+        ("s", "0", "s=0"),
+        ("m", "7", "m=7, p=4, s=2"),
+    ],
+)
+def test_check_bounds_rejects_cells_its_writer_never_writes(
+    column, token, fragment, tmp_path
+):
+    # Each int and float cell must be the writer's own spelling of its
+    # value, and the shape one a sweep accepts; the row otherwise reads.
+    path = tmp_path / "respelled.csv"
+    path.write_text(_respelled_row("m", "40"))
+    assert read_csv(path)[0].m == 40
+    path.write_text(_respelled_row(column, token))
+    code, out, err = _capture(cli_main, ["check-bounds", str(path)])
+    assert code == 2
+    assert err.startswith("blockgs: error:") and ":2: " in err
+    assert fragment in err
+    assert "Traceback" not in err + out
 
 
 def test_cli_syncs_output():

@@ -359,8 +359,9 @@ def test_importing_blockgs_leaves_scipy_io_unloaded():
 def test_default_family_wraps_the_composed_array(monkeypatch):
     made = []
 
-    def recording(u, v, sigma):
-        made.append(compose(u, v, sigma))
+    def recording(u, v, sigma, out):
+        made.append(compose(u, v, sigma, out))
+        assert made[-1] is out
         return made[-1]
 
     compose = matgen._compose

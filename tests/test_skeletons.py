@@ -429,3 +429,91 @@ def test_the_result_q_is_the_column_major_workspace(monkeypatch, name):
     result = ALL_RUNNERS[name](_gaussian(m=40, p=4, s=3, seed=5))
     assert seen and all(base is result.q.data for base in seen)
     assert result.q.data.flags.f_contiguous
+
+
+def _copy_holding_fused_normalization(ledger, k, q, lo, v):
+    """The fused normalization with V held as its own array and copied
+    into block k's slot, the form the slot-deflating steps replace."""
+    hi = lo + v.shape[1]
+    q[:, lo:hi] = v
+    prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo:hi])
+    y_col, omega = prods[:lo, :], prods[lo:, :]
+    return (y_col, *skeletons._fused_cholesky(q[:, :lo], v, y_col, omega))
+
+
+def _copy_holding_2s(x, io_a):
+    def step(ledger, k, q, lo, xk):
+        s_col = ledger.reduce(k, "proj", q[:, :lo], xk)
+        v = project_out(xk, q[:, :lo], s_col)
+        y_col, y_kk, qk, failed = _copy_holding_fused_normalization(
+            ledger, k, q, lo, v
+        )
+        return s_col + y_col, y_kk, qk, failed
+
+    return skeletons._run(x, io_a, step)
+
+
+def _copy_holding_1s(x, io_a):
+    s = x.block_width
+    carried = {}
+
+    def step(ledger, k, q, lo, xk):
+        qprev = q[:, :lo]
+        if k == 2:
+            s_col = ledger.reduce(1, "proj", qprev, xk)
+        else:
+            s_col = carried["s_next"]
+        v = project_out(xk, qprev, s_col)
+        if k == x.block_count:
+            y_col, y_kk, qk, failed = _copy_holding_fused_normalization(
+                ledger, k, q, lo, v
+            )
+            return s_col + y_col, y_kk, qk, failed
+        hi = lo + s
+        q[:, lo:hi] = v
+        q[:, hi : hi + s] = x.block(k + 1)
+        prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo : hi + s])
+        y_col, z_blk = prods[:lo, :s], prods[:lo, s:]
+        omega, p_blk = prods[lo:, :s], prods[lo:, s:]
+        y_kk, qk, failed = skeletons._fused_cholesky(qprev, v, y_col, omega)
+        if failed:
+            bottom = np.full((s, s), np.nan)
+        else:
+            bottom = skeletons.tri_solve_left_transposed(
+                y_kk, p_blk - y_col.T @ z_blk
+            )
+        carried["s_next"] = np.vstack([z_blk, bottom])
+        return s_col + y_col, y_kk, qk, failed
+
+    return skeletons._run(x, io_a, step)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.integers(min_value=2, max_value=6),
+    s=st.integers(min_value=1, max_value=7),
+    extra_rows=st.integers(min_value=0, max_value=60),
+    kappa=st.sampled_from([1e1, 1e6, 1e10, 1e15]),
+    io_a=st.sampled_from(sorted(IO_BY_NAME)),
+    one_sync=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_low_sync_steps_deflating_into_the_slot_keep_every_bit(
+    seed, p, s, extra_rows, kappa, io_a, one_sync
+):
+    # The two- and one-sync steps deflate V_k straight into block k's
+    # workspace slot and read it there; the reference holds V_k as its own
+    # array and copies it in.  Q (NaNs included), R and the ledger agree
+    # bit for bit, breakdowns included.
+    x = generate(
+        MatrixClassSpec("default", p * s + extra_rows, p, s, seed, kappa=kappa)
+    )
+    if one_sync:
+        got, want = bcgsi_a_1s, _copy_holding_1s
+    else:
+        got, want = bcgsi_a_2s, _copy_holding_2s
+    got, want = got(x, IO_BY_NAME[io_a]), want(x, IO_BY_NAME[io_a])
+    assert got.failed == want.failed
+    assert got.q.data.tobytes(order="A") == want.q.data.tobytes(order="A")
+    assert got.r.tobytes() == want.r.tobytes()
+    assert got.ledger.events == want.ledger.events
