@@ -71,12 +71,34 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Combo:
-    """One skeleton plus exactly the muscle slots it consumes."""
+    """One skeleton plus exactly the muscle slots it consumes, equal ones
+    when it is tied; any other ``Combo`` raises ``ConfigError``, so every
+    one built runs.  The skeleton may be given in any spelling
+    :func:`_parse_skeleton` accepts and is stored as a :class:`SkeletonKind`.
+    """
 
     skeleton: SkeletonKind
     io_a: IOSpec | None = None
     io1: IOSpec | None = None
     io2: IOSpec | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "skeleton", _parse_skeleton(self.skeleton))
+        spec = SKELETONS[self.skeleton]
+        for slot in _SLOTS:
+            used, io = slot in spec.slots, getattr(self, slot)
+            if used and io is None:
+                raise ConfigError(f"{spec.display} requires {slot}")
+            if not used and io is not None:
+                raise ConfigError(f"{spec.display} takes no {slot}")
+        if spec.tied and len(set(self.muscles)) > 1:
+            raise ConfigError(f"{spec.display} requires tied muscle slots")
+
+    @property
+    def muscles(self) -> tuple[IOSpec, ...]:
+        """The muscles of the skeleton's slots, in slot order."""
+        slots = SKELETONS[self.skeleton].slots
+        return tuple(getattr(self, slot) for slot in slots)
 
 
 _SLOTS = tuple(f.name for f in fields(Combo) if f.name != "skeleton")
@@ -84,7 +106,7 @@ _SLOTS = tuple(f.name for f in fields(Combo) if f.name != "skeleton")
 
 def _parse_skeleton(token: str) -> SkeletonKind:
     """The skeleton named by its value, display name or a shorthand."""
-    key = token.strip().lower()
+    key = token.strip().lower() if isinstance(token, str) else None
     for kind, spec in SKELETONS.items():
         if key in (kind.value, spec.display.lower(), *spec.shorthands):
             return kind
@@ -111,8 +133,10 @@ def make_combo(
     Unused slots are dropped; for the tied aliases all supplied slots must
     name the same muscle (which then fills every consumed slot).  Missing
     slots fall back to HouseQR for the first block and CholQR elsewhere.
+    ``skeleton`` is any spelling :func:`_parse_skeleton` accepts; an
+    unknown one raises ``ConfigError``.
     """
-    kind = SkeletonKind(skeleton)
+    kind = _parse_skeleton(skeleton)
     spec = SKELETONS[kind]
     if spec.tied:
         supplied = {io for io in (io_a, io1, io2) if io is not None}
@@ -131,22 +155,9 @@ def make_combo(
     return Combo(kind, **{slot: pool[slot] for slot in spec.slots})
 
 
-def _validate_combo(combo: Combo) -> None:
-    spec = SKELETONS[combo.skeleton]
-    for slot in _SLOTS:
-        used, io = slot in spec.slots, getattr(combo, slot)
-        if used and io is None:
-            raise ConfigError(f"{spec.display} requires {slot}")
-        if not used and io is not None:
-            raise ConfigError(f"{spec.display} takes no {slot}")
-    if spec.tied and len({getattr(combo, slot) for slot in spec.slots}) > 1:
-        raise ConfigError(f"{spec.display} requires tied muscle slots")
-
-
 def _run_combo(combo: Combo, x: BlockMatrix) -> BGSResult:
-    spec = SKELETONS[combo.skeleton]
-    muscles = [getattr(combo, slot) for slot in spec.slots]
-    if spec.tied:
+    muscles = combo.muscles
+    if SKELETONS[combo.skeleton].tied:
         muscles = muscles[:1]
     # Looked up by name at call time, so a rebound module attribute is used.
     return getattr(skeletons, combo.skeleton.value)(x, *muscles)
@@ -155,7 +166,8 @@ def _run_combo(combo: Combo, x: BlockMatrix) -> BGSResult:
 @dataclass
 class RunRecord:
     """One experiment point: a CSV row, plus ``note``, the reason a sweep
-    skipped the point, which stays out of the CSV.
+    skipped the point, which stays out of the CSV.  The measured fields
+    default to a run that did not happen: NaN metrics, failed, zero time.
 
     The CSV columns are the fields in declaration order, each written and
     read by its declared type; fields with ``metadata={"csv": False}`` stay
@@ -172,12 +184,12 @@ class RunRecord:
     io_a: str
     io1: str
     io2: str
-    loo: float
-    rel_res: float
-    rel_chol_res: float
-    sync_per_block: float
-    failed: bool
-    elapsed_ms: float
+    loo: float = math.nan
+    rel_res: float = math.nan
+    rel_chol_res: float = math.nan
+    sync_per_block: float = math.nan
+    failed: bool = True
+    elapsed_ms: float = 0.0
     note: str = field(default="", metadata={"csv": False})
 
 
@@ -260,8 +272,6 @@ def _validate_config(config: SweepConfig) -> None:
         raise ConfigError(
             f"matrix must be tall: m={config.m} < p*s={config.p * config.s}"
         )
-    for combo in config.combos:
-        _validate_combo(combo)
 
 
 def _record(
@@ -274,21 +284,12 @@ def _record(
 ) -> RunRecord:
     """The record of one combo at one point.
 
-    ``outcome`` sets the measured fields; those not given read as a run
-    that did not happen (NaN metrics, ``failed``, zero time).
+    ``outcome`` sets the measured fields; those not given keep
+    :class:`RunRecord`'s defaults.
     """
     m, p, s = shape
     ios = {slot: getattr(combo, slot) for slot in _SLOTS}
     muscles = {slot: "" if io is None else io.kind for slot, io in ios.items()}
-    measured = dict(
-        loo=math.nan,
-        rel_res=math.nan,
-        rel_chol_res=math.nan,
-        sync_per_block=math.nan,
-        failed=True,
-        elapsed_ms=0.0,
-    )
-    measured.update(outcome)
     return RunRecord(
         matrix_class=matrix_class,
         m=m,
@@ -298,7 +299,7 @@ def _record(
         kappa_actual=kappa_actual,
         skeleton=SKELETONS[combo.skeleton].display,
         **muscles,
-        **measured,
+        **outcome,
     )
 
 
@@ -319,33 +320,25 @@ def run_single(
     and set to NaN when the conditioning is unmeasurable, and the metrics
     form ``x_gram`` themselves.
     """
-    _validate_combo(combo)
     if kappa_actual is None:
         kappa_actual = _measure(x)
     start = time.perf_counter()
     result = _run_combo(combo, x)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    if result.failed:
-        loo_v = res_v = chol_v = math.nan
-    else:
-        loo_v = loo(result.q)
+    outcome = dict(failed=result.failed, elapsed_ms=elapsed_ms)
+    if not result.failed:
+        outcome["loo"] = loo(result.q)
         # Q is this run's own and read for the last time: the residual
         # takes its storage instead of a third m-by-n array.
-        res_v = rel_res(x, result.q, result.r, x_gram, overwrite_q=True)
-        chol_v = rel_chol_res(x, result.r, x_gram)
-    sync_v = syncs_per_block(result) if x.block_count >= 3 else math.nan
+        outcome["rel_res"] = rel_res(
+            x, result.q, result.r, x_gram, overwrite_q=True
+        )
+        outcome["rel_chol_res"] = rel_chol_res(x, result.r, x_gram)
+    if x.block_count >= 3:
+        outcome["sync_per_block"] = syncs_per_block(result)
+    shape = (x.m, x.block_count, x.block_width)
     return _record(
-        combo,
-        matrix_class,
-        (x.m, x.block_count, x.block_width),
-        kappa_target,
-        kappa_actual,
-        loo=loo_v,
-        rel_res=res_v,
-        rel_chol_res=chol_v,
-        sync_per_block=sync_v,
-        failed=result.failed,
-        elapsed_ms=elapsed_ms,
+        combo, matrix_class, shape, kappa_target, kappa_actual, **outcome
     )
 
 
@@ -514,8 +507,7 @@ def _row_envelope(
         raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
     ios = (_parse_io(getattr(rec, slot), slot) for slot in _SLOTS)
     combo = Combo(by_display[rec.skeleton], *ios)
-    _validate_combo(combo)
-    spec = bound_for(combo.skeleton, combo.io_a, combo.io1, combo.io2, p=rec.p)
+    spec = bound_for(combo.skeleton, *combo.muscles, p=rec.p)
     if not spec.enforced or not math.isfinite(rec.kappa_actual):
         return False, math.nan
     return bound_envelope(spec, rec.kappa_actual)
@@ -560,17 +552,14 @@ def check_bounds(path, *, out=None) -> list[str]:
     return violations
 
 
-def sync_table(
-    m: int = 100, p: int = 6, s: int = 2, seed: int = 42
-) -> list[tuple[str, float]]:
+def sync_table() -> list[tuple[str, float]]:
     """Steady-state reductions per block column, measured from live ledgers.
 
     Runs every skeleton with Gram-product (single-reduction) muscles on a
     small well-conditioned matrix and reads the interior-block average off
     the ledger — nothing here is hard-coded.
     """
-    spec = MatrixClassSpec("default", m, p, s, seed, kappa=10.0)
-    x = gen_default(spec)
+    x = gen_default(MatrixClassSpec("default", 100, 6, 2, 42, kappa=10.0))
     cholqr = IO_BY_NAME["cholqr"]
     rows = []
     for kind, spec in SKELETONS.items():
@@ -644,11 +633,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=MATRIX_CLASSES,
         help="matrix family to sweep",
     )
-    sweep.add_argument("--m", type=int, default=100, help="rows (default 100)")
-    sweep.add_argument("--p", type=int, default=10, help="blocks (default 10)")
-    sweep.add_argument(
-        "--s", type=int, default=5, help="columns per block (default 5)"
-    )
+    dims = (("m", "rows"), ("p", "blocks"), ("s", "columns per block"))
+    for dim, what in dims:
+        sweep.add_argument(
+            f"--{dim}",
+            type=int,
+            default=getattr(SweepConfig, dim),
+            help=f"{what} (default %(default)s)",
+        )
     sweep.add_argument(
         "--skeletons",
         default=",".join(kind.value for kind in SKELETONS),
@@ -677,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="log-spaced targets as lo:hi:count",
     )
-    sweep.add_argument("--seed", type=int, default=42)
+    sweep.add_argument("--seed", type=int, default=SweepConfig.seed)
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
 
     check = sub.add_parser(
@@ -720,7 +712,7 @@ def _config_from_args(args) -> SweepConfig:
     io1 = _parse_io(args.io1, "--io1")
     io2 = _parse_io(args.io2, "--io2")
     combos = tuple(
-        make_combo(_parse_skeleton(tok), io_a, io1, io2)
+        make_combo(tok, io_a, io1, io2)
         for tok in args.skeletons.split(",")
         if tok.strip()
     )

@@ -158,22 +158,18 @@ def svd_with_cond(
     rows: int,
     cols: int,
     kappa: float,
-    seed: int = 0,
     *,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Matrix with prescribed log-spaced singular values, largest = 1.
 
-    Built as U diag(sigma) V^T with U, V drawn as QR factors of seeded
-    Gaussian matrices and sigma log-spaced from 1 down to 1/kappa.  Pass
-    ``rng`` to draw from an existing stream instead of ``seed``.  ``kappa``
-    must be finite and >= 1.
+    Built as U diag(sigma) V^T with U, V drawn from ``rng`` as QR factors
+    of Gaussian matrices and sigma log-spaced from 1 down to 1/kappa.
+    ``kappa`` must be finite and >= 1.
     """
     if rows < cols:
         raise ValueError("matrix must be tall: rows >= cols")
     _check_kappa(kappa)
-    if rng is None:
-        rng = make_rng(seed)
     # X's storage is taken before the factors', so theirs, freed on return,
     # leaves no X-sized hole below X in the heap.  cond_2's SVD copy of X
     # is a few KB larger than such a hole; when it does not fit, it takes

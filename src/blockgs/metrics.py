@@ -41,7 +41,6 @@ from .skeletons import SKELETONS, BoundSpec, SkeletonKind
 __all__ = [
     "EPS",
     "C_TOL",
-    "BoundSpec",
     "loo",
     "rel_res",
     "rel_chol_res",

@@ -359,22 +359,21 @@ def apply_io(
     spec: IOSpec,
     x,
     *,
-    ledger: SyncLedger | None = None,
-    block: int = 1,
+    ledger: SyncLedger,
+    block: int,
 ) -> QROutput:
     """Dispatch one muscle call, charging its reductions to ``block``.
 
-    The ledger event is labeled ``io-gram`` for the Gram-product muscle
-    (``chol_qr``) and ``io-cols`` for the column-sweep muscles, and is
-    recorded whether or not the call succeeds numerically — the reductions
-    are spent either way.
+    The event goes into ``ledger``, labeled ``io-gram`` for the
+    Gram-product muscle (``chol_qr``) and ``io-cols`` for the column-sweep
+    muscles, and is recorded whether or not the call succeeds numerically —
+    the reductions are spent either way.
     """
     x = np.asarray(x, dtype=np.float64)
     try:
         routine = _ROUTINES[spec.kind]
     except KeyError:
         raise ValueError(f"unknown intraorthogonalization {spec.kind!r}") from None
-    if ledger is not None:
-        label = "io-gram" if spec.kind == "cholqr" else "io-cols"
-        ledger.record(block, label, spec.sync_cost(x.shape[1]))
+    label = "io-gram" if spec.kind == "cholqr" else "io-cols"
+    ledger.record(block, label, spec.sync_cost(x.shape[1]))
     return routine(x)

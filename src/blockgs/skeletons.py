@@ -319,42 +319,40 @@ def bcgsi_a_3s(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
     return _run(x, io_a, step)
 
 
-def _fused_cholesky(qprev, v, y_col, omega):
-    """The Cholesky-based cleanup shared by the two- and one-sync steps.
-
-    Y_kk is the fail-safe-free Cholesky factor of ``Omega - Y^T Y`` and the
-    new Q block is ``(V - Q_prev Y) Y_kk^{-1}``; a failed factor or an
-    exactly zero pivot gives a NaN Q block instead.  Returns
-    ``(y_kk, q_k, failed)``.
-    """
-    fac = chol_free(omega - y_col.T @ y_col)
-    if fac.failed or zero_pivot(fac.r):
-        return fac.r, np.full(v.shape, np.nan), True
-    return fac.r, tri_solve_right(project_out(v, qprev, y_col), fac.r), False
-
-
 def _fused_normalization(
     ledger: SyncLedger,
     k: int,
     q: np.ndarray,
     lo: int,
     s: int,
+    ahead: np.ndarray | None = None,
 ):
-    """Batched product [Q_prev, V]^T V, then the Cholesky-based cleanup.
+    """Batched product [Q_prev, V]^T [V, A], then the Cholesky cleanup.
 
-    Precondition: the caller has deflated V into block k's slot
-    ``q[:, lo:lo + s]`` of the workspace, so [Q_prev, V] is the view
-    ``q[:, :lo + s]`` and V is read there, never stacked or copied.  One
-    reduction yields both the reorthogonalization coefficients Y and the
-    Gram block Omega.  Returns ``(y_col, y_kk, q_k, failed)``; Q_k is a new
-    array, and the slot still holds V.
+    The caller has deflated V into block k's slot ``q[:, lo:lo + s]``, so
+    [Q_prev, V] is the view ``q[:, :lo + s]``; a look-ahead block A, when
+    given, is written into slot k+1 beside V.  One reduction yields Y =
+    Q_prev^T V, Omega = V^T V and, with A, Z = Q_prev^T A and P = V^T A.
+    Y_kk is the fail-safe-free Cholesky factor of ``Omega - Y^T Y`` and the
+    new array Q_k is ``(V - Q_prev Y) Y_kk^{-1}``, or NaN on a failed factor
+    or an exactly zero pivot.  Returns (Y, Y_kk, Q_k, failed, Z, P); Z and
+    P are empty without A.
     """
     hi = lo + s
+    right = hi
+    if ahead is not None:
+        right = hi + s
+        q[:, hi:right] = ahead
     v = q[:, lo:hi]
-    prods = ledger.reduce(k, "batch", q[:, :hi], v)
-    y_col = prods[:lo, :]
-    omega = prods[lo:, :]
-    return (y_col, *_fused_cholesky(q[:, :lo], v, y_col, omega))
+    prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo:right])
+    y_col = prods[:lo, :s]
+    fac = chol_free(prods[lo:, :s] - y_col.T @ y_col)
+    failed = fac.failed or zero_pivot(fac.r)
+    if failed:
+        q_k = np.full(v.shape, np.nan)
+    else:
+        q_k = tri_solve_right(project_out(v, q[:, :lo], y_col), fac.r)
+    return y_col, fac.r, q_k, failed, prods[:lo, s:], prods[lo:, s:]
 
 
 def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
@@ -371,7 +369,7 @@ def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
         q[:, lo : lo + s] = project_out(xk, qprev, s_col)
-        y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, s)
+        y_col, y_kk, qk, failed, *_ = _fused_normalization(ledger, k, q, lo, s)
         return s_col + y_col, y_kk, qk, failed
 
     return _run(x, io_a, step)
@@ -382,12 +380,13 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
 
     Block k's projection coefficients S are, at k = 2, the plain projection
     of X_2 on Q_1 (charged to block 1), and later those carried over from
-    block k-1; V_k = X_k - Q_prev S.  For k < p one batched product
+    block k-1; V_k = X_k - Q_prev S.  For k < p the fused normalization
+    takes X_{k+1} as its look-ahead block: one batched product
     [Q_prev, V_k]^T [V_k, X_{k+1}] yields Y, Omega, Z = Q_prev^T X_{k+1}
     and P = V_k^T X_{k+1}; the fused Cholesky step gives Y_kk and Q_k, and
     a transposed triangular solve of ``P - Y^T Z`` the row Q_k^T X_{k+1}.
-    Block p takes the plain fused normalization.  Total ledger cost:
-    sync_cost(io_a) + p reductions.
+    Block p has no look-ahead.  Total ledger cost: sync_cost(io_a) + p
+    reductions.
     """
     s = x.block_width
     s_next = None  # Q_1..Q_k^T X_{k+1}, carried from block k to block k+1
@@ -400,26 +399,16 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
             s_col = ledger.reduce(1, "proj", qprev, xk)
         else:
             s_col = s_next
-        hi = lo + s
-        q[:, lo:hi] = project_out(xk, qprev, s_col)
-        if k == x.block_count:
-            y_col, y_kk, qk, failed = _fused_normalization(ledger, k, q, lo, s)
-            return s_col + y_col, y_kk, qk, failed
-        # X_{k+1} beside V_k, in slot k+1 (the loop overwrites both
-        # later), so both batch operands are views of q.
-        v = q[:, lo:hi]
-        q[:, hi : hi + s] = x.block(k + 1)
-        prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo : hi + s])
-        y_col = prods[:lo, :s]
-        z_blk = prods[:lo, s:]
-        omega = prods[lo:, :s]
-        p_blk = prods[lo:, s:]
-        y_kk, qk, failed = _fused_cholesky(qprev, v, y_col, omega)
-        if failed:
-            bottom = np.full((s, s), np.nan)
-        else:
+        q[:, lo : lo + s] = project_out(xk, qprev, s_col)
+        ahead = x.block(k + 1) if k < x.block_count else None
+        y_col, y_kk, qk, failed, z_blk, p_blk = _fused_normalization(
+            ledger, k, q, lo, s, ahead
+        )
+        if ahead is not None and failed:
+            s_next = np.vstack([z_blk, np.full((s, s), np.nan)])
+        elif ahead is not None:
             bottom = tri_solve_left_transposed(y_kk, p_blk - y_col.T @ z_blk)
-        s_next = np.vstack([z_blk, bottom])
+            s_next = np.vstack([z_blk, bottom])
         return s_col + y_col, y_kk, qk, failed
 
     return _run(x, io_a, step)

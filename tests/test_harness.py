@@ -87,6 +87,21 @@ def test_hand_built_combos_are_validated():
         run_single(x, Combo(SkeletonKind.BCGS_A, io_a=HOUSE_QR))
     with pytest.raises(ConfigError, match="requires tied muscle slots"):
         run_single(x, Combo(SkeletonKind.BCGS, io_a=HOUSE_QR, io1=CHOL_QR))
+    # A skeleton given by name is stored as its kind and runs as one.
+    by_name = Combo("bcgs_a", HOUSE_QR, CHOL_QR)
+    assert by_name == make_combo("bcgs_a")
+    assert by_name.skeleton is SkeletonKind.BCGS_A
+    runs = [run_single(x, c) for c in (by_name, make_combo("bcgs_a"))]
+    for rec in runs:
+        rec.elapsed_ms = 0.0
+    assert harness._record_row(runs[0]) == harness._record_row(runs[1])
+    config = dataclasses.replace(_small_sweep(), combos=(by_name,))
+    assert len(run_sweep(config)) == len(config.kappas)
+    for name in ("nope", None):
+        with pytest.raises(ConfigError, match=f"unknown skeleton {name!r}"):
+            Combo(name, HOUSE_QR)
+    with pytest.raises(ConfigError, match="unknown skeleton 'nope'"):
+        make_combo("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +269,26 @@ def test_run_sweep_full_grid_all_skeletons():
 
 
 def test_run_sweep_gives_every_combo_at_a_point_the_same_matrix(monkeypatch):
-    seen = []
+    seen, synced = [], []
     real = harness.run_single
+    real_syncs = harness.syncs_per_block
 
     def recording(x, combo, **kwargs):
         seen.append((kwargs["kappa_target"], x.data.tobytes(order="F")))
         return real(x, combo, **kwargs)
 
+    def counting(result):
+        synced.append(real_syncs(result))
+        return synced[-1]
+
+    # Both hooks are read through the module globals at call time.
     monkeypatch.setattr(harness, "run_single", recording)
+    monkeypatch.setattr(harness, "syncs_per_block", counting)
     config = _small_sweep()
+    assert config.p >= 3
     records = run_sweep(config)
     assert len(seen) == len(records) == 6
+    assert synced == [r.sync_per_block for r in records]
     points = [seen[i : i + 2] for i in range(0, 6, 2)]
     for kt, point in zip(config.kappas, points):
         assert [k for k, _ in point] == [kt, kt]
@@ -590,6 +614,18 @@ def test_cli_sweep_writes_csv(tmp_path):
         "BCGSI+A-2S",
     ] * 2
     assert all(r.io_a == "houseqr" for r in records)
+    # The dimensions left unset take SweepConfig's defaults, as --help says.
+    assert {(r.m, r.p, r.s) for r in records} == {(100, 10, 5)}
+    help_out = io.StringIO()
+    with contextlib.redirect_stdout(help_out), pytest.raises(SystemExit):
+        cli_main(["sweep", "--help"])
+    help_text = " ".join(help_out.getvalue().split())
+    for phrase in (
+        "rows (default 100)",
+        "blocks (default 10)",
+        "columns per block (default 5)",
+    ):
+        assert phrase in help_text
 
 
 def test_skeleton_registry_round_trips(tmp_path):

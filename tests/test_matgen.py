@@ -74,7 +74,7 @@ def test_svd_with_cond_hits_target():
     # Recomposing U diag(sigma) V^T perturbs the smallest singular value
     # by ~eps in absolute terms, i.e. ~eps*kappa relative to sigma_min.
     for kappa in (1.0, 1.0e3, 1.0e8, 1.0e12):
-        x = svd_with_cond(50, 10, kappa, seed=5)
+        x = svd_with_cond(50, 10, kappa, rng=make_rng(5))
         assert spectral_norm(x) == pytest.approx(1.0, rel=1e-12)
         tolerance = max(1e-12, 100.0 * 2.0**-53 * kappa)
         assert cond_2(x) == pytest.approx(kappa, rel=tolerance)
@@ -82,10 +82,10 @@ def test_svd_with_cond_hits_target():
 
 def test_svd_with_cond_validation():
     with pytest.raises(ValueError, match="rows >= cols"):
-        svd_with_cond(3, 5, 10.0)
+        svd_with_cond(3, 5, 10.0, rng=make_rng(0))
     for kappa in (0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
-            svd_with_cond(5, 3, kappa)
+            svd_with_cond(5, 3, kappa, rng=make_rng(0))
 
 
 def test_default_family_within_factor_two_of_target():

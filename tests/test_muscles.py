@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from blockgs import muscles
 from blockgs.blockcore import cond_2, spectral_norm
-from blockgs.matgen import MatrixClassSpec, generate, svd_with_cond
+from blockgs.matgen import MatrixClassSpec, generate, make_rng, svd_with_cond
 from blockgs.metrics import EPS, loo, rel_res
 from blockgs.muscles import (
     CHOL_QR,
@@ -183,7 +183,7 @@ def test_chol_qr_failure_rate_at_severe_conditioning():
     # definiteness to rounding and some survive.  Frozen seeded batch.
     failures = 0
     for seed in range(10):
-        x = svd_with_cond(60, 6, 1.0e9, seed=seed)
+        x = svd_with_cond(60, 6, 1.0e9, rng=make_rng(seed))
         if chol_qr(x).failed:
             failures += 1
     assert 0 < failures < 10  # genuinely on the edge: mixed outcomes
@@ -230,7 +230,7 @@ def test_residual_envelope_random(name):
 def test_orthogonality_envelopes_across_conditioning():
     # Each method's loss of orthogonality tracks eps * kappa^alpha.
     for kappa in (1.0e2, 1.0e5, 1.0e7):
-        x = svd_with_cond(80, 8, kappa, seed=3)
+        x = svd_with_cond(80, 8, kappa, rng=make_rng(3))
         for spec, fn in (
             (HOUSE_QR, house_qr),
             (GIVENS_QR, givens_qr),

@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import blockgs
-from blockgs import skeletons
-from blockgs.blockcore import BlockMatrix, project_out, spectral_norm
+from blockgs import harness, skeletons
+from blockgs.blockcore import (
+    BlockMatrix,
+    project_out,
+    spectral_norm,
+    tri_solve_right,
+    zero_pivot,
+)
 from blockgs.harness import RunRecord, make_combo, run_single
 from blockgs.matgen import MatrixClassSpec, generate
 from blockgs.metrics import EPS, loo, rel_res
@@ -20,6 +26,7 @@ from blockgs.muscles import (
     IO_BY_NAME,
     MGS,
     apply_io,
+    chol_free,
     house_qr,
 )
 from blockgs.skeletons import (
@@ -88,7 +95,7 @@ def test_single_block_degenerates_to_one_muscle_call(name):
     data = rng.standard_normal((10, 3))
     x = BlockMatrix(data.copy(), block_width=3)
     result = ALL_RUNNERS[name](x)
-    direct = apply_io(HOUSE_QR, data)
+    direct = apply_io(HOUSE_QR, data, ledger=SyncLedger(), block=1)
     assert_allclose(result.q.data, direct.q)
     assert_allclose(result.r, direct.r)
     assert result.ledger.total == HOUSE_QR.sync_cost(3)
@@ -272,6 +279,34 @@ def test_skeletons_share_one_block_loop():
     assert loops == ["_run"]
 
 
+def test_batched_product_and_combo_rules_are_stated_once():
+    # The one- and two-sync steps share one batched-product site, the fused
+    # normalization, and a combo's slot rules live in Combo alone.
+    tree = ast.parse(Path(skeletons.__file__).read_text())
+    owners = {
+        id(node): func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+    }
+    batch_sites = [
+        owners.get(id(node), "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "reduce"
+        and getattr(node.func.value, "id", None) == "ledger"
+        and any(getattr(arg, "value", None) == "batch" for arg in node.args)
+    ]
+    assert batch_sites == ["_fused_normalization"]
+    harness_tree = ast.parse(Path(harness.__file__).read_text())
+    defined = {
+        node.name
+        for node in ast.walk(harness_tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "_validate_combo" not in defined
+
+
 def test_reorthogonalized_variants_beat_low_sync_on_hard_matrix():
     # On a Krylov-style matrix near kappa ~ 1e12 the fully
     # reorthogonalized loop is the most accurate, the three-sync loop is
@@ -431,6 +466,14 @@ def test_the_result_q_is_the_column_major_workspace(monkeypatch, name):
     assert result.q.data.flags.f_contiguous
 
 
+def _cholesky_cleanup(qprev, v, y_col, omega):
+    """The fused step's Cholesky cleanup, restated: (Y_kk, Q_k, failed)."""
+    fac = chol_free(omega - y_col.T @ y_col)
+    if fac.failed or zero_pivot(fac.r):
+        return fac.r, np.full(v.shape, np.nan), True
+    return fac.r, tri_solve_right(project_out(v, qprev, y_col), fac.r), False
+
+
 def _copy_holding_fused_normalization(ledger, k, q, lo, v):
     """The fused normalization with V held as its own array and copied
     into block k's slot, the form the slot-deflating steps replace."""
@@ -438,7 +481,7 @@ def _copy_holding_fused_normalization(ledger, k, q, lo, v):
     q[:, lo:hi] = v
     prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo:hi])
     y_col, omega = prods[:lo, :], prods[lo:, :]
-    return (y_col, *skeletons._fused_cholesky(q[:, :lo], v, y_col, omega))
+    return (y_col, *_cholesky_cleanup(q[:, :lo], v, y_col, omega))
 
 
 def _copy_holding_2s(x, io_a):
@@ -475,7 +518,7 @@ def _copy_holding_1s(x, io_a):
         prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo : hi + s])
         y_col, z_blk = prods[:lo, :s], prods[:lo, s:]
         omega, p_blk = prods[lo:, :s], prods[lo:, s:]
-        y_kk, qk, failed = skeletons._fused_cholesky(qprev, v, y_col, omega)
+        y_kk, qk, failed = _cholesky_cleanup(qprev, v, y_col, omega)
         if failed:
             bottom = np.full((s, s), np.nan)
         else:
