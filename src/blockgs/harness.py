@@ -250,7 +250,6 @@ class SweepConfig:
     p: int = 10
     s: int = 5
     seed: int = 42
-    out: str | None = None
 
 
 def _validate_config(config: SweepConfig) -> None:
@@ -724,7 +723,6 @@ def _config_from_args(args) -> SweepConfig:
         p=args.p,
         s=args.s,
         seed=args.seed,
-        out=args.out,
     )
 
 
@@ -749,27 +747,26 @@ def cli_main(argv=None) -> int:
         if args.command == "sweep":
             config = _config_from_args(args)
             _validate_config(config)
-            created = not os.path.exists(config.out)
+            created = not os.path.exists(args.out)
             try:
                 # An unwritable --out fails here, before the sweep runs;
                 # mode "a" leaves an earlier CSV whole until write_csv.
-                open(config.out, "a").close()
+                open(args.out, "a").close()
             except OSError as exc:
-                return _error_exit(f"cannot write CSV to {config.out}: {exc}")
+                return _error_exit(f"cannot write CSV to {args.out}: {exc}")
             try:
                 records = run_sweep(config)
-            except BaseException:
-                # A sweep that raises or is interrupted leaves no empty
+                write_csv(records, args.out)
+            except BaseException as exc:
+                # A sweep or write that fails or is interrupted leaves no
                 # file where there was none.
                 if created:
-                    os.remove(config.out)
+                    os.remove(args.out)
+                if isinstance(exc, OSError):
+                    return _error_exit(exc)
                 raise
-            try:
-                write_csv(records, config.out)
-            except OSError as exc:
-                return _error_exit(exc)
             skipped = sum(1 for r in records if r.note)
-            msg = f"wrote {len(records)} records to {config.out}"
+            msg = f"wrote {len(records)} records to {args.out}"
             if skipped:
                 msg += f" ({skipped} skipped by calibration)"
             print(msg)

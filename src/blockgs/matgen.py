@@ -54,8 +54,6 @@ __all__ = [
 
 _TWO53 = float(1 << 53)
 
-MATRIX_CLASSES = ("monomial", "piled", "default")
-
 # Philox takes a 128-bit key: seeds are the integers in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 128
 
@@ -63,6 +61,10 @@ SEED_LIMIT = 1 << 128
 # in CALIBRATION_STEPS steps.
 CALIBRATION_MAX_LOG_KZ = 16.0
 CALIBRATION_STEPS = 40
+
+# Condition number of the piled family's first block X_1, a fixed choice
+# of the family as in the BlockStab toolbox.
+PILED_KAPPA_X1 = 10.0
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -95,8 +97,8 @@ class MatrixClassSpec:
 
     ``kappa`` is the target condition number for the default family;
     ``t`` is the monomial panel length (must divide p*s, the number of
-    panels is then r = p*s/t); ``kappa_x1``/``kappa_z`` are the two piled
-    knobs.  Unused parameters may stay at their defaults.
+    panels is then r = p*s/t); ``kappa_z`` is the piled knob.  Unused
+    parameters may stay at their defaults.
     """
 
     matrix_class: str
@@ -106,7 +108,6 @@ class MatrixClassSpec:
     seed: int
     kappa: float | None = None
     t: int | None = None
-    kappa_x1: float = 10.0
     kappa_z: float | None = None
 
     def __post_init__(self) -> None:
@@ -222,13 +223,13 @@ def gen_monomial(spec: MatrixClassSpec) -> BlockMatrix:
 
 @functools.lru_cache(maxsize=1)
 def _piled_factors(
-    m: int, p: int, s: int, seed: int, kappa_x1: float
+    m: int, p: int, s: int, seed: int
 ) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """X_1 and the p-1 factor pairs (U_k, V_k) of the piled increments,
     drawn from the seed's stream in the order the matrix uses them and
     returned read-only, since every caller of the cache shares them."""
     rng = make_rng(seed)
-    x1 = svd_with_cond(m, s, kappa_x1, rng=rng)
+    x1 = svd_with_cond(m, s, PILED_KAPPA_X1, rng=rng)
     pairs = tuple(_svd_factors(rng, m, s) for _ in range(p - 1))
     for a in (x1, *(f for pair in pairs for f in pair)):
         a.setflags(write=False)
@@ -238,7 +239,7 @@ def _piled_factors(
 def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
     """Cumulative-sum family X_k = X_{k-1} + Z_k.
 
-    X_1 has condition number ``kappa_x1`` and unit spectral norm; every
+    X_1 has condition number ``PILED_KAPPA_X1`` and unit spectral norm; every
     increment Z_k = U_k diag(sigma) V_k^T / kappa_z has condition number
     ``kappa_z`` and spectral norm 1/kappa_z.  X_1, U_k and V_k do not depend
     on ``kappa_z``: the last such set is cached (about one matrix of
@@ -247,9 +248,8 @@ def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
     if spec.kappa_z is None:
         raise ValueError("piled class needs a kappa_z knob")
     _check_kappa(spec.kappa_z, "kappa knobs")
-    _check_kappa(spec.kappa_x1, "kappa knobs")
     m, p, s = spec.m, spec.p, spec.s
-    x1, pairs = _piled_factors(m, p, s, spec.seed, spec.kappa_x1)
+    x1, pairs = _piled_factors(m, p, s, spec.seed)
     # Column-major, so BlockMatrix takes the array without copying it.
     out = np.empty((m, p * s), order="F")
     out[:, :s] = x1
@@ -263,13 +263,7 @@ def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
 
 
 def calibrate_piled(
-    m: int,
-    p: int,
-    s: int,
-    kappa_target: float,
-    seed: int,
-    *,
-    kappa_x1: float = 10.0,
+    m: int, p: int, s: int, kappa_target: float, seed: int
 ) -> tuple[MatrixClassSpec, float]:
     """Find the kappa_z knob whose generated matrix measures near a target.
 
@@ -283,9 +277,7 @@ def calibrate_piled(
     _check_kappa(kappa_target)
 
     def measure(log_kz: float) -> tuple[MatrixClassSpec, float]:
-        spec = MatrixClassSpec(
-            "piled", m, p, s, seed, kappa_x1=kappa_x1, kappa_z=10.0**log_kz
-        )
+        spec = MatrixClassSpec("piled", m, p, s, seed, kappa_z=10.0**log_kz)
         x = gen_piled(spec)
         try:
             return spec, cond_2(x.data)
@@ -320,6 +312,7 @@ _GENERATORS = {
     "piled": gen_piled,
     "default": gen_default,
 }
+MATRIX_CLASSES = tuple(_GENERATORS)
 
 
 def generate(spec: MatrixClassSpec) -> BlockMatrix:

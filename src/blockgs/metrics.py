@@ -192,20 +192,18 @@ def bound_for(
     return spec.envelope(kind, *muscles, p=p)
 
 
-def bound_envelope(
-    spec: BoundSpec, kappa: float, eps: float = EPS
-) -> tuple[bool, float]:
+def bound_envelope(spec: BoundSpec, kappa: float) -> tuple[bool, float]:
     """Evaluate an envelope at a measured condition number.
 
     Returns ``(applicable, loo_bound)`` with
-    ``applicable = io_a_ok and eps * kappa**theta <= 1/2`` and
-    ``loo_bound = 100 * eps * kappa**loo_exponent``.  A non-finite kappa
+    ``applicable = io_a_ok and EPS * kappa**theta <= 1/2`` and
+    ``loo_bound = 100 * EPS * kappa**loo_exponent``.  A non-finite kappa
     (unmeasurable conditioning) is never applicable.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    bound = C_TOL * eps * kappa**spec.loo_exponent
+    bound = C_TOL * EPS * kappa**spec.loo_exponent
     if not spec.io_a_ok or not np.isfinite(kappa):
         return False, bound
-    applicable = eps * kappa**spec.theta <= 0.5
+    applicable = EPS * kappa**spec.theta <= 0.5
     return bool(applicable), bound

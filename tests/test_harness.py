@@ -243,6 +243,26 @@ def test_run_sweep_record_grid():
     assert all(r.elapsed_ms == 0.0 for r in records)
 
 
+def test_sweep_config_holds_exactly_what_pins_the_csv():
+    base = SweepConfig(
+        "default", (make_combo("bcgs"),), (1.0e3,), m=12, p=3, s=2, seed=1
+    )
+    changes = {
+        "matrix_class": "monomial",
+        "combos": (make_combo("bcgs_a"),),
+        "kappas": (1.0e6,),
+        "m": 13,
+        "p": 2,
+        "s": 3,
+        "seed": 2,
+    }
+    assert [f.name for f in dataclasses.fields(SweepConfig)] == list(changes)
+    want = run_sweep(base)
+    assert run_sweep(base) == want
+    for name, value in changes.items():
+        assert run_sweep(dataclasses.replace(base, **{name: value})) != want, name
+
+
 def test_run_sweep_full_grid_all_skeletons():
     combos = tuple(make_combo(kind) for kind in SkeletonKind)
     config = SweepConfig(
@@ -968,20 +988,27 @@ def test_cli_interrupted_sweep_keeps_the_previous_csv(tmp_path, monkeypatch):
     assert out.read_text() == "sentinel\n"
 
 
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, OSError])
 def test_cli_failed_sweep_leaves_no_file_at_a_fresh_path(
     tmp_path, monkeypatch, error
 ):
+    # The sweep raises or is interrupted; an OSError stands for a failed
+    # CSV write, which exits 2.
     out = tmp_path / "fresh.csv"
+    argv = ["sweep", "--matrix", "monomial", "--kappas", "10", "--out", str(out)]
 
-    def failing(config):
+    def failing(*args):
         assert out.exists()  # the --out check ran first
-        raise error
+        out.write_text("partial")
+        raise error("disk full")
 
-    monkeypatch.setattr(harness, "run_sweep", failing)
-    with pytest.raises(error):
-        cli_main(["sweep", "--matrix", "monomial", "--kappas", "10",
-                  "--out", str(out)])
+    if error is OSError:
+        monkeypatch.setattr(harness, "write_csv", failing)
+        assert _sweep_exit_code(argv) == 2
+    else:
+        monkeypatch.setattr(harness, "run_sweep", failing)
+        with pytest.raises(error):
+            cli_main(argv)
     assert not out.exists()
 
 

@@ -147,9 +147,6 @@ def test_piled_validation():
         {"kappa_z": 0.5},
         {"kappa_z": np.nan},
         {"kappa_z": np.inf},
-        {"kappa_z": 10.0, "kappa_x1": 0.5},
-        {"kappa_z": 10.0, "kappa_x1": np.nan},
-        {"kappa_z": 10.0, "kappa_x1": np.inf},
     ):
         spec = MatrixClassSpec("piled", 60, 5, 2, 7, **knobs)
         with pytest.raises(ValueError, match="knobs must be >= 1 and finite"):
@@ -185,7 +182,7 @@ def test_piled_calibration_rejects_bad_target():
 def _piled_reference(spec):
     """The piled matrix drawn afresh: every factor from the seed's stream."""
     rng = make_rng(spec.seed)
-    blocks = [svd_with_cond(spec.m, spec.s, spec.kappa_x1, rng=rng)]
+    blocks = [svd_with_cond(spec.m, spec.s, matgen.PILED_KAPPA_X1, rng=rng)]
     for _ in range(2, spec.p + 1):
         z = svd_with_cond(spec.m, spec.s, spec.kappa_z, rng=rng) / spec.kappa_z
         blocks.append(blocks[-1] + z)
@@ -208,29 +205,26 @@ def _assert_same_matrix(x, ref):
     kappa_zs=st.lists(
         st.floats(min_value=1.0, max_value=1e16), min_size=2, max_size=2
     ),
-    kappa_x1=st.floats(min_value=1.0, max_value=1e8),
 )
 @settings(max_examples=60, deadline=None)
 def test_piled_matches_a_fresh_draw_bit_for_bit(
-    p, s, extra_rows, seed, kappa_zs, kappa_x1
+    p, s, extra_rows, seed, kappa_zs
 ):
     # The second knob reuses the first one's cached factors.
     for kappa_z in kappa_zs:
         spec = MatrixClassSpec(
-            "piled", p * s + extra_rows, p, s, seed,
-            kappa_x1=kappa_x1, kappa_z=kappa_z,
+            "piled", p * s + extra_rows, p, s, seed, kappa_z=kappa_z
         )
         _assert_same_matrix(gen_piled(spec).data, _piled_reference(spec))
 
 
 def test_piled_cache_serves_no_stale_factors():
-    base = dict(m=40, p=4, s=2, seed=3, kappa_x1=10.0)
+    base = dict(m=40, p=4, s=2, seed=3)
     variants = [
         dict(base, seed=4),
         dict(base, m=41),
         dict(base, p=3),
         dict(base, s=1),
-        dict(base, kappa_x1=100.0),
     ]
     for variant in variants:
         for fields in (base, variant, base, variant):
@@ -247,7 +241,7 @@ def test_piled_output_aliases_no_cached_array():
 
 def test_piled_factor_cache_is_read_only_and_holds_one_set():
     assert matgen._piled_factors.cache_info().maxsize == 1
-    x1, pairs = matgen._piled_factors(40, 4, 2, 3, 10.0)
+    x1, pairs = matgen._piled_factors(40, 4, 2, 3)
     assert len(pairs) == 3
     for a in (x1, *(f for pair in pairs for f in pair)):
         assert not a.flags.writeable
