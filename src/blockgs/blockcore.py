@@ -15,7 +15,6 @@ from scipy.linalg import lapack
 
 __all__ = [
     "BlockMatrix",
-    "as_matrix",
     "all_finite",
     "spectral_norm",
     "cond_2",
@@ -26,24 +25,14 @@ __all__ = [
 ]
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-d float64 array in column-major order, copying
-    only when it is not one already.  Raises ``ValueError`` unless ``a`` is
-    2-d."""
-    out = np.asfortranarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={out.ndim}")
-    return out
-
-
 @dataclass
 class BlockMatrix:
     """A tall m-by-(p*s) matrix partitioned into ``p`` blocks of ``s`` columns.
 
-    ``data`` (m >= p*s) is kept column-major, copied only when it is not
-    so already.  ``block_width`` is s; ``block_count`` is p, inferred from
-    the column count when 0.  A bad partition or a wide matrix raises
-    ``ValueError``.
+    ``data`` (m >= p*s) is kept as a column-major float64 array, copied
+    only when it is not one already.  ``block_width`` is s; ``block_count``
+    is p, inferred from the column count when 0.  Data that is not 2-d, a
+    bad partition or a wide matrix raises ``ValueError``.
     """
 
     data: np.ndarray
@@ -51,8 +40,11 @@ class BlockMatrix:
     block_count: int = 0
 
     def __post_init__(self) -> None:
-        self.data = as_matrix(self.data)
-        m, n = self.data.shape
+        data = np.asfortranarray(self.data, dtype=np.float64)
+        if data.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got ndim={data.ndim}")
+        self.data = data
+        m, n = data.shape
         s = int(self.block_width)
         if s < 1:
             raise ValueError("block_width must be >= 1")

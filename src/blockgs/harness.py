@@ -28,7 +28,6 @@ from .blockcore import BlockMatrix, cond_2
 from .matgen import (
     MATRIX_CLASSES,
     SEED_LIMIT,
-    MatrixClassSpec,
     calibrate_piled,
     gen_default,
     gen_monomial,
@@ -37,7 +36,6 @@ from .matgen import (
 from .metrics import (
     ScaledGram,
     bound_envelope,
-    bound_for,
     loo,
     rel_chol_res,
     rel_res,
@@ -350,16 +348,14 @@ def _sweep_points(config: SweepConfig):
     m, p, s, seed = config.m, config.p, config.s, config.seed
     if config.matrix_class == "default":
         for kt in config.kappas:
-            spec = MatrixClassSpec("default", m, p, s, seed, kappa=kt)
-            x = gen_default(spec)
+            x = gen_default(m, p, s, seed, kappa=kt)
             yield kt, x, _measure(x), ""
     elif config.matrix_class == "monomial":
         # Build the divisor ladder once, then map each requested target to
         # the rung whose measured conditioning is nearest in log space.
         ladder = []
         for t in _divisors(p * s):
-            spec = MatrixClassSpec("monomial", m, p, s, seed, t=t)
-            x = gen_monomial(spec)
+            x = gen_monomial(m, p, s, seed, t=t)
             ladder.append((t, x, _measure(x)))
         logs = [
             math.log10(ka) if math.isfinite(ka) else math.log10(1e300)
@@ -374,14 +370,14 @@ def _sweep_points(config: SweepConfig):
             yield kt, x, ka, ""
     else:  # piled
         for kt in config.kappas:
-            spec, measured = calibrate_piled(m, p, s, kt, seed)
+            kappa_z, measured = calibrate_piled(m, p, s, kt, seed)
             if abs(math.log10(measured) - math.log10(kt)) > 1.0:
                 yield kt, None, math.nan, (
                     f"piled calibration missed target {kt:.3g} "
                     f"(best {measured:.3g})"
                 )
                 continue
-            x = gen_piled(spec)
+            x = gen_piled(m, p, s, seed, kappa_z=kappa_z)
             yield kt, x, measured, ""
 
 
@@ -506,7 +502,7 @@ def _row_envelope(
         raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
     ios = (_parse_io(getattr(rec, slot), slot) for slot in _SLOTS)
     combo = Combo(by_display[rec.skeleton], *ios)
-    spec = bound_for(combo.skeleton, *combo.muscles, p=rec.p)
+    spec = SKELETONS[combo.skeleton].envelope(*combo.muscles, p=rec.p)
     if not spec.enforced or not math.isfinite(rec.kappa_actual):
         return False, math.nan
     return bound_envelope(spec, rec.kappa_actual)
@@ -558,7 +554,7 @@ def sync_table() -> list[tuple[str, float]]:
     small well-conditioned matrix and reads the interior-block average off
     the ledger — nothing here is hard-coded.
     """
-    x = gen_default(MatrixClassSpec("default", 100, 6, 2, 42, kappa=10.0))
+    x = gen_default(100, 6, 2, 42, kappa=10.0)
     cholqr = IO_BY_NAME["cholqr"]
     rows = []
     for kind, spec in SKELETONS.items():

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -35,7 +34,6 @@ from .blockcore import BlockMatrix, cond_2
 from .muscles import house_qr
 
 __all__ = [
-    "MatrixClassSpec",
     "SEED_LIMIT",
     "make_rng",
     "uniform_open",
@@ -45,7 +43,6 @@ __all__ = [
     "gen_monomial",
     "gen_piled",
     "calibrate_piled",
-    "generate",
     "save_bgsm",
     "load_bgsm",
     "save_matrix_market",
@@ -65,6 +62,9 @@ CALIBRATION_STEPS = 40
 # Condition number of the piled family's first block X_1, a fixed choice
 # of the family as in the BlockStab toolbox.
 PILED_KAPPA_X1 = 10.0
+
+# The family names, in the order the CLI lists them.
+MATRIX_CLASSES = ("monomial", "piled", "default")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -91,32 +91,12 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-@dataclass(frozen=True)
-class MatrixClassSpec:
-    """Full description of one generated matrix.
-
-    ``kappa`` is the target condition number for the default family;
-    ``t`` is the monomial panel length (must divide p*s, the number of
-    panels is then r = p*s/t); ``kappa_z`` is the piled knob.  Unused
-    parameters may stay at their defaults.
-    """
-
-    matrix_class: str
-    m: int
-    p: int
-    s: int
-    seed: int
-    kappa: float | None = None
-    t: int | None = None
-    kappa_z: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.matrix_class not in MATRIX_CLASSES:
-            raise ValueError(f"unknown matrix class {self.matrix_class!r}")
-        if self.m < self.p * self.s:
-            raise ValueError("matrix must be tall: m >= p*s")
-        if self.p < 1 or self.s < 1:
-            raise ValueError("need p >= 1 and s >= 1")
+def _check_shape(m: int, p: int, s: int) -> None:
+    """Raise ``ValueError`` unless p, s >= 1 and the matrix is tall."""
+    if p < 1 or s < 1:
+        raise ValueError("need p >= 1 and s >= 1")
+    if m < p * s:
+        raise ValueError("matrix must be tall: m >= p*s")
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -180,17 +160,18 @@ def svd_with_cond(
     return _compose(u, v, _log_sigma(kappa, cols), out)
 
 
-def gen_default(spec: MatrixClassSpec) -> BlockMatrix:
-    """Explicit-SVD family: cond_2 lands within a factor ~2 of the target."""
-    if spec.kappa is None:
-        raise ValueError("default class needs a kappa target")
-    x = svd_with_cond(
-        spec.m, spec.p * spec.s, spec.kappa, rng=make_rng(spec.seed)
-    )
-    return BlockMatrix(x, spec.s, spec.p)
+def gen_default(
+    m: int, p: int, s: int, seed: int, *, kappa: float
+) -> BlockMatrix:
+    """Explicit-SVD family: cond_2 lands within a factor ~2 of ``kappa``."""
+    _check_shape(m, p, s)
+    x = svd_with_cond(m, p * s, kappa, rng=make_rng(seed))
+    return BlockMatrix(x, s, p)
 
 
-def gen_monomial(spec: MatrixClassSpec) -> BlockMatrix:
+def gen_monomial(
+    m: int, p: int, s: int, seed: int, *, t: int
+) -> BlockMatrix:
     """Krylov-panel family.
 
     With n = p*s columns and panel length t (sweep index j maps to the j-th
@@ -198,27 +179,28 @@ def gen_monomial(spec: MatrixClassSpec) -> BlockMatrix:
     concatenation of r panels [v_i, A v_i, ..., A^(t-1) v_i] re-partitioned
     into p blocks of width s.  A is diagonal with m eigenvalues evenly
     distributed strictly inside (0.1, 10); the v_i are independent uniform
-    [-1, 1]^m vectors normalized to unit 2-norm.
+    [-1, 1]^m vectors normalized to unit 2-norm.  A long panel may overflow
+    to inf: that is data, not an error.
     """
-    t = spec.t
-    if t is None or t < 1:
+    _check_shape(m, p, s)
+    if t < 1:
         raise ValueError("monomial class needs a panel length t >= 1")
-    n = spec.p * spec.s
+    n = p * s
     if n % t != 0:
         raise ValueError(f"panel length {t} must divide p*s = {n}")
-    r_panels = n // t
-    rng = make_rng(spec.seed)
-    lam = np.linspace(0.1, 10.0, spec.m + 2)[1:-1]
-    cols = np.empty((spec.m, n), order="F")
+    rng = make_rng(seed)
+    lam = np.linspace(0.1, 10.0, m + 2)[1:-1]
+    cols = np.empty((m, n), order="F")
     j = 0
-    for _ in range(r_panels):
-        v = 2.0 * uniform_open(rng, spec.m) - 1.0
-        v /= np.linalg.norm(v)
-        for _ in range(t):
-            cols[:, j] = v
-            v = lam * v
-            j += 1
-    return BlockMatrix(cols, spec.s, spec.p)
+    with np.errstate(over="ignore"):
+        for _ in range(n // t):
+            v = 2.0 * uniform_open(rng, m) - 1.0
+            v /= np.linalg.norm(v)
+            for _ in range(t):
+                cols[:, j] = v
+                v = lam * v
+                j += 1
+    return BlockMatrix(cols, s, p)
 
 
 @functools.lru_cache(maxsize=1)
@@ -236,7 +218,9 @@ def _piled_factors(
     return x1, pairs
 
 
-def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
+def gen_piled(
+    m: int, p: int, s: int, seed: int, *, kappa_z: float
+) -> BlockMatrix:
     """Cumulative-sum family X_k = X_{k-1} + Z_k.
 
     X_1 has condition number ``PILED_KAPPA_X1`` and unit spectral norm; every
@@ -245,79 +229,67 @@ def gen_piled(spec: MatrixClassSpec) -> BlockMatrix:
     on ``kappa_z``: the last such set is cached (about one matrix of
     memory), bit-identical to a fresh draw.
     """
-    if spec.kappa_z is None:
-        raise ValueError("piled class needs a kappa_z knob")
-    _check_kappa(spec.kappa_z, "kappa knobs")
-    m, p, s = spec.m, spec.p, spec.s
-    x1, pairs = _piled_factors(m, p, s, spec.seed)
+    _check_shape(m, p, s)
+    _check_kappa(kappa_z, "kappa knobs")
+    x1, pairs = _piled_factors(m, p, s, seed)
     # Column-major, so BlockMatrix takes the array without copying it.
     out = np.empty((m, p * s), order="F")
     out[:, :s] = x1
-    sigma = _log_sigma(spec.kappa_z, s)
+    sigma = _log_sigma(kappa_z, s)
     for k, (u, v) in enumerate(pairs, start=1):
         # np.array keeps U_k's column-major layout, and with it the bits.
         u = np.array(u)
-        z = _compose(u, v, sigma, np.empty_like(u)) / spec.kappa_z
+        z = _compose(u, v, sigma, np.empty_like(u)) / kappa_z
         np.add(out[:, (k - 1) * s : k * s], z, out=out[:, k * s : (k + 1) * s])
     return BlockMatrix(out, s, p)
 
 
 def calibrate_piled(
     m: int, p: int, s: int, kappa_target: float, seed: int
-) -> tuple[MatrixClassSpec, float]:
+) -> tuple[float, float]:
     """Find the kappa_z knob whose generated matrix measures near a target.
 
     Bisects log10(kappa_z) on [0, ``CALIBRATION_MAX_LOG_KZ``] in
     ``CALIBRATION_STEPS`` steps against the measured cond_2 (inf when
-    singular) of each probe.  Returns the spec and measured condition
-    number nearest the target in log10, or an end probe's when the target
-    lies outside their range; callers decide how far off is acceptable.
-    Raises ``ValueError`` unless ``kappa_target`` is finite and >= 1.
+    singular) of each probe.  Returns ``(kappa_z, measured)``, the knob and
+    measured condition number nearest the target in log10, or an end
+    probe's when the target lies outside their range; callers decide how
+    far off is acceptable.  Raises ``ValueError`` unless ``kappa_target`` is
+    finite and >= 1.
     """
     _check_kappa(kappa_target)
 
-    def measure(log_kz: float) -> tuple[MatrixClassSpec, float]:
-        spec = MatrixClassSpec("piled", m, p, s, seed, kappa_z=10.0**log_kz)
-        x = gen_piled(spec)
+    def measure(log_kz: float) -> tuple[float, float]:
+        kappa_z = 10.0**log_kz
+        # gen_piled is read from the module at call time, so a rebound one
+        # sees every probe.
+        x = gen_piled(m, p, s, seed, kappa_z=kappa_z)
         try:
-            return spec, cond_2(x.data)
+            return kappa_z, cond_2(x.data)
         except ValueError:
-            return spec, np.inf
+            return kappa_z, np.inf
 
     target = np.log10(kappa_target)
     lo, hi = 0.0, CALIBRATION_MAX_LOG_KZ
-    spec_lo, kappa_lo = measure(lo)
-    spec_hi, kappa_hi = measure(hi)
+    kz_lo, kappa_lo = measure(lo)
+    kz_hi, kappa_hi = measure(hi)
     if target <= np.log10(kappa_lo):
-        return spec_lo, kappa_lo
+        return kz_lo, kappa_lo
     if target >= np.log10(kappa_hi):
-        return spec_hi, kappa_hi
-    best, best_kappa = spec_lo, kappa_lo
+        return kz_hi, kappa_hi
+    best, best_kappa = kz_lo, kappa_lo
     for _ in range(CALIBRATION_STEPS):
         mid = (lo + hi) / 2.0
-        spec_mid, kappa_mid = measure(mid)
+        kz_mid, kappa_mid = measure(mid)
         if abs(np.log10(kappa_mid) - target) < abs(
             np.log10(best_kappa) - target
         ):
-            best, best_kappa = spec_mid, kappa_mid
+            best, best_kappa = kz_mid, kappa_mid
         if np.log10(kappa_mid) < target:
             lo = mid
         else:
             hi = mid
     return best, best_kappa
-
-
-_GENERATORS = {
-    "monomial": gen_monomial,
-    "piled": gen_piled,
-    "default": gen_default,
-}
-MATRIX_CLASSES = tuple(_GENERATORS)
-
-
-def generate(spec: MatrixClassSpec) -> BlockMatrix:
-    """Dispatch to the family named by ``spec.matrix_class``."""
-    return _GENERATORS[spec.matrix_class](spec)
 
 
 # ---------------------------------------------------------------------------

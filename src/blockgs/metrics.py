@@ -18,12 +18,13 @@ tested tolerance).  The n-by-n quantities keep their SVD spectral norm.
 Metrics of failed (NaN-bearing) computations are NaN, never an exception;
 so are the relative residuals of an all-zero X (0/0).
 
-:func:`bound_for` looks up the envelope a (skeleton, muscle choices)
-combination's theory predicts; each envelope lives in its skeleton's
-:data:`~blockgs.skeletons.SKELETONS` entry.  An envelope is an
-applicability condition of the form ``eps * kappa**theta <= 1/2`` plus a
-loss-of-orthogonality ceiling ``100 * eps * kappa**loo_exponent``, which
-:func:`bound_envelope` evaluates at a measured condition number.
+The envelope a (skeleton, muscle choices) combination's theory predicts
+comes from the ``envelope`` of its skeleton's
+:data:`~blockgs.skeletons.SKELETONS` entry, called with those muscles and
+the block count.  An envelope is an applicability condition of the form
+``eps * kappa**theta <= 1/2`` plus a loss-of-orthogonality ceiling
+``100 * eps * kappa**loo_exponent``, which :func:`bound_envelope`
+evaluates at a measured condition number.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .blockcore import BlockMatrix, all_finite, spectral_norm
-from .muscles import IOSpec
-from .skeletons import SKELETONS, BoundSpec, SkeletonKind
+from .skeletons import BoundSpec
 
 __all__ = [
     "EPS",
@@ -46,7 +46,6 @@ __all__ = [
     "rel_chol_res",
     "ScaledGram",
     "scaled_gram",
-    "bound_for",
     "bound_envelope",
 ]
 
@@ -166,30 +165,6 @@ def rel_chol_res(x, r, x_gram: ScaledGram | None = None) -> float:
         return float("nan")
     rs = np.ldexp(rd, -e)
     return spectral_norm(gram - rs.T @ rs) / lam_x
-
-
-def bound_for(
-    kind: SkeletonKind | str,
-    io_a: IOSpec,
-    io1: IOSpec | None = None,
-    io2: IOSpec | None = None,
-    p: int | None = None,
-) -> BoundSpec:
-    """The envelope of one combination, read from its ``SKELETONS`` entry.
-
-    Every muscle slot the skeleton consumes must be given; for the tied
-    aliases pass the tied muscle in each (``io_a`` and ``io1`` for
-    ``bcgs``; all three for ``bcgsi_plus``).  ``p`` is only needed for the
-    BCGS-family diagnostic exponent.
-    """
-    kind = SkeletonKind(kind)
-    spec = SKELETONS[kind]
-    given = {"io_a": io_a, "io1": io1, "io2": io2}
-    muscles = [given[slot] for slot in spec.slots]
-    for slot, io in zip(spec.slots, muscles):
-        if io is None:
-            raise ValueError(f"the {spec.display} envelope needs {slot}")
-    return spec.envelope(kind, *muscles, p=p)
 
 
 def bound_envelope(spec: BoundSpec, kappa: float) -> tuple[bool, float]:

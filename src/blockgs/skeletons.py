@@ -90,54 +90,51 @@ class BoundSpec:
     the diagnostic-only BCGS/BCGS-A envelopes.
     """
 
-    skeleton: SkeletonKind
     theta: float
     loo_exponent: float
     io_a_ok: bool = True
     enforced: bool = True
 
 
-# Envelopes: (kind, muscles in slot order, p) -> BoundSpec.  ``alpha`` is a
+# Envelopes: (muscles in slot order, p) -> BoundSpec.  ``alpha`` is a
 # muscle's loss-of-orthogonality exponent (O(eps) * kappa**alpha).
 
 
-def _bcgs_envelope(kind, io_a, io1, *, p):
+def _bcgs_envelope(io_a, io1, *, p):
     """BCGS / BCGS-A, without reorthogonalization: an exponent that grows
     with the block count.  Not a result of the paper; recorded for
     diagnostics only and never enforced, since no known input attains it.
     """
-    if p is None:
-        raise ValueError("the BCGS family envelope needs the block count p")
     exponent = (p - 2) + max(io_a.alpha + 1, io1.alpha)
-    return BoundSpec(kind, 1.0, float(exponent), enforced=False)
+    return BoundSpec(1.0, float(exponent), enforced=False)
 
 
-def _reorthogonalized_envelope(kind, io_a, io1, io2, *, p):
+def _reorthogonalized_envelope(io_a, io1, io2, *, p):
     """BCGSI+ / BCGSI+A (four syncs per block column): the paper shows a
     "strong" muscle is needed only for the very first block to keep the
     loss of orthogonality at O(eps).  Premise alpha_a = 0; applicable while
     eps * kappa**max(alpha_1, 1) <= 1/2.
     """
-    return BoundSpec(kind, max(io1.alpha, 1), 0.0, io_a_ok=(io_a.alpha == 0))
+    return BoundSpec(max(io1.alpha, 1), 0.0, io_a_ok=(io_a.alpha == 0))
 
 
-def _three_sync_envelope(kind, io_a, io1, *, p):
+def _three_sync_envelope(io_a, io1, *, p):
     """BCGSI+A-3S: the paper finds that stability degrades with the first
     removed synchronization.  Loss of orthogonality O(eps) *
     kappa**max(alpha_1, 1), applicable while eps * kappa**max(alpha_1 + 1,
     2) <= 1/2; premise alpha_a <= alpha_1.
     """
     a = io1.alpha
-    return BoundSpec(kind, max(a + 1, 2), max(a, 1), io_a_ok=(io_a.alpha <= a))
+    return BoundSpec(max(a + 1, 2), max(a, 1), io_a_ok=(io_a.alpha <= a))
 
 
-def _low_sync_envelope(kind, io_a, *, p):
+def _low_sync_envelope(io_a, *, p):
     """BCGSI+A-2S / -1S: degraded further; the paper shows the one-sync
     variant cannot be guaranteed stable in practice.  Loss of orthogonality
     O(eps) * kappa**2, applicable only while eps * kappa**3 <= 1/2; premise
     alpha_a <= 2.
     """
-    return BoundSpec(kind, 3.0, 2.0, io_a_ok=(io_a.alpha <= 2))
+    return BoundSpec(3.0, 2.0, io_a_ok=(io_a.alpha <= 2))
 
 
 @dataclass(frozen=True)
@@ -146,11 +143,11 @@ class SkeletonSpec:
 
     ``slots`` names the muscle slots a run consumes (fields of a
     :class:`~blockgs.harness.Combo`), in the order the skeleton function
-    takes them.  ``envelope`` maps the kind, those muscles (in the same
-    order) and the block count ``p`` to the :class:`BoundSpec` its theory
-    predicts.  A ``tied`` skeleton takes a single muscle, which fills every
-    slot.  ``shorthands`` are extra CLI spellings beyond the kind's value
-    and the display name.
+    takes them.  ``envelope`` maps those muscles (in the same order) and
+    the block count ``p`` to the :class:`BoundSpec` its theory predicts.
+    A ``tied`` skeleton takes a single muscle, which fills every slot.
+    ``shorthands`` are extra CLI spellings beyond the kind's value and the
+    display name.
     """
 
     display: str
@@ -220,19 +217,24 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     q_data = np.full((x.m, x.cols), np.nan, order="F")
     r = np.zeros((x.cols, x.cols))
     ledger = SyncLedger()
-    out = apply_io(io_a, x.block(1), ledger=ledger, block=1)
-    q_data[:, :s] = out.q
-    r[:s, :s] = out.r
-    failed = out.failed
-    del out
-    for k in range(2, p + 1):
-        lo, hi = (k - 1) * s, k * s
-        r_col, r_kk, q_k, step_failed = step(ledger, k, q_data, lo, x.block(k))
-        q_data[:, lo:hi] = q_k
-        del q_k
-        r[:lo, lo:hi] = r_col
-        r[lo:hi, lo:hi] = r_kk
-        failed = failed or step_failed
+    # A non-finite X, or a failed block, fills Q with inf and NaN: data,
+    # not warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = apply_io(io_a, x.block(1), ledger=ledger, block=1)
+        q_data[:, :s] = out.q
+        r[:s, :s] = out.r
+        failed = out.failed
+        del out
+        for k in range(2, p + 1):
+            lo, hi = (k - 1) * s, k * s
+            r_col, r_kk, q_k, step_failed = step(
+                ledger, k, q_data, lo, x.block(k)
+            )
+            q_data[:, lo:hi] = q_k
+            del q_k
+            r[:lo, lo:hi] = r_col
+            r[lo:hi, lo:hi] = r_kk
+            failed = failed or step_failed
     q = BlockMatrix(q_data, s, p)
     return BGSResult(q=q, r=r, ledger=ledger, failed=failed)
 

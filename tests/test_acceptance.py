@@ -17,7 +17,7 @@ import pytest
 
 from blockgs.blockcore import cond_2, spectral_norm
 from blockgs.harness import SweepConfig, make_combo, run_sweep, sync_table, write_csv
-from blockgs.matgen import MatrixClassSpec, gen_default
+from blockgs.matgen import gen_default
 from blockgs.metrics import C_TOL, EPS, loo, rel_res
 from blockgs.muscles import (
     CHOL_QR,
@@ -107,8 +107,7 @@ def piled_cols():
 def test_acceptance_1_muscle_envelopes():
     problems = []
     for kappa in (1.0e1, 1.0e3, 1.0e5, 1.0e7):
-        spec = MatrixClassSpec("default", 100, 1, 5, 42, kappa=kappa)
-        x = gen_default(spec).data
+        x = gen_default(100, 1, 5, 42, kappa=kappa).data
         ka = cond_2(x)
         for io, fn in (
             (HOUSE_QR, house_qr),
@@ -300,9 +299,7 @@ def test_acceptance_8_oracle_equivalences():
     # (a) The two-sync fusion is the three-sync loop with a Gram-product
     # muscle, reassociated: same Q and R up to rounding scaled by kappa.
     for kappa in (1.0e1, 1.0e2, 1.0e4):
-        x = gen_default(
-            MatrixClassSpec("default", 100, 10, 5, 42, kappa=kappa)
-        )
+        x = gen_default(100, 10, 5, 42, kappa=kappa)
         ka = cond_2(x.data)
         two = bcgsi_a_2s(x, HOUSE_QR)
         three = bcgsi_a_3s(x, HOUSE_QR, CHOL_QR)
@@ -313,7 +310,7 @@ def test_acceptance_8_oracle_equivalences():
 
     # (b) With no interior blocks the one-sync loop cannot look ahead and
     # must match the two-sync loop.
-    x2 = gen_default(MatrixClassSpec("default", 100, 2, 5, 42, kappa=1.0e2))
+    x2 = gen_default(100, 2, 5, 42, kappa=1.0e2)
     one = bcgsi_a_1s(x2, HOUSE_QR)
     two = bcgsi_a_2s(x2, HOUSE_QR)
     dq = np.max(np.abs(one.q.data - two.q.data))
@@ -333,9 +330,7 @@ def test_acceptance_8_oracle_equivalences():
         "bcgsi_a_1s": lambda x: bcgsi_a_1s(x, HOUSE_QR),
     }
     for kappa in (1.0e1, 1.0e2, 1.0e4):
-        x = gen_default(
-            MatrixClassSpec("default", 100, 10, 5, 42, kappa=kappa)
-        )
+        x = gen_default(100, 10, 5, 42, kappa=kappa)
         ka = cond_2(x.data)
         reference = house_qr(np.asarray(x.data)).r
         xf = float(np.linalg.norm(x.data))

@@ -34,7 +34,7 @@ from blockgs.harness import (
     sync_table,
     write_csv,
 )
-from blockgs.matgen import MatrixClassSpec, generate
+from blockgs.matgen import gen_default, gen_monomial
 from blockgs.metrics import EPS
 from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS
 from blockgs.skeletons import SkeletonKind
@@ -149,7 +149,7 @@ def test_run_single_on_a_zero_matrix_returns_a_row():
 def test_run_single_failure_yields_nan_metrics():
     # Plain BCGS with a Gram-based muscle collapses on a hard Krylov
     # matrix: either the Cholesky dies or orthogonality is fully lost.
-    x = generate(MatrixClassSpec("monomial", 100, 10, 5, 42, t=10))
+    x = gen_monomial(100, 10, 5, 42, t=10)
     rec = run_single(x, make_combo("bcgs", io_a=CHOL_QR))
     assert rec.failed or rec.loo > 1e-2
     if rec.failed:
@@ -173,7 +173,7 @@ def test_run_single_mgs_on_an_exact_zero_column_is_a_failed_row(
 
 
 def test_run_single_low_sync_on_moderate_matrix():
-    x = generate(MatrixClassSpec("monomial", 100, 10, 5, 42, t=5))
+    x = gen_monomial(100, 10, 5, 42, t=5)
     kappa = 2.160e5
     rec = run_single(x, make_combo("bcgsi_a_1s"))
     assert not rec.failed
@@ -186,7 +186,7 @@ def test_run_single_low_sync_on_moderate_matrix():
 @pytest.fixture(scope="module")
 def tall_x():
     """A 4000x200 default-class X and its scaled Gram, formed once."""
-    x = generate(MatrixClassSpec("default", 4000, 20, 10, 42, kappa=1e8))
+    x = gen_default(4000, 20, 10, 42, kappa=1e8)
     return x, metrics.scaled_gram(x)
 
 
@@ -838,8 +838,8 @@ def test_cli_unreadable_or_unwritable_files_exit_2(
         argv = ["check-bounds", str(path)]
     generated = []
 
-    def gen_monomial(spec):
-        generated.append(spec)
+    def gen_monomial(*args, **knob):
+        generated.append(args)
         raise AssertionError("a matrix was generated")
 
     monkeypatch.setattr(harness, "gen_monomial", gen_monomial)
@@ -1200,6 +1200,24 @@ def test_python_m_blockgs_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "BCGSI+A-1S" in proc.stdout
+
+
+def test_overflowing_monomial_sweep_is_quiet_under_strict_warnings(tmp_path):
+    # Long monomial panels overflow to inf; those rows are data, so the
+    # sweep succeeds and prints nothing to stderr with warnings as errors.
+    src = str(Path(blockgs.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = src
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "blockgs", "sweep",
+         "--matrix", "monomial", "--m", "400", "--p", "40", "--s", "10",
+         "--kappas", "1e3,1e300", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert out.read_bytes().count(b"\n") == 1 + 2 * 7
 
 
 def test_python_m_blockgs_harness_runs_the_cli(tmp_path):

@@ -14,12 +14,10 @@ import blockgs
 from blockgs import matgen
 from blockgs.blockcore import BlockMatrix, cond_2, spectral_norm
 from blockgs.matgen import (
-    MatrixClassSpec,
     calibrate_piled,
     gen_default,
     gen_monomial,
     gen_piled,
-    generate,
     load_bgsm,
     load_matrix_market,
     make_rng,
@@ -61,13 +59,23 @@ def test_standard_normal_moments():
     assert abs(z.std() - 1.0) < 1e-2
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError, match="unknown matrix class"):
-        MatrixClassSpec("exotic", 10, 2, 2, 0)
-    with pytest.raises(ValueError, match="m >= p"):
-        MatrixClassSpec("default", 3, 2, 2, 0)
-    with pytest.raises(ValueError, match="p >= 1"):
-        MatrixClassSpec("default", 10, 0, 2, 0)
+@pytest.mark.parametrize(
+    "generator, knob",
+    [
+        (gen_default, {"kappa": 10.0}),
+        (gen_monomial, {"t": 1}),
+        (gen_piled, {"kappa_z": 10.0}),
+    ],
+    ids=["default", "monomial", "piled"],
+)
+@pytest.mark.parametrize(
+    "shape, match",
+    [((3, 2, 2), "m >= p"), ((10, 0, 2), "p >= 1"), ((10, 2, 0), "s >= 1")],
+    ids=["wide", "no-blocks", "no-columns"],
+)
+def test_generators_reject_bad_shapes(generator, knob, shape, match):
+    with pytest.raises(ValueError, match=match):
+        generator(*shape, 0, **knob)
 
 
 def test_svd_with_cond_hits_target():
@@ -90,14 +98,8 @@ def test_svd_with_cond_validation():
 
 def test_default_family_within_factor_two_of_target():
     for kappa in (1.0, 1.0e4, 1.0e9, 1.0e14):
-        spec = MatrixClassSpec("default", 100, 10, 5, 42, kappa=kappa)
-        measured = cond_2(gen_default(spec).data)
+        measured = cond_2(gen_default(100, 10, 5, 42, kappa=kappa).data)
         assert kappa / 2.0 <= measured <= 2.0 * kappa, kappa
-
-
-def test_default_family_requires_kappa():
-    with pytest.raises(ValueError, match="needs a kappa target"):
-        gen_default(MatrixClassSpec("default", 100, 10, 5, 42))
 
 
 def test_monomial_conditioning_grows_with_panel_length():
@@ -105,8 +107,7 @@ def test_monomial_conditioning_grows_with_panel_length():
     # the conditioning ladder over the divisors of p*s strictly increases.
     ladder = []
     for t in (1, 2, 4, 8):
-        spec = MatrixClassSpec("monomial", 100, 4, 2, 42, t=t)
-        ladder.append(cond_2(gen_monomial(spec).data))
+        ladder.append(cond_2(gen_monomial(100, 4, 2, 42, t=t).data))
     assert all(a < b for a, b in zip(ladder, ladder[1:]))
     assert ladder[0] < 100.0  # unit-norm random vectors: nearly orthogonal
     assert ladder[-1] > 1.0e6
@@ -117,22 +118,19 @@ def test_monomial_frozen_ladder_values():
     # these anchor the sweep harness's target-to-rung mapping.
     expected = {1: 4.766e0, 2: 6.848e1, 5: 2.160e5, 10: 9.646e11}
     for t, kappa in expected.items():
-        spec = MatrixClassSpec("monomial", 100, 10, 5, 42, t=t)
-        assert cond_2(gen_monomial(spec).data) == pytest.approx(
-            kappa, rel=1e-3
-        )
+        x = gen_monomial(100, 10, 5, 42, t=t)
+        assert cond_2(x.data) == pytest.approx(kappa, rel=1e-3)
 
 
 def test_monomial_validation():
     with pytest.raises(ValueError, match="panel length t >= 1"):
-        gen_monomial(MatrixClassSpec("monomial", 100, 4, 2, 42))
+        gen_monomial(100, 4, 2, 42, t=0)
     with pytest.raises(ValueError, match="must divide"):
-        gen_monomial(MatrixClassSpec("monomial", 100, 4, 2, 42, t=3))
+        gen_monomial(100, 4, 2, 42, t=3)
 
 
 def test_piled_family_structure():
-    spec = MatrixClassSpec("piled", 60, 5, 2, 7, kappa_z=1.0e4)
-    x = gen_piled(spec)
+    x = gen_piled(60, 5, 2, 7, kappa_z=1.0e4)
     assert cond_2(x.block(1)) == pytest.approx(10.0, rel=1e-9)
     assert spectral_norm(x.block(1)) == pytest.approx(1.0, rel=1e-12)
     for k in range(2, 6):
@@ -141,29 +139,29 @@ def test_piled_family_structure():
 
 
 def test_piled_validation():
-    with pytest.raises(ValueError, match="needs a kappa_z knob"):
-        gen_piled(MatrixClassSpec("piled", 60, 5, 2, 7))
-    for knobs in (
-        {"kappa_z": 0.5},
-        {"kappa_z": np.nan},
-        {"kappa_z": np.inf},
-    ):
-        spec = MatrixClassSpec("piled", 60, 5, 2, 7, **knobs)
+    for kappa_z in (0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="knobs must be >= 1 and finite"):
-            gen_piled(spec)
+            gen_piled(60, 5, 2, 7, kappa_z=kappa_z)
 
 
 def test_piled_calibration_hits_targets():
     for target in (1.0e3, 1.0e6, 1.0e10):
-        spec, measured = calibrate_piled(100, 10, 5, target, seed=42)
-        assert spec.matrix_class == "piled"
+        _, measured = calibrate_piled(100, 10, 5, target, seed=42)
         assert abs(np.log10(measured) - np.log10(target)) < 0.1, target
 
 
 def test_piled_calibration_single_column_blocks():
-    spec, measured = calibrate_piled(100, 50, 1, 1.0e8, seed=42)
-    assert spec.s == 1 and spec.p == 50
+    _, measured = calibrate_piled(100, 50, 1, 1.0e8, seed=42)
     assert abs(np.log10(measured) - 8.0) < 0.1
+
+
+def test_piled_calibration_round_trip():
+    # A sweep regenerates the calibrated matrix from the returned knob, so
+    # that matrix must measure exactly what calibration reported.
+    for m, p, s, target in ((100, 10, 5, 1.0e6), (60, 8, 2, 1.0e9)):
+        kappa_z, measured = calibrate_piled(m, p, s, target, seed=42)
+        x = gen_piled(m, p, s, 42, kappa_z=kappa_z)
+        assert cond_2(x.data) == measured
 
 
 def test_piled_calibration_has_a_floor():
@@ -179,14 +177,14 @@ def test_piled_calibration_rejects_bad_target():
             calibrate_piled(100, 10, 5, target, seed=42)
 
 
-def _piled_reference(spec):
+def _piled_reference(m, p, s, seed, *, kappa_z):
     """The piled matrix drawn afresh: every factor from the seed's stream."""
-    rng = make_rng(spec.seed)
-    blocks = [svd_with_cond(spec.m, spec.s, matgen.PILED_KAPPA_X1, rng=rng)]
-    for _ in range(2, spec.p + 1):
-        z = svd_with_cond(spec.m, spec.s, spec.kappa_z, rng=rng) / spec.kappa_z
+    rng = make_rng(seed)
+    blocks = [svd_with_cond(m, s, matgen.PILED_KAPPA_X1, rng=rng)]
+    for _ in range(2, p + 1):
+        z = svd_with_cond(m, s, kappa_z, rng=rng) / kappa_z
         blocks.append(blocks[-1] + z)
-    return BlockMatrix(np.hstack(blocks), spec.s, spec.p).data
+    return BlockMatrix(np.hstack(blocks), s, p).data
 
 
 def _assert_same_matrix(x, ref):
@@ -212,10 +210,11 @@ def test_piled_matches_a_fresh_draw_bit_for_bit(
 ):
     # The second knob reuses the first one's cached factors.
     for kappa_z in kappa_zs:
-        spec = MatrixClassSpec(
-            "piled", p * s + extra_rows, p, s, seed, kappa_z=kappa_z
+        args = (p * s + extra_rows, p, s, seed)
+        _assert_same_matrix(
+            gen_piled(*args, kappa_z=kappa_z).data,
+            _piled_reference(*args, kappa_z=kappa_z),
         )
-        _assert_same_matrix(gen_piled(spec).data, _piled_reference(spec))
 
 
 def test_piled_cache_serves_no_stale_factors():
@@ -228,15 +227,19 @@ def test_piled_cache_serves_no_stale_factors():
     ]
     for variant in variants:
         for fields in (base, variant, base, variant):
-            spec = MatrixClassSpec("piled", kappa_z=1e4, **fields)
-            _assert_same_matrix(gen_piled(spec).data, _piled_reference(spec))
+            _assert_same_matrix(
+                gen_piled(**fields, kappa_z=1e4).data,
+                _piled_reference(**fields, kappa_z=1e4),
+            )
 
 
 def test_piled_output_aliases_no_cached_array():
     for p in (1, 4):
-        spec = MatrixClassSpec("piled", 40, p, 2, 3, kappa_z=1e4)
-        gen_piled(spec).data[:] = np.nan
-        _assert_same_matrix(gen_piled(spec).data, _piled_reference(spec))
+        gen_piled(40, p, 2, 3, kappa_z=1e4).data[:] = np.nan
+        _assert_same_matrix(
+            gen_piled(40, p, 2, 3, kappa_z=1e4).data,
+            _piled_reference(40, p, 2, 3, kappa_z=1e4),
+        )
 
 
 def test_piled_factor_cache_is_read_only_and_holds_one_set():
@@ -272,18 +275,9 @@ def test_piled_calibration_probe_schedule_is_frozen(monkeypatch):
         assert calls == {"gen_piled": probes, "cond_2": probes}, target
 
 
-def test_generate_dispatch_matches_family_functions():
-    spec = MatrixClassSpec("default", 40, 4, 2, 3, kappa=100.0)
-    assert generate(spec).data.tobytes() == gen_default(spec).data.tobytes()
-    spec = MatrixClassSpec("monomial", 40, 4, 2, 3, t=4)
-    assert generate(spec).data.tobytes() == gen_monomial(spec).data.tobytes()
-    spec = MatrixClassSpec("piled", 40, 4, 2, 3, kappa_z=100.0)
-    assert generate(spec).data.tobytes() == gen_piled(spec).data.tobytes()
-
-
 def test_generation_is_bitwise_deterministic():
-    spec = MatrixClassSpec("monomial", 100, 10, 5, 42, t=5)
-    assert generate(spec).data.tobytes() == generate(spec).data.tobytes()
+    first = gen_monomial(100, 10, 5, 42, t=5).data.tobytes()
+    assert gen_monomial(100, 10, 5, 42, t=5).data.tobytes() == first
 
 
 def test_bgsm_round_trip(tmp_path):
@@ -360,7 +354,7 @@ def test_default_family_wraps_the_composed_array(monkeypatch):
 
     compose = matgen._compose
     monkeypatch.setattr(matgen, "_compose", recording)
-    x = gen_default(MatrixClassSpec("default", 60, 4, 3, 5, kappa=1e6))
+    x = gen_default(60, 4, 3, 5, kappa=1e6)
     assert x.data.flags.f_contiguous
     assert x.data is made[-1]
 
@@ -374,11 +368,10 @@ def test_default_family_generation_peak_memory():
     # orgqr workspace query makes without overwrite_a) reads 3.0.
     out = _python(
         "import resource\n"
-        "from blockgs.matgen import MatrixClassSpec, gen_default\n"
-        "def spec(m): return MatrixClassSpec('default', m, 20, 10, 42, kappa=1e8)\n"
-        "gen_default(spec(200))\n"
+        "from blockgs.matgen import gen_default\n"
+        "gen_default(200, 20, 10, 42, kappa=1e8)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "x = gen_default(spec(20000))\n"
+        "x = gen_default(20000, 20, 10, 42, kappa=1e8)\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print((after - before) * 1024 / x.data.nbytes)\n"  # KiB on Linux
     )

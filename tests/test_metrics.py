@@ -13,7 +13,6 @@ from blockgs.metrics import (
     EPS,
     BoundSpec,
     bound_envelope,
-    bound_for,
     loo,
     rel_chol_res,
     rel_res,
@@ -21,7 +20,7 @@ from blockgs.metrics import (
 )
 from blockgs.harness import ConfigError, make_combo
 from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS, house_qr, mgs_qr
-from blockgs.skeletons import SkeletonKind
+from blockgs.skeletons import SKELETONS, SkeletonKind
 
 
 def test_machine_constants():
@@ -233,8 +232,13 @@ def test_loo_column_permutation_invariance(seed):
     assert loo(q[:, perm]) == pytest.approx(loo(q), abs=1e-15)
 
 
+def _envelope(kind, *muscles, p=10):
+    """The envelope of skeleton ``kind`` with ``muscles`` in slot order."""
+    return SKELETONS[SkeletonKind(kind)].envelope(*muscles, p=p)
+
+
 def test_bound_reorthogonalized_flat_envelope():
-    spec = bound_for("bcgsi_plus_a", HOUSE_QR, CHOL_QR, CHOL_QR)
+    spec = _envelope("bcgsi_plus_a", HOUSE_QR, CHOL_QR, CHOL_QR)
     assert spec.theta == 2
     assert spec.loo_exponent == 0.0
     assert spec.io_a_ok and spec.enforced
@@ -244,32 +248,32 @@ def test_bound_reorthogonalized_flat_envelope():
 
 
 def test_bound_reorthogonalized_premise_needs_unconditional_first_block():
-    spec = bound_for("bcgsi_plus", CHOL_QR, CHOL_QR, CHOL_QR)
+    spec = _envelope("bcgsi_plus", CHOL_QR, CHOL_QR, CHOL_QR)
     assert not spec.io_a_ok  # Gram-based first block violates the premise
     applicable, _ = bound_envelope(spec, 10.0)
     assert not applicable
 
 
 def test_bound_three_sync():
-    spec = bound_for("bcgsi_a_3s", HOUSE_QR, HOUSE_QR)
+    spec = _envelope("bcgsi_a_3s", HOUSE_QR, HOUSE_QR)
     assert spec.theta == 2
     assert spec.loo_exponent == 1
     applicable, bound = bound_envelope(spec, 1.0e4)
     assert applicable
     assert bound == pytest.approx(100.0 * EPS * 1.0e4)
 
-    tied = bound_for("bcgsi_a_3s", CHOL_QR, CHOL_QR)
+    tied = _envelope("bcgsi_a_3s", CHOL_QR, CHOL_QR)
     assert tied.theta == 3
     assert tied.loo_exponent == 2
     assert tied.io_a_ok  # premise: first block no weaker than the loop
 
-    mixed = bound_for("bcgsi_a_3s", CHOL_QR, HOUSE_QR)
+    mixed = _envelope("bcgsi_a_3s", CHOL_QR, HOUSE_QR)
     assert not mixed.io_a_ok  # first block weaker than the loop muscle
 
 
 @pytest.mark.parametrize("kind", ["bcgsi_a_2s", "bcgsi_a_1s"])
 def test_bound_low_sync_quadratic_envelope(kind):
-    spec = bound_for(kind, HOUSE_QR)
+    spec = _envelope(kind, HOUSE_QR)
     assert spec.theta == 3.0
     assert spec.loo_exponent == 2.0
     assert spec.io_a_ok and spec.enforced
@@ -283,28 +287,15 @@ def test_bound_low_sync_quadratic_envelope(kind):
     applicable, _ = bound_envelope(spec, 1.0e6)
     assert not applicable
 
-    assert bound_for(kind, CHOL_QR).io_a_ok  # alpha = 2 still admissible
+    assert _envelope(kind, CHOL_QR).io_a_ok  # alpha = 2 still admissible
 
 
 def test_bound_bcgs_family_is_diagnostic_only():
-    spec = bound_for("bcgs", HOUSE_QR, HOUSE_QR, p=10)
+    spec = _envelope("bcgs", HOUSE_QR, HOUSE_QR, p=10)
     assert not spec.enforced
     assert spec.loo_exponent == (10 - 2) + max(0 + 1, 0)
-    spec = bound_for("bcgs_a", MGS, CHOL_QR, p=4)
+    spec = _envelope("bcgs_a", MGS, CHOL_QR, p=4)
     assert spec.loo_exponent == (4 - 2) + max(1 + 1, 2)
-
-
-def test_bound_for_argument_validation():
-    with pytest.raises(ValueError, match="needs io1"):
-        bound_for("bcgsi_plus_a", HOUSE_QR)
-    with pytest.raises(ValueError, match="needs io1"):
-        bound_for("bcgsi_a_3s", HOUSE_QR)
-    with pytest.raises(ValueError, match="needs io1"):
-        bound_for("bcgs", HOUSE_QR)
-    with pytest.raises(ValueError, match="block count p"):
-        bound_for("bcgs", HOUSE_QR, HOUSE_QR)
-    with pytest.raises(ValueError):
-        bound_for("not_a_skeleton", HOUSE_QR, HOUSE_QR)
 
 
 ENVELOPE_TABLE = Path(__file__).with_name("bound_envelopes.csv")
@@ -322,7 +313,7 @@ def _envelope_table() -> list[str]:
             except ConfigError:  # a tied skeleton given untied muscles
                 continue
         for combo, p in itertools.product(combos, (3, 10)):
-            spec = bound_for(kind, combo.io_a, combo.io1, combo.io2, p=p)
+            spec = SKELETONS[kind].envelope(*combo.muscles, p=p)
             names = [io.kind if io else "" for io in
                      (combo.io_a, combo.io1, combo.io2)]
             lines.append(",".join([
@@ -339,7 +330,7 @@ def test_bound_envelope_table_is_frozen():
 
 
 def test_bound_envelope_edge_cases():
-    spec = BoundSpec(SkeletonKind.BCGSI_A_2S, theta=3.0, loo_exponent=2.0)
+    spec = BoundSpec(theta=3.0, loo_exponent=2.0)
     with pytest.raises(ValueError, match="kappa must be >= 1"):
         bound_envelope(spec, 0.5)
     applicable, _ = bound_envelope(spec, float("nan"))
@@ -352,7 +343,7 @@ def test_bound_envelope_edge_cases():
 @given(kappa=st.floats(min_value=1.0, max_value=1e15))
 @settings(max_examples=50, deadline=None)
 def test_bound_envelope_monotone_in_kappa(kappa):
-    spec = BoundSpec(SkeletonKind.BCGSI_A_1S, theta=3.0, loo_exponent=2.0)
+    spec = BoundSpec(theta=3.0, loo_exponent=2.0)
     applicable, bound = bound_envelope(spec, kappa)
     assert bound >= 100.0 * EPS
     assert applicable == (EPS * kappa**3 <= 0.5)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from blockgs import muscles
 from blockgs.blockcore import cond_2, spectral_norm
-from blockgs.matgen import MatrixClassSpec, generate, make_rng, svd_with_cond
+from blockgs.matgen import gen_default, gen_monomial, make_rng, svd_with_cond
 from blockgs.metrics import EPS, loo, rel_res
 from blockgs.muscles import (
     CHOL_QR,
@@ -338,11 +338,10 @@ def _givens_blocks(draw):
     return x
 
 
-def _muscle_grid_block(matrix_class, width=5, **knobs):
+def _muscle_grid_block(generator, width=5, **knob):
     """The first ``width`` columns of a muscle-grid matrix (m=100, p=10,
     s=5), a view into its column-major data."""
-    spec = MatrixClassSpec(matrix_class, m=100, p=10, s=5, seed=42, **knobs)
-    return generate(spec).data[:, :width]
+    return generator(100, 10, 5, 42, **knob).data[:, :width]
 
 
 def _alternate_zero_rows(m, s):
@@ -360,10 +359,10 @@ def _alternate_zero_rows(m, s):
 @example(x=np.array([[-2.0]]))
 @example(x=np.array([[3.0], [0.0], [4.0]]))
 @example(x=np.triu(np.arange(1.0, 37.0).reshape(6, 6)).T.copy())
-@example(x=_muscle_grid_block("default", kappa=1e14))
-@example(x=_muscle_grid_block("monomial", t=50))
-@example(x=_muscle_grid_block("default", width=1, kappa=1e14))
-@example(x=_muscle_grid_block("monomial", width=2, t=50))
+@example(x=_muscle_grid_block(gen_default, kappa=1e14))
+@example(x=_muscle_grid_block(gen_monomial, t=50))
+@example(x=_muscle_grid_block(gen_default, width=1, kappa=1e14))
+@example(x=_muscle_grid_block(gen_monomial, width=2, t=50))
 @example(x=np.random.default_rng(10).standard_normal((60, 10)))
 @example(x=_alternate_zero_rows(20, 5))
 @example(x=np.random.default_rng(12).standard_normal((12, 12)))

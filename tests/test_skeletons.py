@@ -1,5 +1,6 @@
 import ast
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from blockgs.blockcore import (
     zero_pivot,
 )
 from blockgs.harness import RunRecord, make_combo, run_single
-from blockgs.matgen import MatrixClassSpec, generate
+from blockgs.matgen import gen_default, gen_monomial
 from blockgs.metrics import EPS, loo, rel_res
 from blockgs.muscles import (
     CHOL_QR,
@@ -312,8 +313,7 @@ def test_reorthogonalized_variants_beat_low_sync_on_hard_matrix():
     # reorthogonalized loop is the most accurate, the three-sync loop is
     # close behind, and the one-sync loop trails but still holds its
     # envelope.  Frozen ordering from the characterization runs.
-    spec = MatrixClassSpec("monomial", m=100, p=10, s=5, seed=42, t=10)
-    x = generate(spec)
+    x = gen_monomial(100, 10, 5, 42, t=10)
     best = bcgsi_plus_a(x, HOUSE_QR, CHOL_QR, CHOL_QR)
     mid = bcgsi_a_3s(x, CHOL_QR, CHOL_QR)
     low = bcgsi_a_1s(x, HOUSE_QR)
@@ -366,7 +366,6 @@ ALL_CHOICES = [
     exponent=st.sampled_from([-900, 0, 900]),
 )
 @settings(max_examples=15, deadline=None)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at 2**900
 def test_degenerate_inputs_fail_cleanly(
     seed, p, s, extra_rows, shape, zeroed, exponent
 ):
@@ -392,6 +391,24 @@ def test_degenerate_inputs_fail_cleanly(
         rec = run_single(x, make_combo(kind, **muscles))
         assert isinstance(rec, RunRecord)
         assert rec.failed == result.failed
+
+
+@pytest.mark.parametrize("kind", list(SkeletonKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("muscle", sorted(IO_BY_NAME))
+def test_non_finite_input_fails_without_warnings(kind, muscle):
+    # Breakdown is data also when warnings are errors: an inf in the first
+    # block or a later one makes the run fail, never raise.
+    spec = SKELETONS[kind]
+    muscles = [IO_BY_NAME[muscle]] * (1 if spec.tied else len(spec.slots))
+    for col in (1, 7):
+        data = _gaussian(m=30, p=4, s=3).data.copy()
+        data[5, col] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = getattr(skeletons, kind.value)(
+                BlockMatrix(data, 3), *muscles
+            )
+        assert result.failed, col
 
 
 @given(
@@ -548,9 +565,7 @@ def test_low_sync_steps_deflating_into_the_slot_keep_every_bit(
     # workspace slot and read it there; the reference holds V_k as its own
     # array and copies it in.  Q (NaNs included), R and the ledger agree
     # bit for bit, breakdowns included.
-    x = generate(
-        MatrixClassSpec("default", p * s + extra_rows, p, s, seed, kappa=kappa)
-    )
+    x = gen_default(p * s + extra_rows, p, s, seed, kappa=kappa)
     if one_sync:
         got, want = bcgsi_a_1s, _copy_holding_1s
     else:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blockgs import blockcore, muscles, skeletons, syncmodel
-from blockgs.matgen import MatrixClassSpec, generate
+from blockgs.matgen import gen_default
 from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS
 from blockgs.skeletons import (
     SKELETONS,
@@ -60,9 +60,7 @@ def test_ledger_reduce_forms_the_product_and_charges_it_once():
 
 
 def _well_conditioned(p=6, s=2):
-    return generate(
-        MatrixClassSpec("default", m=100, p=p, s=s, seed=42, kappa=10.0)
-    )
+    return gen_default(100, p, s, 42, kappa=10.0)
 
 
 def _steady(result):
