@@ -15,10 +15,11 @@ chol_qr     O(eps) * kappa(X)^2    1
 
 Every routine raises ``ValueError`` on a block that is not 2-d, is wider
 than tall or has no columns.  Numerical failure is data, never an
-exception: non-finite input, an indefinite Gram matrix (``chol_qr``) or an
-exactly zero pivot (``chol_qr``, ``mgs_qr``) gives a NaN-bearing output
-flagged ``failed``.  Every routine works in O(m·s) memory except
-``givens_qr``, which forms an explicit m-by-m Qᵀ and so needs O(m²).
+exception or a warning: non-finite input, an indefinite or overflowing
+Gram matrix (``chol_qr``), an exactly zero pivot (``chol_qr``, ``mgs_qr``)
+or an overflowing one (``mgs_qr``) gives NaN, and ``failed`` is true
+exactly when Q or R holds a non-finite entry.  Every routine works in
+O(m·s) memory except ``givens_qr``, which forms an m-by-m Qᵀ, O(m²).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .blockcore import all_finite, tri_solve_right, zero_pivot
+from .blockcore import all_finite, project_out, tri_solve_right, zero_pivot
 from .syncmodel import SyncLedger
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "givens_qr",
     "mgs_qr",
     "chol_free",
+    "chol_normalize",
     "chol_qr",
     "apply_io",
 ]
@@ -86,15 +88,14 @@ IO_BY_NAME: dict[str, IOSpec] = {
 
 @dataclass
 class QROutput:
-    """Economic QR pair for one block, plus a failure flag.
-
-    When ``failed`` is set (see the module docstring), ``q`` and/or ``r``
-    contain NaN and must be propagated, not trusted.
-    """
+    """Economic QR pair for one block; a non-finite Q or R is a failure."""
 
     q: np.ndarray
     r: np.ndarray
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        return not (all_finite(self.q) and all_finite(self.r))
 
 
 class CholFactor(NamedTuple):
@@ -117,9 +118,7 @@ def _as_block(x) -> np.ndarray:
 
 
 def _nan_output(m: int, s: int) -> QROutput:
-    return QROutput(
-        q=np.full((m, s), np.nan), r=np.full((s, s), np.nan), failed=True
-    )
+    return QROutput(q=np.full((m, s), np.nan), r=np.full((s, s), np.nan))
 
 
 def _fix_signs(q: np.ndarray, r: np.ndarray) -> QROutput:
@@ -133,7 +132,7 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> QROutput:
         signs = np.where(neg, -1.0, 1.0)
         q *= signs
         r *= signs[:, np.newaxis]
-    return QROutput(q, r, failed=False)
+    return QROutput(q, r)
 
 
 def house_qr(x) -> QROutput:
@@ -279,8 +278,8 @@ def mgs_qr(x) -> QROutput:
     """Column-wise modified Gram-Schmidt.
 
     Loss of orthogonality grows like O(eps) * kappa(X); the residual stays
-    O(eps).  An exactly zero pivot norm means the block is rank deficient;
-    the output is then NaN-filled and flagged ``failed``.
+    O(eps).  A pivot norm that is exactly zero (rank deficiency) or not
+    finite (its sum of squares overflows) gives a NaN-filled output.
     """
     x = _as_block(x)
     m, s = x.shape
@@ -288,18 +287,19 @@ def mgs_qr(x) -> QROutput:
         return _nan_output(m, s)
     q = np.empty((m, s))
     r = np.zeros((s, s))
-    for j in range(s):
-        v = x[:, j].copy()
-        for i in range(j):
-            rij = q[:, i] @ v
-            r[i, j] = rij
-            v -= rij * q[:, i]
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            return _nan_output(m, s)
-        r[j, j] = nrm
-        q[:, j] = v / nrm
-    return QROutput(q, r, failed=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(s):
+            v = x[:, j].copy()
+            for i in range(j):
+                rij = q[:, i] @ v
+                r[i, j] = rij
+                v -= rij * q[:, i]
+            nrm = float(np.linalg.norm(v))
+            if nrm == 0.0 or not np.isfinite(nrm):
+                return _nan_output(m, s)
+            r[j, j] = nrm
+            q[:, j] = v / nrm
+    return QROutput(q, r)
 
 
 def chol_free(g) -> CholFactor:
@@ -327,24 +327,34 @@ def chol_free(g) -> CholFactor:
     return CholFactor(r=r, failed=not all_finite(r))
 
 
+def chol_normalize(gram, x, q=None, c=None) -> QROutput:
+    """The Cholesky cleanup: R is the :func:`chol_free` factor of ``gram``
+    and Q is ``B R^{-1}`` for B = X, or ``X - Q C`` when ``q`` and ``c``
+    are given (deflated only once R is usable).  A failed factor or an
+    exactly zero pivot gives a NaN Q beside that R.
+    """
+    fac = chol_free(gram)
+    if fac.failed or zero_pivot(fac.r):
+        return QROutput(q=np.full(x.shape, np.nan), r=fac.r)
+    if q is not None:
+        x = project_out(x, q, c)
+    return QROutput(q=tri_solve_right(x, fac.r), r=fac.r)
+
+
 def chol_qr(x) -> QROutput:
     """Cholesky QR: one Gram product, one local Cholesky, one solve.
 
     The single tall reduction makes this the cheapest muscle, at the price
     of an O(eps) * kappa(X)^2 loss of orthogonality and outright failure
-    once eps * kappa(X)^2 approaches 1.  On failure (NaN in the factor, or
-    an exactly zero pivot) ``q`` is NaN-filled and ``failed`` is set.
+    once eps * kappa(X)^2 approaches 1.  On failure (a non-finite factor,
+    or an exactly zero pivot) ``q`` is NaN-filled.
     """
     x = _as_block(x)
-    m, s = x.shape
     if not all_finite(x):
-        return _nan_output(m, s)
-    gram = x.T @ x
-    fac = chol_free(gram)
-    if fac.failed or zero_pivot(fac.r):
-        return QROutput(q=np.full((m, s), np.nan), r=fac.r, failed=True)
-    q = tri_solve_right(x, fac.r)
-    return QROutput(q=q, r=fac.r, failed=False)
+        return _nan_output(*x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x.T @ x
+    return chol_normalize(gram, x)
 
 
 _ROUTINES: dict[str, Callable[[np.ndarray], QROutput]] = {

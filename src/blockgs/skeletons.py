@@ -28,8 +28,8 @@ its own cost in :func:`~blockgs.muscles.apply_io`.  Batched products read
 stacked copies.
 
 Breakdown is data: after the first failed muscle call or fused Cholesky
-step, NaNs propagate through the remaining blocks, every block still
-executes, and the result carries ``failed=True``.
+step, NaNs propagate through the remaining blocks and every block still
+executes.  ``failed`` is true exactly when Q or R holds a non-finite entry.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ import numpy as np
 
 from .blockcore import (
     BlockMatrix,
+    all_finite,
     project_out,
     tri_solve_left_transposed,
-    tri_solve_right,
-    zero_pivot,
 )
-from .muscles import IOSpec, apply_io, chol_free
+from .muscles import IOSpec, apply_io, chol_normalize
 from .syncmodel import SyncLedger
 
 __all__ = [
@@ -201,10 +200,10 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     and X_k.  It may use block k's slot and the slots after it as scratch
     (a step may deflate V_k straight into block k's slot), since the loop
     writes Q_k there next; so the Q_k it returns must be an array of its
-    own, never a view of those slots.  It returns
-    ``(r_col, r_kk, q_k, failed)``: R's column above the diagonal, the
-    diagonal block R_kk and the new block Q_k.  The result's Q wraps the
-    workspace uncopied.  Raises ``TypeError`` unless X is a ``BlockMatrix``.
+    own, never a view of those slots.  It returns ``(r_col, r_kk, q_k)``:
+    R's column above the diagonal, the diagonal block R_kk and the new
+    block Q_k.  The result's Q wraps the workspace uncopied.  Raises
+    ``TypeError`` unless X is a ``BlockMatrix``.
 
     Memory: beside X, the workspace and R, a run holds at most two m-by-s
     blocks at once.  Each step drops an m-by-s temporary once it has read
@@ -223,20 +222,16 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
         out = apply_io(io_a, x.block(1), ledger=ledger, block=1)
         q_data[:, :s] = out.q
         r[:s, :s] = out.r
-        failed = out.failed
         del out
         for k in range(2, p + 1):
             lo, hi = (k - 1) * s, k * s
-            r_col, r_kk, q_k, step_failed = step(
-                ledger, k, q_data, lo, x.block(k)
-            )
+            r_col, r_kk, q_k = step(ledger, k, q_data, lo, x.block(k))
             q_data[:, lo:hi] = q_k
             del q_k
             r[:lo, lo:hi] = r_col
             r[lo:hi, lo:hi] = r_kk
-            failed = failed or step_failed
-    q = BlockMatrix(q_data, s, p)
-    return BGSResult(q=q, r=r, ledger=ledger, failed=failed)
+    failed = not (all_finite(q_data) and all_finite(r))
+    return BGSResult(BlockMatrix(q_data, s, p), r, ledger, failed)
 
 
 def bcgs_a(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
@@ -252,7 +247,7 @@ def bcgs_a(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
         out = apply_io(
             io, project_out(xk, qprev, s_col), ledger=ledger, block=k
         )
-        return s_col, out.r, out.q, out.failed
+        return s_col, out.r, out.q
 
     return _run(x, io_a, step)
 
@@ -285,11 +280,10 @@ def bcgsi_plus_a(
         )
         t_col = ledger.reduce(k, "proj2", qprev, out1.q)
         v = project_out(out1.q, qprev, t_col)
-        s_kk, failed = out1.r, out1.failed
+        s_kk = out1.r
         del out1  # U_k, read for the last time
         out2 = apply_io(io2, v, ledger=ledger, block=k)
-        r_col = s_col + t_col @ s_kk
-        return r_col, out2.r @ s_kk, out2.q, failed or out2.failed
+        return s_col + t_col @ s_kk, out2.r @ s_kk, out2.q
 
     return _run(x, io_a, step)
 
@@ -316,7 +310,7 @@ def bcgsi_a_3s(x: BlockMatrix, io_a: IOSpec, io: IOSpec) -> BGSResult:
         w = project_out(v, qprev, y_col)
         del v  # V_k, read for the last time
         out = apply_io(io, w, ledger=ledger, block=k)
-        return s_col + y_col, out.r, out.q, out.failed
+        return s_col + y_col, out.r, out.q
 
     return _run(x, io_a, step)
 
@@ -335,10 +329,9 @@ def _fused_normalization(
     [Q_prev, V] is the view ``q[:, :lo + s]``; a look-ahead block A, when
     given, is written into slot k+1 beside V.  One reduction yields Y =
     Q_prev^T V, Omega = V^T V and, with A, Z = Q_prev^T A and P = V^T A.
-    Y_kk is the fail-safe-free Cholesky factor of ``Omega - Y^T Y`` and the
-    new array Q_k is ``(V - Q_prev Y) Y_kk^{-1}``, or NaN on a failed factor
-    or an exactly zero pivot.  Returns (Y, Y_kk, Q_k, failed, Z, P); Z and
-    P are empty without A.
+    :func:`~blockgs.muscles.chol_normalize` of ``Omega - Y^T Y`` and
+    ``V - Q_prev Y`` gives the pair (Q_k, Y_kk), Q_k a new array.  Returns
+    (Y, that pair, Z, P); Z and P are empty without A.
     """
     hi = lo + s
     right = hi
@@ -348,13 +341,8 @@ def _fused_normalization(
     v = q[:, lo:hi]
     prods = ledger.reduce(k, "batch", q[:, :hi], q[:, lo:right])
     y_col = prods[:lo, :s]
-    fac = chol_free(prods[lo:, :s] - y_col.T @ y_col)
-    failed = fac.failed or zero_pivot(fac.r)
-    if failed:
-        q_k = np.full(v.shape, np.nan)
-    else:
-        q_k = tri_solve_right(project_out(v, q[:, :lo], y_col), fac.r)
-    return y_col, fac.r, q_k, failed, prods[:lo, s:], prods[lo:, s:]
+    out = chol_normalize(prods[lo:, :s] - y_col.T @ y_col, v, q[:, :lo], y_col)
+    return y_col, out, prods[:lo, s:], prods[lo:, s:]
 
 
 def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
@@ -371,8 +359,8 @@ def bcgsi_a_2s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
         qprev = q[:, :lo]
         s_col = ledger.reduce(k, "proj", qprev, xk)
         q[:, lo : lo + s] = project_out(xk, qprev, s_col)
-        y_col, y_kk, qk, failed, *_ = _fused_normalization(ledger, k, q, lo, s)
-        return s_col + y_col, y_kk, qk, failed
+        y_col, out, *_ = _fused_normalization(ledger, k, q, lo, s)
+        return s_col + y_col, out.r, out.q
 
     return _run(x, io_a, step)
 
@@ -403,14 +391,14 @@ def bcgsi_a_1s(x: BlockMatrix, io_a: IOSpec) -> BGSResult:
             s_col = s_next
         q[:, lo : lo + s] = project_out(xk, qprev, s_col)
         ahead = x.block(k + 1) if k < x.block_count else None
-        y_col, y_kk, qk, failed, z_blk, p_blk = _fused_normalization(
+        y_col, out, z_blk, p_blk = _fused_normalization(
             ledger, k, q, lo, s, ahead
         )
-        if ahead is not None and failed:
+        if ahead is not None and out.failed:
             s_next = np.vstack([z_blk, np.full((s, s), np.nan)])
         elif ahead is not None:
-            bottom = tri_solve_left_transposed(y_kk, p_blk - y_col.T @ z_blk)
+            bottom = tri_solve_left_transposed(out.r, p_blk - y_col.T @ z_blk)
             s_next = np.vstack([z_blk, bottom])
-        return s_col + y_col, y_kk, qk, failed
+        return s_col + y_col, out.r, out.q
 
     return _run(x, io_a, step)

@@ -172,6 +172,22 @@ def test_run_single_mgs_on_an_exact_zero_column_is_a_failed_row(
     assert math.isnan(rec.rel_res) and math.isnan(rec.rel_chol_res)
 
 
+def test_cli_mgs_pivot_overflow_row_is_failed(tmp_path):
+    # The monomial rung nearest 8e199 is finite (entries up to 4.6e197),
+    # but MGS's pivot norms overflow on it: the row is a breakdown, with
+    # NaN metrics, never a finished row with loo 3.38e1.
+    out = tmp_path / "mgs.csv"
+    argv = ["sweep", "--matrix", "monomial", "--m", "400", "--p", "40",
+            "--s", "10", "--kappas", "8e199", "--skeletons", "bcgs_a",
+            "--io-a", "mgs", "--io1", "mgs", "--out", str(out)]
+    assert _capture(cli_main, argv)[0] == 0
+    (rec,) = read_csv(out)
+    assert (rec.skeleton, rec.io_a, rec.io1) == ("BCGS-A", "mgs", "mgs")
+    assert rec.failed
+    assert math.isnan(rec.loo)
+    assert math.isnan(rec.rel_res) and math.isnan(rec.rel_chol_res)
+
+
 def test_run_single_low_sync_on_moderate_matrix():
     x = gen_monomial(100, 10, 5, 42, t=5)
     kappa = 2.160e5

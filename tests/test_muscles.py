@@ -9,7 +9,13 @@ from numpy.testing import assert_allclose
 
 from blockgs import muscles
 from blockgs.blockcore import cond_2, spectral_norm
-from blockgs.matgen import gen_default, gen_monomial, make_rng, svd_with_cond
+from blockgs.matgen import (
+    gen_default,
+    gen_monomial,
+    make_rng,
+    standard_normal,
+    svd_with_cond,
+)
 from blockgs.metrics import EPS, loo, rel_res
 from blockgs.muscles import (
     CHOL_QR,
@@ -217,6 +223,29 @@ def test_mgs_exact_rank_deficiency_fails_as_data():
     ]
 
 
+def _overflowing_block():
+    """A finite 6-by-2 block near 2**900, whose column norms' sums of
+    squares, and so its Gram matrix, overflow."""
+    return np.ldexp(standard_normal(make_rng(0), (6, 2)), 900)
+
+
+def test_mgs_pivot_norm_overflow_is_a_breakdown():
+    # The first pivot norm overflows to inf: without the breakdown, Q's
+    # column would be v / inf = 0 beside an infinite R diagonal.
+    out = mgs_qr(_overflowing_block())
+    assert out.failed
+    assert np.isnan(out.q).all() and np.isnan(out.r).all()
+
+
+@pytest.mark.parametrize("name", ["mgs", "cholqr"])
+def test_gram_overflow_is_a_failed_output_not_a_warning(name):
+    # pytest turns every RuntimeWarning into an error (pyproject), so an
+    # overflow warning from the dot or Gram products would fail this test.
+    out = FACTORIZERS[name](_overflowing_block())
+    assert out.failed
+    assert np.isnan(out.q).all()
+
+
 @pytest.mark.parametrize("name", sorted(FACTORIZERS))
 def test_residual_envelope_random(name):
     rng = np.random.default_rng(11)
@@ -288,6 +317,35 @@ def test_factorization_property_random(seed, name):
     assert loo(out.q) <= 1e-13
     assert rel_res(x, out.q, out.r) <= 1e-13
     assert np.all(np.diag(out.r) > 0.0)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    name=st.sampled_from(sorted(FACTORIZERS)),
+    s=st.integers(min_value=1, max_value=4),
+    extra_rows=st.sampled_from([0, 3]),
+    zero_column=st.booleans(),
+    exponent=st.sampled_from([-900, 0, 900]),
+)
+@settings(max_examples=60, deadline=None)
+def test_failed_holds_exactly_when_a_factor_is_non_finite(
+    seed, name, s, extra_rows, zero_column, exponent
+):
+    # Entries near either end of the exponent range, with or without an
+    # exactly zero column beside a nonzero one: no warning, ``failed`` is
+    # true exactly when Q or R holds a non-finite entry, a failed Q is
+    # NaN-filled, and a finished pair factors X.
+    data = np.random.default_rng(seed).standard_normal((s + extra_rows, s))
+    if zero_column and s > 1:
+        data[:, -1] = 0.0
+    x = np.ldexp(data, exponent)
+    out = FACTORIZERS[name](x)
+    finite = np.isfinite(out.q).all() and np.isfinite(out.r).all()
+    assert out.failed == (not finite)
+    if out.failed:
+        assert np.isnan(out.q).all()
+    else:
+        assert rel_res(x, out.q, out.r) <= 1e-13
 
 
 def _givens_oracle(x):

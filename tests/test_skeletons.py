@@ -371,7 +371,7 @@ def test_degenerate_inputs_fail_cleanly(
 ):
     # Square and single-column blocks, zero or repeated blocks, entries near
     # the ends of the exponent range and an all-zero X: no skeleton raises,
-    # ``failed`` is set exactly when Q holds a non-finite entry, and
+    # ``failed`` is set exactly when Q or R holds a non-finite entry, and
     # ``run_single`` still returns a row.
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((p * s + extra_rows, p * s))
@@ -386,7 +386,7 @@ def test_degenerate_inputs_fail_cleanly(
     for kind, muscles in ALL_CHOICES:
         run = getattr(skeletons, kind.value)
         result = run(x, *muscles.values())
-        finite = np.isfinite(result.q.data).all()
+        finite = all(np.isfinite(a).all() for a in (result.q.data, result.r))
         assert result.failed == (not finite), (kind, muscles)
         rec = run_single(x, make_combo(kind, **muscles))
         assert isinstance(rec, RunRecord)
@@ -505,10 +505,10 @@ def _copy_holding_2s(x, io_a):
     def step(ledger, k, q, lo, xk):
         s_col = ledger.reduce(k, "proj", q[:, :lo], xk)
         v = project_out(xk, q[:, :lo], s_col)
-        y_col, y_kk, qk, failed = _copy_holding_fused_normalization(
+        y_col, y_kk, qk, _ = _copy_holding_fused_normalization(
             ledger, k, q, lo, v
         )
-        return s_col + y_col, y_kk, qk, failed
+        return s_col + y_col, y_kk, qk
 
     return skeletons._run(x, io_a, step)
 
@@ -525,10 +525,10 @@ def _copy_holding_1s(x, io_a):
             s_col = carried["s_next"]
         v = project_out(xk, qprev, s_col)
         if k == x.block_count:
-            y_col, y_kk, qk, failed = _copy_holding_fused_normalization(
+            y_col, y_kk, qk, _ = _copy_holding_fused_normalization(
                 ledger, k, q, lo, v
             )
-            return s_col + y_col, y_kk, qk, failed
+            return s_col + y_col, y_kk, qk
         hi = lo + s
         q[:, lo:hi] = v
         q[:, hi : hi + s] = x.block(k + 1)
@@ -543,7 +543,7 @@ def _copy_holding_1s(x, io_a):
                 y_kk, p_blk - y_col.T @ z_blk
             )
         carried["s_next"] = np.vstack([z_blk, bottom])
-        return s_col + y_col, y_kk, qk, failed
+        return s_col + y_col, y_kk, qk
 
     return skeletons._run(x, io_a, step)
 
