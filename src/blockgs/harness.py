@@ -351,22 +351,19 @@ def _sweep_points(config: SweepConfig):
             x = gen_default(m, p, s, seed, kappa=kt)
             yield kt, x, _measure(x), ""
     elif config.matrix_class == "monomial":
-        # Build the divisor ladder once, then map each requested target to
-        # the rung whose measured conditioning is nearest in log space.
-        ladder = []
+        # Walk the divisor ladder once, keeping for each target the rung
+        # nearest in log10 kappa so far; a tie keeps the earlier rung.
+        best = [(math.inf, None, math.nan)] * len(config.kappas)
         for t in _divisors(p * s):
             x = gen_monomial(m, p, s, seed, t=t)
-            ladder.append((t, x, _measure(x)))
-        logs = [
-            math.log10(ka) if math.isfinite(ka) else math.log10(1e300)
-            for _, _, ka in ladder
-        ]
-        for kt in config.kappas:
-            idx = min(
-                range(len(ladder)),
-                key=lambda i: abs(logs[i] - math.log10(kt)),
-            )
-            _, x, ka = ladder[idx]
+            ka = _measure(x)
+            log_ka = math.log10(ka if math.isfinite(ka) else 1e300)
+            for i, kt in enumerate(config.kappas):
+                dist = abs(log_ka - math.log10(kt))
+                if dist < best[i][0]:
+                    best[i] = (dist, x, ka)
+            del x  # a rung no target chose is freed before the next
+        for kt, (_, x, ka) in zip(config.kappas, best):
             yield kt, x, ka, ""
     else:  # piled
         for kt in config.kappas:
@@ -495,15 +492,15 @@ def _row_envelope(
     """``(applicable, loo ceiling)`` of one CSV row's envelope.
 
     The row's skeleton and muscles must form a combo a sweep accepts, and
-    its measured kappa must be >= 1; otherwise raises ``ValueError``.
-    Unenforced envelopes and unmeasured kappas are never applicable.
+    its measured kappa must be >= 1 or NaN; otherwise raises
+    ``ValueError``.  A combo no theorem covers is never applicable.
     """
     if rec.skeleton not in by_display:
         raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
     ios = (_parse_io(getattr(rec, slot), slot) for slot in _SLOTS)
     combo = Combo(by_display[rec.skeleton], *ios)
     spec = SKELETONS[combo.skeleton].envelope(*combo.muscles, p=rec.p)
-    if not spec.enforced or not math.isfinite(rec.kappa_actual):
+    if spec is None:
         return False, math.nan
     return bound_envelope(spec, rec.kappa_actual)
 
@@ -511,9 +508,10 @@ def _row_envelope(
 def check_bounds(path, *, out=None) -> list[str]:
     """Verify every CSV row against its theoretical envelope.
 
-    A row violates when its envelope is enforced and applicable at the
-    row's measured conditioning, yet the loss of orthogonality exceeds the
-    ceiling or is NaN (a failure where the theory promises success).
+    A row violates when a theorem covers its combo and the envelope
+    applies at the row's measured conditioning, yet the loss of
+    orthogonality exceeds the ceiling or is NaN (a failure where the
+    theory promises success).
     Returns the violation messages (empty = all good); the report goes to
     ``out`` (the current stdout when not given).
     """

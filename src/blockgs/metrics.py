@@ -18,10 +18,11 @@ tested tolerance).  The n-by-n quantities keep their SVD spectral norm.
 Metrics of failed (NaN-bearing) computations are NaN, never an exception;
 so are the relative residuals of an all-zero X (0/0).
 
-The envelope a (skeleton, muscle choices) combination's theory predicts
-comes from the ``envelope`` of its skeleton's
+The envelope the paper proves for a (skeleton, muscle choices)
+combination comes from the ``envelope`` of its skeleton's
 :data:`~blockgs.skeletons.SKELETONS` entry, called with those muscles and
-the block count.  An envelope is an applicability condition of the form
+the block count; it is None where no theorem covers the combination.  An
+envelope is an applicability condition of the form
 ``eps * kappa**theta <= 1/2`` plus a loss-of-orthogonality ceiling
 ``100 * eps * kappa**loo_exponent``, which :func:`bound_envelope`
 evaluates at a measured condition number.
@@ -167,18 +168,25 @@ def rel_chol_res(x, r, x_gram: ScaledGram | None = None) -> float:
     return spectral_norm(gram - rs.T @ rs) / lam_x
 
 
+def _pow(kappa: float, exponent: float) -> float:
+    """``kappa**exponent``, infinite where it leaves the double range."""
+    try:
+        return math.pow(kappa, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def bound_envelope(spec: BoundSpec, kappa: float) -> tuple[bool, float]:
     """Evaluate an envelope at a measured condition number.
 
     Returns ``(applicable, loo_bound)`` with
-    ``applicable = io_a_ok and EPS * kappa**theta <= 1/2`` and
-    ``loo_bound = 100 * EPS * kappa**loo_exponent``.  A non-finite kappa
-    (unmeasurable conditioning) is never applicable.
+    ``applicable = EPS * kappa**theta <= 1/2`` and
+    ``loo_bound = 100 * EPS * kappa**loo_exponent``, infinite where the
+    power overflows.  A non-finite kappa (unmeasurable conditioning) is
+    never applicable.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    bound = C_TOL * EPS * kappa**spec.loo_exponent
-    if not spec.io_a_ok or not np.isfinite(kappa):
-        return False, bound
-    applicable = EPS * kappa**spec.theta <= 0.5
-    return bool(applicable), bound
+    bound = C_TOL * EPS * _pow(kappa, spec.loo_exponent)
+    applicable = math.isfinite(kappa) and EPS * _pow(kappa, spec.theta) <= 0.5
+    return applicable, bound

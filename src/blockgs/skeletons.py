@@ -79,33 +79,25 @@ class SkeletonKind(str, Enum):
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """Predicted stability envelope of one skeleton/muscle combination.
+    """The paper's stability envelope of one skeleton/muscle combination.
 
     ``theta`` controls applicability (``eps * kappa**theta <= 1/2``);
     ``loo_exponent`` is the power of kappa in the loss-of-orthogonality
-    ceiling.  ``io_a_ok`` records whether the first-block muscle meets the
-    strength premise of the corresponding theory; a violated premise makes
-    the envelope inapplicable rather than wrong.  ``enforced`` is False for
-    the diagnostic-only BCGS/BCGS-A envelopes.
+    ceiling.  Only a combination a theorem of the paper covers has one.
     """
 
     theta: float
     loo_exponent: float
-    io_a_ok: bool = True
-    enforced: bool = True
 
 
-# Envelopes: (muscles in slot order, p) -> BoundSpec.  ``alpha`` is a
+# Envelopes: (muscles in slot order, p) -> BoundSpec, or None where no
+# theorem covers them, a violated premise included.  ``alpha`` is a
 # muscle's loss-of-orthogonality exponent (O(eps) * kappa**alpha).
 
 
-def _bcgs_envelope(io_a, io1, *, p):
-    """BCGS / BCGS-A, without reorthogonalization: an exponent that grows
-    with the block count.  Not a result of the paper; recorded for
-    diagnostics only and never enforced, since no known input attains it.
-    """
-    exponent = (p - 2) + max(io_a.alpha + 1, io1.alpha)
-    return BoundSpec(1.0, float(exponent), enforced=False)
+def _no_envelope(io_a, io1, *, p):
+    """BCGS / BCGS-A: without reorthogonalization the paper proves none."""
+    return None
 
 
 def _reorthogonalized_envelope(io_a, io1, io2, *, p):
@@ -114,7 +106,7 @@ def _reorthogonalized_envelope(io_a, io1, io2, *, p):
     loss of orthogonality at O(eps).  Premise alpha_a = 0; applicable while
     eps * kappa**max(alpha_1, 1) <= 1/2.
     """
-    return BoundSpec(max(io1.alpha, 1), 0.0, io_a_ok=(io_a.alpha == 0))
+    return BoundSpec(max(io1.alpha, 1), 0.0) if io_a.alpha == 0 else None
 
 
 def _three_sync_envelope(io_a, io1, *, p):
@@ -124,7 +116,7 @@ def _three_sync_envelope(io_a, io1, *, p):
     2) <= 1/2; premise alpha_a <= alpha_1.
     """
     a = io1.alpha
-    return BoundSpec(max(a + 1, 2), max(a, 1), io_a_ok=(io_a.alpha <= a))
+    return BoundSpec(max(a + 1, 2), max(a, 1)) if io_a.alpha <= a else None
 
 
 def _low_sync_envelope(io_a, *, p):
@@ -133,7 +125,7 @@ def _low_sync_envelope(io_a, *, p):
     O(eps) * kappa**2, applicable only while eps * kappa**3 <= 1/2; premise
     alpha_a <= 2.
     """
-    return BoundSpec(3.0, 2.0, io_a_ok=(io_a.alpha <= 2))
+    return BoundSpec(3.0, 2.0) if io_a.alpha <= 2 else None
 
 
 @dataclass(frozen=True)
@@ -143,25 +135,26 @@ class SkeletonSpec:
     ``slots`` names the muscle slots a run consumes (fields of a
     :class:`~blockgs.harness.Combo`), in the order the skeleton function
     takes them.  ``envelope`` maps those muscles (in the same order) and
-    the block count ``p`` to the :class:`BoundSpec` its theory predicts.
-    A ``tied`` skeleton takes a single muscle, which fills every slot.
+    the block count ``p`` to the :class:`BoundSpec` the paper proves for
+    them, or to None where no theorem covers them.  A ``tied`` skeleton
+    takes a single muscle, which fills every slot.
     ``shorthands`` are extra CLI spellings beyond the kind's value and the
     display name.
     """
 
     display: str
     slots: tuple[str, ...]
-    envelope: Callable[..., BoundSpec]
+    envelope: Callable[..., BoundSpec | None]
     tied: bool = False
     shorthands: tuple[str, ...] = ()
 
 
 SKELETONS: dict[SkeletonKind, SkeletonSpec] = {
     SkeletonKind.BCGS: SkeletonSpec(
-        "BCGS", ("io_a", "io1"), _bcgs_envelope, tied=True
+        "BCGS", ("io_a", "io1"), _no_envelope, tied=True
     ),
     SkeletonKind.BCGS_A: SkeletonSpec(
-        "BCGS-A", ("io_a", "io1"), _bcgs_envelope
+        "BCGS-A", ("io_a", "io1"), _no_envelope
     ),
     SkeletonKind.BCGSI_PLUS: SkeletonSpec(
         "BCGSI+", ("io_a", "io1", "io2"), _reorthogonalized_envelope, tied=True

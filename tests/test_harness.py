@@ -408,6 +408,52 @@ def test_run_sweep_on_an_overflowing_matrix_fails_its_rows():
         assert math.isnan(rec.loo) and math.isnan(rec.rel_res)
 
 
+def test_monomial_targets_map_to_the_nearest_rung():
+    # Each target gets the rung nearest in log10 kappa, the earlier one on
+    # a tie, as ``min`` over the whole ladder picks it.
+    m, p, s = 60, 4, 6
+    ladder = []
+    for t in harness._divisors(p * s):
+        x = gen_monomial(m, p, s, 42, t=t)
+        ladder.append((x, harness._measure(x)))
+    logs = [math.log10(ka) for _, ka in ladder]
+    kappas = tuple(np.logspace(0, 20, 41)) + tuple(ka for _, ka in ladder)
+    config = SweepConfig(
+        matrix_class="monomial", combos=(make_combo("bcgs"),),
+        kappas=kappas, m=m, p=p, s=s,
+    )
+    for kt, x, ka, _ in harness._sweep_points(config):
+        want = min(
+            range(len(ladder)), key=lambda i: abs(logs[i] - math.log10(kt))
+        )
+        assert ka == ladder[want][1]
+        assert np.array_equal(x.data, ladder[want][0].data)
+
+
+def test_monomial_sweep_frees_the_rungs_no_target_chose():
+    # 12 divisor rungs at this shape.  Walking the ladder holds the nearest
+    # rung so far and the rung being measured; the run adds Q and R.
+    # Keeping every rung peaked at 13.3 times X.
+    config = SweepConfig(
+        matrix_class="monomial",
+        combos=(make_combo("bcgsi_plus_a"),),
+        kappas=(1.0e6,),
+        m=2000,
+        p=12,
+        s=5,
+    )
+    x_bytes = config.m * config.p * config.s * 8
+    run_sweep(config)
+    tracemalloc.start()
+    try:
+        (rec,) = run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rec.failed
+    assert peak <= 3 * x_bytes
+
+
 def test_run_sweep_config_validation():
     good = _small_sweep()
     with pytest.raises(ConfigError, match="unknown matrix class"):
@@ -587,20 +633,41 @@ def test_check_bounds_treats_covered_failure_as_violation(tmp_path):
     assert len(check_bounds(path, out=io.StringIO())) == 1
 
 
-def test_check_bounds_skips_unenforced_and_skipped_rows(tmp_path):
-    # Plain BCGS rows carry a diagnostic-only envelope; calibration skips
-    # carry NaN kappa.  Neither may be counted as checked.
+def test_check_bounds_reads_a_kappa_whose_powers_overflow(tmp_path):
+    # A long monomial panel can measure a finite kappa near 1e200, whose
+    # square and cube leave the double range: such a row is out of every
+    # envelope's reach, and check-bounds reports it rather than raising.
+    records = run_sweep(_small_sweep())
+    for rec in records:
+        rec.kappa_actual = 8.4e199
+    path = tmp_path / "sweep.csv"
+    write_csv(records, path)
+    code, out, err = _capture(cli_main, ["check-bounds", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "checked 0 applicable rows out of 6: 0 violation(s)"
+    ]
+
+
+def test_check_bounds_skips_uncovered_and_skipped_rows(tmp_path):
+    # No theorem covers plain BCGS, nor BCGSI+ with a Gram-based first
+    # block; calibration skips carry NaN kappa.  None of these rows may be
+    # counted as checked, even with a loss of orthogonality far above any
+    # ceiling.
     config = SweepConfig(
         matrix_class="piled",
-        combos=(make_combo("bcgs"),),
+        combos=(make_combo("bcgs"), make_combo("bcgsi_plus", CHOL_QR)),
         kappas=(1.0, 100.0),
     )
+    records = run_sweep(config)
+    for rec in records:
+        rec.loo = 1.0e300
     path = tmp_path / "sweep.csv"
-    write_csv(run_sweep(config), path)
+    write_csv(records, path)
     out = io.StringIO()
     assert check_bounds(path, out=out) == []
     assert out.getvalue().splitlines()[0] == (
-        "checked 0 applicable rows out of 2: 0 violation(s)"
+        "checked 0 applicable rows out of 4: 0 violation(s)"
     )
 
 

@@ -241,17 +241,16 @@ def test_bound_reorthogonalized_flat_envelope():
     spec = _envelope("bcgsi_plus_a", HOUSE_QR, CHOL_QR, CHOL_QR)
     assert spec.theta == 2
     assert spec.loo_exponent == 0.0
-    assert spec.io_a_ok and spec.enforced
     applicable, bound = bound_envelope(spec, 1.0e7)
     assert applicable
     assert bound == pytest.approx(100.0 * EPS)
 
 
 def test_bound_reorthogonalized_premise_needs_unconditional_first_block():
-    spec = _envelope("bcgsi_plus", CHOL_QR, CHOL_QR, CHOL_QR)
-    assert not spec.io_a_ok  # Gram-based first block violates the premise
-    applicable, _ = bound_envelope(spec, 10.0)
-    assert not applicable
+    # A first-block muscle with alpha > 0 violates the premise: no envelope.
+    for io in (MGS, CHOL_QR):
+        assert _envelope("bcgsi_plus", io, io, io) is None
+        assert _envelope("bcgsi_plus_a", io, HOUSE_QR, HOUSE_QR) is None
 
 
 def test_bound_three_sync():
@@ -262,13 +261,13 @@ def test_bound_three_sync():
     assert applicable
     assert bound == pytest.approx(100.0 * EPS * 1.0e4)
 
+    # Premise: first block no weaker than the loop muscle.
     tied = _envelope("bcgsi_a_3s", CHOL_QR, CHOL_QR)
     assert tied.theta == 3
     assert tied.loo_exponent == 2
-    assert tied.io_a_ok  # premise: first block no weaker than the loop
 
-    mixed = _envelope("bcgsi_a_3s", CHOL_QR, HOUSE_QR)
-    assert not mixed.io_a_ok  # first block weaker than the loop muscle
+    assert _envelope("bcgsi_a_3s", CHOL_QR, HOUSE_QR) is None
+    assert _envelope("bcgsi_a_3s", CHOL_QR, MGS) is None
 
 
 @pytest.mark.parametrize("kind", ["bcgsi_a_2s", "bcgsi_a_1s"])
@@ -276,7 +275,6 @@ def test_bound_low_sync_quadratic_envelope(kind):
     spec = _envelope(kind, HOUSE_QR)
     assert spec.theta == 3.0
     assert spec.loo_exponent == 2.0
-    assert spec.io_a_ok and spec.enforced
 
     # kappa = 1e4: eps * kappa^3 ~ 1e-4, comfortably applicable.
     applicable, bound = bound_envelope(spec, 1.0e4)
@@ -287,15 +285,14 @@ def test_bound_low_sync_quadratic_envelope(kind):
     applicable, _ = bound_envelope(spec, 1.0e6)
     assert not applicable
 
-    assert _envelope(kind, CHOL_QR).io_a_ok  # alpha = 2 still admissible
+    assert _envelope(kind, CHOL_QR) == spec  # alpha = 2 still admissible
 
 
-def test_bound_bcgs_family_is_diagnostic_only():
-    spec = _envelope("bcgs", HOUSE_QR, HOUSE_QR, p=10)
-    assert not spec.enforced
-    assert spec.loo_exponent == (10 - 2) + max(0 + 1, 0)
-    spec = _envelope("bcgs_a", MGS, CHOL_QR, p=4)
-    assert spec.loo_exponent == (4 - 2) + max(1 + 1, 2)
+def test_bound_bcgs_family_has_no_envelope():
+    # The paper proves no bound for BCGS or BCGS-A, at any block count.
+    for p, io in itertools.product((1, 3, 10, 100), IO_BY_NAME.values()):
+        assert _envelope("bcgs", io, io, p=p) is None
+        assert _envelope("bcgs_a", HOUSE_QR, io, p=p) is None
 
 
 ENVELOPE_TABLE = Path(__file__).with_name("bound_envelopes.csv")
@@ -303,7 +300,8 @@ ENVELOPE_TABLE = Path(__file__).with_name("bound_envelopes.csv")
 
 def _envelope_table() -> list[str]:
     """One line per (combo, p): every combo ``make_combo`` builds from the
-    four muscles in every slot, at p = 3 and p = 10."""
+    four muscles in every slot, at p = 3 and p = 10, with its envelope or
+    ``none``."""
     lines = []
     for kind in SkeletonKind:
         combos = {}
@@ -316,16 +314,17 @@ def _envelope_table() -> list[str]:
             spec = SKELETONS[kind].envelope(*combo.muscles, p=p)
             names = [io.kind if io else "" for io in
                      (combo.io_a, combo.io1, combo.io2)]
-            lines.append(",".join([
-                kind.value, str(p), *names,
-                repr(float(spec.theta)), repr(float(spec.loo_exponent)),
-                str(spec.io_a_ok), str(spec.enforced),
-            ]))
+            if spec is None:
+                envelope = ["none"]
+            else:
+                envelope = [repr(float(spec.theta)),
+                            repr(float(spec.loo_exponent))]
+            lines.append(",".join([kind.value, str(p), *names, *envelope]))
     return lines
 
 
 def test_bound_envelope_table_is_frozen():
-    # skeleton,p,io_a,io1,io2,theta,loo_exponent,io_a_ok,enforced
+    # skeleton,p,io_a,io1,io2,theta,loo_exponent (or none: no theorem)
     assert _envelope_table() == ENVELOPE_TABLE.read_text().splitlines()
 
 
@@ -338,6 +337,9 @@ def test_bound_envelope_edge_cases():
     applicable, bound = bound_envelope(spec, 1.0)
     assert applicable
     assert bound == pytest.approx(100.0 * EPS)
+    # kappa**theta beyond the double range: an infinite ceiling that never
+    # applies, not an OverflowError.
+    assert bound_envelope(spec, 1.0e200) == (False, math.inf)
 
 
 @given(kappa=st.floats(min_value=1.0, max_value=1e15))
