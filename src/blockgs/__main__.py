@@ -1,6 +1,6 @@
 """``python -m blockgs``: the ``blockgs`` command without an installed script."""
 
-from .harness import main
+from .harness import cli_main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli_main())

@@ -15,6 +15,7 @@ from scipy.linalg import lapack
 
 __all__ = [
     "BlockMatrix",
+    "check_partition",
     "all_finite",
     "spectral_norm",
     "cond_2",
@@ -25,14 +26,28 @@ __all__ = [
 ]
 
 
+def check_partition(m: int, p: int, s: int) -> None:
+    """Raise ``ValueError`` unless m rows split into ``p`` blocks of ``s``
+    columns and stay tall: p, s >= 1 and m >= p*s.  The one statement of
+    that rule; every generator, BlockMatrix, SweepConfig and read_csv ask it.
+    """
+    if p < 1 or s < 1:
+        rule = "block count and width must be >= 1 (p >= 1, s >= 1)"
+    elif m < p * s:
+        rule = "matrix must be tall (m >= p*s)"
+    else:
+        return
+    raise ValueError(f"{rule}, got m={m}, p={p}, s={s}")
+
+
 @dataclass
 class BlockMatrix:
     """A tall m-by-(p*s) matrix partitioned into ``p`` blocks of ``s`` columns.
 
-    ``data`` (m >= p*s) is kept as a column-major float64 array, copied
-    only when it is not one already.  ``block_width`` is s; ``block_count``
-    is p, inferred from the column count when 0.  Data that is not 2-d, a
-    bad partition or a wide matrix raises ``ValueError``.
+    ``data`` is kept as a column-major float64 array, copied only when it
+    is not one already.  ``block_width`` is s; ``block_count`` is p,
+    inferred from the column count when 0.  Data that is not 2-d, a shape
+    :func:`check_partition` rejects or p*s != cols raises ``ValueError``.
     """
 
     data: np.ndarray
@@ -46,21 +61,13 @@ class BlockMatrix:
         self.data = data
         m, n = data.shape
         s = int(self.block_width)
-        if s < 1:
-            raise ValueError("block_width must be >= 1")
-        if self.block_count == 0:
-            if n % s != 0:
-                raise ValueError(
-                    f"column count {n} is not a multiple of block width {s}"
-                )
-            self.block_count = n // s
-        p = int(self.block_count)
-        if p < 1 or n != p * s:
+        # With s = 0 no block count is inferred; check_partition rejects it.
+        p = int(self.block_count) or (n // s if s else 0)
+        check_partition(m, p, s)
+        if n != p * s:
             raise ValueError(
                 f"inconsistent partition: {n} columns != {p} blocks x width {s}"
             )
-        if m < n:
-            raise ValueError(f"matrix must be tall: {m} rows < {n} columns")
         self.block_width = s
         self.block_count = p
 

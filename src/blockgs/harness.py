@@ -24,14 +24,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .blockcore import BlockMatrix, cond_2
+from .blockcore import BlockMatrix, check_partition, cond_2
 from .matgen import (
     MATRIX_CLASSES,
-    SEED_LIMIT,
     calibrate_piled,
+    check_kappa,
     gen_default,
     gen_monomial,
     gen_piled,
+    make_rng,
 )
 from .metrics import (
     ScaledGram,
@@ -59,7 +60,6 @@ __all__ = [
     "check_bounds",
     "sync_table",
     "cli_main",
-    "main",
 ]
 
 
@@ -239,7 +239,13 @@ CSV_FIELDS = tuple(name for name, _ in _CSV_COLUMNS)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything that pins down a sweep (and hence its CSV bytes)."""
+    """Everything that pins down a sweep (and hence its CSV bytes).
+
+    It checks itself when built, as :class:`Combo` does, so every one runs:
+    a known matrix class, some combos, and kappa targets, shape and seed
+    that ``check_kappa``, ``check_partition`` and ``make_rng`` accept;
+    anything else raises ``ConfigError``.
+    """
 
     matrix_class: str
     combos: tuple[Combo, ...]
@@ -249,26 +255,20 @@ class SweepConfig:
     s: int = 5
     seed: int = 42
 
-
-def _validate_config(config: SweepConfig) -> None:
-    if config.matrix_class not in MATRIX_CLASSES:
-        raise ConfigError(f"unknown matrix class {config.matrix_class!r}")
-    if not config.combos:
-        raise ConfigError("no skeleton/muscle combinations requested")
-    if not config.kappas:
-        raise ConfigError("no kappa sweep points requested")
-    if not all(math.isfinite(k) for k in config.kappas):
-        raise ConfigError("kappa targets must be finite")
-    if any(k < 1.0 for k in config.kappas):
-        raise ConfigError("kappa targets must be >= 1")
-    if config.p < 1 or config.s < 1:
-        raise ConfigError("block count p and block width s must be >= 1")
-    if not 0 <= config.seed < SEED_LIMIT:
-        raise ConfigError(f"seed must be in [0, 2**128), got {config.seed}")
-    if config.m < config.p * config.s:
-        raise ConfigError(
-            f"matrix must be tall: m={config.m} < p*s={config.p * config.s}"
-        )
+    def __post_init__(self) -> None:
+        if self.matrix_class not in MATRIX_CLASSES:
+            raise ConfigError(f"unknown matrix class {self.matrix_class!r}")
+        if not self.combos:
+            raise ConfigError("no skeleton/muscle combinations requested")
+        if not self.kappas:
+            raise ConfigError("no kappa sweep points requested")
+        try:
+            for kappa in self.kappas:
+                check_kappa(kappa, "kappa targets")
+            check_partition(self.m, self.p, self.s)
+            make_rng(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _record(
@@ -314,8 +314,8 @@ def run_single(
     ``kappa_actual`` and ``x_gram`` (:func:`~blockgs.metrics.scaled_gram`
     of X) may be passed in when the caller already formed them (a sweep
     does, once per point).  Otherwise ``kappa_actual`` is computed here,
-    and set to NaN when the conditioning is unmeasurable, and the metrics
-    form ``x_gram`` themselves.
+    and set to NaN when the conditioning is unmeasurable, and ``x_gram``
+    is formed here once, only when the run did not fail.
     """
     if kappa_actual is None:
         kappa_actual = _measure(x)
@@ -324,6 +324,8 @@ def run_single(
     elapsed_ms = (time.perf_counter() - start) * 1e3
     outcome = dict(failed=result.failed, elapsed_ms=elapsed_ms)
     if not result.failed:
+        if x_gram is None:
+            x_gram = _scaled_gram(x)
         outcome["loo"] = loo(result.q)
         # Q is this run's own and read for the last time: the residual
         # takes its storage instead of a third m-by-n array.
@@ -404,7 +406,6 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
     combo runs.  ``elapsed_ms`` is zeroed so that identical configs yield
     byte-identical CSVs.
     """
-    _validate_config(config)
     records: list[RunRecord] = []
     for kt, x, kappa_actual, note in _sweep_points(config):
         if x is None:
@@ -452,7 +453,8 @@ def read_csv(path) -> list[RunRecord]:
     """Read back a CSV written by :func:`write_csv`.
 
     Every cell must be spelled as the writer spells its value, and every
-    row's shape must be one a sweep accepts (p, s >= 1 and m >= p*s).
+    row's shape must be one :func:`~blockgs.blockcore.check_partition`
+    accepts, as a sweep's is.
     Raises ``OSError`` when the file cannot be read and ``ValueError``,
     naming the line, when its header or a row is malformed.
     """
@@ -474,14 +476,9 @@ def read_csv(path) -> list[RunRecord]:
                         for name, (_, parse) in _CSV_COLUMNS
                     }
                 )
+                check_partition(record.m, record.p, record.s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            m, p, s = record.m, record.p, record.s
-            if p < 1 or s < 1 or m < p * s:
-                raise ValueError(
-                    f"{path}:{reader.line_num}: shape m={m}, p={p}, s={s}"
-                    " is not a tall partition into p, s >= 1 blocks"
-                )
             records.append(record)
     return records
 
@@ -491,13 +488,19 @@ def _row_envelope(
 ) -> tuple[bool, float]:
     """``(applicable, loo ceiling)`` of one CSV row's envelope.
 
-    The row's skeleton and muscles must form a combo a sweep accepts, and
-    its measured kappa must be >= 1 or NaN; otherwise raises
-    ``ValueError``.  A combo no theorem covers is never applicable.
+    The row's skeleton and muscles, each spelled as the writer spells
+    it, must form a combo a sweep accepts, and its measured kappa must be
+    >= 1 or NaN; otherwise raises ``ValueError``.  A combo no theorem
+    covers is never applicable.
     """
     if rec.skeleton not in by_display:
         raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
-    ios = (_parse_io(getattr(rec, slot), slot) for slot in _SLOTS)
+    ios = []
+    for slot in _SLOTS:
+        cell = getattr(rec, slot)
+        if cell and cell not in IO_BY_NAME:
+            raise ConfigError(f"unknown muscle {cell!r} in column {slot}")
+        ios.append(IO_BY_NAME.get(cell))
     combo = Combo(by_display[rec.skeleton], *ios)
     spec = SKELETONS[combo.skeleton].envelope(*combo.muscles, p=rec.p)
     if spec is None:
@@ -640,27 +643,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated skeleton list (default: all)",
     )
     sweep.add_argument(
-        "--io-a",
-        dest="io_a",
-        default=None,
-        help="first-block muscle (default houseqr where needed)",
+        "--io-a", help="first-block muscle (default houseqr where needed)"
     )
     sweep.add_argument(
-        "--io1", default=None, help="inner muscle (default cholqr where needed)"
+        "--io1", help="inner muscle (default cholqr where needed)"
     )
     sweep.add_argument(
-        "--io2",
-        default=None,
-        help="second-pass muscle (default cholqr where needed)",
+        "--io2", help="second-pass muscle (default cholqr where needed)"
     )
+    sweep.add_argument("--kappas", help="comma-separated condition targets")
     sweep.add_argument(
-        "--kappas", default=None, help="comma-separated condition targets"
-    )
-    sweep.add_argument(
-        "--kappa-range",
-        dest="kappa_range",
-        default=None,
-        help="log-spaced targets as lo:hi:count",
+        "--kappa-range", help="log-spaced targets as lo:hi:count"
     )
     sweep.add_argument("--seed", type=int, default=SweepConfig.seed)
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
@@ -740,7 +733,6 @@ def cli_main(argv=None) -> int:
     try:
         if args.command == "sweep":
             config = _config_from_args(args)
-            _validate_config(config)
             created = not os.path.exists(args.out)
             try:
                 # An unwritable --out fails here, before the sweep runs;
@@ -783,10 +775,5 @@ def cli_main(argv=None) -> int:
     raise AssertionError("unreachable")
 
 
-def main(argv=None) -> int:
-    """Console-script entry point."""
-    return cli_main(argv)
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli_main())

@@ -7,6 +7,10 @@ variates are their inverse normal CDF, with no rejection sampling.
 
 Families
 --------
+Each generator takes (m, p, s, seed) and one knob, and raises ``ValueError``
+on a shape :func:`~blockgs.blockcore.check_partition` rejects, a seed
+:func:`make_rng` rejects or a kappa knob :func:`check_kappa` rejects.
+
 monomial
     Krylov-style panels [v, A v, ..., A^(t-1) v] for a fixed diagonal A with
     evenly distributed eigenvalues in (0.1, 10); conditioning grows with the
@@ -30,12 +34,13 @@ import struct
 import numpy as np
 from scipy.special import ndtri
 
-from .blockcore import BlockMatrix, cond_2
+from .blockcore import BlockMatrix, check_partition, cond_2
 from .muscles import house_qr
 
 __all__ = [
     "SEED_LIMIT",
     "make_rng",
+    "check_kappa",
     "uniform_open",
     "standard_normal",
     "svd_with_cond",
@@ -78,6 +83,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def check_kappa(kappa: float, name: str = "kappa") -> None:
+    """Raise ``ValueError`` unless ``kappa`` (called ``name``) is finite and
+    >= 1."""
+    if not kappa >= 1.0 or not math.isfinite(kappa):
+        raise ValueError(f"{name} must be finite and >= 1, got {kappa}")
+
+
 def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
     """Uniform variates in the open interval (0, 1) with 53-bit resolution."""
     u = rng.integers(1, 1 << 53, size=size, dtype=np.int64).astype(np.float64)
@@ -91,22 +103,9 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def _check_shape(m: int, p: int, s: int) -> None:
-    """Raise ``ValueError`` unless p, s >= 1 and the matrix is tall."""
-    if p < 1 or s < 1:
-        raise ValueError("need p >= 1 and s >= 1")
-    if m < p * s:
-        raise ValueError("matrix must be tall: m >= p*s")
-
-
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     g = standard_normal(rng, (rows, cols))
     return house_qr(g).q
-
-
-def _check_kappa(kappa: float, name: str = "kappa") -> None:
-    if not kappa >= 1.0 or not math.isfinite(kappa):
-        raise ValueError(f"{name} must be >= 1 and finite")
 
 
 def _svd_factors(
@@ -150,7 +149,7 @@ def svd_with_cond(
     """
     if rows < cols:
         raise ValueError("matrix must be tall: rows >= cols")
-    _check_kappa(kappa)
+    check_kappa(kappa)
     # X's storage is taken before the factors', so theirs, freed on return,
     # leaves no X-sized hole below X in the heap.  cond_2's SVD copy of X
     # is a few KB larger than such a hole; when it does not fit, it takes
@@ -164,7 +163,7 @@ def gen_default(
     m: int, p: int, s: int, seed: int, *, kappa: float
 ) -> BlockMatrix:
     """Explicit-SVD family: cond_2 lands within a factor ~2 of ``kappa``."""
-    _check_shape(m, p, s)
+    check_partition(m, p, s)
     x = svd_with_cond(m, p * s, kappa, rng=make_rng(seed))
     return BlockMatrix(x, s, p)
 
@@ -182,7 +181,7 @@ def gen_monomial(
     [-1, 1]^m vectors normalized to unit 2-norm.  A long panel may overflow
     to inf: that is data, not an error.
     """
-    _check_shape(m, p, s)
+    check_partition(m, p, s)
     if t < 1:
         raise ValueError("monomial class needs a panel length t >= 1")
     n = p * s
@@ -229,8 +228,8 @@ def gen_piled(
     on ``kappa_z``: the last such set is cached (about one matrix of
     memory), bit-identical to a fresh draw.
     """
-    _check_shape(m, p, s)
-    _check_kappa(kappa_z, "kappa knobs")
+    check_partition(m, p, s)
+    check_kappa(kappa_z, "kappa knobs")
     x1, pairs = _piled_factors(m, p, s, seed)
     # Column-major, so BlockMatrix takes the array without copying it.
     out = np.empty((m, p * s), order="F")
@@ -257,7 +256,7 @@ def calibrate_piled(
     far off is acceptable.  Raises ``ValueError`` unless ``kappa_target`` is
     finite and >= 1.
     """
-    _check_kappa(kappa_target)
+    check_kappa(kappa_target)
 
     def measure(log_kz: float) -> tuple[float, float]:
         kappa_z = 10.0**log_kz

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from blockgs.harness import (
     sync_table,
     write_csv,
 )
-from blockgs.matgen import gen_default, gen_monomial
+from blockgs.matgen import gen_default, gen_monomial, gen_piled
 from blockgs.metrics import EPS
 from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS
 from blockgs.skeletons import SkeletonKind
@@ -226,6 +227,28 @@ def test_run_single_holds_x_q_and_block_sized_scratch(kind, muscle, tall_x):
         tracemalloc.stop()
     assert not rec.failed and rec.rel_res == want.rel_res
     assert peak <= 1.25 * x.data.nbytes
+
+
+def test_standalone_run_single_forms_x_gram_once(monkeypatch):
+    # Without a caller's x_gram, one scaled Gram of X serves both
+    # residuals, and a failed run forms none.
+    calls = []
+    original = metrics.scaled_gram
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(metrics, "scaled_gram", counting)
+    monkeypatch.setattr(harness, "scaled_gram", counting)
+    x = gen_default(2000, 10, 5, 42, kappa=1e6)
+    rec = run_single(x, make_combo("bcgsi_a_2s"))
+    assert not rec.failed
+    assert len(calls) == 1
+    calls.clear()
+    rec = run_single(BlockMatrix(np.full((20, 4), np.nan), 2), make_combo("1s"))
+    assert rec.failed
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +478,58 @@ def test_monomial_sweep_frees_the_rungs_no_target_chose():
 
 
 def test_run_sweep_config_validation():
+    # A SweepConfig checks itself when it is built, so a bad one never
+    # reaches run_sweep.
     good = _small_sweep()
-    with pytest.raises(ConfigError, match="unknown matrix class"):
-        run_sweep(
-            SweepConfig("krylov", good.combos, good.kappas)
-        )
-    with pytest.raises(ConfigError, match="no skeleton"):
-        run_sweep(SweepConfig("monomial", (), good.kappas))
-    with pytest.raises(ConfigError, match="no kappa sweep points"):
-        run_sweep(SweepConfig("monomial", good.combos, ()))
-    with pytest.raises(ConfigError, match="targets must be >= 1"):
-        run_sweep(SweepConfig("monomial", good.combos, (0.5,)))
+    for name, value, fragment in (
+        ("matrix_class", "krylov", "unknown matrix class 'krylov'"),
+        ("combos", (), "no skeleton/muscle combinations"),
+        ("kappas", (), "no kappa sweep points"),
+        ("kappas", (10.0, 0.5), "kappa targets must be finite and >= 1"),
+        ("kappas", (math.nan,), "kappa targets must be finite and >= 1"),
+        ("m", 49, "must be tall (m >= p*s), got m=49, p=10, s=5"),
+        ("p", 0, "must be >= 1 (p >= 1, s >= 1), got m=100, p=0, s=5"),
+        ("s", -1, "must be >= 1 (p >= 1, s >= 1), got m=100, p=10, s=-1"),
+        ("seed", -1, "seed must be in [0, 2**128)"),
+        ("seed", 2**128, "seed must be in [0, 2**128)"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            dataclasses.replace(good, **{name: value})
+
+
+def _accepts(build, error=ValueError) -> bool:
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(-2, 7), p=st.integers(-2, 3), s=st.integers(-2, 3))
+def test_every_shape_reader_accepts_the_same_partitions(m, p, s):
+    # SweepConfig, the generators, BlockMatrix and read_csv all ask
+    # blockcore.check_partition, so they accept exactly p, s >= 1 and
+    # m >= p*s; a config says no with ConfigError.
+    want = p >= 1 and s >= 1 and m >= p * s
+    combos = (make_combo("bcgs_a"),)
+    def config():
+        return SweepConfig("default", combos, (10.0,), m, p, s)
+
+    assert _accepts(config, ConfigError) == want
+    assert _accepts(lambda: gen_default(m, p, s, 0, kappa=10.0)) == want
+    assert _accepts(lambda: gen_monomial(m, p, s, 0, t=1)) == want
+    assert _accepts(lambda: gen_piled(m, p, s, 0, kappa_z=10.0)) == want
+    if m >= 0 and p * s >= 0:
+        data = np.zeros((m, p * s))
+        assert _accepts(lambda: BlockMatrix(data, s, p)) == want
+    rec = RunRecord(
+        "default", m, p, s, 10.0, 10.0, "BCGS-A", "houseqr", "cholqr", ""
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shape.csv"
+        path.write_text(_HEADER + harness._record_row(rec) + "\n")
+        assert _accepts(lambda: read_csv(path)) == want
 
 
 def _same_field(a, b) -> bool:
@@ -899,6 +963,16 @@ def _row(skeleton, io_a="", io1="", io2="", kappa_actual=10.0):
         pytest.param(
             "check-bounds", _row("BCGSI+A-2S", "houseqr", kappa_actual=0.5),
             ":2: kappa must be >= 1", id="sub-1-kappa-row",
+        ),
+        pytest.param(
+            "check-bounds", _row("BCGS-A", " HouseQR ", "cholqr"),
+            ":2: unknown muscle ' HouseQR ' in column io_a",
+            id="padded-muscle-row",
+        ),
+        pytest.param(
+            "check-bounds", _row("BCGS-A", "houseqr", "CHOLQR"),
+            ":2: unknown muscle 'CHOLQR' in column io1",
+            id="upper-case-muscle-row",
         ),
         pytest.param(
             "sweep", None, "cannot write CSV to", id="unwritable-out"

@@ -92,7 +92,7 @@ def test_svd_with_cond_validation():
     with pytest.raises(ValueError, match="rows >= cols"):
         svd_with_cond(3, 5, 10.0, rng=make_rng(0))
     for kappa in (0.5, np.nan, np.inf):
-        with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
+        with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
             svd_with_cond(5, 3, kappa, rng=make_rng(0))
 
 
@@ -140,7 +140,7 @@ def test_piled_family_structure():
 
 def test_piled_validation():
     for kappa_z in (0.5, np.nan, np.inf):
-        with pytest.raises(ValueError, match="knobs must be >= 1 and finite"):
+        with pytest.raises(ValueError, match="knobs must be finite and >= 1"):
             gen_piled(60, 5, 2, 7, kappa_z=kappa_z)
 
 
@@ -173,7 +173,7 @@ def test_piled_calibration_has_a_floor():
 
 def test_piled_calibration_rejects_bad_target():
     for target in (0.1, np.nan, np.inf):
-        with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
+        with pytest.raises(ValueError, match="kappa must be finite and >= 1"):
             calibrate_piled(100, 10, 5, target, seed=42)
 
 
