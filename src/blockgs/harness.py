@@ -16,6 +16,7 @@ import argparse
 import csv
 import ctypes
 import math
+import numbers
 import os
 import sys
 import time
@@ -42,7 +43,7 @@ from .metrics import (
     rel_res,
     scaled_gram,
 )
-from .muscles import IO_BY_NAME, IOSpec
+from .muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, IOSpec
 from . import skeletons
 from .skeletons import SKELETONS, BGSResult, SkeletonKind
 from .syncmodel import syncs_per_block
@@ -143,12 +144,12 @@ def make_combo(
             raise ConfigError(
                 f"{spec.display} ties all muscle slots; got {names}"
             )
-        tied = supplied.pop() if supplied else IO_BY_NAME["houseqr"]
+        tied = supplied.pop() if supplied else HOUSE_QR
         return Combo(kind, **{slot: tied for slot in spec.slots})
     pool = {
-        "io_a": io_a or IO_BY_NAME["houseqr"],
-        "io1": io1 or IO_BY_NAME["cholqr"],
-        "io2": io2 or IO_BY_NAME["cholqr"],
+        "io_a": io_a or HOUSE_QR,
+        "io1": io1 or CHOL_QR,
+        "io2": io2 or CHOL_QR,
     }
     return Combo(kind, **{slot: pool[slot] for slot in spec.slots})
 
@@ -242,7 +243,8 @@ class SweepConfig:
     """Everything that pins down a sweep (and hence its CSV bytes).
 
     It checks itself when built, as :class:`Combo` does, so every one runs:
-    a known matrix class, some combos, and kappa targets, shape and seed
+    a known matrix class, some :class:`Combo` objects, real kappa targets
+    and integer m, p, s and seed (numpy scalars included), with values
     that ``check_kappa``, ``check_partition`` and ``make_rng`` accept;
     anything else raises ``ConfigError``.
     """
@@ -260,14 +262,22 @@ class SweepConfig:
             raise ConfigError(f"unknown matrix class {self.matrix_class!r}")
         if not self.combos:
             raise ConfigError("no skeleton/muscle combinations requested")
+        if not all(isinstance(combo, Combo) for combo in self.combos):
+            raise ConfigError("combos must be Combo objects")
         if not self.kappas:
             raise ConfigError("no kappa sweep points requested")
         try:
             for kappa in self.kappas:
+                if isinstance(kappa, bool) or not isinstance(kappa, numbers.Real):
+                    raise TypeError(f"kappa targets must be real, got {kappa!r}")
                 check_kappa(kappa, "kappa targets")
+            for name in ("m", "p", "s", "seed"):
+                value = getattr(self, name)
+                if not isinstance(value, numbers.Integral):
+                    raise TypeError(f"{name} must be an integer, got {value!r}")
             check_partition(self.m, self.p, self.s)
             make_rng(self.seed)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -483,9 +493,7 @@ def read_csv(path) -> list[RunRecord]:
     return records
 
 
-def _row_envelope(
-    rec: RunRecord, by_display: dict[str, SkeletonKind]
-) -> tuple[bool, float]:
+def _row_envelope(rec: RunRecord) -> tuple[bool, float]:
     """``(applicable, loo ceiling)`` of one CSV row's envelope.
 
     The row's skeleton and muscles, each spelled as the writer spells
@@ -493,7 +501,8 @@ def _row_envelope(
     >= 1 or NaN; otherwise raises ``ValueError``.  A combo no theorem
     covers is never applicable.
     """
-    if rec.skeleton not in by_display:
+    kind = _parse_skeleton(rec.skeleton)
+    if SKELETONS[kind].display != rec.skeleton:
         raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
     ios = []
     for slot in _SLOTS:
@@ -501,8 +510,8 @@ def _row_envelope(
         if cell and cell not in IO_BY_NAME:
             raise ConfigError(f"unknown muscle {cell!r} in column {slot}")
         ios.append(IO_BY_NAME.get(cell))
-    combo = Combo(by_display[rec.skeleton], *ios)
-    spec = SKELETONS[combo.skeleton].envelope(*combo.muscles, p=rec.p)
+    combo = Combo(kind, *ios)
+    spec = SKELETONS[kind].envelope(*combo.muscles)
     if spec is None:
         return False, math.nan
     return bound_envelope(spec, rec.kappa_actual)
@@ -521,12 +530,11 @@ def check_bounds(path, *, out=None) -> list[str]:
     if out is None:
         out = sys.stdout
     records = read_csv(path)
-    by_display = {spec.display: kind for kind, spec in SKELETONS.items()}
     violations = []
     checked = 0
     for i, rec in enumerate(records, start=2):  # line number in file
         try:
-            applicable, bound = _row_envelope(rec, by_display)
+            applicable, bound = _row_envelope(rec)
         except ValueError as exc:
             raise ValueError(f"{path}:{i}: {exc}") from None
         if not applicable:
@@ -556,10 +564,9 @@ def sync_table() -> list[tuple[str, float]]:
     the ledger — nothing here is hard-coded.
     """
     x = gen_default(100, 6, 2, 42, kappa=10.0)
-    cholqr = IO_BY_NAME["cholqr"]
     rows = []
     for kind, spec in SKELETONS.items():
-        combo = make_combo(kind, io_a=cholqr, io1=cholqr, io2=cholqr)
+        combo = make_combo(kind, io_a=CHOL_QR, io1=CHOL_QR, io2=CHOL_QR)
         result = _run_combo(combo, x)
         rows.append((spec.display, syncs_per_block(result)))
     return rows
@@ -683,12 +690,14 @@ def _parse_kappas(args) -> tuple[float, ...]:
             raise ConfigError("--kappa-range wants lo:hi:count")
         try:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
+            check_kappa(lo, "lo")
+            check_kappa(hi, "hi")
+        except ValueError as exc:
             raise ConfigError(
-                f"bad --kappa-range {args.kappa_range!r}"
+                f"bad --kappa-range {args.kappa_range!r}: {exc}"
             ) from None
-        if lo < 1 or hi < lo or count < 1:
-            raise ConfigError("--kappa-range wants 1 <= lo <= hi, count >= 1")
+        if hi < lo or count < 1:
+            raise ConfigError("--kappa-range wants lo <= hi, count >= 1")
         return tuple(np.logspace(math.log10(lo), math.log10(hi), count))
     raise ConfigError("a sweep needs --kappas or --kappa-range")
 

@@ -20,8 +20,8 @@ so are the relative residuals of an all-zero X (0/0).
 
 The envelope the paper proves for a (skeleton, muscle choices)
 combination comes from the ``envelope`` of its skeleton's
-:data:`~blockgs.skeletons.SKELETONS` entry, called with those muscles and
-the block count; it is None where no theorem covers the combination.  An
+:data:`~blockgs.skeletons.SKELETONS` entry, called with those muscles in
+slot order; it is None where no theorem covers the combination.  An
 envelope is an applicability condition of the form
 ``eps * kappa**theta <= 1/2`` plus a loss-of-orthogonality ceiling
 ``100 * eps * kappa**loo_exponent``, which :func:`bound_envelope`

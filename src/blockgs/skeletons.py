@@ -49,24 +49,9 @@ from .blockcore import (
 from .muscles import IOSpec, apply_io, chol_normalize
 from .syncmodel import SyncLedger
 
-__all__ = [
-    "SkeletonKind",
-    "BoundSpec",
-    "SkeletonSpec",
-    "SKELETONS",
-    "BGSResult",
-    "bcgs",
-    "bcgs_a",
-    "bcgsi_plus",
-    "bcgsi_plus_a",
-    "bcgsi_a_3s",
-    "bcgsi_a_2s",
-    "bcgsi_a_1s",
-]
-
-
 class SkeletonKind(str, Enum):
-    """Names of the seven supported outer-loop variants."""
+    """Names of the seven supported outer-loop variants, each also the name
+    of its skeleton function."""
 
     BCGS = "bcgs"
     BCGS_A = "bcgs_a"
@@ -75,6 +60,16 @@ class SkeletonKind(str, Enum):
     BCGSI_A_3S = "bcgsi_a_3s"
     BCGSI_A_2S = "bcgsi_a_2s"
     BCGSI_A_1S = "bcgsi_a_1s"
+
+
+__all__ = [
+    "SkeletonKind",
+    "BoundSpec",
+    "SkeletonSpec",
+    "SKELETONS",
+    "BGSResult",
+    *(kind.value for kind in SkeletonKind),
+]
 
 
 @dataclass(frozen=True)
@@ -90,17 +85,17 @@ class BoundSpec:
     loo_exponent: float
 
 
-# Envelopes: (muscles in slot order, p) -> BoundSpec, or None where no
+# Envelopes: muscles in slot order -> BoundSpec, or None where no
 # theorem covers them, a violated premise included.  ``alpha`` is a
 # muscle's loss-of-orthogonality exponent (O(eps) * kappa**alpha).
 
 
-def _no_envelope(io_a, io1, *, p):
+def _no_envelope(io_a, io1):
     """BCGS / BCGS-A: without reorthogonalization the paper proves none."""
     return None
 
 
-def _reorthogonalized_envelope(io_a, io1, io2, *, p):
+def _reorthogonalized_envelope(io_a, io1, io2):
     """BCGSI+ / BCGSI+A (four syncs per block column): the paper shows a
     "strong" muscle is needed only for the very first block to keep the
     loss of orthogonality at O(eps).  Premise alpha_a = 0; applicable while
@@ -109,7 +104,7 @@ def _reorthogonalized_envelope(io_a, io1, io2, *, p):
     return BoundSpec(max(io1.alpha, 1), 0.0) if io_a.alpha == 0 else None
 
 
-def _three_sync_envelope(io_a, io1, *, p):
+def _three_sync_envelope(io_a, io1):
     """BCGSI+A-3S: the paper finds that stability degrades with the first
     removed synchronization.  Loss of orthogonality O(eps) *
     kappa**max(alpha_1, 1), applicable while eps * kappa**max(alpha_1 + 1,
@@ -119,7 +114,7 @@ def _three_sync_envelope(io_a, io1, *, p):
     return BoundSpec(max(a + 1, 2), max(a, 1)) if io_a.alpha <= a else None
 
 
-def _low_sync_envelope(io_a, *, p):
+def _low_sync_envelope(io_a):
     """BCGSI+A-2S / -1S: degraded further; the paper shows the one-sync
     variant cannot be guaranteed stable in practice.  Loss of orthogonality
     O(eps) * kappa**2, applicable only while eps * kappa**3 <= 1/2; premise
@@ -134,9 +129,9 @@ class SkeletonSpec:
 
     ``slots`` names the muscle slots a run consumes (fields of a
     :class:`~blockgs.harness.Combo`), in the order the skeleton function
-    takes them.  ``envelope`` maps those muscles (in the same order) and
-    the block count ``p`` to the :class:`BoundSpec` the paper proves for
-    them, or to None where no theorem covers them.  A ``tied`` skeleton
+    takes them.  ``envelope`` maps those muscles (in the same order) to
+    the :class:`BoundSpec` the paper proves for them, or to None where no
+    theorem covers them.  A ``tied`` skeleton
     takes a single muscle, which fills every slot.
     ``shorthands`` are extra CLI spellings beyond the kind's value and the
     display name.

@@ -33,13 +33,12 @@ class SyncLedger:
 
     events: list[SyncEvent] = field(default_factory=list)
 
-    def record(self, block: int, label: str, cost: int) -> "SyncLedger":
-        """Append one event and return the ledger (for chaining)."""
+    def record(self, block: int, label: str, cost: int) -> None:
+        """Append one event."""
         cost = int(cost)
         if cost < 1:
             raise ValueError("sync cost must be >= 1")
         self.events.append(SyncEvent(int(block), str(label), cost))
-        return self
 
     def reduce(self, block: int, label: str, left, right) -> np.ndarray:
         """One tall reduction ``left^T @ right``, charged to ``block``.
@@ -59,10 +58,6 @@ class SyncLedger:
     def total(self) -> int:
         """Sum of all recorded costs."""
         return sum(e.cost for e in self.events)
-
-    def block_total(self, k: int) -> int:
-        """Total cost attributed to block column ``k``."""
-        return sum(e.cost for e in self.events if e.block == k)
 
 
 def syncs_per_block(result) -> float:

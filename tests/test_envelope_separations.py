@@ -58,12 +58,11 @@ def _worst_ratio(records, display: str, held_to: SkeletonKind) -> float:
     the envelope of ``held_to`` (with HouseQR first, CholQR inside) where
     that envelope applies; 0 when it applies to none."""
     spec = SKELETONS[held_to]
-    muscles = (HOUSE_QR, CHOL_QR, CHOL_QR)[: len(spec.slots)]
+    envelope = spec.envelope(*(HOUSE_QR, CHOL_QR, CHOL_QR)[: len(spec.slots)])
     worst = 0.0
     for rec in records:
         if rec.skeleton != display or rec.failed:
             continue
-        envelope = spec.envelope(*muscles, p=rec.p)
         applicable, bound = bound_envelope(envelope, rec.kappa_actual)
         if applicable:
             worst = max(worst, rec.loo / bound)

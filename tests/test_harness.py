@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +37,9 @@ from blockgs.harness import (
     write_csv,
 )
 from blockgs.matgen import gen_default, gen_monomial, gen_piled
-from blockgs.metrics import EPS
+from blockgs.metrics import EPS, bound_envelope
 from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS
-from blockgs.skeletons import SkeletonKind
+from blockgs.skeletons import SKELETONS, SkeletonKind
 
 
 def _capture(fn, *args, **kwargs):
@@ -497,6 +498,37 @@ def test_run_sweep_config_validation():
             dataclasses.replace(good, **{name: value})
 
 
+@pytest.mark.parametrize(
+    "name,value,fragment",
+    [
+        ("combos", ("bcgs",), "combos must be Combo objects"),
+        ("kappas", ("10",), "kappa targets must be real, got '10'"),
+        ("kappas", (True,), "kappa targets must be real, got True"),
+        ("m", 100.0, "m must be an integer, got 100.0"),
+        ("p", "10", "p must be an integer, got '10'"),
+        ("s", 5.0, "s must be an integer, got 5.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ],
+)
+def test_sweep_config_rejects_wrong_types(name, value, fragment):
+    # A wrongly typed field raises ConfigError when the config is built,
+    # not a TypeError or AttributeError later in run_sweep.
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        dataclasses.replace(_small_sweep(), **{name: value})
+
+
+def test_sweep_config_takes_numpy_scalars():
+    config = dataclasses.replace(
+        _small_sweep(),
+        kappas=(np.float64(10.0),),
+        m=np.int64(100),
+        p=np.int32(10),
+        s=np.int64(5),
+        seed=np.uint64(42),
+    )
+    assert len(run_sweep(config)) == len(config.combos)
+
+
 def _accepts(build, error=ValueError) -> bool:
     try:
         build()
@@ -735,6 +767,48 @@ def test_check_bounds_skips_uncovered_and_skipped_rows(tmp_path):
     )
 
 
+# Every combo of the frozen envelope table (skeleton,io_a,io1,io2,...).
+ENVELOPE_COMBOS = tuple(
+    Combo(kind, *(IO_BY_NAME.get(name) for name in names))
+    for kind, *names in (
+        line.split(",")[:4]
+        for line in Path(__file__)
+        .with_name("bound_envelopes.csv")
+        .read_text()
+        .splitlines()
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    combo=st.sampled_from(ENVELOPE_COMBOS),
+    kappa=st.floats(0.0, 17.0).map(lambda e: 10.0**e),
+    loo=st.floats(allow_infinity=False),
+)
+def test_check_bounds_round_trip(tmp_path_factory, combo, kappa, loo):
+    # A written row is checked exactly when its combo's envelope applies
+    # at its kappa, and flagged exactly when its loo is NaN or above the
+    # ceiling there.
+    rec = harness._record(
+        combo, "default", (100, 10, 5), kappa, kappa, loo=loo, failed=False
+    )
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_csv([rec], path)
+    out = io.StringIO()
+    violations = check_bounds(path, out=out)
+    spec = SKELETONS[combo.skeleton].envelope(*combo.muscles)
+    applicable, bound = (
+        (False, math.nan) if spec is None else bound_envelope(spec, kappa)
+    )
+    assert out.getvalue().splitlines()[0] == (
+        f"checked {int(applicable)} applicable rows out of 1:"
+        f" {len(violations)} violation(s)"
+    )
+    flagged = applicable and (math.isnan(loo) or loo > bound)
+    assert len(violations) == int(flagged)
+
+
 # ---------------------------------------------------------------------------
 # Sync table
 # ---------------------------------------------------------------------------
@@ -859,6 +933,22 @@ def test_cli_sweep_kappa_range(tmp_path):
     assert code == 0
     targets = [r.kappa_target for r in read_csv(out_path)]
     assert targets == pytest.approx([1e2, 1e4, 1e6])
+
+
+@pytest.mark.parametrize("spec", ["1:inf:3", "1e2:1e400:2"])
+def test_cli_sweep_kappa_range_rejects_an_infinite_end(tmp_path, spec):
+    # The infinite end is a configuration error, named as given, before
+    # np.logspace could warn on it.
+    out_path = tmp_path / "run.csv"
+    argv = ["sweep", "--matrix", "default", "--kappa-range", spec,
+            "--out", str(out_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _capture(cli_main, argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("blockgs: error: ") and "inf" in line
+    assert not out_path.exists()
 
 
 def test_cli_sweep_reports_calibration_skips(tmp_path):

@@ -232,9 +232,9 @@ def test_loo_column_permutation_invariance(seed):
     assert loo(q[:, perm]) == pytest.approx(loo(q), abs=1e-15)
 
 
-def _envelope(kind, *muscles, p=10):
+def _envelope(kind, *muscles):
     """The envelope of skeleton ``kind`` with ``muscles`` in slot order."""
-    return SKELETONS[SkeletonKind(kind)].envelope(*muscles, p=p)
+    return SKELETONS[SkeletonKind(kind)].envelope(*muscles)
 
 
 def test_bound_reorthogonalized_flat_envelope():
@@ -289,19 +289,18 @@ def test_bound_low_sync_quadratic_envelope(kind):
 
 
 def test_bound_bcgs_family_has_no_envelope():
-    # The paper proves no bound for BCGS or BCGS-A, at any block count.
-    for p, io in itertools.product((1, 3, 10, 100), IO_BY_NAME.values()):
-        assert _envelope("bcgs", io, io, p=p) is None
-        assert _envelope("bcgs_a", HOUSE_QR, io, p=p) is None
+    # The paper proves no bound for BCGS or BCGS-A.
+    for io in IO_BY_NAME.values():
+        assert _envelope("bcgs", io, io) is None
+        assert _envelope("bcgs_a", HOUSE_QR, io) is None
 
 
 ENVELOPE_TABLE = Path(__file__).with_name("bound_envelopes.csv")
 
 
 def _envelope_table() -> list[str]:
-    """One line per (combo, p): every combo ``make_combo`` builds from the
-    four muscles in every slot, at p = 3 and p = 10, with its envelope or
-    ``none``."""
+    """One line per combo: every combo ``make_combo`` builds from the four
+    muscles in every slot, with its envelope or ``none``."""
     lines = []
     for kind in SkeletonKind:
         combos = {}
@@ -310,8 +309,8 @@ def _envelope_table() -> list[str]:
                 combos.setdefault(make_combo(kind, *ios), None)
             except ConfigError:  # a tied skeleton given untied muscles
                 continue
-        for combo, p in itertools.product(combos, (3, 10)):
-            spec = SKELETONS[kind].envelope(*combo.muscles, p=p)
+        for combo in combos:
+            spec = SKELETONS[kind].envelope(*combo.muscles)
             names = [io.kind if io else "" for io in
                      (combo.io_a, combo.io1, combo.io2)]
             if spec is None:
@@ -319,12 +318,12 @@ def _envelope_table() -> list[str]:
             else:
                 envelope = [repr(float(spec.theta)),
                             repr(float(spec.loo_exponent))]
-            lines.append(",".join([kind.value, str(p), *names, *envelope]))
+            lines.append(",".join([kind.value, *names, *envelope]))
     return lines
 
 
 def test_bound_envelope_table_is_frozen():
-    # skeleton,p,io_a,io1,io2,theta,loo_exponent (or none: no theorem)
+    # skeleton,io_a,io1,io2,theta,loo_exponent (or none: no theorem)
     assert _envelope_table() == ENVELOPE_TABLE.read_text().splitlines()
 
 

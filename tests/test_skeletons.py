@@ -124,7 +124,7 @@ def test_failure_propagates_but_every_block_executes(name):
     for k in (2, 3, 4):
         assert np.isnan(result.q.block(k)).all(), (name, k)
     # The loop still ran to completion: the ledger covers all blocks.
-    assert result.ledger.block_total(4) >= 1
+    assert any(e.block == 4 for e in result.ledger.events)
 
 
 def test_exactly_dependent_block_fails_cholesky_paths():
