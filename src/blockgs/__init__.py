@@ -8,44 +8,15 @@ measures stability (:mod:`blockgs.metrics`) on seeded test-matrix families
 (:mod:`blockgs.matgen`), and drives condition-number sweeps from a CLI
 (:mod:`blockgs.harness`).
 
-The package exports every name in the ``__all__`` of the six library
-modules, bound here at import, and the harness names below, which are
-resolved on first use.
+The package exports every name in the ``__all__`` of its seven modules.
 """
 
-from . import blockcore, matgen, metrics, muscles, skeletons, syncmodel
+from . import blockcore, harness, matgen, metrics, muscles, skeletons, syncmodel
 
 __version__ = "0.1.0"
 
-_LIBRARY = {
-    name: getattr(module, name)
-    for module in (blockcore, matgen, metrics, muscles, skeletons, syncmodel)
-    for name in module.__all__
-}
-globals().update(_LIBRARY)
-
-# The harness is imported on first use, not here: ``python -m
-# blockgs.harness`` imports this package before it runs the harness as
-# ``__main__``, and an eager import would load a second copy of it.
-_HARNESS_NAMES = (
-    "Combo",
-    "ConfigError",
-    "RunRecord",
-    "SweepConfig",
-    "check_bounds",
-    "make_combo",
-    "run_single",
-    "run_sweep",
-    "sync_table",
-    "write_csv",
+_MODULES = (blockcore, harness, matgen, metrics, muscles, skeletons, syncmodel)
+__all__ = [name for module in _MODULES for name in module.__all__]
+globals().update(
+    (name, getattr(module, name)) for module in _MODULES for name in module.__all__
 )
-
-__all__ = [*_LIBRARY, *_HARNESS_NAMES]
-
-
-def __getattr__(name: str):
-    if name in _HARNESS_NAMES:
-        from . import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -244,9 +244,9 @@ class SweepConfig:
 
     It checks itself when built, as :class:`Combo` does, so every one runs:
     a known matrix class, some :class:`Combo` objects, real kappa targets
-    and integer m, p, s and seed (numpy scalars included), with values
-    that ``check_kappa``, ``check_partition`` and ``make_rng`` accept;
-    anything else raises ``ConfigError``.
+    and integer m, p, s and seed (numpy scalars included, ``bool`` nowhere),
+    with values that ``check_kappa``, ``check_partition`` and ``make_rng``
+    accept; anything else raises ``ConfigError``.
     """
 
     matrix_class: str
@@ -273,7 +273,7 @@ class SweepConfig:
                 check_kappa(kappa, "kappa targets")
             for name in ("m", "p", "s", "seed"):
                 value = getattr(self, name)
-                if not isinstance(value, numbers.Integral):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise TypeError(f"{name} must be an integer, got {value!r}")
             check_partition(self.m, self.p, self.s)
             make_rng(self.seed)
@@ -782,7 +782,3 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         return _error_exit(exc)
     raise AssertionError("unreachable")
-
-
-if __name__ == "__main__":
-    raise SystemExit(cli_main())

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,10 +47,6 @@ __all__ = [
     "gen_monomial",
     "gen_piled",
     "calibrate_piled",
-    "save_bgsm",
-    "load_bgsm",
-    "save_matrix_market",
-    "load_matrix_market",
 ]
 
 _TWO53 = float(1 << 53)
@@ -289,54 +284,3 @@ def calibrate_piled(
         else:
             hi = mid
     return best, best_kappa
-
-
-# ---------------------------------------------------------------------------
-# Interop formats
-# ---------------------------------------------------------------------------
-
-_BGSM_MAGIC = b"BGSM"
-
-
-def save_bgsm(path, a) -> None:
-    """Write a matrix in the BGSM binary format.
-
-    Layout: magic bytes ``BGSM``, two little-endian u64 (rows, cols), then
-    rows*cols little-endian float64 values in column-major order.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("BGSM stores 2-d matrices only")
-    rows, cols = a.shape
-    with open(path, "wb") as fh:
-        fh.write(_BGSM_MAGIC)
-        fh.write(struct.pack("<QQ", rows, cols))
-        fh.write(np.asfortranarray(a, dtype="<f8").tobytes(order="F"))
-
-
-def load_bgsm(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_bgsm`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BGSM_MAGIC:
-            raise ValueError(f"{path}: not a BGSM file")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        payload = fh.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
-        raise ValueError(f"{path}: truncated BGSM payload")
-    data = np.frombuffer(payload, dtype="<f8")
-    return data.reshape((rows, cols), order="F").copy(order="F")
-
-
-def save_matrix_market(path, a) -> None:
-    """Write dense MatrixMarket array text (interop with other toolchains)."""
-    import scipy.io  # not at module level: no sweep reads MatrixMarket
-
-    scipy.io.mmwrite(str(path), np.asarray(a, dtype=np.float64))
-
-
-def load_matrix_market(path) -> np.ndarray:
-    """Read a dense MatrixMarket array file."""
-    import scipy.io
-
-    return np.asarray(scipy.io.mmread(str(path)), dtype=np.float64)

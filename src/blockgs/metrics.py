@@ -15,8 +15,9 @@ every ratio bit-identical, an exactly zero residual gives exactly 0.0, and
 the value agrees with the SVD norm to about 1e-15 relative (1e-12 is the
 tested tolerance).  The n-by-n quantities keep their SVD spectral norm.
 
-Metrics of failed (NaN-bearing) computations are NaN, never an exception;
-so are the relative residuals of an all-zero X (0/0).
+Metrics of failed (NaN-bearing) computations, and of a Q^T Q or Q R that
+overflows, are NaN, never an exception; so are the relative residuals of an
+all-zero X (0/0).
 
 The envelope the paper proves for a (skeleton, muscle choices)
 combination comes from the ``envelope`` of its skeleton's
@@ -63,13 +64,16 @@ def _dense(a) -> np.ndarray:
 def loo(q) -> float:
     """Loss of orthogonality ||I - Q^T Q|| (spectral norm).
 
-    NaN when Q contains non-finite entries (failed run).
+    NaN when Q contains non-finite entries (failed run) or Q^T Q overflows.
+    Q's finiteness is read off Q^T Q: a non-finite entry of Q makes a
+    diagonal entry of Q^T Q non-finite.
     """
     qd = _dense(q)
-    if not all_finite(qd):
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.eye(qd.shape[1]) - qd.T @ qd
+    if not all_finite(d):
         return float("nan")
-    n = qd.shape[1]
-    return spectral_norm(np.eye(n) - qd.T @ qd)
+    return spectral_norm(d)
 
 
 def _binary_exponent(a: np.ndarray) -> int:
@@ -130,18 +134,25 @@ def rel_res(
     formed in one m-by-n buffer: a copy of Q, or with ``overwrite_q=True``
     a Fortran-ordered float64 Q's own storage, which is then destroyed.
     ``x_gram`` is :func:`scaled_gram` of X, formed here when not given.
-    NaN when Q or R has non-finite entries (failed run) or X is zero.
+    NaN when R or the residual has non-finite entries (a failed run, or an
+    overflow) or X is zero.  A non-finite entry of Q makes the residual's
+    entry in its place non-finite, since R's diagonal multiplies every
+    column of Q, so Q is not scanned on its own.
     """
     xd, qd, rd = _dense(x), _dense(q), _dense(r)
-    if not (all_finite(qd) and all_finite(rd)):
+    if not all_finite(rd):
         return float("nan")
     if np.tril(rd, -1).any():
         raise ValueError("R must be upper triangular")
     # The buffer is freed before scaled_gram, when called here, allocates
     # the scaled X.
     buf = blas.dtrmm(1.0, rd, qd, side=1, overwrite_b=overwrite_q)
-    np.subtract(xd, buf, out=buf)
-    e_res = _binary_exponent(buf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(xd, buf, out=buf)
+    try:
+        e_res = _binary_exponent(buf)
+    except ValueError:
+        return float("nan")
     np.ldexp(buf, -e_res, out=buf)
     lam_res = _lambda_max(buf.T @ buf)
     del buf

@@ -201,7 +201,8 @@ def _run(x: BlockMatrix, io_a: IOSpec, step) -> BGSResult:
     if not isinstance(x, BlockMatrix):
         raise TypeError("skeletons require a BlockMatrix input")
     s, p = x.block_width, x.block_count
-    q_data = np.full((x.m, x.cols), np.nan, order="F")
+    # Uninitialized: each slot is written before anything reads it.
+    q_data = np.empty((x.m, x.cols), order="F")
     r = np.zeros((x.cols, x.cols))
     ledger = SyncLedger()
     # A non-finite X, or a failed block, fills Q with inf and NaN: data,

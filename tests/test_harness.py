@@ -508,6 +508,11 @@ def test_run_sweep_config_validation():
         ("p", "10", "p must be an integer, got '10'"),
         ("s", 5.0, "s must be an integer, got 5.0"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
+        # bool is an Integral, but True would run as 1.
+        ("m", True, "m must be an integer, got True"),
+        ("p", True, "p must be an integer, got True"),
+        ("s", False, "s must be an integer, got False"),
+        ("seed", True, "seed must be an integer, got True"),
     ],
 )
 def test_sweep_config_rejects_wrong_types(name, value, fragment):
@@ -1467,25 +1472,20 @@ def test_overflowing_monomial_sweep_is_quiet_under_strict_warnings(tmp_path):
     assert out.read_bytes().count(b"\n") == 1 + 2 * 7
 
 
-def test_python_m_blockgs_harness_runs_the_cli(tmp_path):
+def test_python_m_blockgs_sweep_writes_the_csv(tmp_path):
     src = str(Path(blockgs.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     env["PYTHONPATH"] = src
-    outputs = []
-    for module in ("blockgs", "blockgs.harness"):
-        out = tmp_path / f"{module}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", module, "sweep", "--matrix", "default",
-             "--m", "40", "--p", "4", "--s", "2", "--kappas", "1e2,1e6",
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        # runpy warns when the package import already loaded the module.
-        assert "RuntimeWarning" not in proc.stderr, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"\n") == 1 + 2 * 7
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockgs", "sweep", "--matrix", "default",
+         "--m", "40", "--p", "4", "--s", "2", "--kappas", "1e2,1e6",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert out.read_bytes().count(b"\n") == 1 + 2 * 7
 
 
 def test_installed_console_script():

@@ -1,5 +1,4 @@
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 import blockgs
 from blockgs import matgen
@@ -18,11 +16,7 @@ from blockgs.matgen import (
     gen_default,
     gen_monomial,
     gen_piled,
-    load_bgsm,
-    load_matrix_market,
     make_rng,
-    save_bgsm,
-    save_matrix_market,
     standard_normal,
     svd_with_cond,
     uniform_open,
@@ -280,48 +274,6 @@ def test_generation_is_bitwise_deterministic():
     assert gen_monomial(100, 10, 5, 42, t=5).data.tobytes() == first
 
 
-def test_bgsm_round_trip(tmp_path):
-    a = standard_normal(make_rng(11), (7, 3))
-    path = tmp_path / "x.bgsm"
-    save_bgsm(path, a)
-    b = load_bgsm(path)
-    assert b.shape == (7, 3)
-    assert a.astype(np.float64).tobytes("F") == b.tobytes("F")
-
-
-def test_bgsm_layout_is_column_major_little_endian(tmp_path):
-    a = np.array([[1.0, 3.0], [2.0, 4.0]])
-    path = tmp_path / "x.bgsm"
-    save_bgsm(path, a)
-    raw = path.read_bytes()
-    assert raw[:4] == b"BGSM"
-    assert struct.unpack("<QQ", raw[4:20]) == (2, 2)
-    values = struct.unpack("<4d", raw[20:])
-    assert values == (1.0, 2.0, 3.0, 4.0)  # column-major order
-
-
-def test_bgsm_error_paths(tmp_path):
-    bad_magic = tmp_path / "bad.bgsm"
-    bad_magic.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="not a BGSM file"):
-        load_bgsm(bad_magic)
-
-    truncated = tmp_path / "short.bgsm"
-    truncated.write_bytes(b"BGSM" + struct.pack("<QQ", 2, 2) + b"\x00" * 8)
-    with pytest.raises(ValueError, match="truncated BGSM payload"):
-        load_bgsm(truncated)
-
-    with pytest.raises(ValueError, match="2-d matrices only"):
-        save_bgsm(tmp_path / "v.bgsm", np.ones(3))
-
-
-def test_matrix_market_round_trip(tmp_path):
-    a = standard_normal(make_rng(13), (6, 4))
-    path = tmp_path / "x.mtx"
-    save_matrix_market(path, a)
-    assert_allclose(load_matrix_market(path), a, rtol=1e-12, atol=0.0)
-
-
 def _python(body):
     """Run ``body`` in a fresh interpreter that imports this ``blockgs``."""
     env = dict(os.environ)
@@ -333,15 +285,6 @@ def _python(body):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
-
-
-def test_importing_blockgs_leaves_scipy_io_unloaded():
-    # No sweep reads MatrixMarket, so only its two functions import it.
-    out = _python(
-        "import sys, blockgs, blockgs.harness\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))\n"
-    )
-    assert out.strip() == "[]"
 
 
 def test_default_family_wraps_the_composed_array(monkeypatch):

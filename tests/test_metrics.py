@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,39 @@ def test_rel_res_worked_example():
     x = 2.0 * np.eye(3)
     assert rel_res(x, np.eye(3), np.eye(3)) == pytest.approx(0.5)
     assert rel_res(x, np.eye(3), x) == 0.0
+
+
+def _nan_with_and_without_warnings_as_errors(metric):
+    # Breakdown is data: an overflow gives NaN, not an exception.
+    assert math.isnan(metric())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(metric())
+
+
+def test_loo_of_an_overflowing_gram_is_nan():
+    _nan_with_and_without_warnings_as_errors(
+        lambda: loo(np.full((6, 2), 1e200))
+    )
+
+
+def test_rel_res_of_an_overflowing_product_is_nan():
+    q, r = np.full((6, 2), 1e200), np.diag([1e200, 1e200])
+    _nan_with_and_without_warnings_as_errors(
+        lambda: rel_res(np.ones((6, 2)), q, r)
+    )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_metrics_read_a_non_finite_q_entry_as_nan(value):
+    x = np.ones((6, 3))
+    q = np.eye(6)[:, :3].copy()
+    q[4, 2] = value
+    for r in (np.eye(3), np.triu(np.ones((3, 3))), np.zeros((3, 3))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(rel_res(x, q, r))
+            assert math.isnan(loo(q))
 
 
 def test_rel_chol_res_worked_example():

@@ -272,7 +272,7 @@ def test_ledger_charges_are_the_row_contractions_the_code_forms(
     monkeypatch.setattr(
         skeletons,
         "np",
-        _numpy_with(full=lambda *a, **k: np.full(*a, **k).view(marked)),
+        _numpy_with(empty=lambda *a, **k: np.empty(*a, **k).view(marked)),
     )
     monkeypatch.setattr(muscles, "np", _numpy_with(asarray=np.asanyarray))
     for name, routine in list(muscles._ROUTINES.items()):
