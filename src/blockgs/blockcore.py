@@ -103,31 +103,35 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 def _singular_values(a) -> np.ndarray:
+    """Singular values of ``a``, largest first; a lone NaN for a non-finite
+    ``a``."""
     a = np.asarray(a, dtype=np.float64)
     if not all_finite(a):
-        raise ValueError("non-finite matrix")
+        return np.array([math.nan])
     return np.linalg.svd(a, compute_uv=False)
 
 
+def _finite_or_nan(v: float) -> float:
+    return v if math.isfinite(v) else math.nan
+
+
 def spectral_norm(a) -> float:
-    """Largest singular value of ``a`` (the induced 2-norm)."""
-    return float(_singular_values(a)[0])
+    """Largest singular value of ``a`` (the induced 2-norm).
+
+    NaN for a non-finite ``a`` or a norm past the double range.
+    """
+    return _finite_or_nan(float(_singular_values(a)[0]))
 
 
 def cond_2(a) -> float:
     """2-norm condition number, largest over smallest singular value.
 
-    Always finite: a non-finite ``a``, a zero smallest singular value or a
-    ratio that overflows raises ``ValueError``.
+    NaN where it is undefined: a non-finite ``a``, a zero smallest singular
+    value or a ratio that overflows.  Never raises, never warns.
     """
     sv = _singular_values(a)
     smin = float(sv[-1])
-    if smin == 0.0:
-        raise ValueError("singular matrix, kappa undefined")
-    kappa = float(sv[0]) / smin
-    if math.isinf(kappa):
-        raise ValueError("kappa overflows")
-    return kappa
+    return _finite_or_nan(float(sv[0]) / smin) if smin else math.nan
 
 
 def project_out(x, q, c) -> np.ndarray:

@@ -323,19 +323,19 @@ def run_single(
 
     ``kappa_actual`` and ``x_gram`` (:func:`~blockgs.metrics.scaled_gram`
     of X) may be passed in when the caller already formed them (a sweep
-    does, once per point).  Otherwise ``kappa_actual`` is computed here,
-    and set to NaN when the conditioning is unmeasurable, and ``x_gram``
-    is formed here once, only when the run did not fail.
+    does, once per point).  Otherwise ``kappa_actual`` is measured here
+    (NaN when the conditioning is unmeasurable), and ``x_gram`` is formed
+    here once, only when the run did not fail.
     """
     if kappa_actual is None:
-        kappa_actual = _measure(x)
+        kappa_actual = cond_2(x.data)
     start = time.perf_counter()
     result = _run_combo(combo, x)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     outcome = dict(failed=result.failed, elapsed_ms=elapsed_ms)
     if not result.failed:
         if x_gram is None:
-            x_gram = _scaled_gram(x)
+            x_gram = scaled_gram(x)
         outcome["loo"] = loo(result.q)
         # Q is this run's own and read for the last time: the residual
         # takes its storage instead of a third m-by-n array.
@@ -343,8 +343,7 @@ def run_single(
             x, result.q, result.r, x_gram, overwrite_q=True
         )
         outcome["rel_chol_res"] = rel_chol_res(x, result.r, x_gram)
-    if x.block_count >= 3:
-        outcome["sync_per_block"] = syncs_per_block(result)
+    outcome["sync_per_block"] = syncs_per_block(result)
     shape = (x.m, x.block_count, x.block_width)
     return _record(
         combo, matrix_class, shape, kappa_target, kappa_actual, **outcome
@@ -361,14 +360,14 @@ def _sweep_points(config: SweepConfig):
     if config.matrix_class == "default":
         for kt in config.kappas:
             x = gen_default(m, p, s, seed, kappa=kt)
-            yield kt, x, _measure(x), ""
+            yield kt, x, cond_2(x.data), ""
     elif config.matrix_class == "monomial":
         # Walk the divisor ladder once, keeping for each target the rung
         # nearest in log10 kappa so far; a tie keeps the earlier rung.
         best = [(math.inf, None, math.nan)] * len(config.kappas)
         for t in _divisors(p * s):
             x = gen_monomial(m, p, s, seed, t=t)
-            ka = _measure(x)
+            ka = cond_2(x.data)
             log_ka = math.log10(ka if math.isfinite(ka) else 1e300)
             for i, kt in enumerate(config.kappas):
                 dist = abs(log_ka - math.log10(kt))
@@ -380,7 +379,8 @@ def _sweep_points(config: SweepConfig):
     else:  # piled
         for kt in config.kappas:
             kappa_z, measured = calibrate_piled(m, p, s, kt, seed)
-            if abs(math.log10(measured) - math.log10(kt)) > 1.0:
+            # An unmeasurable probe (NaN) misses every target.
+            if not abs(math.log10(measured) - math.log10(kt)) <= 1.0:
                 yield kt, None, math.nan, (
                     f"piled calibration missed target {kt:.3g} "
                     f"(best {measured:.3g})"
@@ -388,23 +388,6 @@ def _sweep_points(config: SweepConfig):
                 continue
             x = gen_piled(m, p, s, seed, kappa_z=kappa_z)
             yield kt, x, measured, ""
-
-
-def _measure(x: BlockMatrix) -> float:
-    try:
-        return cond_2(x.data)
-    except ValueError:
-        return math.nan
-
-
-def _scaled_gram(x: BlockMatrix) -> ScaledGram | None:
-    """X's shared metric statistics, or None for a non-finite X (a long
-    monomial panel overflows), on which every run fails and no metric is
-    taken."""
-    try:
-        return scaled_gram(x)
-    except ValueError:
-        return None
 
 
 def run_sweep(config: SweepConfig) -> list[RunRecord]:
@@ -427,7 +410,7 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
                 for combo in config.combos
             )
             continue
-        x_gram = _scaled_gram(x)
+        x_gram = scaled_gram(x)
         for combo in config.combos:
             rec = run_single(
                 x,
@@ -735,7 +718,8 @@ def cli_main(argv=None) -> int:
     host's core count.  The library functions leave the thread count alone.
 
     Exit codes: 0 success, 1 bound violations found by ``check-bounds``,
-    2 configuration errors and unreadable or unwritable files.
+    2 configuration errors, unreadable or unwritable files and sweeps whose
+    arrays cannot be allocated.
     """
     args = _build_parser().parse_args(argv)
     _one_blas_thread()
@@ -757,7 +741,7 @@ def cli_main(argv=None) -> int:
                 # file where there was none.
                 if created:
                     os.remove(args.out)
-                if isinstance(exc, OSError):
+                if isinstance(exc, (OSError, MemoryError)):
                     return _error_exit(exc)
                 raise
             skipped = sum(1 for r in records if r.note)

@@ -244,12 +244,12 @@ def calibrate_piled(
     """Find the kappa_z knob whose generated matrix measures near a target.
 
     Bisects log10(kappa_z) on [0, ``CALIBRATION_MAX_LOG_KZ``] in
-    ``CALIBRATION_STEPS`` steps against the measured cond_2 (inf when
-    singular) of each probe.  Returns ``(kappa_z, measured)``, the knob and
-    measured condition number nearest the target in log10, or an end
-    probe's when the target lies outside their range; callers decide how
-    far off is acceptable.  Raises ``ValueError`` unless ``kappa_target`` is
-    finite and >= 1.
+    ``CALIBRATION_STEPS`` steps against the measured cond_2 of each probe;
+    an unmeasurable probe (NaN) counts as above every target.  Returns
+    ``(kappa_z, measured)``, the knob and measured condition number nearest
+    the target in log10, or an end probe's when the target lies outside
+    their range; callers decide how far off is acceptable.  Raises
+    ``ValueError`` unless ``kappa_target`` is finite and >= 1.
     """
     check_kappa(kappa_target)
 
@@ -258,16 +258,14 @@ def calibrate_piled(
         # gen_piled is read from the module at call time, so a rebound one
         # sees every probe.
         x = gen_piled(m, p, s, seed, kappa_z=kappa_z)
-        try:
-            return kappa_z, cond_2(x.data)
-        except ValueError:
-            return kappa_z, np.inf
+        return kappa_z, cond_2(x.data)
 
     target = np.log10(kappa_target)
     lo, hi = 0.0, CALIBRATION_MAX_LOG_KZ
     kz_lo, kappa_lo = measure(lo)
     kz_hi, kappa_hi = measure(hi)
-    if target <= np.log10(kappa_lo):
+    # Each comparison sends a NaN kappa the way of one above the target.
+    if not target > np.log10(kappa_lo):
         return kz_lo, kappa_lo
     if target >= np.log10(kappa_hi):
         return kz_hi, kappa_hi

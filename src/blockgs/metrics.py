@@ -15,9 +15,10 @@ every ratio bit-identical, an exactly zero residual gives exactly 0.0, and
 the value agrees with the SVD norm to about 1e-15 relative (1e-12 is the
 tested tolerance).  The n-by-n quantities keep their SVD spectral norm.
 
-Metrics of failed (NaN-bearing) computations, and of a Q^T Q or Q R that
-overflows, are NaN, never an exception; so are the relative residuals of an
-all-zero X (0/0).
+Every measurement returns a float, NaN exactly when its value is
+undefined: a non-finite input (a failed run), a Q^T Q, Q R, R^T R or ratio
+past the double range, or a zero X under a relative residual (0/0).  None
+raises or warns for such a value, nor does ``cond_2`` or ``syncs_per_block``.
 
 The envelope the paper proves for a (skeleton, muscle choices)
 combination comes from the ``envelope`` of its skeleton's
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas
 
-from .blockcore import BlockMatrix, all_finite, spectral_norm
+from .blockcore import BlockMatrix, _finite_or_nan, all_finite, spectral_norm
 from .skeletons import BoundSpec
 
 __all__ = [
@@ -66,29 +67,26 @@ def loo(q) -> float:
 
     NaN when Q contains non-finite entries (failed run) or Q^T Q overflows.
     Q's finiteness is read off Q^T Q: a non-finite entry of Q makes a
-    diagonal entry of Q^T Q non-finite.
+    diagonal entry of Q^T Q non-finite, and the norm of that is NaN.
     """
     qd = _dense(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.eye(qd.shape[1]) - qd.T @ qd
-    if not all_finite(d):
-        return float("nan")
-    return spectral_norm(d)
+        return spectral_norm(np.eye(qd.shape[1]) - qd.T @ qd)
 
 
 def _binary_exponent(a: np.ndarray) -> int:
     """The ``e`` that brings the largest entry of ``a * 2**-e`` into [1/2, 1).
 
-    0 for a zero matrix.  Raises ``ValueError`` on non-finite input.
+    0 for a zero or a non-finite matrix.
     """
-    amax = max(float(a.max()), -float(a.min()))
-    if not math.isfinite(amax):
-        raise ValueError("non-finite matrix")
-    return math.frexp(amax)[1]
+    return math.frexp(max(float(a.max()), -float(a.min())))[1]
 
 
 def _lambda_max(g: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric matrix ``g``, clamped at +0.0."""
+    """Largest eigenvalue of the symmetric matrix ``g``, clamped at +0.0;
+    NaN for a non-finite ``g``."""
+    if not all_finite(g):
+        return math.nan
     return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
 
 
@@ -97,7 +95,8 @@ class ScaledGram(NamedTuple):
 
     ``exponent`` is the ``e`` that brings X's largest entry into [1/2, 1)
     after scaling by ``2**-e``, ``gram`` the Gram matrix of that scaled X
-    and ``lam_max`` its largest eigenvalue (0.0 for an all-zero X).
+    and ``lam_max`` its largest eigenvalue (0.0 for an all-zero X).  For a
+    non-finite X they are 0, a NaN matrix and NaN.
     """
 
     exponent: int
@@ -109,13 +108,14 @@ def scaled_gram(x) -> ScaledGram:
     """X's power-of-two scale, scaled Gram matrix and its largest eigenvalue.
 
     A sweep forms these once per matrix and hands them to :func:`rel_res`
-    and :func:`rel_chol_res` for every run on it.  Raises ``ValueError`` on
+    and :func:`rel_chol_res` for every run on it.  No Gram is formed for a
     non-finite X.
     """
     xd = _dense(x)
     e = _binary_exponent(xd)
     xs = np.ldexp(xd, -e)
-    gram = xs.T @ xs
+    n = xs.shape[1]
+    gram = xs.T @ xs if all_finite(xs) else np.full((n, n), math.nan)
     return ScaledGram(e, gram, _lambda_max(gram))
 
 
@@ -135,9 +135,10 @@ def rel_res(
     a Fortran-ordered float64 Q's own storage, which is then destroyed.
     ``x_gram`` is :func:`scaled_gram` of X, formed here when not given.
     NaN when R or the residual has non-finite entries (a failed run, or an
-    overflow) or X is zero.  A non-finite entry of Q makes the residual's
-    entry in its place non-finite, since R's diagonal multiplies every
-    column of Q, so Q is not scanned on its own.
+    overflow), when X is zero or when the ratio overflows.  A non-finite
+    entry of Q makes the residual's entry in its place non-finite, since
+    R's diagonal multiplies every column of Q, so Q is not scanned on its
+    own.
     """
     xd, qd, rd = _dense(x), _dense(q), _dense(r)
     if not all_finite(rd):
@@ -149,34 +150,34 @@ def rel_res(
     buf = blas.dtrmm(1.0, rd, qd, side=1, overwrite_b=overwrite_q)
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(xd, buf, out=buf)
-    try:
         e_res = _binary_exponent(buf)
-    except ValueError:
-        return float("nan")
-    np.ldexp(buf, -e_res, out=buf)
-    lam_res = _lambda_max(buf.T @ buf)
+        np.ldexp(buf, -e_res, out=buf)
+        lam_res = _lambda_max(buf.T @ buf)
     del buf
     e_x, _, lam_x = scaled_gram(xd) if x_gram is None else x_gram
     if lam_x == 0.0:
         return float("nan")
-    return math.ldexp(math.sqrt(lam_res / lam_x), e_res - e_x)
+    with np.errstate(over="ignore"):
+        ratio = np.ldexp(math.sqrt(lam_res / lam_x), e_res - e_x)
+    return _finite_or_nan(float(ratio))
 
 
 def rel_chol_res(x, r, x_gram: ScaledGram | None = None) -> float:
     """Relative Cholesky residual ||X^T X - R^T R|| / ||X||^2.
 
     ``x_gram`` is :func:`scaled_gram` of X, formed here when not given.
-    NaN when R has non-finite entries (failed run) or X is zero.
+    NaN when X or R has non-finite entries (failed run), when R^T R or the
+    ratio overflows, or when X is zero.
     """
     rd = _dense(r)
-    if not all_finite(rd):
-        return float("nan")
     # X and R share one power-of-two scale, so the ratio needs no unscaling.
     e, gram, lam_x = scaled_gram(x) if x_gram is None else x_gram
     if lam_x == 0.0:
         return float("nan")
     rs = np.ldexp(rd, -e)
-    return spectral_norm(gram - rs.T @ rs) / lam_x
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = gram - rs.T @ rs
+    return _finite_or_nan(spectral_norm(d) / lam_x)
 
 
 def _pow(kappa: float, exponent: float) -> float:

@@ -19,7 +19,7 @@ exception or a warning: non-finite input, an indefinite or overflowing
 Gram matrix (``chol_qr``), an exactly zero pivot (``chol_qr``, ``mgs_qr``)
 or an overflowing one (``mgs_qr``) gives NaN, and ``failed`` is true
 exactly when Q or R holds a non-finite entry.  Every routine works in
-O(m·s) memory except ``givens_qr``, which forms an m-by-m Qᵀ, O(m²).
+O(m·s) memory.
 """
 
 from __future__ import annotations
@@ -167,6 +167,10 @@ def house_qr(x) -> QROutput:
 # Below two rotations the stacked product costs more than a 2-by-2 one.
 _STACK_MIN = 2
 
+# Rows of the Givens window beyond the 2s in play.  Blocks of up to 2s+128
+# rows fit in one window; a taller one slides it about every 128 stages.
+_GIVENS_SLACK = 128
+
 
 @functools.lru_cache(maxsize=16)
 def _givens_stages(m: int, s: int) -> tuple[tuple[int, int, int], ...]:
@@ -182,6 +186,30 @@ def _givens_stages(m: int, s: int) -> tuple[tuple[int, int, int], ...]:
     j0 = np.maximum(t - m + 2, 0)
     k = np.minimum(t // 2, s - 1) - j0 + 1
     return tuple(zip((m - 2 - t + 2 * j0).tolist(), j0.tolist(), k.tolist()))
+
+
+@functools.lru_cache(maxsize=16)
+def _givens_windows(
+    m: int, s: int, height: int
+) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """The stages of :func:`_givens_stages` grouped by the window of
+    ``height`` rows that holds them, as ``(base, stages)``: ``base`` is the
+    window's first row, and each stage's ``top`` is counted from it.
+
+    From stage t on, the stages turn only rows m-2-t .. m+2s-3-t: the rows
+    above are still [X row | e_row], and the rows below are never read
+    again.  So a window of at least 2s rows that ends at the top row + 2s-1
+    (or at row m-1) holds every row the stages read until one's top row
+    leaves it; the next window starts there.
+    """
+    base = m - height
+    windows: list[tuple[int, list]] = [(base, [])]
+    for top, j0, k in _givens_stages(m, s):
+        if top < base:
+            base = max(0, min(top + 2 * s, m) - height)
+            windows.append((base, []))
+        windows[-1][1].append((top - base, j0, k))
+    return tuple((base, tuple(stages)) for base, stages in windows)
 
 
 def _rotate_pair(
@@ -220,8 +248,11 @@ def givens_qr(x) -> QROutput:
     """QR via Givens rotations, bottom-up within each column.
 
     Loss of orthogonality O(eps), as for ``house_qr``.  R's and Qᵀ's rows
-    share one C-order m-by-(s+m) workspace ``W = [X | I]``: O(m²) memory,
-    the one exception to the muscles' O(m·s) contract.
+    are rows of ``W = [X | I]``, m-by-(s+m), but only a window of them is
+    held: one C-order buffer of min(m, 2s + ``_GIVENS_SLACK``) rows of W,
+    which slides up the matrix (``_givens_windows``), O(m·s) memory.  Every
+    row keeps its length s+m, so every product below keeps its operands
+    and its row stride.
 
     The rotations run in the staggered stages of Sameh & Kuck (J. ACM
     1978), ``_givens_stages``.  A stage reads its pivots f and g as strided
@@ -238,37 +269,52 @@ def givens_qr(x) -> QROutput:
     if not all_finite(x):
         return _nan_output(m, s)
     n = s + m
-    w = np.zeros((m, n))
-    w[:, :s] = x
-    np.fill_diagonal(w[:, s:], 1.0)
+    height = min(m, 2 * s + _GIVENS_SLACK)
+    windows = _givens_windows(m, s, height)
+    base = windows[0][0]
+    w = np.zeros((height, n))
+    w[:, :s] = x[base:]
     flat = w.reshape(-1)
+    flat[s + base :: n + 1] = 1.0
     step = 2 * n + 1
     stacks = {k: _rotation_stack(k) for k in range(_STACK_MIN, s + 1)}
     pair_rot = np.empty((2, 2))
-    for top, j0, k in _givens_stages(m, s):
-        if k >= _STACK_MIN:
-            a = top * n + j0
-            b = a + (k - 1) * step + 1
-            g = flat[a + n : b + n : step]
-            if np.count_nonzero(g) == k:
-                rot, c, sn, c2, nsn, last_rot = stacks[k]
-                f = flat[a:b:step]
-                h = np.hypot(f, g)
-                np.divide(f, h, out=c)
-                np.divide(g, h, out=sn)
-                c2[...] = c
-                np.negative(sn, out=nsn)
-                rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
-                if j0 + k < s:
-                    rows[...] = np.matmul(rot, rows)
-                else:
-                    col = flat[b - 1 : b + n : n]
-                    last = np.matmul(last_rot, col)
-                    rows[...] = np.matmul(rot, rows)
-                    col[...] = last
-                continue
-        for r in range(k):
-            _rotate_pair(w, top + 2 * r, j0 + r, s, pair_rot)
+    for new, stages in windows:
+        if new < base:
+            # Slide the window up to row ``new``: the rows still in play,
+            # at most 2s at its top, move down, and the rows above them
+            # are loaded as [X row | e_row].
+            shift = base - new
+            keep = min(2 * s, height - shift)
+            w[shift : shift + keep] = w[:keep]
+            w[:shift, :s] = x[new:base]
+            w[:shift, s:] = 0.0
+            flat[s + new : shift * n : n + 1] = 1.0
+            base = new
+        for top, j0, k in stages:
+            if k >= _STACK_MIN:
+                a = top * n + j0
+                b = a + (k - 1) * step + 1
+                g = flat[a + n : b + n : step]
+                if np.count_nonzero(g) == k:
+                    rot, c, sn, c2, nsn, last_rot = stacks[k]
+                    f = flat[a:b:step]
+                    h = np.hypot(f, g)
+                    np.divide(f, h, out=c)
+                    np.divide(g, h, out=sn)
+                    c2[...] = c
+                    np.negative(sn, out=nsn)
+                    rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
+                    if j0 + k < s:
+                        rows[...] = np.matmul(rot, rows)
+                    else:
+                        col = flat[b - 1 : b + n : n]
+                        last = np.matmul(last_rot, col)
+                        rows[...] = np.matmul(rot, rows)
+                        col[...] = last
+                    continue
+            for r in range(k):
+                _rotate_pair(w, top + 2 * r, j0 + r, s, pair_rot)
     q = w[:s, s:].T.copy()
     r = np.triu(w[:s, :s])
     return _fix_signs(q, r)

@@ -11,6 +11,7 @@ one step, so a skeleton's ledger is the list of products it computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,11 +66,11 @@ def syncs_per_block(result) -> float:
 
     Averages the ledger cost of blocks 2..p-1, leaving out the first block
     (its muscle is a boundary effect) and the last (no look-ahead work in
-    the one-sync variant).  Raises ``ValueError`` when p < 3.
+    the one-sync variant).  NaN when p < 3: no interior block.
     """
     p = result.q.block_count
     if p < 3:
-        raise ValueError("steady state undefined")
+        return math.nan
     interior = sum(
         e.cost for e in result.ledger.events if 2 <= e.block <= p - 1
     )

@@ -68,10 +68,11 @@ def test_spectral_norm_cross_checked_against_bidiagonalization_oracle():
     assert spectral_norm(a) == pytest.approx(oracle[0], rel=1e-13)
 
 
-def test_norms_reject_non_finite():
+def test_norms_of_a_non_finite_matrix_are_nan():
+    # pytest turns warnings into errors, so each NaN also comes unwarned.
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="non-finite matrix"):
-        spectral_norm(bad)
+    assert math.isnan(spectral_norm(bad))
+    assert math.isnan(cond_2(bad))
 
 
 _POSITIONS = {
@@ -116,8 +117,7 @@ def test_non_finite_entries_keep_each_documented_outcome(value, where, shape):
     assert math.isnan(rel_res(x, bad_x, r))
     assert math.isnan(rel_res(x, x, bad_r))
     assert math.isnan(rel_chol_res(x, bad_r))
-    with pytest.raises(ValueError, match="non-finite matrix"):
-        cond_2(bad_x)
+    assert math.isnan(cond_2(bad_x))
 
 
 def test_cond_2_trivial():
@@ -126,16 +126,14 @@ def test_cond_2_trivial():
 
 
 def test_cond_2_singular():
-    with pytest.raises(ValueError, match="singular matrix, kappa undefined"):
-        cond_2(np.zeros((3, 2)))
+    assert math.isnan(cond_2(np.zeros((3, 2))))
 
 
 def test_cond_2_never_returns_an_infinity():
     # A sweep writes kappa_actual with %.16e, which spells an infinity
     # "inf", a cell read_csv rejects; so an overflowing ratio is
-    # unmeasurable conditioning, like a singular matrix.
-    with pytest.raises(ValueError, match="kappa overflows"):
-        cond_2(np.diag([1e200, 1e-200]))
+    # unmeasurable conditioning, NaN like a singular matrix.
+    assert math.isnan(cond_2(np.diag([1e200, 1e-200])))
     assert cond_2(np.diag([1e300, 1e-7])) == pytest.approx(1e307)
 
 

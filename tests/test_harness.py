@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import blockgs
 from blockgs import blockcore, harness, metrics, skeletons
-from blockgs.blockcore import BlockMatrix
+from blockgs.blockcore import BlockMatrix, cond_2
 from blockgs.harness import (
     CSV_FIELDS,
     Combo,
@@ -439,7 +439,7 @@ def test_monomial_targets_map_to_the_nearest_rung():
     ladder = []
     for t in harness._divisors(p * s):
         x = gen_monomial(m, p, s, 42, t=t)
-        ladder.append((x, harness._measure(x)))
+        ladder.append((x, cond_2(x.data)))
     logs = [math.log10(ka) for _, ka in ladder]
     kappas = tuple(np.logspace(0, 20, 41)) + tuple(ka for _, ka in ladder)
     config = SweepConfig(
@@ -1261,6 +1261,19 @@ def test_cli_failed_sweep_leaves_no_file_at_a_fresh_path(
         monkeypatch.setattr(harness, "run_sweep", failing)
         with pytest.raises(error):
             cli_main(argv)
+    assert not out.exists()
+
+
+def test_cli_sweep_too_large_to_allocate_exits_2(tmp_path):
+    # numpy refuses a 711 PiB array at once, without touching memory.
+    out = tmp_path / "huge.csv"
+    code, _, err = _capture(cli_main, [
+        "sweep", "--matrix", "default", "--m", "1000000000000000",
+        "--p", "10", "--s", "10", "--kappas", "10", "--out", str(out),
+    ])
+    assert code == 2
+    assert err.startswith("blockgs: error: Unable to allocate")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
 

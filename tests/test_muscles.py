@@ -27,6 +27,7 @@ from blockgs.muscles import (
     QROutput,
     _fix_signs,
     _givens_stages,
+    _givens_windows,
     apply_io,
     chol_free,
     chol_qr,
@@ -425,6 +426,12 @@ def _alternate_zero_rows(m, s):
 @example(x=_alternate_zero_rows(20, 5))
 @example(x=np.random.default_rng(12).standard_normal((12, 12)))
 @example(x=np.random.default_rng(1).standard_normal((40, 1)))
+# Taller than one window of 2s+128 rows: the window slides.
+@example(x=np.random.default_rng(2).standard_normal((131, 1)))
+@example(x=np.random.default_rng(3).standard_normal((300, 5)))
+@example(x=np.random.default_rng(4).standard_normal((700, 10)))
+@example(x=_alternate_zero_rows(300, 5))
+@example(x=gen_default(400, 5, 2, 42, kappa=1e12).data)
 @settings(max_examples=300, deadline=None)
 def test_givens_matches_the_two_product_loop_bit_for_bit(x):
     want, got = _givens_oracle(x), givens_qr(x)
@@ -432,6 +439,58 @@ def test_givens_matches_the_two_product_loop_bit_for_bit(x):
     for a, b in ((want.q, got.q), (want.r, got.r)):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@given(x=_givens_blocks(), slack=st.sampled_from((0, 1, 2, 5)))
+@settings(max_examples=200, deadline=None)
+def test_givens_keeps_every_bit_in_a_narrow_window(x, slack):
+    # A window of 2s+slack rows slides about every slack+1 stages, so
+    # these blocks slide it many times.
+    default = muscles._GIVENS_SLACK
+    muscles._GIVENS_SLACK = slack
+    try:
+        got = givens_qr(x)
+    finally:
+        muscles._GIVENS_SLACK = default
+    want = _givens_oracle(x)
+    for a, b in ((want.q, got.q), (want.r, got.r)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_givens_windows_hold_every_row_their_stages_turn():
+    for m in range(1, 40):
+        for s in range(1, min(m, 6) + 1):
+            for height in sorted({min(m, 2 * s + w) for w in (0, 1, 3, 128)}):
+                windows = _givens_windows(m, s, height)
+                bases = [base for base, _ in windows]
+                assert bases == sorted(set(bases), reverse=True)
+                assert bases[-1] == 0 and bases[0] == max(0, m - height)
+                flat = []
+                for base, stages in windows:
+                    rows = min(height, m - base)
+                    for top, j0, k in stages:
+                        assert 0 <= top and top + 2 * k <= rows
+                        flat.append((top + base, j0, k))
+                assert flat == list(_givens_stages(m, s))
+
+
+def test_givens_holds_a_window_not_an_m_by_m_workspace():
+    # The window is 2s+128 rows of s+m doubles, 27.6·m·s doubles at
+    # m = 4000, s = 5; the stage products and Q add about 3 more.  So the
+    # peak stays under c·m·s doubles with c = 40, where an m-by-(s+m)
+    # workspace took m/s = 800.
+    m, s = 4000, 5
+    x = np.random.default_rng(14).standard_normal((m, s))
+    givens_qr(x)  # the stage schedule is cached per shape, O(m) objects
+    tracemalloc.start()
+    try:
+        out = givens_qr(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel_res(x, out.q, out.r) <= 100.0 * EPS
+    assert peak <= 40 * m * s * 8
 
 
 def test_givens_stages_reorder_the_bottom_up_rotations():

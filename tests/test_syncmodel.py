@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import types
 from collections import Counter
 from pathlib import Path
@@ -70,8 +71,7 @@ def _steady(result):
 def test_steady_state_requires_interior_blocks():
     x = _well_conditioned(p=2)
     result = bcgs_a(x, CHOL_QR, CHOL_QR)
-    with pytest.raises(ValueError, match="steady state undefined"):
-        syncs_per_block(result)
+    assert math.isnan(syncs_per_block(result))
 
 
 def test_steady_state_counts_all_cholesky():
