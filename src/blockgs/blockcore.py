@@ -103,10 +103,10 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 def _singular_values(a) -> np.ndarray:
-    """Singular values of ``a``, largest first; a lone NaN for a non-finite
-    ``a``."""
+    """Singular values of ``a``, largest first; a lone NaN for an empty or a
+    non-finite ``a``."""
     a = np.asarray(a, dtype=np.float64)
-    if not all_finite(a):
+    if a.size == 0 or not all_finite(a):
         return np.array([math.nan])
     return np.linalg.svd(a, compute_uv=False)
 
@@ -118,7 +118,8 @@ def _finite_or_nan(v: float) -> float:
 def spectral_norm(a) -> float:
     """Largest singular value of ``a`` (the induced 2-norm).
 
-    NaN for a non-finite ``a`` or a norm past the double range.
+    NaN for an empty (no rows or no columns) or a non-finite ``a``, or a
+    norm past the double range.
     """
     return _finite_or_nan(float(_singular_values(a)[0]))
 
@@ -126,8 +127,9 @@ def spectral_norm(a) -> float:
 def cond_2(a) -> float:
     """2-norm condition number, largest over smallest singular value.
 
-    NaN where it is undefined: a non-finite ``a``, a zero smallest singular
-    value or a ratio that overflows.  Never raises, never warns.
+    NaN where it is undefined: an empty or a non-finite ``a``, a zero
+    smallest singular value or a ratio that overflows.  Never raises,
+    never warns.
     """
     sv = _singular_values(a)
     smin = float(sv[-1])

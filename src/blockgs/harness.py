@@ -442,12 +442,43 @@ def write_csv(records, path) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
+def _row_combo(rec: RunRecord) -> Combo:
+    """The combo a row names.  Its skeleton and muscle cells must be
+    spelled as the writer spells them and fill exactly the skeleton's
+    slots; otherwise raises ``ValueError``."""
+    kind = _parse_skeleton(rec.skeleton)
+    if SKELETONS[kind].display != rec.skeleton:
+        raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
+    ios = []
+    for slot in _SLOTS:
+        cell = getattr(rec, slot)
+        if cell and cell not in IO_BY_NAME:
+            raise ConfigError(f"unknown muscle {cell!r} in column {slot}")
+        ios.append(IO_BY_NAME.get(cell))
+    return Combo(kind, *ios)
+
+
+def _check_row(rec: RunRecord) -> None:
+    """Raise ``ValueError`` unless a sweep could have written the row: a
+    shape :func:`~blockgs.blockcore.check_partition` accepts, cells that
+    name a combo (:func:`_row_combo`) and a measured kappa >= 1 or NaN.
+    ``matrix_class`` is free text, since :func:`run_single` writes any
+    label.
+    """
+    check_partition(rec.m, rec.p, rec.s)
+    _row_combo(rec)
+    if rec.kappa_actual < 1.0:
+        raise ValueError(
+            f"kappa must be >= 1 or NaN in column kappa_actual,"
+            f" got {rec.kappa_actual}"
+        )
+
+
 def read_csv(path) -> list[RunRecord]:
     """Read back a CSV written by :func:`write_csv`.
 
     Every cell must be spelled as the writer spells its value, and every
-    row's shape must be one :func:`~blockgs.blockcore.check_partition`
-    accepts, as a sweep's is.
+    row must be one a sweep could have written (see :func:`_check_row`).
     Raises ``OSError`` when the file cannot be read and ``ValueError``,
     naming the line, when its header or a row is malformed.
     """
@@ -469,7 +500,7 @@ def read_csv(path) -> list[RunRecord]:
                         for name, (_, parse) in _CSV_COLUMNS
                     }
                 )
-                check_partition(record.m, record.p, record.s)
+                _check_row(record)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             records.append(record)
@@ -477,24 +508,10 @@ def read_csv(path) -> list[RunRecord]:
 
 
 def _row_envelope(rec: RunRecord) -> tuple[bool, float]:
-    """``(applicable, loo ceiling)`` of one CSV row's envelope.
-
-    The row's skeleton and muscles, each spelled as the writer spells
-    it, must form a combo a sweep accepts, and its measured kappa must be
-    >= 1 or NaN; otherwise raises ``ValueError``.  A combo no theorem
-    covers is never applicable.
-    """
-    kind = _parse_skeleton(rec.skeleton)
-    if SKELETONS[kind].display != rec.skeleton:
-        raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
-    ios = []
-    for slot in _SLOTS:
-        cell = getattr(rec, slot)
-        if cell and cell not in IO_BY_NAME:
-            raise ConfigError(f"unknown muscle {cell!r} in column {slot}")
-        ios.append(IO_BY_NAME.get(cell))
-    combo = Combo(kind, *ios)
-    spec = SKELETONS[kind].envelope(*combo.muscles)
+    """``(applicable, loo ceiling)`` of one row :func:`read_csv` accepted;
+    a combo no theorem covers is never applicable."""
+    combo = _row_combo(rec)
+    spec = SKELETONS[combo.skeleton].envelope(*combo.muscles, s=rec.s)
     if spec is None:
         return False, math.nan
     return bound_envelope(spec, rec.kappa_actual)
@@ -516,10 +533,7 @@ def check_bounds(path, *, out=None) -> list[str]:
     violations = []
     checked = 0
     for i, rec in enumerate(records, start=2):  # line number in file
-        try:
-            applicable, bound = _row_envelope(rec)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i}: {exc}") from None
+        applicable, bound = _row_envelope(rec)
         if not applicable:
             continue
         checked += 1

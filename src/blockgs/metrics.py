@@ -16,15 +16,16 @@ the value agrees with the SVD norm to about 1e-15 relative (1e-12 is the
 tested tolerance).  The n-by-n quantities keep their SVD spectral norm.
 
 Every measurement returns a float, NaN exactly when its value is
-undefined: a non-finite input (a failed run), a Q^T Q, Q R, R^T R or ratio
-past the double range, or a zero X under a relative residual (0/0).  None
-raises or warns for such a value, nor does ``cond_2`` or ``syncs_per_block``.
+undefined: an empty input (no rows or no columns), a non-finite input (a
+failed run), a Q^T Q, Q R, R^T R or ratio past the double range, or a zero
+X under a relative residual (0/0).  None raises or warns for such a value,
+nor does ``cond_2`` or ``syncs_per_block``.
 
-The envelope the paper proves for a (skeleton, muscle choices)
-combination comes from the ``envelope`` of its skeleton's
+The envelope the paper proves for a (skeleton, muscle choices, block
+width) combination comes from the ``envelope`` of its skeleton's
 :data:`~blockgs.skeletons.SKELETONS` entry, called with those muscles in
-slot order; it is None where no theorem covers the combination.  An
-envelope is an applicability condition of the form
+slot order and ``s``; it is None where no theorem covers the combination.
+An envelope is an applicability condition of the form
 ``eps * kappa**theta <= 1/2`` plus a loss-of-orthogonality ceiling
 ``100 * eps * kappa**loo_exponent``, which :func:`bound_envelope`
 evaluates at a measured condition number.
@@ -65,11 +66,13 @@ def _dense(a) -> np.ndarray:
 def loo(q) -> float:
     """Loss of orthogonality ||I - Q^T Q|| (spectral norm).
 
-    NaN when Q contains non-finite entries (failed run) or Q^T Q overflows.
-    Q's finiteness is read off Q^T Q: a non-finite entry of Q makes a
-    diagonal entry of Q^T Q non-finite, and the norm of that is NaN.
+    NaN when Q is empty, contains non-finite entries (failed run) or Q^T Q
+    overflows.  Q's finiteness is read off Q^T Q: a non-finite entry of Q
+    makes a diagonal entry of Q^T Q non-finite, and the norm of that is NaN.
     """
     qd = _dense(q)
+    if qd.size == 0:
+        return math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         return spectral_norm(np.eye(qd.shape[1]) - qd.T @ qd)
 
@@ -77,15 +80,16 @@ def loo(q) -> float:
 def _binary_exponent(a: np.ndarray) -> int:
     """The ``e`` that brings the largest entry of ``a * 2**-e`` into [1/2, 1).
 
-    0 for a zero or a non-finite matrix.
+    0 for an empty, a zero or a non-finite matrix.
     """
-    return math.frexp(max(float(a.max()), -float(a.min())))[1]
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    return math.frexp(top)[1]
 
 
 def _lambda_max(g: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric matrix ``g``, clamped at +0.0;
-    NaN for a non-finite ``g``."""
-    if not all_finite(g):
+    NaN for an empty or a non-finite ``g``."""
+    if g.size == 0 or not all_finite(g):
         return math.nan
     return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
 
@@ -95,8 +99,8 @@ class ScaledGram(NamedTuple):
 
     ``exponent`` is the ``e`` that brings X's largest entry into [1/2, 1)
     after scaling by ``2**-e``, ``gram`` the Gram matrix of that scaled X
-    and ``lam_max`` its largest eigenvalue (0.0 for an all-zero X).  For a
-    non-finite X they are 0, a NaN matrix and NaN.
+    and ``lam_max`` its largest eigenvalue (0.0 for an all-zero X).  For an
+    empty or a non-finite X they are 0, a NaN matrix and NaN.
     """
 
     exponent: int
@@ -108,14 +112,15 @@ def scaled_gram(x) -> ScaledGram:
     """X's power-of-two scale, scaled Gram matrix and its largest eigenvalue.
 
     A sweep forms these once per matrix and hands them to :func:`rel_res`
-    and :func:`rel_chol_res` for every run on it.  No Gram is formed for a
-    non-finite X.
+    and :func:`rel_chol_res` for every run on it.  No Gram is formed for an
+    empty or a non-finite X.
     """
     xd = _dense(x)
     e = _binary_exponent(xd)
     xs = np.ldexp(xd, -e)
     n = xs.shape[1]
-    gram = xs.T @ xs if all_finite(xs) else np.full((n, n), math.nan)
+    defined = xs.size and all_finite(xs)
+    gram = xs.T @ xs if defined else np.full((n, n), math.nan)
     return ScaledGram(e, gram, _lambda_max(gram))
 
 

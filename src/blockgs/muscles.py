@@ -188,30 +188,6 @@ def _givens_stages(m: int, s: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(zip((m - 2 - t + 2 * j0).tolist(), j0.tolist(), k.tolist()))
 
 
-@functools.lru_cache(maxsize=16)
-def _givens_windows(
-    m: int, s: int, height: int
-) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
-    """The stages of :func:`_givens_stages` grouped by the window of
-    ``height`` rows that holds them, as ``(base, stages)``: ``base`` is the
-    window's first row, and each stage's ``top`` is counted from it.
-
-    From stage t on, the stages turn only rows m-2-t .. m+2s-3-t: the rows
-    above are still [X row | e_row], and the rows below are never read
-    again.  So a window of at least 2s rows that ends at the top row + 2s-1
-    (or at row m-1) holds every row the stages read until one's top row
-    leaves it; the next window starts there.
-    """
-    base = m - height
-    windows: list[tuple[int, list]] = [(base, [])]
-    for top, j0, k in _givens_stages(m, s):
-        if top < base:
-            base = max(0, min(top + 2 * s, m) - height)
-            windows.append((base, []))
-        windows[-1][1].append((top - base, j0, k))
-    return tuple((base, tuple(stages)) for base, stages in windows)
-
-
 def _rotate_pair(
     w: np.ndarray, top: int, j: int, s: int, rot: np.ndarray
 ) -> None:
@@ -247,22 +223,25 @@ def _rotation_stack(k: int):
 def givens_qr(x) -> QROutput:
     """QR via Givens rotations, bottom-up within each column.
 
-    Loss of orthogonality O(eps), as for ``house_qr``.  R's and Qᵀ's rows
-    are rows of ``W = [X | I]``, m-by-(s+m), but only a window of them is
-    held: one C-order buffer of min(m, 2s + ``_GIVENS_SLACK``) rows of W,
-    which slides up the matrix (``_givens_windows``), O(m·s) memory.  Every
-    row keeps its length s+m, so every product below keeps its operands
-    and its row stride.
-
-    The rotations run in the staggered stages of Sameh & Kuck (J. ACM
-    1978), ``_givens_stages``.  A stage reads its pivots f and g as strided
-    slices of the flattened workspace and turns its rows with one product
-    of a C-contiguous k×2×2 rotation stack, one 2-by-2 gemm per rotation,
-    so Q and R keep every bit of the one-pair-at-a-time bottom-up loop.
-    R's part of column s-1 gets its own product (see ``_rotate_pair``).  A
+    Loss of orthogonality O(eps), as for ``house_qr``.  The rotations run
+    in the staggered stages of Sameh & Kuck (J. ACM 1978),
+    ``_givens_stages``.  A stage reads its pivots f and g as strided slices
+    of the flattened workspace and turns its rows with one product of a
+    C-contiguous k×2×2 rotation stack, one 2-by-2 gemm per rotation, so Q
+    and R keep every bit of the one-pair-at-a-time bottom-up loop.  R's
+    part of column s-1 gets its own product (see ``_rotate_pair``).  A
     stage of fewer than ``_STACK_MIN`` rotations, or with a zero g, turns
     its pairs one at a time.  Eliminated entries keep their rounding
     residue, which no later rotation reads and ``np.triu`` drops.
+
+    R's and Qᵀ's rows are rows of ``W = [X | I]``, m-by-(s+m), but only a
+    window of them is held: one C-order buffer of min(m, 2s +
+    ``_GIVENS_SLACK``) rows of W, O(m·s) memory.  From stage t on, only
+    rows m-2-t .. m+2s-3-t are in play: the rows above are still [X row |
+    e_row], and the rows below are never read again.  So when a stage's
+    top row lies above the window, the window slides up until it ends at
+    that row + 2s-1 (or at row m-1).  Every row keeps its length s+m, so
+    every product keeps its operands and its row stride.
     """
     x = _as_block(x)
     m, s = x.shape
@@ -270,8 +249,7 @@ def givens_qr(x) -> QROutput:
         return _nan_output(m, s)
     n = s + m
     height = min(m, 2 * s + _GIVENS_SLACK)
-    windows = _givens_windows(m, s, height)
-    base = windows[0][0]
+    base = m - height
     w = np.zeros((height, n))
     w[:, :s] = x[base:]
     flat = w.reshape(-1)
@@ -279,11 +257,12 @@ def givens_qr(x) -> QROutput:
     step = 2 * n + 1
     stacks = {k: _rotation_stack(k) for k in range(_STACK_MIN, s + 1)}
     pair_rot = np.empty((2, 2))
-    for new, stages in windows:
-        if new < base:
+    for top, j0, k in _givens_stages(m, s):
+        if top < base:
             # Slide the window up to row ``new``: the rows still in play,
             # at most 2s at its top, move down, and the rows above them
             # are loaded as [X row | e_row].
+            new = max(0, min(top + 2 * s, m) - height)
             shift = base - new
             keep = min(2 * s, height - shift)
             w[shift : shift + keep] = w[:keep]
@@ -291,30 +270,30 @@ def givens_qr(x) -> QROutput:
             w[:shift, s:] = 0.0
             flat[s + new : shift * n : n + 1] = 1.0
             base = new
-        for top, j0, k in stages:
-            if k >= _STACK_MIN:
-                a = top * n + j0
-                b = a + (k - 1) * step + 1
-                g = flat[a + n : b + n : step]
-                if np.count_nonzero(g) == k:
-                    rot, c, sn, c2, nsn, last_rot = stacks[k]
-                    f = flat[a:b:step]
-                    h = np.hypot(f, g)
-                    np.divide(f, h, out=c)
-                    np.divide(g, h, out=sn)
-                    c2[...] = c
-                    np.negative(sn, out=nsn)
-                    rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
-                    if j0 + k < s:
-                        rows[...] = np.matmul(rot, rows)
-                    else:
-                        col = flat[b - 1 : b + n : n]
-                        last = np.matmul(last_rot, col)
-                        rows[...] = np.matmul(rot, rows)
-                        col[...] = last
-                    continue
-            for r in range(k):
-                _rotate_pair(w, top + 2 * r, j0 + r, s, pair_rot)
+        top -= base
+        if k >= _STACK_MIN:
+            a = top * n + j0
+            b = a + (k - 1) * step + 1
+            g = flat[a + n : b + n : step]
+            if np.count_nonzero(g) == k:
+                rot, c, sn, c2, nsn, last_rot = stacks[k]
+                f = flat[a:b:step]
+                h = np.hypot(f, g)
+                np.divide(f, h, out=c)
+                np.divide(g, h, out=sn)
+                c2[...] = c
+                np.negative(sn, out=nsn)
+                rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
+                if j0 + k < s:
+                    rows[...] = np.matmul(rot, rows)
+                else:
+                    col = flat[b - 1 : b + n : n]
+                    last = np.matmul(last_rot, col)
+                    rows[...] = np.matmul(rot, rows)
+                    col[...] = last
+                continue
+        for r in range(k):
+            _rotate_pair(w, top + 2 * r, j0 + r, s, pair_rot)
     q = w[:s, s:].T.copy()
     r = np.triu(w[:s, :s])
     return _fix_signs(q, r)
@@ -423,9 +402,10 @@ def apply_io(
     The event goes into ``ledger``, labeled ``io-gram`` for the
     Gram-product muscle (``chol_qr``) and ``io-cols`` for the column-sweep
     muscles, and is recorded whether or not the call succeeds numerically —
-    the reductions are spent either way.
+    the reductions are spent either way.  A malformed block raises
+    ``ValueError`` before anything is charged.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_block(x)
     try:
         routine = _ROUTINES[spec.kind]
     except KeyError:

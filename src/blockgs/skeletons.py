@@ -85,17 +85,18 @@ class BoundSpec:
     loo_exponent: float
 
 
-# Envelopes: muscles in slot order -> BoundSpec, or None where no
-# theorem covers them, a violated premise included.  ``alpha`` is a
-# muscle's loss-of-orthogonality exponent (O(eps) * kappa**alpha).
+# Envelopes: muscles in slot order and the block width s -> BoundSpec, or
+# None where no theorem covers them, a violated premise included.
+# ``alpha`` is a muscle's loss-of-orthogonality exponent (O(eps) *
+# kappa**alpha).
 
 
-def _no_envelope(io_a, io1):
+def _no_envelope(io_a, io1, *, s):
     """BCGS / BCGS-A: without reorthogonalization the paper proves none."""
     return None
 
 
-def _reorthogonalized_envelope(io_a, io1, io2):
+def _reorthogonalized_envelope(io_a, io1, io2, *, s):
     """BCGSI+ / BCGSI+A (four syncs per block column): the paper shows a
     "strong" muscle is needed only for the very first block to keep the
     loss of orthogonality at O(eps).  Premise alpha_a = 0; applicable while
@@ -104,7 +105,7 @@ def _reorthogonalized_envelope(io_a, io1, io2):
     return BoundSpec(max(io1.alpha, 1), 0.0) if io_a.alpha == 0 else None
 
 
-def _three_sync_envelope(io_a, io1):
+def _three_sync_envelope(io_a, io1, *, s):
     """BCGSI+A-3S: the paper finds that stability degrades with the first
     removed synchronization.  Loss of orthogonality O(eps) *
     kappa**max(alpha_1, 1), applicable while eps * kappa**max(alpha_1 + 1,
@@ -114,12 +115,17 @@ def _three_sync_envelope(io_a, io1):
     return BoundSpec(max(a + 1, 2), max(a, 1)) if io_a.alpha <= a else None
 
 
-def _low_sync_envelope(io_a):
+def _low_sync_envelope(io_a, *, s):
     """BCGSI+A-2S / -1S: degraded further; the paper shows the one-sync
     variant cannot be guaranteed stable in practice.  Loss of orthogonality
     O(eps) * kappa**2, applicable only while eps * kappa**3 <= 1/2; premise
-    alpha_a <= 2.
+    alpha_a <= 2.  With s = 1 they are CGS-2 and DCGS2, which the paper
+    proves as stable as Householder QR: O(eps) while eps * kappa <= 1/2,
+    whatever the first column's muscle, since on one column each muscle
+    only normalizes it.
     """
+    if s == 1:
+        return BoundSpec(1.0, 0.0)
     return BoundSpec(3.0, 2.0) if io_a.alpha <= 2 else None
 
 
@@ -129,10 +135,10 @@ class SkeletonSpec:
 
     ``slots`` names the muscle slots a run consumes (fields of a
     :class:`~blockgs.harness.Combo`), in the order the skeleton function
-    takes them.  ``envelope`` maps those muscles (in the same order) to
-    the :class:`BoundSpec` the paper proves for them, or to None where no
-    theorem covers them.  A ``tied`` skeleton
-    takes a single muscle, which fills every slot.
+    takes them.  ``envelope`` maps those muscles (in the same order) and
+    the keyword ``s``, the block width, to the :class:`BoundSpec` the
+    paper proves for them, or to None where no theorem covers them.  A
+    ``tied`` skeleton takes a single muscle, which fills every slot.
     ``shorthands`` are extra CLI spellings beyond the kind's value and the
     display name.
     """

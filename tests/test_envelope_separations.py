@@ -58,7 +58,8 @@ def _worst_ratio(records, display: str, held_to: SkeletonKind) -> float:
     the envelope of ``held_to`` (with HouseQR first, CholQR inside) where
     that envelope applies; 0 when it applies to none."""
     spec = SKELETONS[held_to]
-    envelope = spec.envelope(*(HOUSE_QR, CHOL_QR, CHOL_QR)[: len(spec.slots)])
+    muscles = (HOUSE_QR, CHOL_QR, CHOL_QR)[: len(spec.slots)]
+    envelope = spec.envelope(*muscles, s=SWEEP.s)
     worst = 0.0
     for rec in records:
         if rec.skeleton != display or rec.failed:

@@ -772,11 +772,11 @@ def test_check_bounds_skips_uncovered_and_skipped_rows(tmp_path):
     )
 
 
-# Every combo of the frozen envelope table (skeleton,io_a,io1,io2,...).
+# Every (combo, s) of the frozen envelope table (skeleton,io_a,io1,io2,s,...).
 ENVELOPE_COMBOS = tuple(
-    Combo(kind, *(IO_BY_NAME.get(name) for name in names))
-    for kind, *names in (
-        line.split(",")[:4]
+    (Combo(kind, *(IO_BY_NAME.get(name) for name in names)), int(s))
+    for kind, *names, s in (
+        line.split(",")[:5]
         for line in Path(__file__)
         .with_name("bound_envelopes.csv")
         .read_text()
@@ -787,22 +787,23 @@ ENVELOPE_COMBOS = tuple(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    combo=st.sampled_from(ENVELOPE_COMBOS),
+    combo_s=st.sampled_from(ENVELOPE_COMBOS),
     kappa=st.floats(0.0, 17.0).map(lambda e: 10.0**e),
     loo=st.floats(allow_infinity=False),
 )
-def test_check_bounds_round_trip(tmp_path_factory, combo, kappa, loo):
+def test_check_bounds_round_trip(tmp_path_factory, combo_s, kappa, loo):
     # A written row is checked exactly when its combo's envelope applies
-    # at its kappa, and flagged exactly when its loo is NaN or above the
-    # ceiling there.
+    # at its kappa and block width, and flagged exactly when its loo is
+    # NaN or above the ceiling there.
+    combo, s = combo_s
     rec = harness._record(
-        combo, "default", (100, 10, 5), kappa, kappa, loo=loo, failed=False
+        combo, "default", (100, 10, s), kappa, kappa, loo=loo, failed=False
     )
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
     write_csv([rec], path)
     out = io.StringIO()
     violations = check_bounds(path, out=out)
-    spec = SKELETONS[combo.skeleton].envelope(*combo.muscles)
+    spec = SKELETONS[combo.skeleton].envelope(*combo.muscles, s=s)
     applicable, bound = (
         (False, math.nan) if spec is None else bound_envelope(spec, kappa)
     )
@@ -1142,6 +1143,31 @@ def test_check_bounds_rejects_cells_its_writer_never_writes(
     assert err.startswith("blockgs: error:") and ":2: " in err
     assert fragment in err
     assert "Traceback" not in err + out
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        (_row("bogus", "houseqr"), "unknown skeleton 'bogus'"),
+        (_row("bcgsi_a_2s", "houseqr"), "unknown skeleton 'bcgsi_a_2s'"),
+        (_row("BCGS-A", "HouseQR", "cholqr"), "unknown muscle 'HouseQR'"),
+        (_row("BCGS", "houseqr", "cholqr"), "BCGS requires tied muscle"),
+        (_row("BCGSI+A-2S", "houseqr", "cholqr"), "BCGSI+A-2S takes no io1"),
+        (
+            _row("BCGSI+A-2S", "houseqr", kappa_actual=0.5),
+            "kappa must be >= 1",
+        ),
+    ],
+)
+def test_read_csv_rejects_rows_no_sweep_writes(text, fragment, tmp_path):
+    # Every row rule lives in read_csv, so a row check-bounds could not
+    # judge never reads back.
+    path = tmp_path / "row.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_csv(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+    assert fragment in str(info.value)
 
 
 def test_cli_syncs_output():

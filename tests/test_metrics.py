@@ -266,9 +266,10 @@ def test_loo_column_permutation_invariance(seed):
     assert loo(q[:, perm]) == pytest.approx(loo(q), abs=1e-15)
 
 
-def _envelope(kind, *muscles):
-    """The envelope of skeleton ``kind`` with ``muscles`` in slot order."""
-    return SKELETONS[SkeletonKind(kind)].envelope(*muscles)
+def _envelope(kind, *muscles, s=5):
+    """The envelope of skeleton ``kind`` with ``muscles`` in slot order and
+    blocks of ``s`` columns."""
+    return SKELETONS[SkeletonKind(kind)].envelope(*muscles, s=s)
 
 
 def test_bound_reorthogonalized_flat_envelope():
@@ -322,6 +323,24 @@ def test_bound_low_sync_quadratic_envelope(kind):
     assert _envelope(kind, CHOL_QR) == spec  # alpha = 2 still admissible
 
 
+@pytest.mark.parametrize("kind", ["bcgsi_a_2s", "bcgsi_a_1s"])
+def test_bound_low_sync_single_column_is_as_stable_as_householder(kind):
+    # With s = 1 the two variants are CGS-2 and DCGS2, which the paper
+    # proves O(eps) while eps * kappa <= 1/2, whatever the first muscle.
+    for io in IO_BY_NAME.values():
+        assert _envelope(kind, io, s=1) == BoundSpec(1.0, 0.0)
+    applicable, bound = bound_envelope(BoundSpec(1.0, 0.0), 1.0e15)
+    assert applicable
+    assert bound == pytest.approx(100.0 * EPS)
+    assert not bound_envelope(BoundSpec(1.0, 0.0), 1.0e16)[0]
+    # The other skeletons' envelopes do not depend on s.
+    for other in SkeletonKind:
+        if other.value in ("bcgsi_a_2s", "bcgsi_a_1s"):
+            continue
+        muscles = (HOUSE_QR,) * len(SKELETONS[other].slots)
+        assert _envelope(other, *muscles, s=1) == _envelope(other, *muscles)
+
+
 def test_bound_bcgs_family_has_no_envelope():
     # The paper proves no bound for BCGS or BCGS-A.
     for io in IO_BY_NAME.values():
@@ -333,10 +352,11 @@ ENVELOPE_TABLE = Path(__file__).with_name("bound_envelopes.csv")
 
 
 def _envelope_table() -> list[str]:
-    """One line per combo: every combo ``make_combo`` builds from the four
-    muscles in every slot, with its envelope or ``none``."""
+    """One line per combo and block width: every combo ``make_combo``
+    builds from the four muscles in every slot, at s = 5 and s = 1, with
+    its envelope or ``none``."""
     lines = []
-    for kind in SkeletonKind:
+    for s, kind in itertools.product((5, 1), SkeletonKind):
         combos = {}
         for ios in itertools.product(IO_BY_NAME.values(), repeat=3):
             try:
@@ -344,7 +364,7 @@ def _envelope_table() -> list[str]:
             except ConfigError:  # a tied skeleton given untied muscles
                 continue
         for combo in combos:
-            spec = SKELETONS[kind].envelope(*combo.muscles)
+            spec = SKELETONS[kind].envelope(*combo.muscles, s=s)
             names = [io.kind if io else "" for io in
                      (combo.io_a, combo.io1, combo.io2)]
             if spec is None:
@@ -352,12 +372,12 @@ def _envelope_table() -> list[str]:
             else:
                 envelope = [repr(float(spec.theta)),
                             repr(float(spec.loo_exponent))]
-            lines.append(",".join([kind.value, *names, *envelope]))
+            lines.append(",".join([kind.value, *names, str(s), *envelope]))
     return lines
 
 
 def test_bound_envelope_table_is_frozen():
-    # skeleton,io_a,io1,io2,theta,loo_exponent (or none: no theorem)
+    # skeleton,io_a,io1,io2,s,theta,loo_exponent (or none: no theorem)
     assert _envelope_table() == ENVELOPE_TABLE.read_text().splitlines()
 
 

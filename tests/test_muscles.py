@@ -27,7 +27,6 @@ from blockgs.muscles import (
     QROutput,
     _fix_signs,
     _givens_stages,
-    _givens_windows,
     apply_io,
     chol_free,
     chol_qr,
@@ -297,6 +296,18 @@ def test_apply_io_records_even_on_failure():
     assert ledger.total == 1
 
 
+@pytest.mark.parametrize("spec", ALL_IOS, ids=lambda spec: spec.kind)
+@pytest.mark.parametrize(
+    "x", [np.ones(5), np.ones((2, 5)), np.ones((5, 0))],
+    ids=["1-d", "wide", "no-columns"],
+)
+def test_apply_io_rejects_a_malformed_block_before_charging(spec, x):
+    ledger = SyncLedger()
+    with pytest.raises(ValueError):
+        apply_io(spec, x, ledger=ledger, block=1)
+    assert ledger.events == []
+
+
 def test_io_spec_is_frozen():
     with pytest.raises(AttributeError):
         HOUSE_QR.alpha = 5  # type: ignore[misc]
@@ -456,23 +467,6 @@ def test_givens_keeps_every_bit_in_a_narrow_window(x, slack):
     for a, b in ((want.q, got.q), (want.r, got.r)):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def test_givens_windows_hold_every_row_their_stages_turn():
-    for m in range(1, 40):
-        for s in range(1, min(m, 6) + 1):
-            for height in sorted({min(m, 2 * s + w) for w in (0, 1, 3, 128)}):
-                windows = _givens_windows(m, s, height)
-                bases = [base for base, _ in windows]
-                assert bases == sorted(set(bases), reverse=True)
-                assert bases[-1] == 0 and bases[0] == max(0, m - height)
-                flat = []
-                for base, stages in windows:
-                    rows = min(height, m - base)
-                    for top, j0, k in stages:
-                        assert 0 <= top and top + 2 * k <= rows
-                        flat.append((top + base, j0, k))
-                assert flat == list(_givens_stages(m, s))
 
 
 def test_givens_holds_a_window_not_an_m_by_m_workspace():

@@ -1,7 +1,8 @@
 """Every measurement returns a float, NaN exactly when its value is undefined.
 
 The inputs plant NaN or an infinity, scale by 2**±1000, make a matrix
-singular or all zero, or push a product or a ratio past the double range.
+singular, all zero or empty, or push a product or a ratio past the double
+range.
 Each case states its outcome by construction: a defined case keeps every
 product well inside the double range, an undefined one leaves it by
 hundreds of binades.  No call may raise or warn.
@@ -252,3 +253,18 @@ def test_sweep_skips_a_point_whose_probes_are_all_undefined(monkeypatch):
     [rec] = run_sweep(config)
     assert rec.note.startswith("piled calibration missed target")
     assert rec.failed and math.isnan(rec.kappa_actual) and math.isnan(rec.loo)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_an_empty_matrix_is_undefined(shape):
+    a = np.zeros(shape)
+    r = np.eye(shape[1])
+    _check(_call(spectral_norm, a), False, "spectral_norm")
+    _check(_call(cond_2, a), False, "cond_2")
+    _check(_call(loo, a), False, "loo")
+    _check(_call(rel_res, a, a, r), False, "rel_res")
+    _check(_call(rel_chol_res, a, r), False, "rel_chol_res")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = scaled_gram(a)
+    assert stats.exponent == 0 and math.isnan(stats.lam_max)
