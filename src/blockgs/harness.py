@@ -22,6 +22,7 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, field, fields
+from io import StringIO
 
 import numpy as np
 
@@ -425,19 +426,23 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
     return records
 
 
-def _record_row(rec: RunRecord) -> str:
-    return ",".join(
-        fmt(getattr(rec, name)) for name, (fmt, _) in _CSV_COLUMNS
-    )
+def _record_row(rec: RunRecord) -> list[str]:
+    return [fmt(getattr(rec, name)) for name, (fmt, _) in _CSV_COLUMNS]
 
 
 def write_csv(records, path) -> None:
-    """Serialize records with the fixed header and 17-significant-digit floats."""
-    lines = [",".join(CSV_FIELDS)]
-    lines.extend(_record_row(rec) for rec in records)
+    """Serialize records with the fixed header and 17-significant-digit
+    floats, one ``\\n``-ended line per record.  A cell holding a comma, a
+    quote or a line break (only a free-text ``matrix_class`` can) is
+    quoted, so :func:`read_csv` reads it back; sweep rows need no quotes.
+    """
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows(_record_row(rec) for rec in records)
     try:
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text.getvalue())
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -458,31 +463,43 @@ def _row_combo(rec: RunRecord) -> Combo:
     return Combo(kind, *ios)
 
 
+# Metrics a failed run never measures: NaN on every failed row.
+_METRICS = ("loo", "rel_res", "rel_chol_res")
+# Columns that hold a norm, a count or a duration: >= 0 or NaN.
+_NONNEGATIVE = (*_METRICS, "sync_per_block", "elapsed_ms")
+
+
 def _check_row(rec: RunRecord) -> None:
     """Raise ``ValueError`` unless a sweep could have written the row: a
     shape :func:`~blockgs.blockcore.check_partition` accepts, cells that
-    name a combo (:func:`_row_combo`) and a measured kappa >= 1 or NaN.
+    name a combo (:func:`_row_combo`), kappas >= 1 or NaN, metrics, sync
+    count and time >= 0 or NaN, and NaN metrics on a failed row.
     ``matrix_class`` is free text, since :func:`run_single` writes any
     label.
     """
     check_partition(rec.m, rec.p, rec.s)
     _row_combo(rec)
-    if rec.kappa_actual < 1.0:
-        raise ValueError(
-            f"kappa must be >= 1 or NaN in column kappa_actual,"
-            f" got {rec.kappa_actual}"
-        )
+    for name in ("kappa_target", "kappa_actual"):
+        value = getattr(rec, name)
+        if value < 1.0:
+            raise ValueError(
+                f"kappa must be >= 1 or NaN in column {name}, got {value}"
+            )
+    for name in _NONNEGATIVE:
+        value = getattr(rec, name)
+        if value < 0.0:
+            raise ValueError(f"{name} must be >= 0 or NaN, got {value}")
+    for name in _METRICS if rec.failed else ():
+        value = getattr(rec, name)
+        if not math.isnan(value):
+            raise ValueError(
+                f"a failed row has NaN metrics, got {name}={value}"
+            )
 
 
-def read_csv(path) -> list[RunRecord]:
-    """Read back a CSV written by :func:`write_csv`.
-
-    Every cell must be spelled as the writer spells its value, and every
-    row must be one a sweep could have written (see :func:`_check_row`).
-    Raises ``OSError`` when the file cannot be read and ``ValueError``,
-    naming the line, when its header or a row is malformed.
-    """
-    records = []
+def _read_rows(path) -> list[tuple[int, RunRecord]]:
+    """:func:`read_csv`'s records, each with the file line it ends on."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(CSV_FIELDS):
@@ -503,8 +520,19 @@ def read_csv(path) -> list[RunRecord]:
                 _check_row(record)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            records.append(record)
-    return records
+            rows.append((reader.line_num, record))
+    return rows
+
+
+def read_csv(path) -> list[RunRecord]:
+    """Read back a CSV written by :func:`write_csv`.
+
+    Every cell must be spelled as the writer spells its value, and every
+    row must be one a sweep could have written (see :func:`_check_row`).
+    Raises ``OSError`` when the file cannot be read and ``ValueError``,
+    naming the line, when its header or a row is malformed.
+    """
+    return [record for _, record in _read_rows(path)]
 
 
 def _row_envelope(rec: RunRecord) -> tuple[bool, float]:
@@ -529,22 +557,23 @@ def check_bounds(path, *, out=None) -> list[str]:
     """
     if out is None:
         out = sys.stdout
-    records = read_csv(path)
+    rows = _read_rows(path)
     violations = []
     checked = 0
-    for i, rec in enumerate(records, start=2):  # line number in file
+    for line, rec in rows:
         applicable, bound = _row_envelope(rec)
         if not applicable:
             continue
         checked += 1
         if math.isnan(rec.loo) or rec.loo > bound:
             violations.append(
-                f"{path}:{i}: {rec.skeleton} ({rec.io_a}/{rec.io1}/{rec.io2})"
+                f"{path}:{line}: {rec.skeleton}"
+                f" ({rec.io_a}/{rec.io1}/{rec.io2})"
                 f" at kappa={rec.kappa_actual:.3e}: loo={rec.loo:.3e}"
                 f" exceeds bound {bound:.3e}"
             )
     print(
-        f"checked {checked} applicable rows out of {len(records)}: "
+        f"checked {checked} applicable rows out of {len(rows)}: "
         f"{len(violations)} violation(s)",
         file=out,
     )

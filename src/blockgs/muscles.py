@@ -20,11 +20,20 @@ Gram matrix (``chol_qr``), an exactly zero pivot (``chol_qr``, ``mgs_qr``)
 or an overflowing one (``mgs_qr``) gives NaN, and ``failed`` is true
 exactly when Q or R holds a non-finite entry.  Every routine works in
 O(m·s) memory.
+
+Skeletons call the routines through :func:`apply_io`, which charges each
+call to a sync ledger and serves ``givensqr`` and ``mgs`` calls from a
+bounded cache keyed by the block's contents (at most 512 KiB, keys
+included).  A hit is bit-identical to a fresh call and charged like one,
+so ledgers and CSV bytes do not depend on the cache.  ``houseqr`` and
+``cholqr`` calls, and direct calls of the routines, are never cached.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -389,6 +398,77 @@ _ROUTINES: dict[str, Callable[[np.ndarray], QROutput]] = {
     "cholqr": chol_qr,
 }
 
+# Bytes the muscle cache may hold, keys included: about 60 entries of a
+# 100-by-5 block.  A 4000-by-10 block's entry (640 KB) never fits.
+_CACHE_BYTES = 512 * 1024
+
+# The muscles ``apply_io`` serves from the cache.  ``house_qr`` costs about
+# as much as hashing its block; a ``chol_qr`` hit would skip a triangular
+# solve that the benchmark counts.
+_CACHED_KINDS = frozenset({"givensqr", "mgs"})
+
+
+def _entry_bytes(m: int, s: int) -> int:
+    """Bytes of one cache entry for an m-by-s block: its key bytes, Q, R."""
+    return 8 * (2 * m * s + s * s)
+
+
+def _fresh(q: np.ndarray, r: np.ndarray) -> QROutput:
+    """Copies of Q and R in their memory layout, shared with no one."""
+    return QROutput(np.array(q, order="K"), np.array(r, order="K"))
+
+
+class _QRCache:
+    """Least-recently-used map from (muscle kind, block shape, the block's
+    C-order float64 bytes) to a muscle's Q and R, holding at most
+    ``budget`` bytes of keys and factors.
+
+    A routine's Q and R depend only on its block's values, never on the
+    block's memory layout, so a hit equals a fresh call bit for bit.  The
+    stored arrays are private: a hit and a miss both return arrays that no
+    one else holds.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, QROutput] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+    def factor(self, kind: str, routine, x: np.ndarray) -> QROutput:
+        """``routine(x)``, from the cache when ``kind`` already met x's
+        values.  A block whose entry exceeds the budget is never keyed."""
+        size = _entry_bytes(*x.shape)
+        if size > self.budget:
+            return routine(x)
+        key = (kind, x.shape, x.tobytes())
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+        if hit is not None:
+            return _fresh(hit.q, hit.r)
+        out = routine(x)
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = _fresh(out.q, out.r)
+                self.nbytes += size
+                while self.nbytes > self.budget:
+                    (_, shape, _), _ = self._entries.popitem(last=False)
+                    self.nbytes -= _entry_bytes(*shape)
+        return out
+
+
+_CACHE = _QRCache(_CACHE_BYTES)
+
 
 def apply_io(
     spec: IOSpec,
@@ -404,6 +484,17 @@ def apply_io(
     muscles, and is recorded whether or not the call succeeds numerically —
     the reductions are spent either way.  A malformed block raises
     ``ValueError`` before anything is charged.
+
+    ``givensqr`` and ``mgs`` calls are served from a process-wide cache
+    keyed by the muscle, the block's shape and its float64 bytes, holding
+    at most ``_CACHE_BYTES`` (512 KiB), keys included.  A sweep that puts one
+    muscle in every slot factors the same blocks again and again: every
+    combo at a point factors the same first block, and BCGS-A and BCGSI+A
+    with tied slots repeat BCGS and BCGSI+ call for call.  A hit returns
+    fresh copies of Q and R, bit-identical to a fresh call, and is charged
+    like one, so ledgers, sync counts and CSV bytes do not depend on the
+    cache.  ``houseqr`` and ``cholqr`` calls, and direct calls of the
+    routines, are never cached.
     """
     x = _as_block(x)
     try:
@@ -412,4 +503,6 @@ def apply_io(
         raise ValueError(f"unknown intraorthogonalization {spec.kind!r}") from None
     label = "io-gram" if spec.kind == "cholqr" else "io-cols"
     ledger.record(block, label, spec.sync_cost(x.shape[1]))
+    if spec.kind in _CACHED_KINDS:
+        return _CACHE.factor(spec.kind, routine, x)
     return routine(x)

@@ -565,7 +565,7 @@ def test_every_shape_reader_accepts_the_same_partitions(m, p, s):
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "shape.csv"
-        path.write_text(_HEADER + harness._record_row(rec) + "\n")
+        path.write_text(_HEADER + ",".join(harness._record_row(rec)) + "\n")
         assert _accepts(lambda: read_csv(path)) == want
 
 
@@ -666,7 +666,7 @@ def test_csv_float_and_empty_field_formatting(tmp_path):
         rel_res=math.nan,
         rel_chol_res=0.0,
         sync_per_block=math.nan,
-        failed=True,
+        failed=False,
         elapsed_ms=0.0,
     )
     path = tmp_path / "one.csv"
@@ -674,12 +674,31 @@ def test_csv_float_and_empty_field_formatting(tmp_path):
     row = path.read_text().splitlines()[1]
     assert row == (
         "custom,10,2,1,NaN,1.0000000000000000e+00,BCGSI+A-1S,houseqr,,,"
-        "5.0000000000000000e-01,NaN,0.0000000000000000e+00,NaN,true,"
+        "5.0000000000000000e-01,NaN,0.0000000000000000e+00,NaN,false,"
         "0.0000000000000000e+00"
     )
     back = read_csv(path)[0]
     assert back.io1 == "" and back.io2 == ""
-    assert math.isnan(back.kappa_target) and back.failed
+    assert math.isnan(back.kappa_target) and not back.failed
+
+
+@pytest.mark.parametrize(
+    "label", ["my,label", 'a "quoted" label', "two\nlines", 'all,"\r\nthree"']
+)
+def test_csv_round_trips_free_text_labels(label, tmp_path):
+    # run_single writes any matrix_class; a comma, a quote or a line break
+    # is quoted, and check-bounds names the line a record ends on.
+    x = gen_default(40, 4, 2, 42, kappa=10.0)
+    rec = run_single(x, make_combo("bcgsi_a_2s"), matrix_class=label)
+    rec.elapsed_ms = 0.0
+    path = tmp_path / "label.csv"
+    write_csv([rec, rec], path)
+    assert read_csv(path) == [rec, rec]
+    rec.loo = 1.0
+    write_csv([rec, rec], path)
+    out = io.StringIO()
+    (*_, last) = check_bounds(path, out=out)
+    assert last.startswith(f"{path}:{1 + 2 * (1 + label.count(chr(10)))}: ")
 
 
 def test_read_csv_rejects_wrong_header(tmp_path):
@@ -752,9 +771,9 @@ def test_check_bounds_reads_a_kappa_whose_powers_overflow(tmp_path):
 
 def test_check_bounds_skips_uncovered_and_skipped_rows(tmp_path):
     # No theorem covers plain BCGS, nor BCGSI+ with a Gram-based first
-    # block; calibration skips carry NaN kappa.  None of these rows may be
-    # counted as checked, even with a loss of orthogonality far above any
-    # ceiling.
+    # block; calibration skips carry NaN kappa and NaN loo.  None of these
+    # rows may be counted as checked, even with a loss of orthogonality far
+    # above any ceiling (a NaN loo on a checked row is a violation).
     config = SweepConfig(
         matrix_class="piled",
         combos=(make_combo("bcgs"), make_combo("bcgsi_plus", CHOL_QR)),
@@ -762,7 +781,8 @@ def test_check_bounds_skips_uncovered_and_skipped_rows(tmp_path):
     )
     records = run_sweep(config)
     for rec in records:
-        rec.loo = 1.0e300
+        if not rec.failed:
+            rec.loo = 1.0e300
     path = tmp_path / "sweep.csv"
     write_csv(records, path)
     out = io.StringIO()
@@ -789,7 +809,7 @@ ENVELOPE_COMBOS = tuple(
 @given(
     combo_s=st.sampled_from(ENVELOPE_COMBOS),
     kappa=st.floats(0.0, 17.0).map(lambda e: 10.0**e),
-    loo=st.floats(allow_infinity=False),
+    loo=st.floats(min_value=0.0, allow_infinity=False) | st.just(math.nan),
 )
 def test_check_bounds_round_trip(tmp_path_factory, combo_s, kappa, loo):
     # A written row is checked exactly when its combo's envelope applies
@@ -1019,7 +1039,7 @@ def _row(skeleton, io_a="", io1="", io2="", kappa_actual=10.0):
         "default", 40, 4, 2, 10.0, kappa_actual, skeleton, io_a, io1, io2,
         1e-15, 1e-16, 1e-16, 2.0, False, 0.0,
     )
-    return _HEADER + harness._record_row(rec) + "\n"
+    return _HEADER + ",".join(harness._record_row(rec)) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -1156,6 +1176,24 @@ def test_check_bounds_rejects_cells_its_writer_never_writes(
         (
             _row("BCGSI+A-2S", "houseqr", kappa_actual=0.5),
             "kappa must be >= 1",
+        ),
+        (
+            _respelled_row("kappa_target", "5.0000000000000000e-01"),
+            "kappa must be >= 1 or NaN in column kappa_target",
+        ),
+        *(
+            (
+                _respelled_row(column, harness._fmt_float(-1e-15)),
+                f"{column} must be >= 0 or NaN",
+            )
+            for column in (
+                "loo", "rel_res", "rel_chol_res", "sync_per_block",
+                "elapsed_ms",
+            )
+        ),
+        (
+            _respelled_row("failed", "true"),
+            "a failed row has NaN metrics, got loo=1e-15",
         ),
     ],
 )

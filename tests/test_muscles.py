@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import types
 
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from blockgs import muscles
 from blockgs.blockcore import cond_2, spectral_norm
+from blockgs.harness import SweepConfig, make_combo, run_sweep, write_csv
 from blockgs.matgen import (
     gen_default,
     gen_monomial,
@@ -306,6 +309,219 @@ def test_apply_io_rejects_a_malformed_block_before_charging(spec, x):
     with pytest.raises(ValueError):
         apply_io(spec, x, ledger=ledger, block=1)
     assert ledger.events == []
+
+
+# ---------------------------------------------------------------------------
+# The muscle cache behind apply_io
+# ---------------------------------------------------------------------------
+
+CACHED_IOS = (GIVENS_QR, MGS)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.strides == b.strides and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+def _same_output(a: QROutput, b: QROutput) -> bool:
+    return _same_bits(a.q, b.q) and _same_bits(a.r, b.r)
+
+
+@st.composite
+def _cache_blocks(draw):
+    """An m-by-s block, m <= 12, in C, Fortran or strided layout, with
+    +0 and -0 entries and, sometimes, a NaN."""
+    s = draw(st.integers(1, 4))
+    m = draw(st.integers(s, 12))
+    x = standard_normal(make_rng(draw(st.integers(0, 2**32 - 1))), (m, s))
+    signed_zeros = draw(
+        st.lists(st.sampled_from((0.0, -0.0)), min_size=m * s, max_size=m * s)
+    )
+    for i, zero in enumerate(signed_zeros):
+        if draw(st.booleans()):
+            x.flat[i] = zero
+    if draw(st.booleans()):
+        x.flat[draw(st.integers(0, m * s - 1))] = np.nan
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        big = np.zeros((2 * m, 3 * s))
+        big[::2, ::3] = x
+        return big[::2, ::3]
+    return x
+
+
+@given(x=_cache_blocks(), spec=st.sampled_from(CACHED_IOS))
+@settings(max_examples=80, deadline=None)
+def test_a_cache_hit_equals_a_fresh_call_bit_for_bit(x, spec):
+    muscles._CACHE.clear()
+    before = x.tobytes()
+    fresh = FACTORIZERS[spec.kind](x)
+    ledger = SyncLedger()
+    # Keyed by its values alone: a C-order copy fills the entry that the
+    # block, in its own layout, then hits.
+    miss = apply_io(spec, np.ascontiguousarray(x), ledger=ledger, block=1)
+    assert len(muscles._CACHE) == 1
+    hit = apply_io(spec, x, ledger=ledger, block=2)
+    assert len(muscles._CACHE) == 1
+    assert _same_output(miss, fresh) and _same_output(hit, fresh)
+    assert x.tobytes() == before
+
+
+def test_the_cache_keys_kind_shape_and_signed_zeros_apart():
+    muscles._CACHE.clear()
+    x = np.random.default_rng(21).standard_normal((6, 2))
+    x[0, 1] = 0.0
+    negated_zero = x.copy()
+    negated_zero[0, 1] = -0.0
+    ledger = SyncLedger()
+    calls = [
+        (GIVENS_QR, x),
+        (MGS, x),
+        (GIVENS_QR, x.reshape(4, 3)),
+        (GIVENS_QR, negated_zero),
+    ]
+    for spec, block in calls:
+        out = apply_io(spec, block, ledger=ledger, block=1)
+        assert _same_output(out, FACTORIZERS[spec.kind](block))
+    assert len(muscles._CACHE) == len(calls)
+
+
+@pytest.mark.parametrize("spec", CACHED_IOS, ids=lambda spec: spec.kind)
+def test_mutating_a_returned_factor_leaves_later_hits_alone(spec):
+    muscles._CACHE.clear()
+    x = np.random.default_rng(22).standard_normal((9, 3))
+    want = FACTORIZERS[spec.kind](x)
+    ledger = SyncLedger()
+    first = apply_io(spec, x, ledger=ledger, block=1)
+    first.q[...] = 7.0
+    first.r[...] = 7.0
+    second = apply_io(spec, x, ledger=ledger, block=2)
+    assert _same_output(second, want)
+    second.q[...] = 8.0
+    second.r[...] = 8.0
+    third = apply_io(spec, x, ledger=ledger, block=3)
+    assert _same_output(third, want)
+    assert not np.shares_memory(third.q, second.q)
+
+
+@pytest.mark.parametrize("spec", ALL_IOS, ids=lambda spec: spec.kind)
+def test_a_cache_hit_is_charged_like_a_fresh_call(spec):
+    x = np.random.default_rng(23).standard_normal((8, 3))
+    ledger = SyncLedger()
+    for block in (1, 2, 3):
+        apply_io(spec, x, ledger=ledger, block=block)
+    assert [e.block for e in ledger.events] == [1, 2, 3]
+    assert ledger.total == 3 * spec.sync_cost(3)
+
+
+def test_only_givens_and_mgs_calls_through_apply_io_are_cached():
+    muscles._CACHE.clear()
+    x = np.random.default_rng(24).standard_normal((8, 3))
+    for fn in FACTORIZERS.values():
+        fn(x)
+    ledger = SyncLedger()
+    for spec in (HOUSE_QR, CHOL_QR):
+        apply_io(spec, x, ledger=ledger, block=1)
+    assert len(muscles._CACHE) == 0
+    for spec in CACHED_IOS:
+        apply_io(spec, x, ledger=ledger, block=1)
+    assert len(muscles._CACHE) == 2
+
+
+class _Unkeyable(np.ndarray):
+    def tobytes(self, order="C"):
+        raise AssertionError("a block above the budget was keyed")
+
+
+def test_the_cache_holds_at_most_its_budget():
+    assert muscles._CACHE.budget == muscles._CACHE_BYTES <= 512 * 1024
+    # A 4000-by-10 block's entry (640 KB) never fits the module's budget.
+    assert muscles._entry_bytes(4000, 10) > muscles._CACHE_BYTES
+    rng = np.random.default_rng(25)
+    cache = muscles._QRCache(3 * muscles._entry_bytes(10, 3))
+    blocks = [rng.standard_normal((10, 3)) for _ in range(5)]
+    for i in range(20):
+        x = blocks[rng.integers(len(blocks))]
+        out = cache.factor("mgs", mgs_qr, x)
+        assert _same_output(out, mgs_qr(x))
+        assert 1 <= len(cache) <= 3
+        assert cache.nbytes == len(cache) * muscles._entry_bytes(10, 3)
+        assert cache.nbytes <= cache.budget
+    # One row more and the entry no longer fits: the block is factored but
+    # never hashed or stored.
+    cache.clear()
+    tall = rng.standard_normal((11 * 3 + 1, 3))
+    small = muscles._QRCache(muscles._entry_bytes(*tall.shape) - 1)
+    out = small.factor("mgs", mgs_qr, tall.view(_Unkeyable))
+    assert _same_output(out, mgs_qr(tall))
+    assert len(small) == 0 and small.nbytes == 0
+
+
+def test_threads_sharing_a_cache_lose_no_entry_and_keep_every_bit():
+    rng = np.random.default_rng(26)
+    blocks = [rng.standard_normal((10, 3)) for _ in range(6)]
+    want = [givens_qr(x) for x in blocks]
+    size = muscles._entry_bytes(10, 3)
+    cache = muscles._QRCache(4 * size)
+    errors = []
+
+    def worker(seed):
+        order = np.random.default_rng(seed).integers(len(blocks), size=60)
+        try:
+            for i in order:
+                if not _same_output(
+                    cache.factor("givensqr", givens_qr, blocks[i]), want[i]
+                ):
+                    errors.append(i)
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(seed,)) for seed in range(6)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cache.nbytes == len(cache) * size <= cache.budget
+
+
+def test_a_sweep_writes_the_same_bytes_with_no_cold_or_warm_cache(
+    tmp_path, monkeypatch
+):
+    config = SweepConfig(
+        "monomial",
+        tuple(
+            make_combo(kind, io, io, io)
+            for kind in ("bcgs", "bcgs_a", "bcgsi_plus", "bcgsi_plus_a")
+            for io in CACHED_IOS
+        ),
+        (1.0e2, 1.0e8),
+        m=40,
+        p=4,
+        s=2,
+    )
+    paths = [tmp_path / f"{name}.csv" for name in ("none", "cold", "warm")]
+    with monkeypatch.context() as patch:
+        patch.setattr(muscles, "_CACHE", muscles._QRCache(0))
+        write_csv(run_sweep(config), paths[0])
+        assert len(muscles._CACHE) == 0
+    muscles._CACHE.clear()
+    write_csv(run_sweep(config), paths[1])
+    assert len(muscles._CACHE) > 0
+    write_csv(run_sweep(config), paths[2])
+    none, cold, warm = (path.read_bytes() for path in paths)
+    assert none == cold == warm
 
 
 def test_io_spec_is_frozen():
