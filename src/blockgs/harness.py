@@ -71,10 +71,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Combo:
-    """One skeleton plus exactly the muscle slots it consumes, equal ones
-    when it is tied; any other ``Combo`` raises ``ConfigError``, so every
-    one built runs.  The skeleton may be given in any spelling
-    :func:`_parse_skeleton` accepts and is stored as a :class:`SkeletonKind`.
+    """One skeleton plus exactly the muscle slots it consumes, each holding
+    a muscle of ``IO_BY_NAME`` and equal ones when it is tied; any other
+    ``Combo`` raises ``ConfigError``, so every one built runs.  The
+    skeleton may be given in any spelling :func:`_parse_skeleton` accepts
+    and is stored as a :class:`SkeletonKind`.
     """
 
     skeleton: SkeletonKind
@@ -91,6 +92,11 @@ class Combo:
                 raise ConfigError(f"{spec.display} requires {slot}")
             if not used and io is not None:
                 raise ConfigError(f"{spec.display} takes no {slot}")
+            if used and io not in IO_BY_NAME.values():
+                raise ConfigError(
+                    f"{spec.display} {slot} must be a registered muscle, "
+                    f"got {io!r}"
+                )
         if spec.tied and len(set(self.muscles)) > 1:
             raise ConfigError(f"{spec.display} requires tied muscle slots")
 
@@ -148,9 +154,9 @@ def make_combo(
         tied = supplied.pop() if supplied else HOUSE_QR
         return Combo(kind, **{slot: tied for slot in spec.slots})
     pool = {
-        "io_a": io_a or HOUSE_QR,
-        "io1": io1 or CHOL_QR,
-        "io2": io2 or CHOL_QR,
+        "io_a": HOUSE_QR if io_a is None else io_a,
+        "io1": CHOL_QR if io1 is None else io1,
+        "io2": CHOL_QR if io2 is None else io2,
     }
     return Combo(kind, **{slot: pool[slot] for slot in spec.slots})
 
@@ -247,7 +253,8 @@ class SweepConfig:
     a known matrix class, some :class:`Combo` objects, real kappa targets
     and integer m, p, s and seed (numpy scalars included, ``bool`` nowhere),
     with values that ``check_kappa``, ``check_partition`` and ``make_rng``
-    accept; anything else raises ``ConfigError``.
+    accept; anything else raises ``ConfigError``.  ``combos`` and ``kappas``
+    may be any iterables, generators included; both are stored as tuples.
     """
 
     matrix_class: str
@@ -261,6 +268,16 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.matrix_class not in MATRIX_CLASSES:
             raise ConfigError(f"unknown matrix class {self.matrix_class!r}")
+        # Kept as tuples: a generator would be consumed by the checks below,
+        # and a list would make the frozen config unhashable.
+        for name in ("combos", "kappas"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(value))
+            except TypeError:
+                raise ConfigError(
+                    f"{name} must be iterable, got {value!r}"
+                ) from None
         if not self.combos:
             raise ConfigError("no skeleton/muscle combinations requested")
         if not all(isinstance(combo, Combo) for combo in self.combos):
@@ -724,7 +741,12 @@ def _parse_kappas(args) -> tuple[float, ...]:
             ) from None
         if hi < lo or count < 1:
             raise ConfigError("--kappa-range wants lo <= hi, count >= 1")
-        return tuple(np.logspace(math.log10(lo), math.log10(hi), count))
+        try:
+            return tuple(np.logspace(math.log10(lo), math.log10(hi), count))
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(
+                f"--kappa-range count {count} is too large: {exc}"
+            ) from None
     raise ConfigError("a sweep needs --kappas or --kappa-range")
 
 

@@ -38,7 +38,7 @@ from blockgs.harness import (
 )
 from blockgs.matgen import gen_default, gen_monomial, gen_piled
 from blockgs.metrics import EPS, bound_envelope
-from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS
+from blockgs.muscles import CHOL_QR, HOUSE_QR, IO_BY_NAME, MGS, IOSpec
 from blockgs.skeletons import SKELETONS, SkeletonKind
 
 
@@ -104,6 +104,29 @@ def test_hand_built_combos_are_validated():
             Combo(name, HOUSE_QR)
     with pytest.raises(ConfigError, match="unknown skeleton 'nope'"):
         make_combo("nope")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["houseqr", 1.5, 0.0, IOSpec("foo", 0), IOSpec("houseqr", 1)],
+    ids=["string", "float", "zero", "unknown-kind", "unknown-alpha"],
+)
+def test_combos_take_only_registered_muscles(bad):
+    # Only a muscle of IO_BY_NAME runs; anything else is refused when the
+    # combo is built, not with an AttributeError or ValueError in a run.
+    with pytest.raises(ConfigError, match="must be a registered muscle"):
+        Combo("bcgs_a", bad, CHOL_QR)
+    with pytest.raises(ConfigError, match="must be a registered muscle"):
+        Combo("bcgs_a", HOUSE_QR, bad)
+    with pytest.raises(ConfigError, match="must be a registered muscle"):
+        Combo("bcgs", bad, bad)
+    for kind in ("bcgs", "bcgs_a", "bcgsi_plus_a", "bcgsi_a_1s"):
+        with pytest.raises(ConfigError, match="must be a registered muscle"):
+            make_combo(kind, io_a=bad)
+    with pytest.raises(ConfigError, match="must be a registered muscle"):
+        make_combo("bcgsi_plus_a", io2=bad)
+    # An equal spec is the registered muscle.
+    assert Combo("bcgs_a", IOSpec("houseqr", 0), CHOL_QR) == make_combo("bcgs_a")
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +543,22 @@ def test_sweep_config_rejects_wrong_types(name, value, fragment):
     # not a TypeError or AttributeError later in run_sweep.
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         dataclasses.replace(_small_sweep(), **{name: value})
+
+
+def test_sweep_config_keeps_generators_and_lists_as_tuples():
+    base = _small_sweep()
+    as_tuple = run_sweep(base)
+    for wrap in (list, iter, lambda seq: (item for item in seq)):
+        config = SweepConfig(
+            base.matrix_class, wrap(base.combos), wrap(base.kappas)
+        )
+        assert config == base and hash(config) == hash(base)
+        assert isinstance(config.combos, tuple)
+        assert isinstance(config.kappas, tuple)
+        assert run_sweep(config) == as_tuple
+    for name in ("combos", "kappas"):
+        with pytest.raises(ConfigError, match=f"{name} must be iterable"):
+            dataclasses.replace(base, **{name: None})
 
 
 def test_sweep_config_takes_numpy_scalars():
@@ -974,6 +1013,28 @@ def test_cli_sweep_kappa_range_rejects_an_infinite_end(tmp_path, spec):
     assert (code, out) == (2, "")
     (line,) = err.splitlines()
     assert line.startswith("blockgs: error: ") and "inf" in line
+    assert not out_path.exists()
+
+
+def test_cli_sweep_kappa_range_count_too_large_exits_2(tmp_path, monkeypatch):
+    # A count past numpy's largest array fails before anything is allocated.
+    out_path = tmp_path / "run.csv"
+    argv = ["sweep", "--matrix", "default", "--kappa-range",
+            f"1:10:{10**20}", "--out", str(out_path)]
+    code, out, err = _capture(cli_main, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("blockgs: error: --kappa-range count")
+    assert not out_path.exists()
+
+    # A count numpy accepts but cannot allocate; never really asked for.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(harness.np, "logspace", no_memory)
+    argv[4] = "1:10:100000000000"
+    code, out, err = _capture(cli_main, argv)
+    assert (code, out) == (2, "")
+    assert "745. GiB" in err and err.startswith("blockgs: error: ")
     assert not out_path.exists()
 
 

@@ -353,25 +353,30 @@ def _cache_blocks(draw):
     return x
 
 
+def _cache_size() -> int:
+    return muscles._cached_factor.cache_info().currsize
+
+
 @given(x=_cache_blocks(), spec=st.sampled_from(CACHED_IOS))
 @settings(max_examples=80, deadline=None)
 def test_a_cache_hit_equals_a_fresh_call_bit_for_bit(x, spec):
-    muscles._CACHE.clear()
+    muscles._cached_factor.cache_clear()
     before = x.tobytes()
     fresh = FACTORIZERS[spec.kind](x)
     ledger = SyncLedger()
     # Keyed by its values alone: a C-order copy fills the entry that the
     # block, in its own layout, then hits.
     miss = apply_io(spec, np.ascontiguousarray(x), ledger=ledger, block=1)
-    assert len(muscles._CACHE) == 1
+    assert muscles._cached_factor.cache_info()[:2] == (0, 1)
     hit = apply_io(spec, x, ledger=ledger, block=2)
-    assert len(muscles._CACHE) == 1
+    assert muscles._cached_factor.cache_info()[:2] == (1, 1)
+    assert _cache_size() == 1
     assert _same_output(miss, fresh) and _same_output(hit, fresh)
     assert x.tobytes() == before
 
 
 def test_the_cache_keys_kind_shape_and_signed_zeros_apart():
-    muscles._CACHE.clear()
+    muscles._cached_factor.cache_clear()
     x = np.random.default_rng(21).standard_normal((6, 2))
     x[0, 1] = 0.0
     negated_zero = x.copy()
@@ -386,12 +391,13 @@ def test_the_cache_keys_kind_shape_and_signed_zeros_apart():
     for spec, block in calls:
         out = apply_io(spec, block, ledger=ledger, block=1)
         assert _same_output(out, FACTORIZERS[spec.kind](block))
-    assert len(muscles._CACHE) == len(calls)
+    info = muscles._cached_factor.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, len(calls), len(calls))
 
 
 @pytest.mark.parametrize("spec", CACHED_IOS, ids=lambda spec: spec.kind)
 def test_mutating_a_returned_factor_leaves_later_hits_alone(spec):
-    muscles._CACHE.clear()
+    muscles._cached_factor.cache_clear()
     x = np.random.default_rng(22).standard_normal((9, 3))
     want = FACTORIZERS[spec.kind](x)
     ledger = SyncLedger()
@@ -405,10 +411,12 @@ def test_mutating_a_returned_factor_leaves_later_hits_alone(spec):
     third = apply_io(spec, x, ledger=ledger, block=3)
     assert _same_output(third, want)
     assert not np.shares_memory(third.q, second.q)
+    assert muscles._cached_factor.cache_info().hits == 2
 
 
 @pytest.mark.parametrize("spec", ALL_IOS, ids=lambda spec: spec.kind)
 def test_a_cache_hit_is_charged_like_a_fresh_call(spec):
+    muscles._cached_factor.cache_clear()
     x = np.random.default_rng(23).standard_normal((8, 3))
     ledger = SyncLedger()
     for block in (1, 2, 3):
@@ -418,63 +426,72 @@ def test_a_cache_hit_is_charged_like_a_fresh_call(spec):
 
 
 def test_only_givens_and_mgs_calls_through_apply_io_are_cached():
-    muscles._CACHE.clear()
+    muscles._cached_factor.cache_clear()
     x = np.random.default_rng(24).standard_normal((8, 3))
     for fn in FACTORIZERS.values():
         fn(x)
     ledger = SyncLedger()
     for spec in (HOUSE_QR, CHOL_QR):
         apply_io(spec, x, ledger=ledger, block=1)
-    assert len(muscles._CACHE) == 0
+    assert muscles._cached_factor.cache_info()[:] == (0, 0, 64, 0)
     for spec in CACHED_IOS:
         apply_io(spec, x, ledger=ledger, block=1)
-    assert len(muscles._CACHE) == 2
+    assert _cache_size() == 2
 
 
-class _Unkeyable(np.ndarray):
-    def tobytes(self, order="C"):
-        raise AssertionError("a block above the budget was keyed")
-
-
-def test_the_cache_holds_at_most_its_budget():
-    assert muscles._CACHE.budget == muscles._CACHE_BYTES <= 512 * 1024
-    # A 4000-by-10 block's entry (640 KB) never fits the module's budget.
-    assert muscles._entry_bytes(4000, 10) > muscles._CACHE_BYTES
+def test_the_cache_holds_at_most_its_budget(monkeypatch):
+    assert muscles._CACHE_ENTRIES == 64
+    assert muscles._CACHE_BLOCK_BYTES == 4096
+    assert muscles._cached_factor.cache_info().maxsize == muscles._CACHE_ENTRIES
+    # Key, Q and R of a block of at most 4 KiB (s*s <= m*s): 768 KiB in all.
+    assert 3 * muscles._CACHE_ENTRIES * muscles._CACHE_BLOCK_BYTES <= 768 * 1024
+    muscles._cached_factor.cache_clear()
     rng = np.random.default_rng(25)
-    cache = muscles._QRCache(3 * muscles._entry_bytes(10, 3))
-    blocks = [rng.standard_normal((10, 3)) for _ in range(5)]
-    for i in range(20):
-        x = blocks[rng.integers(len(blocks))]
-        out = cache.factor("mgs", mgs_qr, x)
+    blocks = [rng.standard_normal((10, 3)) for _ in range(70)]
+    ledger = SyncLedger()
+    for i, x in enumerate(blocks):
+        out = apply_io(MGS, x, ledger=ledger, block=1)
         assert _same_output(out, mgs_qr(x))
-        assert 1 <= len(cache) <= 3
-        assert cache.nbytes == len(cache) * muscles._entry_bytes(10, 3)
-        assert cache.nbytes <= cache.budget
-    # One row more and the entry no longer fits: the block is factored but
-    # never hashed or stored.
-    cache.clear()
-    tall = rng.standard_normal((11 * 3 + 1, 3))
-    small = muscles._QRCache(muscles._entry_bytes(*tall.shape) - 1)
-    out = small.factor("mgs", mgs_qr, tall.view(_Unkeyable))
-    assert _same_output(out, mgs_qr(tall))
-    assert len(small) == 0 and small.nbytes == 0
+        assert _cache_size() == min(i + 1, 64)
+    # The oldest entries were evicted: the first block misses again.
+    misses = muscles._cached_factor.cache_info().misses
+    apply_io(MGS, blocks[0], ledger=ledger, block=1)
+    assert muscles._cached_factor.cache_info().misses == misses + 1
+    assert _cache_size() == 64
+    # A block of exactly 4 KiB is cached; one row more (4104 bytes) is
+    # factored but never hashed or handed to the cached function.
+    muscles._cached_factor.cache_clear()
+    edge = rng.standard_normal((128, 4))
+    apply_io(MGS, edge, ledger=ledger, block=1)
+    assert _cache_size() == 1
+
+    def unreachable(*args):
+        raise AssertionError("a block above 4 KiB reached the cache")
+
+    monkeypatch.setattr(muscles, "_cached_factor", unreachable)
+    tall = rng.standard_normal((171, 3))
+    assert tall.nbytes == 4104
+    for spec in CACHED_IOS:
+        out = apply_io(spec, tall, ledger=ledger, block=1)
+        assert _same_output(out, FACTORIZERS[spec.kind](tall))
 
 
 def test_threads_sharing_a_cache_lose_no_entry_and_keep_every_bit():
+    muscles._cached_factor.cache_clear()
     rng = np.random.default_rng(26)
-    blocks = [rng.standard_normal((10, 3)) for _ in range(6)]
+    # More blocks than the cache holds, so the threads also evict.
+    blocks = [rng.standard_normal((10, 3)) for _ in range(80)]
     want = [givens_qr(x) for x in blocks]
-    size = muscles._entry_bytes(10, 3)
-    cache = muscles._QRCache(4 * size)
+    calls = 150
     errors = []
 
     def worker(seed):
-        order = np.random.default_rng(seed).integers(len(blocks), size=60)
+        ledger = SyncLedger()
+        order = np.random.default_rng(seed).integers(len(blocks), size=calls)
         try:
             for i in order:
-                if not _same_output(
-                    cache.factor("givensqr", givens_qr, blocks[i]), want[i]
-                ):
+                out = apply_io(GIVENS_QR, blocks[i], ledger=ledger, block=1)
+                if not _same_output(out, want[i]):
                     errors.append(i)
         except Exception as exc:  # reported by the assertions below
             errors.append(exc)
@@ -493,7 +510,9 @@ def test_threads_sharing_a_cache_lose_no_entry_and_keep_every_bit():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert cache.nbytes == len(cache) * size <= cache.budget
+    info = muscles._cached_factor.cache_info()
+    assert info.hits + info.misses == 6 * calls
+    assert info.currsize == muscles._CACHE_ENTRIES
 
 
 def test_a_sweep_writes_the_same_bytes_with_no_cold_or_warm_cache(
@@ -512,14 +531,16 @@ def test_a_sweep_writes_the_same_bytes_with_no_cold_or_warm_cache(
         s=2,
     )
     paths = [tmp_path / f"{name}.csv" for name in ("none", "cold", "warm")]
+    muscles._cached_factor.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(muscles, "_CACHE", muscles._QRCache(0))
+        patch.setattr(muscles, "_CACHE_BLOCK_BYTES", -1)
         write_csv(run_sweep(config), paths[0])
-        assert len(muscles._CACHE) == 0
-    muscles._CACHE.clear()
+        assert muscles._cached_factor.cache_info()[:] == (0, 0, 64, 0)
     write_csv(run_sweep(config), paths[1])
-    assert len(muscles._CACHE) > 0
+    assert _cache_size() > 0
+    hits = muscles._cached_factor.cache_info().hits
     write_csv(run_sweep(config), paths[2])
+    assert muscles._cached_factor.cache_info().hits > hits
     none, cold, warm = (path.read_bytes() for path in paths)
     assert none == cold == warm
 

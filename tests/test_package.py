@@ -1,4 +1,5 @@
-"""The package surface: ``blockgs.__all__`` and the README's import line."""
+"""The package surface: ``blockgs.__all__``, the README's import line and
+the module-level caches."""
 
 from pathlib import Path
 
@@ -45,3 +46,16 @@ def test_readme_quick_start_import_line_runs():
         names = line.removeprefix("from blockgs import ").split(",")
         for name in names:
             assert namespace[name.strip()] is getattr(blockgs, name.strip())
+
+
+def test_every_module_cache_is_bounded():
+    # Memory stays O(m*s) only while every functools cache has a maxsize;
+    # an unbounded one reports None.
+    maxsizes = {
+        f"{module.__name__}.{name}": value.cache_info().maxsize
+        for module in MODULES
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert len(maxsizes) >= 3, maxsizes
+    assert all(isinstance(size, int) for size in maxsizes.values()), maxsizes
