@@ -3,11 +3,21 @@
 Matrices are plain float64 ``numpy.ndarray`` objects; the only structured type
 is :class:`BlockMatrix`, which pins an explicit column partition onto a tall
 dense matrix.  Everything here is a pure function of its inputs.
+
+A pass over a large operand may run in panels, one contiguous range of an
+independent output dimension per usable core (:func:`_panels`,
+:func:`_run_panels`).  Each output element is formed by the same BLAS
+kernel or ufunc, from the same operands and in the same order as in one
+call, so the bits do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +101,173 @@ class BlockMatrix:
         return self.data[:, (k - 1) * s : k * s]
 
 
+# Panels.  An elementwise pass or a max/min over at least PANEL_BYTES
+# bytes, and a product whose operand holds at least its own threshold, is
+# split into one panel per usable core.  The calling thread and the
+# workers of a lazily made thread pool claim them in turn; numpy and BLAS
+# release the GIL for the work.  A call from a pool worker, or in a process
+# forked from this one, runs whole.  (Two or four panels per core were
+# slower on 20000x200 sweeps: each panel of a reduction packs the narrow
+# factor again.)
+PANEL_BYTES = 4 << 20
+
+# A product is split only into panels of at least this many multiply-adds:
+# above OpenBLAS's small-matrix cutoff (10**6 on SkylakeX), so each panel
+# takes the blocked kernel the whole product takes.
+_PANEL_MIN_WORK = 1 << 21
+
+# True once every loaded BLAS runs on one thread, as the CLI sets it
+# (``harness._one_blas_thread``).  Products are split only then: a BLAS on
+# several threads splits them itself, and its split depends on their size.
+_blas_pinned = False
+
+# Made at first use: importing the executor's module costs every process
+# about 2 ms.
+_pool: concurrent.futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_local = threading.local()
+_forked = False
+
+
+def _cores() -> int:
+    """Cores this process may run on (``taskset`` narrows them)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _mark_worker() -> None:
+    _local.worker = True
+
+
+def _after_fork_in_child() -> None:
+    global _pool, _pool_lock, _forked
+    _pool, _pool_lock, _forked = None, threading.Lock(), True
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def _panels(
+    n: int,
+    nbytes: int,
+    min_bytes: int | None = None,
+    *,
+    grain: int = 1,
+    work: int = 0,
+) -> list[int]:
+    """Bounds ``[0, b_1, ..., n]`` of the panels a pass over ``range(n)``
+    splits into; ``[0, n]`` (one panel) unless its operand of ``nbytes``
+    bytes holds at least ``min_bytes`` (default ``PANEL_BYTES``).
+
+    There is at most one panel per usable core.  Inner bounds are multiples
+    of ``grain``, and every panel holds at least ``grain`` indices and, for
+    a product of ``work`` multiply-adds, at least ``_PANEL_MIN_WORK`` of
+    them; a product is split only while BLAS runs on one thread.  Bounds
+    round up, so the first panel, which the calling thread takes, is the
+    largest: a reduction whose caller had the smaller panel ran no faster
+    than one call (20000-row products of 96 to 120 columns).
+    """
+    if min_bytes is None:
+        min_bytes = PANEL_BYTES
+    if (
+        nbytes < min_bytes
+        or (work and not _blas_pinned)
+        or _forked
+        or getattr(_local, "worker", False)
+    ):
+        return [0, n]
+    k = min(_cores(), n // (2 * grain))
+    if work:
+        k = min(k, work // _PANEL_MIN_WORK)
+    if k < 2:
+        return [0, n]
+    return [0, *(-(-n * i // (k * grain)) * grain for i in range(1, k)), n]
+
+
+def _run_panels(fn, bounds: list[int]) -> list:
+    """``[fn(lo, hi) for each panel]`` of ``bounds`` (see :func:`_panels`).
+
+    The calling thread and up to one pool worker per further core each
+    claim the next unclaimed panel until none is left, so a worker that
+    starts late or loses its core leaves its share to the others.  Each
+    worker runs in a copy of the caller's context, so ``np.errstate``
+    holds in it.  Every panel has finished when this returns or raises.
+    """
+    global _pool
+    panels = list(zip(bounds, bounds[1:]))
+    if len(panels) == 1:
+        return [fn(*panels[0])]
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=max(1, _cores() - 1),
+                thread_name_prefix="blockgs-panel",
+                initializer=_mark_worker,
+            )
+        pool = _pool
+    results = [None] * len(panels)
+    claims = iter(range(len(panels)))
+
+    def drain():
+        # next() on a range iterator is atomic under the GIL: each panel
+        # is claimed once.
+        for i in claims:
+            results[i] = fn(*panels[i])
+
+    helpers = min(_cores(), len(panels)) - 1
+    futures = [
+        pool.submit(contextvars.copy_context().run, drain)
+        for _ in range(max(1, helpers))
+    ]
+    try:
+        drain()
+    finally:
+        concurrent.futures.wait(futures)
+    for f in futures:
+        f.result()
+    return results
+
+
+def _extrema(a: np.ndarray, **initial) -> tuple[float, float]:
+    """``(a.max(**initial), a.min(**initial))`` of a float array; NaN in any
+    entry makes both NaN.
+
+    A contiguous 2-d ``a`` of at least ``PANEL_BYTES`` is read in panels
+    of whole columns (Fortran order) or rows (C order).  The panels' maxima
+    and minima are combined by ``np.max`` and ``np.min``, which propagate
+    NaN whatever their order.
+    """
+    if a.nbytes >= PANEL_BYTES and a.ndim == 2:
+        axis = 1 if a.flags.f_contiguous else 0
+        if axis or a.flags.c_contiguous:
+            bounds = _panels(a.shape[axis], a.nbytes)
+            if len(bounds) > 2:
+
+                def extrema(lo, hi):
+                    part = a[:, lo:hi] if axis else a[lo:hi]
+                    return part.max(**initial), part.min(**initial)
+
+                parts = np.array(_run_panels(extrema, bounds))
+                return parts[:, 0].max(), parts[:, 1].min()
+    return a.max(**initial), a.min(**initial)
+
+
 def all_finite(a: np.ndarray) -> bool:
     """True when no entry of the float array ``a`` is NaN or infinite; an
     empty ``a`` is finite.
 
-    Read from ``a.max()`` and ``a.min()``, so no mask the size of ``a`` is
-    formed: NaN propagates through ``max``, and an infinity is the largest
-    or the smallest entry.
+    Read from ``a.max()`` and ``a.min()`` (:func:`_extrema`), so no mask the
+    size of ``a`` is formed: NaN propagates through ``max``, and an infinity
+    is the largest or the smallest entry.
     """
-    return a.size == 0 or (math.isfinite(a.max()) and math.isfinite(a.min()))
+    if a.size == 0:
+        return True
+    # Most calls see one small block; they skip the panel helper.
+    top, bottom = (
+        (a.max(), a.min()) if a.nbytes < PANEL_BYTES else _extrema(a)
+    )
+    return math.isfinite(top) and math.isfinite(bottom)
 
 
 def _singular_values(a) -> np.ndarray:
@@ -136,6 +304,12 @@ def cond_2(a) -> float:
     return _finite_or_nan(float(sv[0]) / smin) if smin else math.nan
 
 
+# Row panels of project_out hold at least this many rows: more than one
+# OpenBLAS row block (192 rows on SkylakeX), so a panel's last rows take
+# the kernel they take in the whole product.
+_PROJECT_GRAIN = 256
+
+
 def project_out(x, q, c) -> np.ndarray:
     """Deflate ``X - Q C`` for tall m-by-s ``X``, m-by-n ``Q``, n-by-s ``C``.
 
@@ -143,8 +317,25 @@ def project_out(x, q, c) -> np.ndarray:
     of :meth:`~blockgs.syncmodel.SyncLedger.reduce`, so a column-major
     ``Q`` is read in place; the result is Fortran-ordered.  For s >= 5 its
     bits equal those of ``x - q @ c``; narrower blocks may differ in the
-    last bits.
+    last bits.  While BLAS runs on one thread, a ``Q`` of at least
+    ``PANEL_BYTES`` is deflated in panels of rows, one per core (see
+    :func:`_panels`), with the same bits.
     """
+    # Most calls deflate one small block; they skip the panel helper.
+    if q.nbytes >= PANEL_BYTES:
+        m, n = q.shape
+        s = c.shape[1]
+        bounds = _panels(m, q.nbytes, grain=_PROJECT_GRAIN, work=m * n * s)
+        if len(bounds) > 2:
+            t = np.empty((s, m))
+
+            def deflate(lo, hi):
+                panel = t[:, lo:hi]
+                np.matmul(c.T, q[lo:hi].T, out=panel)
+                np.subtract(x[lo:hi].T, panel, out=panel)
+
+            _run_panels(deflate, bounds)
+            return t.T
     t = c.T @ q.T
     np.subtract(x.T, t, out=t)
     return t.T

@@ -26,6 +26,7 @@ from io import StringIO
 
 import numpy as np
 
+from . import blockcore
 from .blockcore import BlockMatrix, check_partition, cond_2
 from .matgen import (
     MATRIX_CLASSES,
@@ -92,11 +93,8 @@ class Combo:
                 raise ConfigError(f"{spec.display} requires {slot}")
             if not used and io is not None:
                 raise ConfigError(f"{spec.display} takes no {slot}")
-            if used and io not in IO_BY_NAME.values():
-                raise ConfigError(
-                    f"{spec.display} {slot} must be a registered muscle, "
-                    f"got {io!r}"
-                )
+            if used:
+                _check_muscle(spec, slot, io)
         if spec.tied and len(set(self.muscles)) > 1:
             raise ConfigError(f"{spec.display} requires tied muscle slots")
 
@@ -108,6 +106,15 @@ class Combo:
 
 
 _SLOTS = tuple(f.name for f in fields(Combo) if f.name != "skeleton")
+
+
+def _check_muscle(spec, slot: str, io) -> None:
+    """Raise ``ConfigError`` unless ``io`` is a muscle of ``IO_BY_NAME``;
+    compared by equality, so an unhashable ``io`` is rejected too."""
+    if io not in IO_BY_NAME.values():
+        raise ConfigError(
+            f"{spec.display} {slot} must be a registered muscle, got {io!r}"
+        )
 
 
 def _parse_skeleton(token: str) -> SkeletonKind:
@@ -145,7 +152,11 @@ def make_combo(
     kind = _parse_skeleton(skeleton)
     spec = SKELETONS[kind]
     if spec.tied:
-        supplied = {io for io in (io_a, io1, io2) if io is not None}
+        given = dict(zip(_SLOTS, (io_a, io1, io2)))
+        for slot, io in given.items():
+            if io is not None:
+                _check_muscle(spec, slot, io)
+        supplied = {io for io in given.values() if io is not None}
         if len(supplied) > 1:
             names = sorted(io.kind for io in supplied)
             raise ConfigError(
@@ -635,13 +646,17 @@ _BLAS_SET_THREADS = (
 
 
 def _one_blas_thread(maps: str = "/proc/self/maps") -> None:
-    """Set every OpenBLAS loaded in this process to one thread.
+    """Set every OpenBLAS loaded in this process to one thread, and let
+    :mod:`~blockgs.blockcore` split tall products into panels.
 
-    Does nothing when the user set a thread count in the environment, when
-    ``maps`` (the process's memory map) cannot be read, or when a library
-    exports no setter (MKL, Accelerate).
+    Does nothing when the user set a thread count in the environment (the
+    products are then split only if every such count is 1), when ``maps``
+    (the process's memory map) cannot be read, or when a library exports
+    no setter (MKL, Accelerate).
     """
-    if any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+    chosen = [os.environ.get(name) for name in _BLAS_THREAD_VARS]
+    if any(chosen):
+        blockcore._blas_pinned = all(v in (None, "", "1") for v in chosen)
         return
     try:
         with open(maps) as fh:
@@ -660,6 +675,7 @@ def _one_blas_thread(maps: str = "/proc/self/maps") -> None:
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = None
                 setter(1)
+                blockcore._blas_pinned = True
                 break
 
 
@@ -780,7 +796,11 @@ def cli_main(argv=None) -> int:
 
     Before any command runs, every loaded OpenBLAS is set to one thread
     (:func:`_one_blas_thread`), so the CSV bytes do not depend on the
-    host's core count.  The library functions leave the thread count alone.
+    host's core count.  The large passes (tall reductions, deflations and
+    full-matrix scans) then run in panels, one per core the process may
+    run on (``taskset -c 0`` keeps it to one), with the bits of one call
+    (:func:`~blockgs.blockcore._panels`).  The library functions leave the
+    thread count alone.
 
     Exit codes: 0 success, 1 bound violations found by ``check-bounds``,
     2 configuration errors, unreadable or unwritable files and sweeps whose

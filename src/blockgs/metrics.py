@@ -39,7 +39,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas
 
-from .blockcore import BlockMatrix, _finite_or_nan, all_finite, spectral_norm
+from . import blockcore
+from .blockcore import (
+    BlockMatrix,
+    _extrema,
+    _finite_or_nan,
+    _panels,
+    _run_panels,
+    all_finite,
+    spectral_norm,
+)
 from .skeletons import BoundSpec
 
 __all__ = [
@@ -82,8 +91,30 @@ def _binary_exponent(a: np.ndarray) -> int:
 
     0 for an empty, a zero or a non-finite matrix.
     """
-    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    if a.nbytes < blockcore.PANEL_BYTES:
+        hi, lo = a.max(initial=0.0), a.min(initial=0.0)
+    else:
+        hi, lo = _extrema(a, initial=0.0)
+    top = max(float(hi), -float(lo))
     return math.frexp(top)[1]
+
+
+def _by_columns(fn, *arrays) -> None:
+    """``fn(*arrays)``, an elementwise pass over arrays of one shape: in
+    panels of whole columns when they are 2-d, column-major and hold at
+    least ``PANEL_BYTES``."""
+    a = arrays[0]
+    bounds = [0, 0]
+    if a.ndim == 2 and all(
+        b.shape == a.shape and b.flags.f_contiguous for b in arrays
+    ):
+        bounds = _panels(a.shape[1], a.nbytes)
+    if len(bounds) == 2:
+        fn(*arrays)
+    else:
+        _run_panels(
+            lambda lo, hi: fn(*(b[:, lo:hi] for b in arrays)), bounds
+        )
 
 
 def _lambda_max(g: np.ndarray) -> float:
@@ -117,7 +148,11 @@ def scaled_gram(x) -> ScaledGram:
     """
     xd = _dense(x)
     e = _binary_exponent(xd)
-    xs = np.ldexp(xd, -e)
+    if xd.nbytes < blockcore.PANEL_BYTES:
+        xs = np.ldexp(xd, -e)
+    else:
+        xs = np.empty_like(xd)
+        _by_columns(lambda a, out: np.ldexp(a, -e, out=out), xd, xs)
     n = xs.shape[1]
     defined = xs.size and all_finite(xs)
     gram = xs.T @ xs if defined else np.full((n, n), math.nan)
@@ -154,9 +189,9 @@ def rel_res(
     # the scaled X.
     buf = blas.dtrmm(1.0, rd, qd, side=1, overwrite_b=overwrite_q)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(xd, buf, out=buf)
+        _by_columns(lambda a, b: np.subtract(a, b, out=b), xd, buf)
         e_res = _binary_exponent(buf)
-        np.ldexp(buf, -e_res, out=buf)
+        _by_columns(lambda b: np.ldexp(b, -e_res, out=b), buf)
         lam_res = _lambda_max(buf.T @ buf)
     del buf
     e_x, _, lam_x = scaled_gram(xd) if x_gram is None else x_gram

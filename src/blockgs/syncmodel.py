@@ -16,7 +16,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blockcore import _panels, _run_panels
+
 __all__ = ["SyncEvent", "SyncLedger", "syncs_per_block"]
+
+
+# A reduction is split into panels of ``left``'s columns only when
+# ``left`` holds at least this many bytes (below it two panels were
+# slower than one call) and at most _REDUCE_MAX_COLS columns.  A product
+# with more output rows than one OpenBLAS row block (192 on SkylakeX)
+# forms its last rows with a kernel that depends on where the block
+# starts, which a panel would move.  Panels start on multiples of
+# _REDUCE_GRAIN columns, a multiple of the kernels' row unrolling, so a
+# one-column product's trailing group stays where one call puts it.
+REDUCE_PANEL_BYTES = 16 << 20
+_REDUCE_MAX_COLS = 192
+_REDUCE_GRAIN = 16
 
 
 @dataclass(frozen=True)
@@ -50,9 +65,32 @@ class SyncLedger:
         ``left`` is read in place; the n-by-w result is C-ordered.  The
         copy keeps the sweeps' bits: an uncopied column-major ``right``
         changes the BLAS call and the metric digits.
+
+        While BLAS runs on one thread, a ``left`` of at least
+        ``REDUCE_PANEL_BYTES`` and at most 192 columns is reduced in panels
+        of its columns, one per core (see
+        :func:`~blockgs.blockcore._panels`); each entry of the result is
+        formed by the same BLAS kernel in the same order as in one call.
         """
         self.record(block, label, 1)
         r = np.ascontiguousarray(right)
+        (m, n), w = left.shape, r.shape[1]
+        if left.nbytes >= REDUCE_PANEL_BYTES and n <= _REDUCE_MAX_COLS:
+            bounds = _panels(
+                n,
+                left.nbytes,
+                REDUCE_PANEL_BYTES,
+                grain=_REDUCE_GRAIN,
+                work=m * n * w,
+            )
+            if len(bounds) > 2:
+                out = np.empty((w, n))
+
+                def product(lo, hi):
+                    np.matmul(r.T, left[:, lo:hi], out=out[:, lo:hi])
+
+                _run_panels(product, bounds)
+                return np.ascontiguousarray(out.T)
         return np.ascontiguousarray((r.T @ left).T)
 
     @property

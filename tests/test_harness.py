@@ -129,6 +129,24 @@ def test_combos_take_only_registered_muscles(bad):
     assert Combo("bcgs_a", IOSpec("houseqr", 0), CHOL_QR) == make_combo("bcgs_a")
 
 
+@pytest.mark.parametrize(
+    "bad", [[1], {}, "houseqr", IOSpec("foo", 0)],
+    ids=["list", "dict", "string", "unknown-kind"],
+)
+@pytest.mark.parametrize("kind", ["bcgs", "bcgsi_plus"])
+def test_tied_combos_refuse_unhashable_and_unregistered_muscles(kind, bad):
+    # The tied skeletons compare the supplied muscles as a set; a muscle
+    # that is not registered, hashable or not, is refused before that with
+    # the ConfigError the untied skeletons raise.
+    for slot in ("io_a", "io1", "io2"):
+        with pytest.raises(ConfigError, match=f"{slot} must be a registered"):
+            make_combo(kind, **{slot: bad})
+        with pytest.raises(ConfigError, match="must be a registered muscle"):
+            make_combo(kind, **{"io_a": HOUSE_QR, slot: bad})
+    with pytest.raises(ConfigError, match="io_a must be a registered muscle"):
+        make_combo(f"{kind}_a", io_a=bad)
+
+
 # ---------------------------------------------------------------------------
 # Single runs
 # ---------------------------------------------------------------------------
