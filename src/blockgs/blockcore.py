@@ -6,9 +6,12 @@ dense matrix.  Everything here is a pure function of its inputs.
 
 A pass over a large operand may run in panels, one contiguous range of an
 independent output dimension per usable core (:func:`_panels`,
-:func:`_run_panels`).  Each output element is formed by the same BLAS
-kernel or ufunc, from the same operands and in the same order as in one
-call, so the bits do not depend on the core count.
+:func:`_run_panels`): the tall products :func:`project_out` and
+:func:`tall_inner`, and, through :func:`_split_pass`, the elementwise
+passes and max/min scans of the other modules.  Each output element is
+formed by the same BLAS kernel or ufunc, from the same operands and in the
+same order as in one call, so the bits do not depend on the core count.
+This module alone decides when and how a pass splits.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "spectral_norm",
     "cond_2",
     "project_out",
+    "tall_inner",
     "zero_pivot",
     "tri_solve_left_transposed",
     "tri_solve_right",
@@ -148,17 +152,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def _panels(
-    n: int,
-    nbytes: int,
-    min_bytes: int | None = None,
-    *,
-    grain: int = 1,
-    work: int = 0,
-) -> list[int]:
+def _panels(n: int, *, grain: int = 1, work: int = 0) -> list[int]:
     """Bounds ``[0, b_1, ..., n]`` of the panels a pass over ``range(n)``
-    splits into; ``[0, n]`` (one panel) unless its operand of ``nbytes``
-    bytes holds at least ``min_bytes`` (default ``PANEL_BYTES``).
+    splits into, once its operand holds the caller's byte threshold;
+    ``[0, n]`` is one panel.
 
     There is at most one panel per usable core.  Inner bounds are multiples
     of ``grain``, and every panel holds at least ``grain`` indices and, for
@@ -168,14 +165,8 @@ def _panels(
     largest: a reduction whose caller had the smaller panel ran no faster
     than one call (20000-row products of 96 to 120 columns).
     """
-    if min_bytes is None:
-        min_bytes = PANEL_BYTES
-    if (
-        nbytes < min_bytes
-        or (work and not _blas_pinned)
-        or _forked
-        or getattr(_local, "worker", False)
-    ):
+    worker = getattr(_local, "worker", False)
+    if _forked or worker or (work and not _blas_pinned):
         return [0, n]
     k = min(_cores(), n // (2 * grain))
     if work:
@@ -229,28 +220,45 @@ def _run_panels(fn, bounds: list[int]) -> list:
     return results
 
 
+def _split_pass(fn, *arrays) -> list:
+    """``[fn(*arrays)]``, an elementwise pass or a max/min over arrays of one
+    shape, or ``fn`` of each panel of them (see :func:`_run_panels`).
+
+    Arrays that share their strides, are 2-d and contiguous and hold at
+    least ``PANEL_BYTES`` are split along their contiguous axis: panels of
+    whole columns in Fortran order, of whole rows in C order.  Anything
+    else, a 1-d or a strided array included, runs whole.
+    """
+    a = arrays[0]
+    if a.nbytes >= PANEL_BYTES and a.ndim == 2 and all(
+        b.shape == a.shape and b.strides == a.strides for b in arrays
+    ):
+        cols = a.flags.f_contiguous
+        if cols or a.flags.c_contiguous:
+            bounds = _panels(a.shape[1 if cols else 0])
+            if len(bounds) > 2:
+                return _run_panels(
+                    lambda lo, hi: fn(
+                        *(b[:, lo:hi] if cols else b[lo:hi] for b in arrays)
+                    ),
+                    bounds,
+                )
+    return [fn(*arrays)]
+
+
 def _extrema(a: np.ndarray, **initial) -> tuple[float, float]:
     """``(a.max(**initial), a.min(**initial))`` of a float array; NaN in any
     entry makes both NaN.
 
-    A contiguous 2-d ``a`` of at least ``PANEL_BYTES`` is read in panels
-    of whole columns (Fortran order) or rows (C order).  The panels' maxima
-    and minima are combined by ``np.max`` and ``np.min``, which propagate
-    NaN whatever their order.
+    A large ``a`` is read in panels (:func:`_split_pass`), whose maxima and
+    minima are combined by ``np.max`` and ``np.min``: they propagate NaN
+    whatever its panel.
     """
-    if a.nbytes >= PANEL_BYTES and a.ndim == 2:
-        axis = 1 if a.flags.f_contiguous else 0
-        if axis or a.flags.c_contiguous:
-            bounds = _panels(a.shape[axis], a.nbytes)
-            if len(bounds) > 2:
-
-                def extrema(lo, hi):
-                    part = a[:, lo:hi] if axis else a[lo:hi]
-                    return part.max(**initial), part.min(**initial)
-
-                parts = np.array(_run_panels(extrema, bounds))
-                return parts[:, 0].max(), parts[:, 1].min()
-    return a.max(**initial), a.min(**initial)
+    parts = _split_pass(lambda b: (b.max(**initial), b.min(**initial)), a)
+    if len(parts) == 1:
+        return parts[0]
+    tops, bottoms = zip(*parts)
+    return np.max(tops), np.min(bottoms)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -263,10 +271,7 @@ def all_finite(a: np.ndarray) -> bool:
     """
     if a.size == 0:
         return True
-    # Most calls see one small block; they skip the panel helper.
-    top, bottom = (
-        (a.max(), a.min()) if a.nbytes < PANEL_BYTES else _extrema(a)
-    )
+    top, bottom = _extrema(a)
     return math.isfinite(top) and math.isfinite(bottom)
 
 
@@ -309,23 +314,34 @@ def cond_2(a) -> float:
 # the kernel they take in the whole product.
 _PROJECT_GRAIN = 256
 
+# A tall product is split into panels of ``left``'s columns only when
+# ``left`` holds at least REDUCE_PANEL_BYTES (below it two panels were
+# slower than one call) and at most _REDUCE_MAX_COLS columns.  A product
+# with more output rows than one OpenBLAS row block (192 on SkylakeX)
+# forms its last rows with a kernel that depends on where the block
+# starts, which a panel would move.  Panels start on multiples of
+# _REDUCE_GRAIN columns, a multiple of the kernels' row unrolling, so a
+# one-column product's trailing group stays where one call puts it.
+REDUCE_PANEL_BYTES = 16 << 20
+_REDUCE_MAX_COLS = 192
+_REDUCE_GRAIN = 16
+
 
 def project_out(x, q, c) -> np.ndarray:
     """Deflate ``X - Q C`` for tall m-by-s ``X``, m-by-n ``Q``, n-by-s ``C``.
 
     Formed as ``(X^T - C^T Q^T)^T`` in one s-by-m buffer, the orientation
-    of :meth:`~blockgs.syncmodel.SyncLedger.reduce`, so a column-major
-    ``Q`` is read in place; the result is Fortran-ordered.  For s >= 5 its
-    bits equal those of ``x - q @ c``; narrower blocks may differ in the
-    last bits.  While BLAS runs on one thread, a ``Q`` of at least
-    ``PANEL_BYTES`` is deflated in panels of rows, one per core (see
-    :func:`_panels`), with the same bits.
+    of :func:`tall_inner`, so a column-major ``Q`` is read in place; the
+    result is Fortran-ordered.  For s >= 5 its bits equal those of
+    ``x - q @ c``; narrower blocks may differ in the last bits.  While BLAS
+    runs on one thread, a ``Q`` of at least ``PANEL_BYTES`` is deflated in
+    panels of rows, one per core (see :func:`_panels`), with the same bits.
     """
     # Most calls deflate one small block; they skip the panel helper.
     if q.nbytes >= PANEL_BYTES:
         m, n = q.shape
         s = c.shape[1]
-        bounds = _panels(m, q.nbytes, grain=_PROJECT_GRAIN, work=m * n * s)
+        bounds = _panels(m, grain=_PROJECT_GRAIN, work=m * n * s)
         if len(bounds) > 2:
             t = np.empty((s, m))
 
@@ -339,6 +355,35 @@ def project_out(x, q, c) -> np.ndarray:
     t = c.T @ q.T
     np.subtract(x.T, t, out=t)
     return t.T
+
+
+def tall_inner(left, right) -> np.ndarray:
+    """The tall product ``left^T @ right`` of an m-by-n ``left`` and a
+    narrow m-by-w ``right``; the n-by-w result is C-ordered.
+
+    Formed as ``(R^T @ left)^T`` with ``R`` a C-ordered copy of ``right``,
+    so ``left`` is read in place.  The copy keeps the sweeps' bits: an
+    uncopied column-major ``right`` changes the BLAS call and the metric
+    digits.  While BLAS runs on one thread, a ``left`` of at least
+    ``REDUCE_PANEL_BYTES`` and at most ``_REDUCE_MAX_COLS`` columns is
+    reduced in panels of its columns, one per core (see :func:`_panels`);
+    each entry is formed by the same BLAS kernel in the same order as in
+    one call.
+    """
+    r = np.ascontiguousarray(right)
+    (m, n), w = left.shape, r.shape[1]
+    # Most calls reduce against a few blocks; they skip the panel helper.
+    if left.nbytes >= REDUCE_PANEL_BYTES and n <= _REDUCE_MAX_COLS:
+        bounds = _panels(n, grain=_REDUCE_GRAIN, work=m * n * w)
+        if len(bounds) > 2:
+            out = np.empty((w, n))
+
+            def product(lo, hi):
+                np.matmul(r.T, left[:, lo:hi], out=out[:, lo:hi])
+
+            _run_panels(product, bounds)
+            return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray((r.T @ left).T)
 
 
 def zero_pivot(r: np.ndarray) -> bool:

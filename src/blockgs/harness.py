@@ -798,9 +798,9 @@ def cli_main(argv=None) -> int:
     (:func:`_one_blas_thread`), so the CSV bytes do not depend on the
     host's core count.  The large passes (tall reductions, deflations and
     full-matrix scans) then run in panels, one per core the process may
-    run on (``taskset -c 0`` keeps it to one), with the bits of one call
-    (:func:`~blockgs.blockcore._panels`).  The library functions leave the
-    thread count alone.
+    run on (``taskset -c 0`` keeps it to one), with the bits of one call;
+    :mod:`~blockgs.blockcore` decides when a pass splits.  The library
+    functions leave the thread count alone.
 
     Exit codes: 0 success, 1 bound violations found by ``check-bounds``,
     2 configuration errors, unreadable or unwritable files and sweeps whose

@@ -33,13 +33,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-from .blockcore import (
-    BlockMatrix,
-    _panels,
-    _run_panels,
-    check_partition,
-    cond_2,
-)
+from .blockcore import BlockMatrix, _split_pass, check_partition, cond_2
 from .muscles import house_qr
 
 __all__ = [
@@ -99,15 +93,10 @@ def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard normal variates via the inverse CDF of uniform draws; an
-    array of at least ``blockcore.PANEL_BYTES`` takes it in panels, one
-    per core."""
+    """Standard normal variates via the inverse CDF of uniform draws, which
+    a large array takes in panels of rows, one per core."""
     u = uniform_open(rng, size)
-    bounds = _panels(u.size, u.nbytes)
-    if len(bounds) == 2:
-        return ndtri(u, out=u)
-    flat = u.reshape(-1)
-    _run_panels(lambda lo, hi: ndtri(flat[lo:hi], out=flat[lo:hi]), bounds)
+    _split_pass(lambda a: ndtri(a, out=a), u)
     return u
 
 

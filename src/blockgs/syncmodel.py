@@ -5,8 +5,9 @@ reduction across the m-dimensional row space: a Gram product ``X^T X``, a
 projection ``Q^T X``, or a fused product of several such factors counts as a
 single reduction regardless of how many small columns it produces.  Purely
 local work on s-by-s quantities (Cholesky factors, triangular solves, sums)
-is free.  :meth:`SyncLedger.reduce` forms such a product and charges it in
-one step, so a skeleton's ledger is the list of products it computed.
+is free.  :meth:`SyncLedger.reduce` charges such a product and forms it by
+:func:`~blockgs.blockcore.tall_inner` in one step, so a skeleton's ledger
+is the list of products it computed.
 """
 
 from __future__ import annotations
@@ -16,22 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import _panels, _run_panels
+from .blockcore import tall_inner
 
 __all__ = ["SyncEvent", "SyncLedger", "syncs_per_block"]
-
-
-# A reduction is split into panels of ``left``'s columns only when
-# ``left`` holds at least this many bytes (below it two panels were
-# slower than one call) and at most _REDUCE_MAX_COLS columns.  A product
-# with more output rows than one OpenBLAS row block (192 on SkylakeX)
-# forms its last rows with a kernel that depends on where the block
-# starts, which a panel would move.  Panels start on multiples of
-# _REDUCE_GRAIN columns, a multiple of the kernels' row unrolling, so a
-# one-column product's trailing group stays where one call puts it.
-REDUCE_PANEL_BYTES = 16 << 20
-_REDUCE_MAX_COLS = 192
-_REDUCE_GRAIN = 16
 
 
 @dataclass(frozen=True)
@@ -60,38 +48,12 @@ class SyncLedger:
         """One tall reduction ``left^T @ right``, charged to ``block``.
 
         ``left`` is m-by-n, ``right`` a narrow m-by-w; a fused product such
-        as ``[Q, V]^T [V, X]`` is one call and one charge.  Formed as
-        ``(R^T @ left)^T`` with ``R`` a C-ordered copy of ``right``, so
-        ``left`` is read in place; the n-by-w result is C-ordered.  The
-        copy keeps the sweeps' bits: an uncopied column-major ``right``
-        changes the BLAS call and the metric digits.
-
-        While BLAS runs on one thread, a ``left`` of at least
-        ``REDUCE_PANEL_BYTES`` and at most 192 columns is reduced in panels
-        of its columns, one per core (see
-        :func:`~blockgs.blockcore._panels`); each entry of the result is
-        formed by the same BLAS kernel in the same order as in one call.
+        as ``[Q, V]^T [V, X]`` is one call and one charge.  The product is
+        :func:`~blockgs.blockcore.tall_inner`'s: C-ordered, and split over
+        the cores only where that kernel decides.
         """
         self.record(block, label, 1)
-        r = np.ascontiguousarray(right)
-        (m, n), w = left.shape, r.shape[1]
-        if left.nbytes >= REDUCE_PANEL_BYTES and n <= _REDUCE_MAX_COLS:
-            bounds = _panels(
-                n,
-                left.nbytes,
-                REDUCE_PANEL_BYTES,
-                grain=_REDUCE_GRAIN,
-                work=m * n * w,
-            )
-            if len(bounds) > 2:
-                out = np.empty((w, n))
-
-                def product(lo, hi):
-                    np.matmul(r.T, left[:, lo:hi], out=out[:, lo:hi])
-
-                _run_panels(product, bounds)
-                return np.ascontiguousarray(out.T)
-        return np.ascontiguousarray((r.T @ left).T)
+        return tall_inner(left, right)
 
     @property
     def total(self) -> int:

@@ -9,14 +9,15 @@ with a timeout, so a deadlock fails rather than hangs.
 """
 
 import contextlib
-import ctypes
 import math
+import re
 import subprocess
 import sys
 import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,47 +25,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockgs import blockcore, harness, syncmodel
+from blockgs import blockcore, harness
 from blockgs.blockcore import all_finite, project_out
 from blockgs.harness import SweepConfig, make_combo, run_sweep, write_csv
 from blockgs.matgen import make_rng, standard_normal
 from blockgs.metrics import _binary_exponent, rel_res, scaled_gram
 from blockgs.syncmodel import SyncLedger
-
-
-_THREAD_SYMBOLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-)
-
-
-def _openblas_thread_counts():
-    """(setter, thread count) of every OpenBLAS loaded in this process."""
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    found = []
-    for path in sorted(p for p in paths if p.startswith("/")):
-        lib = ctypes.CDLL(path)
-        for get, set_ in _THREAD_SYMBOLS:
-            if hasattr(lib, get):
-                getattr(lib, get).restype = ctypes.c_int
-                getattr(lib, set_).argtypes = [ctypes.c_int]
-                found.append((getattr(lib, set_), getattr(lib, get)()))
-                break
-    return found
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _blas_on_one_thread():
-    # Products are split only while BLAS runs on one thread, as in the CLI.
-    before = _openblas_thread_counts()
-    for set_threads, _ in before:
-        set_threads(1)
-    yield
-    for set_threads, count in before:
-        set_threads(count)
 
 
 class _CountingPool:
@@ -80,18 +46,20 @@ class _CountingPool:
 
 
 @contextlib.contextmanager
-def _panels_forced(k):
+def _panels_forced(k, panel_bytes=0):
     """Every pass splits into up to ``k`` panels (one core: none), as far as
-    its grain and the product floor allow; yields the counting pool."""
+    its grain and the product floor allow, and an elementwise pass once it
+    holds ``panel_bytes``; yields the counting pool."""
     pool = _CountingPool()
     try:
         with mock.patch.multiple(
             blockcore,
             _cores=lambda: k,
-            PANEL_BYTES=0,
+            PANEL_BYTES=panel_bytes,
+            REDUCE_PANEL_BYTES=0,
             _pool=pool,
             _blas_pinned=True,
-        ), mock.patch.object(syncmodel, "REDUCE_PANEL_BYTES", 0):
+        ):
             yield pool
     finally:
         pool.pool.shutdown()
@@ -269,7 +237,7 @@ def test_a_child_forked_after_the_pool_started_runs_panels_whole():
     _run_script(_STARTED_POOL + """
     pid = os.fork()
     if pid == 0:
-        whole = blockcore._panels(1100, a.nbytes) == [0, 1100]
+        whole = blockcore._panels(1100) == [0, 1100]
         os._exit(0 if whole and not blockcore.all_finite(a) else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
@@ -282,7 +250,7 @@ def test_a_panelled_call_from_a_pool_worker_runs_whole():
     # would wait on itself.
     _run_script(_STARTED_POOL + """
     job = blockcore._pool.submit(
-        lambda: (blockcore._panels(1100, a.nbytes), blockcore.all_finite(a))
+        lambda: (blockcore._panels(1100), blockcore.all_finite(a))
     )
     assert job.result(timeout=60) == ([0, 1100], False)
     print("ok")
@@ -293,16 +261,87 @@ def test_panel_bounds_are_grain_aligned_and_cover_the_range():
     work = 3 * blockcore._PANEL_MIN_WORK
     with mock.patch.multiple(blockcore, _cores=lambda: 4, _blas_pinned=False):
         # A BLAS on its own threads splits a product itself.
-        assert blockcore._panels(1000, 1, 1, work=work) == [0, 1000]
+        assert blockcore._panels(1000, work=work) == [0, 1000]
+        assert blockcore._panels(100) == [0, 25, 50, 75, 100]
     with mock.patch.multiple(blockcore, _cores=lambda: 4, _blas_pinned=True):
-        assert blockcore._panels(100, 10, 20) == [0, 100]
-        assert blockcore._panels(100, 20, 20) == [0, 25, 50, 75, 100]
-        assert blockcore._panels(190, 1, 1, grain=16) == [0, 48, 96, 144, 190]
-        assert blockcore._panels(64, 1, 1, grain=16) == [0, 32, 64]
-        assert blockcore._panels(63, 1, 1, grain=16) == [0, 63]
-        assert blockcore._panels(1000, 1, 1, work=work) == [0, 334, 667, 1000]
+        assert blockcore._panels(100) == [0, 25, 50, 75, 100]
+        assert blockcore._panels(190, grain=16) == [0, 48, 96, 144, 190]
+        assert blockcore._panels(64, grain=16) == [0, 32, 64]
+        assert blockcore._panels(63, grain=16) == [0, 63]
+        assert blockcore._panels(1000, work=work) == [0, 334, 667, 1000]
     with mock.patch.object(blockcore, "_cores", lambda: 1):
-        assert blockcore._panels(100, 20, 20) == [0, 100]
+        assert blockcore._panels(100) == [0, 100]
+
+
+def test_only_blockcore_names_the_panel_machinery():
+    # When and how a pass splits is decided in blockcore alone; the other
+    # modules call its kernels and _split_pass.
+    names = re.compile(
+        r"\b(?:_panels|_run_panels|\w*PANEL_\w*|_REDUCE_\w+|_PROJECT_GRAIN)\b"
+    )
+    package = Path(blockcore.__file__).parent
+    named = {
+        path.name: sorted(set(names.findall(path.read_text())))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "blockcore.py"
+    }
+    assert not any(named.values()), named
+
+
+def _subtract_into(a, b):
+    np.subtract(a, b, out=b)
+
+
+def _whole_cases():
+    rng = np.random.default_rng(8)
+    f = np.asfortranarray(rng.standard_normal((64, 48)))
+    g = np.asfortranarray(rng.standard_normal((64, 48)))
+    flat = rng.standard_normal(4096)
+    return {
+        "mixed strides": (f, np.ascontiguousarray(g)),
+        "1-d": (flat, flat[::-1].copy()),
+        "strided rows": (f[::2], g[::2]),
+        "strided columns": (f[:, ::2], g[:, ::2]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_whole_cases()))
+def test_split_pass_runs_whole_unless_its_arrays_share_a_contiguous_layout(
+    case,
+):
+    a, b = _whole_cases()[case]
+    want = np.subtract(a, b)
+    with _panels_forced(4) as pool:
+        parts = blockcore._split_pass(_subtract_into, a, b)
+    assert pool.submitted == 0
+    assert parts == [None]
+    assert want.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_split_pass_splits_along_the_contiguous_axis_from_panel_bytes_on(
+    order,
+):
+    # 512 x 1024 doubles are exactly PANEL_BYTES; one row fewer runs whole.
+    rng = np.random.default_rng(9)
+    axis = 1 if order == "F" else 0
+    for rows, splits in ((512, True), (511, False)):
+        a = np.asarray(rng.standard_normal((rows, 1024)), order=order)
+        b = np.asarray(rng.standard_normal((rows, 1024)), order=order)
+        want = np.subtract(a, b)
+        seen = []
+
+        def pass_(x, y):
+            seen.append(x.shape)
+            _subtract_into(x, y)
+
+        with _panels_forced(2, blockcore.PANEL_BYTES) as pool:
+            blockcore._split_pass(pass_, a, b)
+        assert (pool.submitted == 1) is splits
+        assert len(seen) == (2 if splits else 1)
+        assert sum(shape[axis] for shape in seen) == a.shape[axis]
+        assert all(shape[1 - axis] == a.shape[1 - axis] for shape in seen)
+        assert _same(want, b)
 
 
 @pytest.mark.parametrize("cols", [196, 212])
@@ -372,9 +411,10 @@ def test_threads_sharing_the_panel_pool_keep_every_bit():
             blockcore,
             _cores=lambda: 4,
             PANEL_BYTES=0,
+            REDUCE_PANEL_BYTES=0,
             _pool=None,
             _blas_pinned=True,
-        ), mock.patch.object(syncmodel, "REDUCE_PANEL_BYTES", 0):
+        ):
             threads = [threading.Thread(target=caller) for _ in range(6)]
             for t in threads:
                 t.start()
