@@ -235,14 +235,12 @@ def _split_pass(fn, *arrays) -> list:
     ):
         cols = a.flags.f_contiguous
         if cols or a.flags.c_contiguous:
-            bounds = _panels(a.shape[1 if cols else 0])
-            if len(bounds) > 2:
-                return _run_panels(
-                    lambda lo, hi: fn(
-                        *(b[:, lo:hi] if cols else b[lo:hi] for b in arrays)
-                    ),
-                    bounds,
-                )
+            return _run_panels(
+                lambda lo, hi: fn(
+                    *(b[:, lo:hi] if cols else b[lo:hi] for b in arrays)
+                ),
+                _panels(a.shape[1 if cols else 0]),
+            )
     return [fn(*arrays)]
 
 
@@ -250,13 +248,14 @@ def _extrema(a: np.ndarray, **initial) -> tuple[float, float]:
     """``(a.max(**initial), a.min(**initial))`` of a float array; NaN in any
     entry makes both NaN.
 
-    A large ``a`` is read in panels (:func:`_split_pass`), whose maxima and
-    minima are combined by ``np.max`` and ``np.min``: they propagate NaN
-    whatever its panel.
+    An ``a`` of at least ``PANEL_BYTES`` is read in panels
+    (:func:`_split_pass`), whose maxima and minima are combined by
+    ``np.max`` and ``np.min``: they propagate NaN whatever its panel.  A
+    smaller one, as in most calls, skips the helper.
     """
+    if a.nbytes < PANEL_BYTES:
+        return a.max(**initial), a.min(**initial)
     parts = _split_pass(lambda b: (b.max(**initial), b.min(**initial)), a)
-    if len(parts) == 1:
-        return parts[0]
     tops, bottoms = zip(*parts)
     return np.max(tops), np.min(bottoms)
 

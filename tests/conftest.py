@@ -1,11 +1,10 @@
 """Fixtures shared by the test modules.
 
-The session runs every loaded OpenBLAS on one thread, as the CLI does, so
-results and timings do not depend on the host's core count.  Every test
-runs between a snapshot of the thread counts and ``blockcore._blas_pinned``
-and their restoration: a test that runs ``harness.cli_main`` in-process,
-which sets both for the rest of the process, leaves later tests the state
-they would have had alone.
+Every test runs between a snapshot of the OpenBLAS thread counts and
+``blockcore._blas_pinned`` and their restoration: a test that runs
+``harness.cli_main`` in-process, which sets both for the rest of the
+process, leaves later tests the library's default of the host's BLAS
+threads.
 """
 
 import ctypes
@@ -27,11 +26,10 @@ def _set_threads(found, counts) -> None:
         set_threads(count)
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="session")
 def openblas_threads():
     """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process (none where the memory map cannot be read), each on one thread
-    until the session ends."""
+    process (none where the memory map cannot be read)."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {
@@ -49,10 +47,16 @@ def openblas_threads():
                 setter.argtypes = [ctypes.c_int]
                 found.append((getter, setter))
                 break
-    before = [get() for get, _ in found]
-    _set_threads(found, [1] * len(found))
-    yield found
-    _set_threads(found, before)
+    return found
+
+
+@pytest.fixture(scope="module")
+def blas_on_one_thread(openblas_threads):
+    """Every OpenBLAS on one thread, as the CLI runs it, for a module."""
+    before = [get() for get, _ in openblas_threads]
+    _set_threads(openblas_threads, [1] * len(openblas_threads))
+    yield
+    _set_threads(openblas_threads, before)
 
 
 @pytest.fixture(autouse=True)

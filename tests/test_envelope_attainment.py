@@ -37,7 +37,9 @@ from blockgs.metrics import EPS, bound_envelope, loo
 from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS, house_qr
 from blockgs.skeletons import SKELETONS, BoundSpec
 
-pytestmark = pytest.mark.slow
+# One BLAS thread, as in the CLI: on a host with few cores the module's
+# many small products run several times faster.
+pytestmark = [pytest.mark.slow, pytest.mark.usefixtures("blas_on_one_thread")]
 
 M, P, S, SEED = 1000, 20, 5, 42
 KAPPAS = tuple(10.0**e for e in range(1, 14))

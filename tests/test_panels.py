@@ -33,6 +33,10 @@ from blockgs.metrics import _binary_exponent, rel_res, scaled_gram
 from blockgs.syncmodel import SyncLedger
 
 
+# Products are split only while BLAS runs on one thread, as in the CLI.
+pytestmark = pytest.mark.usefixtures("blas_on_one_thread")
+
+
 class _CountingPool:
     """A panel pool that counts the panels handed to it."""
 

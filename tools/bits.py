@@ -1,16 +1,17 @@
 """Compare the benchmark workloads' CSVs of the work tree and a revision, byte
 for byte.
 
-    python3 tools/bits.py [REV] [--seeds 42 7 9137] [--workload NAME ...]
+    python3 tools/bits.py REV
 
-``REV`` (default ``HEAD``) is exported with ``git archive`` into a temporary
-directory, so the repository's own state is left alone.  For the work tree
-and for that copy, every sweep of every workload in the work tree's
-``bench/workloads.py`` runs at each seed through ``harness.cli_main``, each
-in a fresh child with its tree's ``src`` on ``PYTHONPATH`` and
-``OPENBLAS_NUM_THREADS=1``.  One line per CSV gives its sha256 in both trees
-and ``same`` or ``DIFFERS``; the lines of each differing CSV follow.  Exits
-0 when every CSV is byte-identical and 1 otherwise.
+``REV`` (for example ``HEAD~1``) is exported with ``git archive`` into a
+temporary directory, so the repository's own state is left alone.  For the
+work tree and for that copy, every sweep of every workload in the work
+tree's ``bench/workloads.py`` runs at each of the seeds 42, 7 and 9137
+through ``harness.cli_main``, each in a fresh child with its tree's
+``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``.  One line per CSV
+gives its sha256 in both trees and ``same`` or ``DIFFERS``; the lines of
+each differing CSV follow.  Exits 0 when every CSV is byte-identical and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -80,12 +81,9 @@ def _differing_rows(old: bytes, new: bytes) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("rev", nargs="?", default="HEAD")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--workload", nargs="+", dest="workloads")
+    parser.add_argument("rev")
     args = parser.parse_args(argv)
     workloads = _workloads()
-    names = args.workloads or list(workloads.WORKLOAD_NAMES)
     differing = 0
     with tempfile.TemporaryDirectory(prefix="bits-") as tmp:
         tmp = Path(tmp)
@@ -93,7 +91,9 @@ def main(argv=None) -> int:
         base.mkdir()
         _export(args.rev, base)
         print(f"work tree {ROOT} against {args.rev}")
-        for name, seed in itertools.product(names, args.seeds):
+        for name, seed in itertools.product(
+            workloads.WORKLOAD_NAMES, SEEDS
+        ):
             for i, sweep in enumerate(workloads.sweeps(name, seed)):
                 old = _sweep(base, sweep, tmp / "old.csv")
                 new = _sweep(ROOT, sweep, tmp / "new.csv")
