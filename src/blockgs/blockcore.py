@@ -2,7 +2,7 @@
 
 Matrices are plain float64 ``numpy.ndarray`` objects; the only structured type
 is :class:`BlockMatrix`, which pins an explicit column partition onto a tall
-dense matrix.  Everything here is a pure function of its inputs.
+dense matrix.  Every kernel here is a pure function of its inputs.
 
 A pass over a large operand may run in panels, one contiguous range of an
 independent output dimension per usable core (:func:`_panels`,
@@ -11,13 +11,17 @@ independent output dimension per usable core (:func:`_panels`,
 passes and max/min scans of the other modules.  Each output element is
 formed by the same BLAS kernel or ufunc, from the same operands and in the
 same order as in one call, so the bits do not depend on the core count.
-This module alone decides when and how a pass splits.
+This module alone decides when and how a pass splits, and alone knows
+OpenBLAS: it finds the loaded libraries, reads their thread counts (a
+product splits only while each reports one) and pins them for the CLI.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import contextvars
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -120,10 +124,54 @@ PANEL_BYTES = 4 << 20
 # takes the blocked kernel the whole product takes.
 _PANEL_MIN_WORK = 1 << 21
 
-# True once every loaded BLAS runs on one thread, as the CLI sets it
-# (``harness._one_blas_thread``).  Products are split only then: a BLAS on
-# several threads splits them itself, and its split depends on their size.
-_blas_pinned = False
+# (get, set) thread counts of the OpenBLAS in numpy's and scipy's wheels.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+# A thread count the user chose through any of these is left alone.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+@functools.lru_cache(maxsize=4)
+def _openblas_threads(maps: str = "/proc/self/maps") -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS the memory map
+    ``maps`` names, found once per process; none where ``maps`` cannot be
+    read, nor of a file that is no library or lacks the pair (MKL)."""
+    try:
+        with open(maps) as fh:
+            names = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
+    except OSError:
+        return ()
+    found = []
+    for path in sorted(p for p in names if p.startswith("/")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # ctypes's defaults, an int result and int arguments, fit both.
+        for get, set_ in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                found.append((getattr(lib, get), getattr(lib, set_)))
+                break
+    return tuple(found)
+
+
+def _blas_on_one_thread() -> bool:
+    """True while an OpenBLAS is loaded and each one reports one thread."""
+    return {get() for get, _ in _openblas_threads()} == {1}
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Set every loaded OpenBLAS to one thread, as the command line runs,
+    unless the user chose a count through ``_BLAS_THREAD_VARS``."""
+    if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+        for _, set_threads in _openblas_threads():
+            set_threads(1)
+
 
 # Made at first use: importing the executor's module costs every process
 # about 2 ms.
@@ -160,13 +208,15 @@ def _panels(n: int, *, grain: int = 1, work: int = 0) -> list[int]:
     There is at most one panel per usable core.  Inner bounds are multiples
     of ``grain``, and every panel holds at least ``grain`` indices and, for
     a product of ``work`` multiply-adds, at least ``_PANEL_MIN_WORK`` of
-    them; a product is split only while BLAS runs on one thread.  Bounds
-    round up, so the first panel, which the calling thread takes, is the
-    largest: a reduction whose caller had the smaller panel ran no faster
-    than one call (20000-row products of 96 to 120 columns).
+    them.  A product splits only while every loaded OpenBLAS reports one
+    thread (read at each call: the CLI's pin or a library caller's
+    ``OPENBLAS_NUM_THREADS=1``); a BLAS on more threads splits it itself.
+    Bounds round up, so the first panel, which the calling thread takes, is
+    the largest: a reduction whose caller had the smaller panel ran no
+    faster than one call (20000-row products of 96 to 120 columns).
     """
     worker = getattr(_local, "worker", False)
-    if _forked or worker or (work and not _blas_pinned):
+    if _forked or worker or (work and not _blas_on_one_thread()):
         return [0, n]
     k = min(_cores(), n // (2 * grain))
     if work:

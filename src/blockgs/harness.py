@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import math
 import numbers
 import os
@@ -630,55 +629,6 @@ def sync_table() -> list[tuple[str, float]]:
 # Command line interface
 # ---------------------------------------------------------------------------
 
-# A thread count the user chose through any of these is left alone.
-_BLAS_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "GOTO_NUM_THREADS",
-    "OMP_NUM_THREADS",
-)
-# numpy's and scipy's wheels each bundle an OpenBLAS, under its own prefix.
-_BLAS_SET_THREADS = (
-    "openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-)
-
-
-def _one_blas_thread(maps: str = "/proc/self/maps") -> None:
-    """Set every OpenBLAS loaded in this process to one thread, and let
-    :mod:`~blockgs.blockcore` split tall products into panels.
-
-    Does nothing when the user set a thread count in the environment (the
-    products are then split only if every such count is 1), when ``maps``
-    (the process's memory map) cannot be read, or when a library exports
-    no setter (MKL, Accelerate).
-    """
-    chosen = [os.environ.get(name) for name in _BLAS_THREAD_VARS]
-    if any(chosen):
-        blockcore._blas_pinned = all(v in (None, "", "1") for v in chosen)
-        return
-    try:
-        with open(maps) as fh:
-            lines = [line for line in fh if "openblas" in line.lower()]
-    except OSError:
-        return
-    paths = {line.split()[-1] for line in lines}
-    for path in sorted(p for p in paths if p.startswith("/")):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _BLAS_SET_THREADS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                blockcore._blas_pinned = True
-                break
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockgs",
@@ -795,19 +745,19 @@ def cli_main(argv=None) -> int:
     """Run one ``blockgs`` command and return its exit code.
 
     Before any command runs, every loaded OpenBLAS is set to one thread
-    (:func:`_one_blas_thread`), so the CSV bytes do not depend on the
-    host's core count.  The large passes (tall reductions, deflations and
-    full-matrix scans) then run in panels, one per core the process may
-    run on (``taskset -c 0`` keeps it to one), with the bits of one call;
-    :mod:`~blockgs.blockcore` decides when a pass splits.  The library
-    functions leave the thread count alone.
+    (one call into :mod:`~blockgs.blockcore`, which leaves a count the user
+    set alone), so the CSV bytes do not depend on the host's core count.
+    The large passes (tall reductions, deflations and full-matrix scans)
+    then run in panels, one per core the process may run on (``taskset -c
+    0`` keeps it to one), with the bits of one call; blockcore decides
+    when a pass splits.  The library functions leave the thread count alone.
 
     Exit codes: 0 success, 1 bound violations found by ``check-bounds``,
     2 configuration errors, unreadable or unwritable files and sweeps whose
     arrays cannot be allocated.
     """
     args = _build_parser().parse_args(argv)
-    _one_blas_thread()
+    blockcore._pin_blas_to_one_thread()
     try:
         if args.command == "sweep":
             config = _config_from_args(args)

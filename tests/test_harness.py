@@ -1482,65 +1482,81 @@ def test_cli_sweep_exit_codes_property(matrix, m, p, s, kappas):
 # policy changes the process it runs in)
 # ---------------------------------------------------------------------------
 
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-# Defines blas_threads(): the thread count of each loaded OpenBLAS, by file.
-_BLAS_THREADS = """
-import contextlib, ctypes, io, json, os
+# Defines blas_threads(), the thread count of each loaded OpenBLAS, and
+# splits(): how many of a reduction and a deflation above their byte
+# thresholds split on two cores, each byte-identical to one call.
+_PRELUDE = """
+import contextlib, io, json
+import numpy as np
 import blockgs.harness as harness
+from blockgs import blockcore
 
 def blas_threads():
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    found = {}
-    for path in sorted(p for p in paths if p.startswith("/")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("openblas_get_num_threads",
-                       "openblas_get_num_threads64_",
-                       "scipy_openblas_get_num_threads",
-                       "scipy_openblas_get_num_threads64_"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                found[os.path.basename(path)] = fn()
-                break
-    return found
+    return [get() for get, _ in blockcore._openblas_threads()]
+
+def splits():
+    rng, run, split = np.random.default_rng(1), blockcore._run_panels, []
+    q = np.asfortranarray(rng.standard_normal((20000, 120)))
+    x = np.asfortranarray(rng.standard_normal((20000, 10)))
+    c = rng.standard_normal((120, 10))
+    blockcore._run_panels = lambda fn, b: split.append(b) or run(fn, b)
+    bits = {}
+    for cores in (1, 2):
+        blockcore._cores = lambda: cores
+        bits[cores] = [blockcore.tall_inner(q, x).tobytes(),
+                       blockcore.project_out(x, q, c).tobytes()]
+    blockcore._run_panels = run
+    assert bits[1] == bits[2]
+    return len(split)
 
 before = blas_threads()
 with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
-def _python(body, env=None, args=()):
-    """Run ``body`` in a fresh interpreter without the thread variables."""
-    clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+def _python(*argv, env=None):
+    """Run ``python *argv`` on this tree's sources without the thread
+    variables; it must exit 0."""
+    clean = {
+        k: v for k, v in os.environ.items()
+        if k not in blockcore._BLAS_THREAD_VARS
+    }
     src = str(Path(blockgs.__file__).resolve().parent.parent)
     clean["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, clean.get("PYTHONPATH")])
     )
     clean.update(env or {})
     proc = subprocess.run(
-        [sys.executable, "-c", body, *args], env=clean, capture_output=True,
-        text=True, timeout=120,
+        [sys.executable, *argv], env=clean, capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-def _threads_around(statement, env=None):
-    """OpenBLAS thread counts before and after ``statement`` runs."""
-    body = _BLAS_THREADS + f"    {statement}\n"
-    body += "print(json.dumps([before, blas_threads()]))\n"
-    before, after = json.loads(_python(body, env).stdout.splitlines()[-1])
+def _after(statement, result, env=None):
+    """OpenBLAS thread counts before ``statement`` runs in a fresh
+    interpreter, and the value of ``result`` after it."""
+    body = _PRELUDE + f"    {statement}\n"
+    body += f"print(json.dumps([before, {result}]))\n"
+    before, value = json.loads(
+        _python("-c", body, env=env).stdout.splitlines()[-1]
+    )
     if not before:
         pytest.skip("no OpenBLAS loaded")
-    assert set(after) == set(before)
+    return before, value
+
+
+def _threads_around(statement, env=None):
+    """OpenBLAS thread counts before and after ``statement`` runs."""
+    before, after = _after(statement, "blas_threads()", env)
+    assert len(after) == len(before)
     return before, after
 
 
 def test_cli_runs_blas_on_one_thread():
     _, after = _threads_around('assert harness.cli_main(["syncs"]) == 0')
-    assert set(after.values()) == {1}
+    assert set(after) == {1}
 
 
 def test_cli_keeps_a_thread_count_set_by_the_user():
@@ -1578,10 +1594,47 @@ def test_thread_policy_is_a_silent_no_op_without_openblas(tmp_path):
         f"7f00-7f01 r-xp 0 0:0 0 {stub}\n7f01-7f02 r-xp 0 0:0 0 {fake}\n"
     )
     before, after = _threads_around(
-        f"harness._one_blas_thread({str(tmp_path / 'missing')!r});"
-        f" harness._one_blas_thread({str(maps)!r})"
+        f"assert blockcore._openblas_threads({str(tmp_path / 'no')!r}) == ()"
+        f"; assert blockcore._openblas_threads({str(maps)!r}) == ()"
     )
     assert after == before
+
+
+# A product splits once every OpenBLAS reports one thread, whoever set it:
+# OpenBLAS's own variable wins over OMP_NUM_THREADS.
+@pytest.mark.parametrize(
+    "env", [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"},
+            {"OMP_NUM_THREADS": "1"}, {}],
+)
+def test_cli_products_split_when_every_openblas_reports_one_thread(env):
+    _, (threads, split) = _after(
+        'harness.cli_main(["syncs"])', "[blas_threads(), splits()]", env
+    )
+    assert set(threads) == {1}
+    assert split == 2
+
+
+def test_library_products_split_under_a_one_thread_openblas():
+    env = {"OPENBLAS_NUM_THREADS": "1"}
+    assert _after("pass", "splits()", env)[1] == 2
+
+
+def test_products_run_whole_once_openblas_leaves_one_thread():
+    # After the CLI's pin, a caller that gives every OpenBLAS two threads
+    # gets products BLAS splits itself.
+    _, split = _after(
+        'harness.cli_main(["syncs"]); assert splits() == 2; '
+        "[set_threads(2) for _, set_threads in blockcore._openblas_threads()]",
+        "splits()",
+    )
+    assert split == 0
+
+
+def test_products_run_whole_on_the_hosts_default_blas_threads():
+    before, split = _after("pass", "splits()")
+    if set(before) == {1}:
+        pytest.skip("the host's OpenBLAS runs on one thread")
+    assert split == 0
 
 
 def test_cli_sweep_bytes_do_not_depend_on_the_thread_count(tmp_path):
@@ -1593,53 +1646,35 @@ def test_cli_sweep_bytes_do_not_depend_on_the_thread_count(tmp_path):
         " 'bcgsi_plus_a,2s', '--out', sys.argv[1]]))\n"
     )
     a, b = tmp_path / "unset.csv", tmp_path / "one.csv"
-    _python(body, args=[str(a)])
-    _python(body, {"OPENBLAS_NUM_THREADS": "1"}, args=[str(b)])
+    _python("-c", body, str(a))
+    _python("-c", body, str(b), env={"OPENBLAS_NUM_THREADS": "1"})
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_python_m_blockgs_runs_the_cli():
-    src = str(Path(blockgs.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run(
-        [sys.executable, "-m", "blockgs", "syncs"], env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _python("-m", "blockgs", "syncs")
     assert "BCGSI+A-1S" in proc.stdout
 
 
 def test_overflowing_monomial_sweep_is_quiet_under_strict_warnings(tmp_path):
     # Long monomial panels overflow to inf; those rows are data, so the
     # sweep succeeds and prints nothing to stderr with warnings as errors.
-    src = str(Path(blockgs.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["PYTHONPATH"] = src
     out = tmp_path / "x.csv"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "blockgs", "sweep",
-         "--matrix", "monomial", "--m", "400", "--p", "40", "--s", "10",
-         "--kappas", "1e3,1e300", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
+    proc = _python(
+        "-W", "error", "-m", "blockgs", "sweep", "--matrix", "monomial",
+        "--m", "400", "--p", "40", "--s", "10", "--kappas", "1e3,1e300",
+        "--out", str(out),
     )
-    assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert out.read_bytes().count(b"\n") == 1 + 2 * 7
 
 
 def test_python_m_blockgs_sweep_writes_the_csv(tmp_path):
-    src = str(Path(blockgs.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["PYTHONPATH"] = src
     out = tmp_path / "x.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "blockgs", "sweep", "--matrix", "default",
-         "--m", "40", "--p", "4", "--s", "2", "--kappas", "1e2,1e6",
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
+    proc = _python(
+        "-m", "blockgs", "sweep", "--matrix", "default", "--m", "40", "--p",
+        "4", "--s", "2", "--kappas", "1e2,1e6", "--out", str(out),
     )
-    assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert out.read_bytes().count(b"\n") == 1 + 2 * 7
 

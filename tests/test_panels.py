@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockgs import blockcore, harness
+from blockgs import blockcore
 from blockgs.blockcore import all_finite, project_out
 from blockgs.harness import SweepConfig, make_combo, run_sweep, write_csv
 from blockgs.matgen import make_rng, standard_normal
@@ -62,7 +62,7 @@ def _panels_forced(k, panel_bytes=0):
             PANEL_BYTES=panel_bytes,
             REDUCE_PANEL_BYTES=0,
             _pool=pool,
-            _blas_pinned=True,
+            _blas_on_one_thread=lambda: True,
         ):
             yield pool
     finally:
@@ -209,7 +209,7 @@ def test_sweeps_shaped_like_the_small_workloads_never_use_the_pool():
 
         blockcore._pool = RefusingPool()
         blockcore._cores = lambda: 4
-        blockcore._blas_pinned = True
+        blockcore._blas_on_one_thread = lambda: True
         combos = tuple(make_combo(kind) for kind in SkeletonKind)
         run_sweep(SweepConfig(matrix_class="piled", combos=combos,
                               kappas=(1e4, 1e10), m=1000, p=20, s=5))
@@ -263,11 +263,13 @@ def test_a_panelled_call_from_a_pool_worker_runs_whole():
 
 def test_panel_bounds_are_grain_aligned_and_cover_the_range():
     work = 3 * blockcore._PANEL_MIN_WORK
-    with mock.patch.multiple(blockcore, _cores=lambda: 4, _blas_pinned=False):
+    with mock.patch.multiple(blockcore, _cores=lambda: 4,
+                             _blas_on_one_thread=lambda: False):
         # A BLAS on its own threads splits a product itself.
         assert blockcore._panels(1000, work=work) == [0, 1000]
         assert blockcore._panels(100) == [0, 25, 50, 75, 100]
-    with mock.patch.multiple(blockcore, _cores=lambda: 4, _blas_pinned=True):
+    with mock.patch.multiple(blockcore, _cores=lambda: 4,
+                             _blas_on_one_thread=lambda: True):
         assert blockcore._panels(100) == [0, 25, 50, 75, 100]
         assert blockcore._panels(190, grain=16) == [0, 48, 96, 144, 190]
         assert blockcore._panels(64, grain=16) == [0, 32, 64]
@@ -277,18 +279,31 @@ def test_panel_bounds_are_grain_aligned_and_cover_the_range():
         assert blockcore._panels(100) == [0, 100]
 
 
-def test_only_blockcore_names_the_panel_machinery():
-    # When and how a pass splits is decided in blockcore alone; the other
-    # modules call its kernels and _split_pass.
-    names = re.compile(
-        r"\b(?:_panels|_run_panels|\w*PANEL_\w*|_REDUCE_\w+|_PROJECT_GRAIN)\b"
-    )
+def _named_outside_blockcore(pattern):
+    """What each other module of the package matches of ``pattern``."""
     package = Path(blockcore.__file__).parent
-    named = {
-        path.name: sorted(set(names.findall(path.read_text())))
+    return {
+        path.name: sorted(set(re.findall(pattern, path.read_text())))
         for path in sorted(package.glob("*.py"))
         if path.name != "blockcore.py"
     }
+
+
+def test_only_blockcore_names_the_panel_machinery():
+    # When and how a pass splits is decided in blockcore alone; the other
+    # modules call its kernels and _split_pass.
+    named = _named_outside_blockcore(
+        r"\b(?:_panels|_run_panels|\w*PANEL_\w*|_REDUCE_\w+|_PROJECT_GRAIN)\b"
+    )
+    assert not any(named.values()), named
+
+
+def test_only_blockcore_knows_openblas():
+    # Finding the loaded OpenBLAS libraries, reading their thread counts
+    # and pinning them for the CLI happen in blockcore alone.
+    named = _named_outside_blockcore(
+        r"\bctypes\b|/proc/self/maps|openblas_\w*num_threads"
+    )
     assert not any(named.values()), named
 
 
@@ -417,7 +432,7 @@ def test_threads_sharing_the_panel_pool_keep_every_bit():
             PANEL_BYTES=0,
             REDUCE_PANEL_BYTES=0,
             _pool=None,
-            _blas_pinned=True,
+            _blas_on_one_thread=lambda: True,
         ):
             threads = [threading.Thread(target=caller) for _ in range(6)]
             for t in threads:
@@ -463,23 +478,3 @@ def test_the_caller_takes_the_panels_a_late_worker_has_not_claimed():
         pool.pool.shutdown()
     assert got == [(0, 10), (10, 20), (20, 30)]
     assert runners == [threading.get_ident()] * 3
-
-
-@pytest.mark.parametrize(
-    "threads,pinned", [({"OPENBLAS_NUM_THREADS": "1"}, True),
-                       ({"OMP_NUM_THREADS": "1"}, True),
-                       ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"},
-                        False),
-                       ({"GOTO_NUM_THREADS": "2"}, False)],
-)
-def test_products_split_only_under_a_one_thread_blas(monkeypatch, threads,
-                                                     pinned):
-    # A thread count the user chose is left alone; products are split only
-    # if every count chosen is 1.
-    for name in harness._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in threads.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(blockcore, "_blas_pinned", not pinned)
-    harness._one_blas_thread(maps="/nonexistent/maps")
-    assert blockcore._blas_pinned is pinned

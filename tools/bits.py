@@ -10,8 +10,9 @@ tree's ``bench/workloads.py`` runs at each of the seeds 42, 7 and 9137
 through ``harness.cli_main``, each in a fresh child with its tree's
 ``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``.  One line per CSV
 gives its sha256 in both trees and ``same`` or ``DIFFERS``; the lines of
-each differing CSV follow.  Exits 0 when every CSV is byte-identical and 1
-otherwise.
+each differing CSV follow, each marked within or outside the tolerance of
+``bench/csvcheck.py`` against the revision's CSV, and a count of the rows
+outside it.  Exits 0 when every CSV is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ SHOWN_ROWS = 20
 _CLI = "import sys; from blockgs.harness import cli_main; sys.exit(cli_main())"
 
 
-def _workloads():
+def _bench_module(name: str):
+    """The module ``bench/<name>.py`` of the work tree, loaded read-only."""
     spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "bench" / "workloads.py"
+        name, ROOT / "bench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -68,14 +70,24 @@ def _sweep(tree: Path, args: list[str], out: Path) -> bytes:
     return out.read_bytes()
 
 
-def _differing_rows(old: bytes, new: bytes) -> list[str]:
+def _differing_rows(old: str, new: str, outside: set[int]) -> list[str]:
+    """Three lines per differing line of two CSVs: its number and verdict,
+    the old line and the new one.  ``outside`` holds the 0-based data rows
+    beyond the tolerance."""
     lines = []
     pairs = itertools.zip_longest(
-        old.decode().splitlines(), new.decode().splitlines(), fillvalue=""
+        old.splitlines(), new.splitlines(), fillvalue=""
     )
-    for row, (a, b) in enumerate(pairs):
+    for line, (a, b) in enumerate(pairs):
         if a != b:
-            lines += [f"    line {row + 1}:", f"      - {a}", f"      + {b}"]
+            # A missing or an extra line is outside, as is a header.
+            beyond = line == 0 or line - 1 in outside or not (a and b)
+            verdict = "outside" if beyond else "within"
+            lines += [
+                f"    line {line + 1} ({verdict} tolerance):",
+                f"      - {a}",
+                f"      + {b}",
+            ]
     return lines
 
 
@@ -83,7 +95,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev")
     args = parser.parse_args(argv)
-    workloads = _workloads()
+    workloads = _bench_module("workloads")
+    csvcheck = _bench_module("csvcheck")
     differing = 0
     with tempfile.TemporaryDirectory(prefix="bits-") as tmp:
         tmp = Path(tmp)
@@ -105,11 +118,14 @@ def main(argv=None) -> int:
                 )
                 if old != new:
                     differing += 1
-                    rows = _differing_rows(old, new)
+                    old_text, new_text = old.decode(), new.decode()
+                    outside = csvcheck.bad_rows(new_text, old_text, old_text)
+                    rows = _differing_rows(old_text, new_text, outside)
                     shown = rows[: 3 * SHOWN_ROWS]
                     print("\n".join(shown))
                     if len(rows) > len(shown):
                         print(f"    ... {(len(rows) - len(shown)) // 3} more")
+                    print(f"    {len(outside)} row(s) outside tolerance")
     print(f"{differing} CSV(s) differ")
     return 1 if differing else 0
 
