@@ -8,9 +8,10 @@ A pass over a large operand may run in panels, one contiguous range of an
 independent output dimension per usable core (:func:`_panels`,
 :func:`_run_panels`): the tall products :func:`project_out` and
 :func:`tall_inner`, and, through :func:`_split_pass`, the elementwise
-passes and max/min scans of the other modules.  Each output element is
-formed by the same BLAS kernel or ufunc, from the same operands and in the
-same order as in one call, so the bits do not depend on the core count.
+passes and max/min scans of the other modules; a tall product is one
+expression over a range of output columns.  Each output element is formed
+by the same BLAS kernel or ufunc, from the same operands and in the same
+order as in one call, so the bits do not depend on the core count.
 This module alone decides when and how a pass splits, and alone knows
 OpenBLAS: it finds the loaded libraries, reads their thread counts (a
 product splits only while each reports one) and pins them for the CLI.
@@ -294,19 +295,21 @@ def _split_pass(fn, *arrays) -> list:
     return [fn(*arrays)]
 
 
-def _extrema(a: np.ndarray, **initial) -> tuple[float, float]:
-    """``(a.max(**initial), a.min(**initial))`` of a float array; NaN in any
-    entry makes both NaN.
+def _extrema(a: np.ndarray) -> tuple[float, float]:
+    """``(a.max(initial=0.0), a.min(initial=0.0))`` of a float array, so
+    ``(0.0, 0.0)`` when it is empty; NaN in any entry makes both NaN.
 
     An ``a`` of at least ``PANEL_BYTES`` is read in panels
     (:func:`_split_pass`), whose maxima and minima are combined by
     ``np.max`` and ``np.min``: they propagate NaN whatever its panel.  A
     smaller one, as in most calls, skips the helper.
     """
+    def read(b):
+        return b.max(initial=0.0), b.min(initial=0.0)
+
     if a.nbytes < PANEL_BYTES:
-        return a.max(**initial), a.min(**initial)
-    parts = _split_pass(lambda b: (b.max(**initial), b.min(**initial)), a)
-    tops, bottoms = zip(*parts)
+        return read(a)
+    tops, bottoms = zip(*_split_pass(read, a))
     return np.max(tops), np.min(bottoms)
 
 
@@ -314,12 +317,10 @@ def all_finite(a: np.ndarray) -> bool:
     """True when no entry of the float array ``a`` is NaN or infinite; an
     empty ``a`` is finite.
 
-    Read from ``a.max()`` and ``a.min()`` (:func:`_extrema`), so no mask the
-    size of ``a`` is formed: NaN propagates through ``max``, and an infinity
-    is the largest or the smallest entry.
+    Read from ``a``'s extrema (:func:`_extrema`), so no mask the size of
+    ``a`` is formed: NaN propagates through ``max``, and an infinity is the
+    largest or the smallest entry.
     """
-    if a.size == 0:
-        return True
     top, bottom = _extrema(a)
     return math.isfinite(top) and math.isfinite(bottom)
 
@@ -382,27 +383,25 @@ def project_out(x, q, c) -> np.ndarray:
     Formed as ``(X^T - C^T Q^T)^T`` in one s-by-m buffer, the orientation
     of :func:`tall_inner`, so a column-major ``Q`` is read in place; the
     result is Fortran-ordered.  For s >= 5 its bits equal those of
-    ``x - q @ c``; narrower blocks may differ in the last bits.  While BLAS
-    runs on one thread, a ``Q`` of at least ``PANEL_BYTES`` is deflated in
-    panels of rows, one per core (see :func:`_panels`), with the same bits.
+    ``x - q @ c``; narrower blocks may differ in the last bits.  Its one
+    product fills the buffer whole or, while BLAS runs on one thread and
+    ``Q`` holds at least ``PANEL_BYTES``, in panels of rows, one per core
+    (see :func:`_panels`), with the same bits.
     """
+    m, n = q.shape
+    s = c.shape[1]
+    t = np.empty_like(q, shape=(s, m), order="C")  # of Q's array type
+
+    def fill(lo, hi):
+        panel = t[:, lo:hi]
+        np.matmul(c.T, q[lo:hi].T, out=panel)
+        np.subtract(x[lo:hi].T, panel, out=panel)
+
     # Most calls deflate one small block; they skip the panel helper.
-    if q.nbytes >= PANEL_BYTES:
-        m, n = q.shape
-        s = c.shape[1]
-        bounds = _panels(m, grain=_PROJECT_GRAIN, work=m * n * s)
-        if len(bounds) > 2:
-            t = np.empty((s, m))
-
-            def deflate(lo, hi):
-                panel = t[:, lo:hi]
-                np.matmul(c.T, q[lo:hi].T, out=panel)
-                np.subtract(x[lo:hi].T, panel, out=panel)
-
-            _run_panels(deflate, bounds)
-            return t.T
-    t = c.T @ q.T
-    np.subtract(x.T, t, out=t)
+    if q.nbytes < PANEL_BYTES:
+        fill(0, m)
+    else:
+        _run_panels(fill, _panels(m, grain=_PROJECT_GRAIN, work=m * n * s))
     return t.T
 
 
@@ -413,26 +412,25 @@ def tall_inner(left, right) -> np.ndarray:
     Formed as ``(R^T @ left)^T`` with ``R`` a C-ordered copy of ``right``,
     so ``left`` is read in place.  The copy keeps the sweeps' bits: an
     uncopied column-major ``right`` changes the BLAS call and the metric
-    digits.  While BLAS runs on one thread, a ``left`` of at least
-    ``REDUCE_PANEL_BYTES`` and at most ``_REDUCE_MAX_COLS`` columns is
-    reduced in panels of its columns, one per core (see :func:`_panels`);
-    each entry is formed by the same BLAS kernel in the same order as in
-    one call.
+    digits.  Its one product fills the result whole or, while BLAS runs on
+    one thread and ``left`` holds at least ``REDUCE_PANEL_BYTES`` and at
+    most ``_REDUCE_MAX_COLS`` columns, in panels of those columns, one per
+    core (see :func:`_panels`); each entry is formed by the same BLAS
+    kernel in the same order as in one call.
     """
     r = np.ascontiguousarray(right)
     (m, n), w = left.shape, r.shape[1]
+    out = np.empty((w, n))
+
+    def fill(lo, hi):
+        np.matmul(r.T, left[:, lo:hi], out=out[:, lo:hi])
+
     # Most calls reduce against a few blocks; they skip the panel helper.
-    if left.nbytes >= REDUCE_PANEL_BYTES and n <= _REDUCE_MAX_COLS:
-        bounds = _panels(n, grain=_REDUCE_GRAIN, work=m * n * w)
-        if len(bounds) > 2:
-            out = np.empty((w, n))
-
-            def product(lo, hi):
-                np.matmul(r.T, left[:, lo:hi], out=out[:, lo:hi])
-
-            _run_panels(product, bounds)
-            return np.ascontiguousarray(out.T)
-    return np.ascontiguousarray((r.T @ left).T)
+    if left.nbytes < REDUCE_PANEL_BYTES or n > _REDUCE_MAX_COLS:
+        fill(0, n)
+    else:
+        _run_panels(fill, _panels(n, grain=_REDUCE_GRAIN, work=m * n * w))
+    return np.ascontiguousarray(out.T)
 
 
 def zero_pivot(r: np.ndarray) -> bool:

@@ -170,10 +170,11 @@ def gen_monomial(
 ) -> BlockMatrix:
     """Krylov-panel family.
 
-    With n = p*s columns and panel length t (sweep index j maps to the j-th
-    smallest divisor t of n, with r = n/t panels), the matrix is the
-    concatenation of r panels [v_i, A v_i, ..., A^(t-1) v_i] re-partitioned
-    into p blocks of width s.  A is diagonal with m eigenvalues evenly
+    With n = p*s columns and panel length t, a divisor of n, the matrix is
+    the concatenation of r = n/t panels [v_i, A v_i, ..., A^(t-1) v_i]
+    re-partitioned into p blocks of width s.  A sweep walks every divisor
+    of n once, and each kappa target gets the rung nearest in log10 kappa;
+    a tie keeps the earlier rung.  A is diagonal with m eigenvalues evenly
     distributed strictly inside (0.1, 10); the v_i are independent uniform
     [-1, 1]^m vectors normalized to unit 2-norm.  A long panel may overflow
     to inf: that is data, not an error.

@@ -84,24 +84,6 @@ def loo(q) -> float:
         return spectral_norm(np.eye(qd.shape[1]) - qd.T @ qd)
 
 
-def _binary_exponent(a: np.ndarray) -> int:
-    """The ``e`` that brings the largest entry of ``a * 2**-e`` into [1/2, 1).
-
-    0 for an empty, a zero or a non-finite matrix.
-    """
-    hi, lo = _extrema(a, initial=0.0)
-    top = max(float(hi), -float(lo))
-    return math.frexp(top)[1]
-
-
-def _lambda_max(g: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric matrix ``g``, clamped at +0.0;
-    NaN for an empty or a non-finite ``g``."""
-    if g.size == 0 or not all_finite(g):
-        return math.nan
-    return max(0.0, float(np.linalg.eigvalsh(g)[-1]))
-
-
 class ScaledGram(NamedTuple):
     """X's statistics that both relative residuals share.
 
@@ -116,21 +98,33 @@ class ScaledGram(NamedTuple):
     lam_max: float
 
 
+def _scale_and_gram(a: np.ndarray, out: np.ndarray) -> ScaledGram:
+    """:class:`ScaledGram` of ``a``, scaled into ``out`` (``a`` itself in
+    place).  One read of ``a``'s extrema gives its exponent and finiteness;
+    an empty or a non-finite ``a`` is neither scaled nor multiplied.  Scaled
+    entries are below 1, so the Gram of finite data is finite.
+    """
+    hi, lo = _extrema(a)
+    top = max(float(hi), -float(lo))
+    n = a.shape[1]
+    if a.size == 0 or not math.isfinite(top):
+        return ScaledGram(0, np.full((n, n), math.nan), math.nan)
+    e = math.frexp(top)[1]
+    _split_pass(lambda b, o: np.ldexp(b, -e, out=o), a, out)
+    gram = out.T @ out
+    return ScaledGram(e, gram, max(0.0, float(np.linalg.eigvalsh(gram)[-1])))
+
+
 def scaled_gram(x) -> ScaledGram:
     """X's power-of-two scale, scaled Gram matrix and its largest eigenvalue.
 
     A sweep forms these once per matrix and hands them to :func:`rel_res`
-    and :func:`rel_chol_res` for every run on it.  No Gram is formed for an
-    empty or a non-finite X.
+    and :func:`rel_chol_res` for every run on it.  X is read once for its
+    scale and finiteness, then scaled into a fresh copy; no Gram is formed
+    for an empty or a non-finite X.
     """
     xd = _dense(x)
-    e = _binary_exponent(xd)
-    xs = np.empty_like(xd)
-    _split_pass(lambda a, out: np.ldexp(a, -e, out=out), xd, xs)
-    n = xs.shape[1]
-    defined = xs.size and all_finite(xs)
-    gram = xs.T @ xs if defined else np.full((n, n), math.nan)
-    return ScaledGram(e, gram, _lambda_max(gram))
+    return _scale_and_gram(xd, np.empty_like(xd))
 
 
 def rel_res(
@@ -147,6 +141,8 @@ def rel_res(
     ``ValueError``.  Q R (one BLAS ``trmm``) and then the residual are
     formed in one m-by-n buffer: a copy of Q, or with ``overwrite_q=True``
     a Fortran-ordered float64 Q's own storage, which is then destroyed.
+    The residual is scaled in place by the power of two that one max/min
+    read of it gives, with its finiteness, before its Gram is formed.
     ``x_gram`` is :func:`scaled_gram` of X, formed here when not given.
     NaN when R or the residual has non-finite entries (a failed run, or an
     overflow), when X is zero or when the ratio overflows.  A non-finite
@@ -164,9 +160,7 @@ def rel_res(
     buf = blas.dtrmm(1.0, rd, qd, side=1, overwrite_b=overwrite_q)
     with np.errstate(over="ignore", invalid="ignore"):
         _split_pass(lambda a, b: np.subtract(a, b, out=b), xd, buf)
-        e_res = _binary_exponent(buf)
-        _split_pass(lambda b: np.ldexp(b, -e_res, out=b), buf)
-        lam_res = _lambda_max(buf.T @ buf)
+        e_res, _, lam_res = _scale_and_gram(buf, buf)
     del buf
     e_x, _, lam_x = scaled_gram(xd) if x_gram is None else x_gram
     if lam_x == 0.0:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockgs import blockcore, metrics
 from blockgs.blockcore import BlockMatrix, spectral_norm
 from blockgs.metrics import (
     C_TOL,
@@ -140,6 +141,30 @@ def test_shared_gram_of_a_zero_x_gives_nan_residuals():
         assert math.isnan(rel_res(x, q, r))
         assert math.isnan(rel_chol_res(x, r, x_gram))
         assert math.isnan(rel_chol_res(x, r))
+
+
+def test_a_finite_x_is_read_once_for_its_scale_and_finiteness(monkeypatch):
+    # One max/min read of X gives both its power-of-two scale and its
+    # finiteness; neither the scaled copy nor the Gram is scanned again,
+    # and rel_res reads only R and its residual.
+    reads = []
+    extrema = blockcore._extrema
+
+    def counted(a, *args, **kwargs):
+        reads.append(a.shape)
+        return extrema(a, *args, **kwargs)
+
+    # all_finite calls _extrema inside blockcore; metrics imports it by name.
+    monkeypatch.setattr(blockcore, "_extrema", counted)
+    monkeypatch.setattr(metrics, "_extrema", counted)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((50, 6))
+    x_gram = scaled_gram(x)
+    assert reads == [(50, 6)]
+    reads.clear()
+    q, r = np.linalg.qr(x)
+    rel_res(x, q, r, x_gram)
+    assert reads == [(6, 6), (50, 6)]
 
 
 def test_metrics_accept_block_matrices():

@@ -29,7 +29,7 @@ from blockgs import blockcore
 from blockgs.blockcore import all_finite, project_out
 from blockgs.harness import SweepConfig, make_combo, run_sweep, write_csv
 from blockgs.matgen import make_rng, standard_normal
-from blockgs.metrics import _binary_exponent, rel_res, scaled_gram
+from blockgs.metrics import rel_res, scaled_gram
 from blockgs.syncmodel import SyncLedger
 
 
@@ -121,8 +121,8 @@ def _sites(m, n, s, poison, where, seed):
         "reduce": (lambda: SyncLedger().reduce(1, "proj", q, xk), product),
         "all_finite": (lambda: all_finite(q), True),
         "all_finite, C order": (lambda: all_finite(qc), True),
-        "_binary_exponent": (lambda: _binary_exponent(q), True),
-        "_binary_exponent, C order": (lambda: _binary_exponent(qc), True),
+        "_extrema": (lambda: blockcore._extrema(q), True),
+        "_extrema, C order": (lambda: blockcore._extrema(qc), True),
         "rel_res": (lambda: rel_res(x, q, r, x_gram), True),
         "scaled_gram": (lambda: tuple(scaled_gram(q)), True),
         "standard_normal": (
@@ -410,7 +410,7 @@ def test_threads_sharing_the_panel_pool_keep_every_bit():
         lambda: project_out(xk, q, c),
         lambda: SyncLedger().reduce(1, "proj", q, xk),
         lambda: all_finite(q),
-        lambda: _binary_exponent(xk),
+        lambda: blockcore._extrema(xk),
     )
     with _panels_forced(1):
         want = [site() for site in sites]
