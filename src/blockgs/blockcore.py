@@ -14,12 +14,14 @@ by the same BLAS kernel or ufunc, from the same operands and in the same
 order as in one call, so the bits do not depend on the core count.
 This module alone decides when and how a pass splits, and alone knows
 OpenBLAS: it finds the loaded libraries, reads their thread counts (a
-product splits only while each reports one) and pins them for the CLI.
+product splits only while each reports one) and pins them to one thread
+while a sweep, a single run or a sync table runs (:func:`_one_blas_thread`).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -166,12 +168,46 @@ def _blas_on_one_thread() -> bool:
     return {get() for get, _ in _openblas_threads()} == {1}
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Set every loaded OpenBLAS to one thread, as the command line runs,
-    unless the user chose a count through ``_BLAS_THREAD_VARS``."""
-    if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
-        for _, set_threads in _openblas_threads():
-            set_threads(1)
+# The pin's state: entries open, and the counts the outermost entry saved.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list[int] = []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, unless the
+    user chose a count through ``_BLAS_THREAD_VARS``: a sweep's many small
+    calls lose more to a second thread than they gain, and one thread
+    keeps the bits off the core count.
+
+    Nested and concurrent entries share one pin, set at the outermost
+    entry and restored at the last exit; meanwhile the process's other
+    threads run BLAS on one thread too.  An entry made before a fork is
+    the parent's: leaving it in the child changes nothing.
+    """
+    global _pin_depth, _pin_saved
+    pid = os.getpid()
+    with _pin_lock:
+        if not _pin_depth and not any(
+            os.environ.get(name) for name in _BLAS_THREAD_VARS
+        ):
+            _pin_saved = [get() for get, _ in _openblas_threads()]
+            for _, set_threads in _openblas_threads():
+                set_threads(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        if os.getpid() == pid:
+            with _pin_lock:
+                _pin_depth -= 1
+                if not _pin_depth:
+                    for (_, set_threads), count in zip(
+                        _openblas_threads(), _pin_saved
+                    ):
+                        set_threads(count)
+                    _pin_saved = []
 
 
 # Made at first use: importing the executor's module costs every process
@@ -193,8 +229,10 @@ def _mark_worker() -> None:
 
 
 def _after_fork_in_child() -> None:
-    global _pool, _pool_lock, _forked
+    # A lock some other thread held at the fork would stay held forever.
+    global _pool, _pool_lock, _forked, _pin_lock, _pin_depth, _pin_saved
     _pool, _pool_lock, _forked = None, threading.Lock(), True
+    _pin_lock, _pin_depth, _pin_saved = threading.Lock(), 0, []
 
 
 if hasattr(os, "register_at_fork"):
@@ -210,8 +248,8 @@ def _panels(n: int, *, grain: int = 1, work: int = 0) -> list[int]:
     of ``grain``, and every panel holds at least ``grain`` indices and, for
     a product of ``work`` multiply-adds, at least ``_PANEL_MIN_WORK`` of
     them.  A product splits only while every loaded OpenBLAS reports one
-    thread (read at each call: the CLI's pin or a library caller's
-    ``OPENBLAS_NUM_THREADS=1``); a BLAS on more threads splits it itself.
+    thread (read at each call: the pin of :func:`_one_blas_thread` or a
+    caller's own); a BLAS on more threads splits it itself.
     Bounds round up, so the first panel, which the calling thread takes, is
     the largest: a reduction whose caller had the smaller panel ran no
     faster than one call (20000-row products of 96 to 120 columns).

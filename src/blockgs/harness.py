@@ -338,6 +338,7 @@ def _record(
     )
 
 
+@blockcore._one_blas_thread()
 def run_single(
     x: BlockMatrix,
     combo: Combo,
@@ -418,6 +419,7 @@ def _sweep_points(config: SweepConfig):
             yield kt, x, measured, ""
 
 
+@blockcore._one_blas_thread()
 def run_sweep(config: SweepConfig) -> list[RunRecord]:
     """Run every combination at every sweep point, in deterministic order.
 
@@ -426,6 +428,11 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
     conditioning and its scaled Gram matrix are formed before the first
     combo runs.  ``elapsed_ms`` is zeroed so that identical configs yield
     byte-identical CSVs.
+
+    BLAS runs on one thread for the sweep, whoever calls it, unless the
+    user chose a count (:func:`~blockgs.blockcore._one_blas_thread`), so a
+    library sweep writes the CLI's bytes; :func:`run_single` and
+    :func:`sync_table` do the same.
     """
     records: list[RunRecord] = []
     for kt, x, kappa_actual, note in _sweep_points(config):
@@ -609,6 +616,7 @@ def check_bounds(path, *, out=None) -> list[str]:
     return violations
 
 
+@blockcore._one_blas_thread()
 def sync_table() -> list[tuple[str, float]]:
     """Steady-state reductions per block column, measured from live ledgers.
 
@@ -744,20 +752,16 @@ def _error_exit(exc: Exception | str) -> int:
 def cli_main(argv=None) -> int:
     """Run one ``blockgs`` command and return its exit code.
 
-    Before any command runs, every loaded OpenBLAS is set to one thread
-    (one call into :mod:`~blockgs.blockcore`, which leaves a count the user
-    set alone), so the CSV bytes do not depend on the host's core count.
-    The large passes (tall reductions, deflations and full-matrix scans)
-    then run in panels, one per core the process may run on (``taskset -c
-    0`` keeps it to one), with the bits of one call; blockcore decides
-    when a pass splits.  The library functions leave the thread count alone.
+    A sweep and the sync table run BLAS on one thread, as they do when
+    called from Python (see :func:`run_sweep`); the large passes split
+    over the cores the process may run on, with the bits of one call, and
+    blockcore decides when.
 
     Exit codes: 0 success, 1 bound violations found by ``check-bounds``,
     2 configuration errors, unreadable or unwritable files and sweeps whose
     arrays cannot be allocated.
     """
     args = _build_parser().parse_args(argv)
-    blockcore._pin_blas_to_one_thread()
     try:
         if args.command == "sweep":
             config = _config_from_args(args)

@@ -1,9 +1,10 @@
 """Fixtures shared by the test modules.
 
-Every test runs between a snapshot of the OpenBLAS thread counts and their
-restoration: a test that runs ``harness.cli_main`` in-process, which sets
-every count to one for the rest of the process, leaves later tests the
-library's default of the host's BLAS threads.
+No test needs the OpenBLAS thread counts restored after it: the library's
+sweeps, single runs and sync tables (the CLI's too) restore the counts they
+pin when they return.  A module that calls the kernels or skeletons directly
+and wants them on one thread, as a sweep runs them, asks for
+``blas_on_one_thread``.
 """
 
 import pytest
@@ -22,15 +23,8 @@ def _counts() -> list[int]:
 
 @pytest.fixture(scope="module")
 def blas_on_one_thread():
-    """Every OpenBLAS on one thread, as the CLI runs it, for a module."""
+    """Every OpenBLAS on one thread, as a sweep runs it, for a module."""
     before = _counts()
     _set_threads([1] * len(before))
     yield
     _set_threads(before)
-
-
-@pytest.fixture(autouse=True)
-def _restore_blas_threads():
-    counts = _counts()
-    yield
-    _set_threads(counts)

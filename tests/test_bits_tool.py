@@ -3,9 +3,12 @@ workloads' CSVs in two trees, with its export and its sweeps replaced by
 fixed bytes: no sweep runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
+
+from blockgs import blockcore
 
 ROOT = Path(__file__).resolve().parent.parent
 # Two rows of a real workload CSV, so the tool's tolerance check parses them.
@@ -96,3 +99,26 @@ def test_main_exits_1_with_one_differs_line_for_one_csv(
     assert sum(line.endswith("  DIFFERS") for line in lines) == 1
     assert "    line 3 (outside tolerance):" in lines
     assert "    1 row(s) outside tolerance" in lines
+
+
+def test_sweep_children_run_without_a_blas_thread_variable(
+    bits, monkeypatch, tmp_path
+):
+    # A count the user set turns the program's one-thread pin off, so every
+    # variable is stripped and the gate runs the program's own policy.
+    names = (*blockcore._BLAS_THREAD_VARS, "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "2")
+    envs = []
+
+    def run(cmd, **kwargs):
+        envs.append(kwargs["env"])
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bits.subprocess, "run", run)
+    out = tmp_path / "x.csv"
+    out.write_text(CSV)
+    assert bits._sweep(tmp_path, ["--m", "100"], out) == CSV.encode()
+    (env,) = envs
+    assert not set(names) & set(env)
+    assert env["PYTHONPATH"] == str(tmp_path / "src")

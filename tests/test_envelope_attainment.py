@@ -37,7 +37,7 @@ from blockgs.metrics import EPS, bound_envelope, loo
 from blockgs.muscles import CHOL_QR, HOUSE_QR, MGS, house_qr
 from blockgs.skeletons import SKELETONS, BoundSpec
 
-# One BLAS thread, as in the CLI: on a host with few cores the module's
+# One BLAS thread, as in a sweep: on a host with few cores the module's
 # many small products run several times faster.
 pytestmark = [pytest.mark.slow, pytest.mark.usefixtures("blas_on_one_thread")]
 

@@ -1478,13 +1478,16 @@ def test_cli_sweep_exit_codes_property(matrix, m, p, s, kappas):
 
 
 # ---------------------------------------------------------------------------
-# BLAS thread policy (each test runs in a fresh interpreter, because the
-# policy changes the process it runs in)
+# BLAS thread policy (a test that sets or reads thread counts runs in a
+# fresh interpreter, so no count it leaves behind reaches another test)
 # ---------------------------------------------------------------------------
 
-# Defines blas_threads(), the thread count of each loaded OpenBLAS, and
+# Defines blas_threads(), the thread count of each loaded OpenBLAS;
 # splits(): how many of a reduction and a deflation above their byte
-# thresholds split on two cores, each byte-identical to one call.
+# thresholds split on two cores, each byte-identical to one call; and
+# inside, the [blas_threads(), splits()] inside the first run of a combo
+# (in run_single or sync_table), read through a rebinding of
+# harness._run_combo.
 _PRELUDE = """
 import contextlib, io, json
 import numpy as np
@@ -1495,7 +1498,8 @@ def blas_threads():
     return [get() for get, _ in blockcore._openblas_threads()]
 
 def splits():
-    rng, run, split = np.random.default_rng(1), blockcore._run_panels, []
+    rng, split = np.random.default_rng(1), []
+    run, cores = blockcore._run_panels, blockcore._cores
     q = np.asfortranarray(rng.standard_normal((20000, 120)))
     x = np.asfortranarray(rng.standard_normal((20000, 10)))
     c = rng.standard_normal((120, 10))
@@ -1508,17 +1512,41 @@ def splits():
 
     blockcore._run_panels = counted
     bits = {}
-    for cores in (1, 2):
-        blockcore._cores = lambda: cores
-        bits[cores] = [blockcore.tall_inner(q, x).tobytes(),
-                       blockcore.project_out(x, q, c).tobytes()]
-    blockcore._run_panels = run
+    for n in (1, 2):
+        blockcore._cores = lambda: n
+        bits[n] = [blockcore.tall_inner(q, x).tobytes(),
+                   blockcore.project_out(x, q, c).tobytes()]
+    blockcore._run_panels, blockcore._cores = run, cores
     assert bits[1] == bits[2]
     return len(split)
 
+inside = []
+run_combo = harness._run_combo
+
+def recording_run_combo(*args, **kwargs):
+    if not inside:
+        inside.extend([blas_threads(), splits()])
+    return run_combo(*args, **kwargs)
+
+harness._run_combo = recording_run_combo
 before = blas_threads()
 with contextlib.redirect_stdout(io.StringIO()):
 """
+
+# A sweep small enough for a fresh interpreter: one combo at one point.
+_LIBRARY_SWEEP = (
+    "harness.run_sweep(harness.SweepConfig(matrix_class='piled',"
+    " combos=(harness.make_combo('bcgsi_a_1s'),), kappas=(1e4,),"
+    " m=400, p=20))"
+)
+
+
+def _cli_sweep(tmp_path):
+    """A statement that runs the same sweep through ``cli_main``."""
+    argv = ["sweep", "--matrix", "piled", "--m", "400", "--p", "20",
+            "--kappas", "1e4", "--skeletons", "1s",
+            "--out", str(tmp_path / "x.csv")]
+    return f"assert harness.cli_main({argv!r}) == 0"
 
 
 def _python(*argv, env=None):
@@ -1562,8 +1590,23 @@ def _threads_around(statement, env=None):
 
 
 def test_cli_runs_blas_on_one_thread():
-    _, after = _threads_around('assert harness.cli_main(["syncs"]) == 0')
-    assert set(after) == {1}
+    # One thread while the sync table runs; the counts are back when it
+    # returns.
+    before, ((threads, _), after) = _after(
+        'assert harness.cli_main(["syncs"]) == 0', "[inside, blas_threads()]"
+    )
+    assert set(threads) == {1}
+    assert after == before
+
+
+def test_a_library_run_single_runs_blas_on_one_thread():
+    before, ((threads, _), after) = _after(
+        "harness.run_single(harness.gen_default(100, 10, 5, 42, kappa=1e4),"
+        " harness.make_combo('1s'))",
+        "[inside, blas_threads()]",
+    )
+    assert set(threads) == {1}
+    assert after == before
 
 
 def test_cli_keeps_a_thread_count_set_by_the_user():
@@ -1575,12 +1618,17 @@ def test_cli_keeps_a_thread_count_set_by_the_user():
 
 
 def test_library_calls_keep_the_thread_count():
-    before, after = _threads_around(
-        "harness.run_sweep(harness.SweepConfig(matrix_class='piled',"
-        " combos=(harness.make_combo('bcgsi_a_1s'),), kappas=(1e4,),"
-        " m=400, p=20))"
-    )
+    before, after = _threads_around(_LIBRARY_SWEEP)
     assert after == before
+
+
+def test_a_library_sweep_keeps_a_thread_count_set_by_the_user():
+    before, (threads, after) = _after(
+        _LIBRARY_SWEEP, "[inside[0], blas_threads()]",
+        env={"OPENBLAS_NUM_THREADS": "2"},
+    )
+    assert set(before) == {2}
+    assert threads == after == before
 
 
 def test_thread_policy_is_a_silent_no_op_without_openblas(tmp_path):
@@ -1613,12 +1661,15 @@ def test_thread_policy_is_a_silent_no_op_without_openblas(tmp_path):
     "env", [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"},
             {"OMP_NUM_THREADS": "1"}, {}],
 )
-def test_cli_products_split_when_every_openblas_reports_one_thread(env):
-    _, (threads, split) = _after(
-        'harness.cli_main(["syncs"])', "[blas_threads(), splits()]", env
+def test_cli_products_split_when_every_openblas_reports_one_thread(
+    env, tmp_path
+):
+    before, ((threads, split), after) = _after(
+        _cli_sweep(tmp_path), "[inside, blas_threads()]", env
     )
     assert set(threads) == {1}
     assert split == 2
+    assert after == before
 
 
 def test_library_products_split_under_a_one_thread_openblas():
@@ -1626,15 +1677,17 @@ def test_library_products_split_under_a_one_thread_openblas():
     assert _after("pass", "splits()", env)[1] == 2
 
 
-def test_products_run_whole_once_openblas_leaves_one_thread():
-    # After the CLI's pin, a caller that gives every OpenBLAS two threads
-    # gets products BLAS splits itself.
-    _, split = _after(
-        'harness.cli_main(["syncs"]); assert splits() == 2; '
-        "[set_threads(2) for _, set_threads in blockcore._openblas_threads()]",
-        "splits()",
+def test_products_run_whole_once_openblas_leaves_one_thread(tmp_path):
+    # Products split inside the CLI's sweep; once it returns the host's
+    # counts are back, and on more than one thread BLAS splits a product
+    # itself.
+    before, ((_, split_inside), split_after) = _after(
+        _cli_sweep(tmp_path), "[inside, splits()]"
     )
-    assert split == 0
+    assert split_inside == 2
+    if set(before) == {1}:
+        pytest.skip("the host's OpenBLAS runs on one thread")
+    assert split_after == 0
 
 
 def test_products_run_whole_on_the_hosts_default_blas_threads():
@@ -1644,18 +1697,130 @@ def test_products_run_whole_on_the_hosts_default_blas_threads():
     assert split == 0
 
 
+_CONCURRENT_SWEEPS = """
+import json, threading
+from blockgs import blockcore, harness
+
+def blas_threads():
+    return [get() for get, _ in blockcore._openblas_threads()]
+
+for _, set_threads in blockcore._openblas_threads():
+    set_threads(2)
+before = blas_threads()
+reads = {}
+a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
+run_single = harness.run_single
+
+def recording_run_single(*args, **kwargs):
+    # a waits inside its run until b is inside too; b stays inside until a's
+    # sweep has returned, then reads the counts again.
+    name = threading.current_thread().name
+    reads[name] = [blas_threads()]
+    if name == "a":
+        a_inside.set()
+        b_inside.wait(30)
+    else:
+        b_inside.set()
+        a_done.wait(30)
+        reads[name].append(blas_threads())
+    return run_single(*args, **kwargs)
+
+harness.run_single = recording_run_single
+config = harness.SweepConfig(
+    matrix_class="default", combos=(harness.make_combo("bcgsi_a_1s"),),
+    kappas=(1e4,), m=100, p=10, s=5,
+)
+a = threading.Thread(target=harness.run_sweep, args=(config,), name="a")
+b = threading.Thread(target=harness.run_sweep, args=(config,), name="b")
+a.start()
+assert a_inside.wait(30)
+b.start()
+a.join(30)
+assert not a.is_alive()
+between = blas_threads()
+a_done.set()
+b.join(30)
+assert not b.is_alive()
+print(json.dumps([before, reads, between, blas_threads()]))
+"""
+
+
+def test_concurrent_sweeps_share_one_pin_and_restore_once():
+    before, reads, between, after = json.loads(
+        _python("-c", _CONCURRENT_SWEEPS).stdout
+    )
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    assert set(before) == {2}
+    # Inside either sweep, and after the first returned while the second
+    # still ran, every count read 1; the second's return restored them.
+    assert sorted(reads) == ["a", "b"] and len(reads["b"]) == 2
+    assert all(set(r) == {1} for r in [*reads["a"], *reads["b"], between])
+    assert after == before
+
+
+_FORK_INSIDE_A_PIN = """
+import os, signal
+from blockgs import blockcore
+
+def blas_threads():
+    return [get() for get, _ in blockcore._openblas_threads()]
+
+for _, set_threads in blockcore._openblas_threads():
+    set_threads(2)
+before = blas_threads()
+with blockcore._one_blas_thread():
+    # The pin's lock is held at the fork, as when another thread enters.
+    with blockcore._pin_lock:
+        pid = os.fork()
+    if pid == 0:
+        signal.alarm(20)  # a deadlock ends the child, and the test fails
+        with blockcore._one_blas_thread():
+            inside = blas_threads()
+        restored = blas_threads()
+if pid == 0:
+    # The child leaves the parent's entry without touching the counts.
+    ok = set(inside) == set(restored) == set(blas_threads()) == {1}
+    os._exit(0 if ok and blockcore._pin_depth == 0 else 1)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, status
+assert blas_threads() == before
+print("ok")
+"""
+
+
+def test_a_child_forked_inside_a_pin_enters_and_leaves_its_own():
+    assert _python("-c", _FORK_INSIDE_A_PIN).stdout.strip() == "ok"
+
+
+_BYTES_SWEEP = [
+    "sweep", "--matrix", "piled", "--m", "400", "--p", "20", "--s", "5",
+    "--kappas", "1e4", "--skeletons", "bcgsi_plus_a,2s",
+]
+_CLI_BYTES = (
+    "import sys\nfrom blockgs.harness import cli_main\n"
+    f"sys.exit(cli_main({_BYTES_SWEEP!r} + ['--out', sys.argv[1]]))\n"
+)
+
+
 def test_cli_sweep_bytes_do_not_depend_on_the_thread_count(tmp_path):
     # At m=400 a two-thread OpenBLAS rounds differently from one thread.
-    body = (
-        "import sys\nfrom blockgs.harness import cli_main\n"
-        "sys.exit(cli_main(['sweep', '--matrix', 'piled', '--m', '400',"
-        " '--p', '20', '--s', '5', '--kappas', '1e4', '--skeletons',"
-        " 'bcgsi_plus_a,2s', '--out', sys.argv[1]]))\n"
-    )
     a, b = tmp_path / "unset.csv", tmp_path / "one.csv"
-    _python("-c", body, str(a))
-    _python("-c", body, str(b), env={"OPENBLAS_NUM_THREADS": "1"})
+    _python("-c", _CLI_BYTES, str(a))
+    _python("-c", _CLI_BYTES, str(b), env={"OPENBLAS_NUM_THREADS": "1"})
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_library_sweep_writes_the_cli_bytes(tmp_path):
+    if set(get() for get, _ in blockcore._openblas_threads()) <= {1}:
+        pytest.skip("the host's OpenBLAS runs on one thread")
+    cli, library = tmp_path / "cli.csv", tmp_path / "library.csv"
+    _python("-c", _CLI_BYTES, str(cli))
+    args = harness._build_parser().parse_args(
+        [*_BYTES_SWEEP, "--out", str(library)]
+    )
+    write_csv(run_sweep(harness._config_from_args(args)), library)
+    assert library.read_bytes() == cli.read_bytes()
 
 
 def test_python_m_blockgs_runs_the_cli():

@@ -33,7 +33,7 @@ from blockgs.metrics import rel_res, scaled_gram
 from blockgs.syncmodel import SyncLedger
 
 
-# Products are split only while BLAS runs on one thread, as in the CLI.
+# Products are split only while BLAS runs on one thread, as in a sweep.
 pytestmark = pytest.mark.usefixtures("blas_on_one_thread")
 
 
@@ -300,7 +300,7 @@ def test_only_blockcore_names_the_panel_machinery():
 
 def test_only_blockcore_knows_openblas():
     # Finding the loaded OpenBLAS libraries, reading their thread counts
-    # and pinning them for the CLI happen in blockcore alone.
+    # and pinning them while a sweep runs happen in blockcore alone.
     named = _named_outside_blockcore(
         r"\bctypes\b|/proc/self/maps|openblas_\w*num_threads"
     )

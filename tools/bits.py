@@ -8,7 +8,8 @@ temporary directory, so the repository's own state is left alone.  For the
 work tree and for that copy, every sweep of every workload in the work
 tree's ``bench/workloads.py`` runs at each of the seeds 42, 7 and 9137
 through ``harness.cli_main``, each in a fresh child with its tree's
-``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``.  One line per CSV
+``src`` on ``PYTHONPATH`` and no BLAS thread variable, so the sweep runs
+under the program's own one-thread policy.  One line per CSV
 gives its sha256 in both trees and ``same`` or ``DIFFERS``; the lines of
 each differing CSV follow, each marked within or outside the tolerance of
 ``bench/csvcheck.py`` against the revision's CSV, and a count of the rows
@@ -28,7 +29,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from blockgs.blockcore import _BLAS_THREAD_VARS  # noqa: E402
+
 SEEDS = (42, 7, 9137)
+# Stripped from each child's environment: a count the user chose through
+# any of them turns the program's one-thread pin off, and the gate would
+# no longer check it.
+THREAD_VARS = (*_BLAS_THREAD_VARS, "MKL_NUM_THREADS")
 SHOWN_ROWS = 20
 # Older revisions have no ``blockgs.__main__``.
 _CLI = "import sys; from blockgs.harness import cli_main; sys.exit(cli_main())"
@@ -55,9 +63,8 @@ def _export(rev: str, dest: Path) -> None:
 
 def _sweep(tree: Path, args: list[str], out: Path) -> bytes:
     """The CSV bytes of one ``blockgs sweep`` run on ``tree``'s sources."""
-    env = dict(
-        os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1"
-    )
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(tree / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _CLI, "sweep", *args, "--out", str(out)],
         cwd=tree, env=env, capture_output=True, text=True,
