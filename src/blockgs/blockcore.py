@@ -16,6 +16,9 @@ This module alone decides when and how a pass splits, and alone knows
 OpenBLAS: it finds the loaded libraries, reads their thread counts (a
 product splits only while each reports one) and pins them to one thread
 while a sweep, a single run or a sync table runs (:func:`_one_blas_thread`).
+It also loads the compiled scipy modules the package calls, LAPACK, BLAS and
+``ndtri``'s, without importing ``scipy.linalg`` or ``scipy.special``
+(:func:`_scipy_extension`).
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ import contextlib
 import contextvars
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "BlockMatrix",
@@ -45,6 +51,56 @@ __all__ = [
     "tri_solve_left_transposed",
     "tri_solve_right",
 ]
+
+
+def _scipy_extension(package: str, name: str) -> types.ModuleType:
+    """scipy's compiled module ``package.name``, loaded from its file and
+    registered in ``sys.modules`` under that name, without running
+    ``package``'s ``__init__``, whose array-API layer would be most of a
+    process's start-up.  A later ``import package`` takes the same module
+    object from ``sys.modules``, so its routines are the public ones.
+
+    The module's own init may import from its package (``_ufuncs`` does),
+    so while it loads, an empty namespace module whose ``__path__`` is the
+    package directory stands in ``sys.modules`` for ``package``: another
+    thread importing ``package`` in those few milliseconds gets the stub.
+    The public import runs instead when ``package`` is already imported,
+    when the file is not found exactly once, or when loading raises; a
+    failed load first takes every ``sys.modules`` key it added back out.
+    So a scipy that moves its files costs time, never a bit.
+    """
+    fullname = f"{package}.{name}"
+    spec = None if package in sys.modules else importlib.util.find_spec(package)
+    dirs = (spec and spec.submodule_search_locations) or []
+    files = [
+        path
+        for d in dirs
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        if os.path.isfile(path := os.path.join(d, name + suffix))
+    ]
+    if len(files) == 1:
+        before = set(sys.modules)
+        stub = types.ModuleType(package)
+        stub.__path__ = list(dirs)
+        sys.modules[package] = stub
+        try:
+            ext = importlib.util.spec_from_file_location(fullname, files[0])
+            module = importlib.util.module_from_spec(ext)
+            sys.modules[fullname] = module
+            ext.loader.exec_module(module)
+            return module
+        except Exception:  # what fails under the stub may load publicly
+            for key in set(sys.modules) - before:
+                del sys.modules[key]
+        finally:
+            if sys.modules.get(package) is stub:
+                del sys.modules[package]
+    return importlib.import_module(fullname)
+
+
+# The LAPACK and BLAS wrappers of scipy.linalg.lapack and scipy.linalg.blas.
+lapack = _scipy_extension("scipy.linalg", "_flapack")
+blas = _scipy_extension("scipy.linalg", "_fblas")
 
 
 def check_partition(m: int, p: int, s: int) -> None:

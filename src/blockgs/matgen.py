@@ -31,9 +31,14 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
-from .blockcore import BlockMatrix, _split_pass, check_partition, cond_2
+from .blockcore import (
+    BlockMatrix,
+    _scipy_extension,
+    _split_pass,
+    check_partition,
+    cond_2,
+)
 from .muscles import house_qr
 
 __all__ = [
@@ -50,6 +55,9 @@ __all__ = [
 ]
 
 _TWO53 = float(1 << 53)
+
+# The standard normal inverse CDF, scipy.special.ndtri.
+ndtri = _scipy_extension("scipy.special", "_ufuncs").ndtri
 
 # Philox takes a 128-bit key: seeds are the integers in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 128

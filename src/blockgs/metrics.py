@@ -37,7 +37,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas
 
 from .blockcore import (
     BlockMatrix,
@@ -45,6 +44,7 @@ from .blockcore import (
     _finite_or_nan,
     _split_pass,
     all_finite,
+    blas,
     spectral_norm,
 )
 from .skeletons import BoundSpec

@@ -37,9 +37,14 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .blockcore import all_finite, project_out, tri_solve_right, zero_pivot
+from .blockcore import (
+    all_finite,
+    lapack,
+    project_out,
+    tri_solve_right,
+    zero_pivot,
+)
 from .syncmodel import SyncLedger
 
 __all__ = [

@@ -177,6 +177,27 @@ MUTANTS = (
         "        if os.getpid() == pid:\n",
         "        if True:\n",
     ),
+    Mutant(
+        "muscles back on scipy.linalg's package import",
+        "src/blockgs/muscles.py",
+        "from .blockcore import (\n    all_finite,\n    lapack,\n",
+        "from scipy.linalg import lapack\n\n"
+        "from .blockcore import (\n    all_finite,\n",
+    ),
+    Mutant(
+        "the loader leaves its package stub in sys.modules",
+        "src/blockgs/blockcore.py",
+        "            if sys.modules.get(package) is stub:\n"
+        "                del sys.modules[package]\n",
+        "            pass\n",
+    ),
+    Mutant(
+        "the loader's fallback keeps what the failed load added",
+        "src/blockgs/blockcore.py",
+        "            for key in set(sys.modules) - before:\n"
+        "                del sys.modules[key]\n",
+        "            pass\n",
+    ),
 )
 
 
