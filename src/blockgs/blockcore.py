@@ -7,11 +7,11 @@ dense matrix.  Every kernel here is a pure function of its inputs.
 A pass over a large operand may run in panels, one contiguous range of an
 independent output dimension per usable core (:func:`_panels`,
 :func:`_run_panels`): the tall products :func:`project_out` and
-:func:`tall_inner`, and, through :func:`_split_pass`, the elementwise
-passes and max/min scans of the other modules; a tall product is one
-expression over a range of output columns.  Each output element is formed
-by the same BLAS kernel or ufunc, from the same operands and in the same
-order as in one call, so the bits do not depend on the core count.
+:func:`tall_inner`, each one expression over a range of output columns,
+and, through :func:`_split_pass`, the elementwise passes and max/min scans
+of the other modules, over ranges of flat buffers.  Each output element is
+formed by the same BLAS kernel or ufunc, from the same operands and in the
+same order as in one call, so the bits do not depend on the core count.
 This module alone decides when and how a pass splits, and alone knows
 OpenBLAS: it finds the loaded libraries, reads their thread counts (a
 product splits only while each reports one) and pins them to one thread
@@ -170,12 +170,11 @@ class BlockMatrix:
 
 # Panels.  An elementwise pass or a max/min over at least PANEL_BYTES
 # bytes, and a product whose operand holds at least its own threshold, is
-# split into one panel per usable core.  The calling thread and the
-# workers of a lazily made thread pool claim them in turn; numpy and BLAS
-# release the GIL for the work.  A call from a pool worker, or in a process
-# forked from this one, runs whole.  (Two or four panels per core were
-# slower on 20000x200 sweeps: each panel of a reduction packs the narrow
-# factor again.)
+# split into one panel per usable core.  The calling thread runs the first
+# and takes back every other that no worker of a lazily made thread pool
+# has started; numpy and BLAS release the GIL for the work.  (Two or four
+# panels per core were slower on 20000x200 sweeps: each panel of a
+# reduction packs the narrow factor again.)
 PANEL_BYTES = 4 << 20
 
 # A product is split only into panels of at least this many multiply-adds:
@@ -270,8 +269,6 @@ def _one_blas_thread():
 # about 2 ms.
 _pool: concurrent.futures.ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-_local = threading.local()
-_forked = False
 
 
 def _cores() -> int:
@@ -280,14 +277,11 @@ def _cores() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _mark_worker() -> None:
-    _local.worker = True
-
-
 def _after_fork_in_child() -> None:
+    # The child has none of the pool's threads: it makes a pool of its own.
     # A lock some other thread held at the fork would stay held forever.
-    global _pool, _pool_lock, _forked, _pin_lock, _pin_depth, _pin_saved
-    _pool, _pool_lock, _forked = None, threading.Lock(), True
+    global _pool, _pool_lock, _pin_lock, _pin_depth, _pin_saved
+    _pool, _pool_lock = None, threading.Lock()
     _pin_lock, _pin_depth, _pin_saved = threading.Lock(), 0, []
 
 
@@ -310,8 +304,7 @@ def _panels(n: int, *, grain: int = 1, work: int = 0) -> list[int]:
     the largest: a reduction whose caller had the smaller panel ran no
     faster than one call (20000-row products of 96 to 120 columns).
     """
-    worker = getattr(_local, "worker", False)
-    if _forked or worker or (work and not _blas_on_one_thread()):
+    if work and not _blas_on_one_thread():
         return [0, n]
     k = min(_cores(), n // (2 * grain))
     if work:
@@ -324,68 +317,67 @@ def _panels(n: int, *, grain: int = 1, work: int = 0) -> list[int]:
 def _run_panels(fn, bounds: list[int]) -> list:
     """``[fn(lo, hi) for each panel]`` of ``bounds`` (see :func:`_panels`).
 
-    The calling thread and up to one pool worker per further core each
-    claim the next unclaimed panel until none is left, so a worker that
-    starts late or loses its core leaves its share to the others.  Each
-    worker runs in a copy of the caller's context, so ``np.errstate``
-    holds in it.  Every panel has finished when this returns or raises.
+    Every panel but the first goes to the shared pool in a copy of the
+    caller's context, so ``np.errstate`` holds in it.  The caller runs the
+    first, then cancels and runs each one no worker has started: a late or
+    busy worker holds up no panel, and a call from a pool worker never
+    waits on itself.  Every started panel has finished when this returns
+    or raises; once the caller's own panel raises, no other starts.
     """
     global _pool
-    panels = list(zip(bounds, bounds[1:]))
-    if len(panels) == 1:
-        return [fn(*panels[0])]
+    first, *rest = zip(bounds, bounds[1:])
+    if not rest:
+        return [fn(*first)]
     with _pool_lock:
         if _pool is None:
             _pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=max(1, _cores() - 1),
                 thread_name_prefix="blockgs-panel",
-                initializer=_mark_worker,
             )
         pool = _pool
-    results = [None] * len(panels)
-    claims = iter(range(len(panels)))
-
-    def drain():
-        # next() on a range iterator is atomic under the GIL: each panel
-        # is claimed once.
-        for i in claims:
-            results[i] = fn(*panels[i])
-
-    helpers = min(_cores(), len(panels)) - 1
+    # A cancelled panel stays in the pool's queue, and is not done, until a
+    # worker dequeues it; it reaches fn, and so fn's operands, only through
+    # ``job``, which is emptied before this returns or raises.
+    job = [fn]
     futures = [
-        pool.submit(contextvars.copy_context().run, drain)
-        for _ in range(max(1, helpers))
+        pool.submit(
+            contextvars.copy_context().run, lambda *p: job[0](*p), *panel
+        )
+        for panel in rest
     ]
     try:
-        drain()
+        mine = fn(*first)
+        taken = [fn(*p) if f.cancel() else None for f, p in zip(futures, rest)]
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        raise
     finally:
-        concurrent.futures.wait(futures)
-    for f in futures:
-        f.result()
-    return results
+        concurrent.futures.wait([f for f in futures if not f.cancelled()])
+        job.clear()
+    return [mine, *(r if f.cancelled() else f.result()
+                    for f, r in zip(futures, taken))]
 
 
 def _split_pass(fn, *arrays) -> list:
     """``[fn(*arrays)]``, an elementwise pass or a max/min over arrays of one
     shape, or ``fn`` of each panel of them (see :func:`_run_panels`).
 
-    Arrays that share their strides, are 2-d and contiguous and hold at
-    least ``PANEL_BYTES`` are split along their contiguous axis: panels of
-    whole columns in Fortran order, of whole rows in C order.  Anything
-    else, a 1-d or a strided array included, runs whole.
+    Arrays that share their strides, are contiguous in either order and
+    hold at least ``PANEL_BYTES`` are split as flat buffers: each panel is
+    one range of every array's ``ravel(order="K")`` view.  Anything else, a
+    strided array included, runs whole.
     """
     a = arrays[0]
-    if a.nbytes >= PANEL_BYTES and a.ndim == 2 and all(
-        b.shape == a.shape and b.strides == a.strides for b in arrays
+    if (
+        a.nbytes >= PANEL_BYTES
+        and a.flags.forc
+        and all(b.shape == a.shape and b.strides == a.strides for b in arrays)
     ):
-        cols = a.flags.f_contiguous
-        if cols or a.flags.c_contiguous:
-            return _run_panels(
-                lambda lo, hi: fn(
-                    *(b[:, lo:hi] if cols else b[lo:hi] for b in arrays)
-                ),
-                _panels(a.shape[1 if cols else 0]),
-            )
+        flat = [b.ravel(order="K") for b in arrays]
+        return _run_panels(
+            lambda lo, hi: fn(*(b[lo:hi] for b in flat)), _panels(a.size)
+        )
     return [fn(*arrays)]
 
 

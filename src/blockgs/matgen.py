@@ -102,7 +102,7 @@ def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normal variates via the inverse CDF of uniform draws, which
-    a large array takes in panels of rows, one per core."""
+    a large array takes in flat panels, one per core."""
     u = uniform_open(rng, size)
     _split_pass(lambda a: ndtri(a, out=a), u)
     return u

@@ -16,6 +16,7 @@ import sys
 import textwrap
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -41,7 +42,7 @@ class _CountingPool:
     """A panel pool that counts the panels handed to it."""
 
     def __init__(self):
-        self.pool = ThreadPoolExecutor(3, initializer=blockcore._mark_worker)
+        self.pool = ThreadPoolExecutor(3)
         self.submitted = 0
 
     def submit(self, *args):
@@ -235,28 +236,45 @@ _STARTED_POOL = """
 """
 
 
-def test_a_child_forked_after_the_pool_started_runs_panels_whole():
-    # The child has none of the pool's threads; a panelled call there runs
-    # whole instead of waiting on them forever.
+def test_a_child_forked_after_the_pool_started_splits_with_its_own_pool():
+    # The child has none of the pool's threads; it makes a pool of its own
+    # and splits as its parent does.  A child that hangs is killed.
     _run_script(_STARTED_POOL + """
+    import signal
+    import time
     pid = os.fork()
     if pid == 0:
-        whole = blockcore._panels(1100) == [0, 1100]
-        os._exit(0 if whole and not blockcore.all_finite(a) else 1)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+        fresh = blockcore._pool is None
+        two = blockcore._panels(1100) == [0, 550, 1100]
+        # The NaN is the last entry in memory, so in the second panel.
+        nans = blockcore._split_pass(lambda b: int(np.isnan(b).sum()), a)
+        ok = fresh and two and nans == [0, 1] and not blockcore.all_finite(a)
+        os._exit(0 if ok and blockcore._pool is not None else 1)
+    deadline = time.monotonic() + 60
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            raise SystemExit("the forked child hung")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
     print("ok")
     """)
 
 
-def test_a_panelled_call_from_a_pool_worker_runs_whole():
-    # The pool has one worker at two cores; a worker that split its pass
-    # would wait on itself.
+def test_a_panelled_call_from_a_pool_worker_finishes():
+    # The pool has one worker at two cores; the job it runs splits its pass
+    # and takes back the panel queued behind itself.  A job that waits on
+    # its own panel is abandoned without joining the worker.
     _run_script(_STARTED_POOL + """
+    import concurrent.futures
     job = blockcore._pool.submit(
         lambda: (blockcore._panels(1100), blockcore.all_finite(a))
     )
-    assert job.result(timeout=60) == ([0, 1100], False)
+    try:
+        got = job.result(timeout=60)
+    except concurrent.futures.TimeoutError:
+        os._exit(4)
+    assert got == ([0, 550, 1100], False)
     print("ok")
     """)
 
@@ -315,10 +333,8 @@ def _whole_cases():
     rng = np.random.default_rng(8)
     f = np.asfortranarray(rng.standard_normal((64, 48)))
     g = np.asfortranarray(rng.standard_normal((64, 48)))
-    flat = rng.standard_normal(4096)
     return {
         "mixed strides": (f, np.ascontiguousarray(g)),
-        "1-d": (flat, flat[::-1].copy()),
         "strided rows": (f[::2], g[::2]),
         "strided columns": (f[:, ::2], g[:, ::2]),
     }
@@ -337,29 +353,35 @@ def test_split_pass_runs_whole_unless_its_arrays_share_a_contiguous_layout(
     assert want.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("order", ["F", "C"])
-def test_split_pass_splits_along_the_contiguous_axis_from_panel_bytes_on(
-    order,
-):
-    # 512 x 1024 doubles are exactly PANEL_BYTES; one row fewer runs whole.
+@pytest.mark.parametrize("layout", ["F", "C", "1-d"])
+def test_split_pass_splits_flat_buffers_from_panel_bytes_on(layout):
+    # Panels are ranges of the flat buffers in memory order; an odd size
+    # puts a bound inside a column (F) or a row (C).  One element below
+    # the threshold runs whole.
     rng = np.random.default_rng(9)
-    axis = 1 if order == "F" else 0
-    for rows, splits in ((512, True), (511, False)):
-        a = np.asarray(rng.standard_normal((rows, 1024)), order=order)
-        b = np.asarray(rng.standard_normal((rows, 1024)), order=order)
+    shape = (511 * 1023,) if layout == "1-d" else (511, 1023)
+    order = "C" if layout == "1-d" else layout
+    a = np.asarray(rng.standard_normal(shape), order=order)
+    start = a.__array_interface__["data"][0]
+    for threshold, splits in ((a.nbytes, True), (a.nbytes + 8, False)):
+        b = np.asarray(rng.standard_normal(shape), order=order)
         want = np.subtract(a, b)
         seen = []
 
         def pass_(x, y):
-            seen.append(x.shape)
+            # Each panel as (its first element's offset in a, x's shape).
+            offset = (x.__array_interface__["data"][0] - start) // 8
+            seen.append((offset, x.shape))
             _subtract_into(x, y)
 
-        with _panels_forced(2, blockcore.PANEL_BYTES) as pool:
+        with _panels_forced(2, threshold) as pool:
             blockcore._split_pass(pass_, a, b)
         assert (pool.submitted == 1) is splits
-        assert len(seen) == (2 if splits else 1)
-        assert sum(shape[axis] for shape in seen) == a.shape[axis]
-        assert all(shape[1 - axis] == a.shape[1 - axis] for shape in seen)
+        if splits:
+            (lo, (n,)), (mid, (rest,)) = sorted(seen)
+            assert (lo, mid, n + rest) == (0, n, a.size)
+        else:
+            assert seen == [(0, shape)]
         assert _same(want, b)
 
 
@@ -450,31 +472,95 @@ def test_threads_sharing_the_panel_pool_keep_every_bit():
     assert all(all(map(_same, want, got)) for got in results)
 
 
-def test_the_caller_takes_the_panels_a_late_worker_has_not_claimed():
-    # A worker that starts late, or loses its core, holds up no panel it
-    # has not claimed: the calling thread claims the next one itself.
-    class LatePool:
-        def __init__(self):
-            self.pool = ThreadPoolExecutor(3)
+def test_the_caller_takes_back_every_panel_no_worker_has_started():
+    # The pool's one worker is held on an event, so no worker starts a
+    # panel: the caller runs all three itself and returns before the worker
+    # is freed.  The cancelled panels left in the pool's queue keep the
+    # panel function, and so its operands, alive no longer.  A caller that
+    # waited on the worker would not return, so the call runs in a thread
+    # joined with a timeout.
+    held = threading.Event()
+    pool = ThreadPoolExecutor(1)
+    pool.submit(held.wait)
+    runners, got, refs = [], [], []
 
-        def submit(self, fn, *args):
-            def late():
-                time.sleep(0.5)
-                return fn(*args)
+    class Panel:
+        def __call__(self, lo, hi):
+            runners.append(threading.get_ident())
+            return lo, hi
 
-            return self.pool.submit(late)
+    def call():
+        panel = Panel()
+        refs.append(weakref.ref(panel))
+        got.append(blockcore._run_panels(panel, [0, 10, 20, 30]))
 
-    runners = []
-
-    def panel(lo, hi):
-        runners.append(threading.get_ident())
-        return lo, hi
-
-    pool = LatePool()
+    caller = threading.Thread(target=call)
     try:
         with mock.patch.object(blockcore, "_pool", pool):
-            got = blockcore._run_panels(panel, [0, 10, 20, 30])
+            caller.start()
+            caller.join(timeout=10)
+            returned = not caller.is_alive()
+            freed = refs[0]() is None
+            held.set()
+            caller.join(timeout=10)
     finally:
-        pool.pool.shutdown()
-    assert got == [(0, 10), (10, 20), (20, 30)]
-    assert runners == [threading.get_ident()] * 3
+        held.set()
+        pool.shutdown()
+    assert returned
+    assert freed
+    assert got == [[(0, 10), (10, 20), (20, 30)]]
+    assert runners == [caller.ident] * 3
+
+
+def test_a_panel_that_raises_stops_the_panels_no_worker_has_started():
+    # The pool's one worker starts the second panel, and the caller's own
+    # panel raises once it has.  The error comes back only after the
+    # started panel has finished, and the third, which no worker had
+    # started, never runs.
+    started = threading.Event()
+    ran, finished = [], []
+
+    def panel(lo, hi):
+        ran.append(lo)
+        if lo == 0:
+            assert started.wait(10)
+            raise ValueError("the caller's panel")
+        started.set()
+        time.sleep(0.2)
+        finished.append(lo)
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        with mock.patch.object(blockcore, "_pool", pool):
+            with pytest.raises(ValueError, match="the caller's panel"):
+                blockcore._run_panels(panel, [0, 10, 20, 30])
+            at_return = list(finished)
+    finally:
+        pool.shutdown()
+    assert at_return == [10]
+    assert sorted(ran) == [0, 10]
+
+
+def test_a_worker_runs_its_panel_in_the_callers_context():
+    # The caller's panel waits until a worker has run the other one; the
+    # error state the caller set holds in that worker.
+    started = threading.Event()
+    seen = []
+
+    def panel(lo, hi):
+        if lo == 0:
+            assert started.wait(10)
+        else:
+            seen.append((threading.get_ident(), np.geterr()["invalid"]))
+            started.set()
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        with mock.patch.object(blockcore, "_pool", pool):
+            with np.errstate(invalid="ignore"):
+                blockcore._run_panels(panel, [0, 10, 20])
+    finally:
+        pool.shutdown()
+    [(worker, invalid)] = seen
+    assert worker != threading.get_ident()
+    assert invalid == "ignore"

@@ -178,6 +178,30 @@ MUTANTS = (
         "        if True:\n",
     ),
     Mutant(
+        "the panel caller takes back no pending panel",
+        "src/blockgs/blockcore.py",
+        "        taken = [fn(*p) if f.cancel() else None for f, p in zip(futures, rest)]\n",
+        "        taken = [None for f in futures]\n",
+    ),
+    Mutant(
+        "the panel caller returns or raises before its started panels end",
+        "src/blockgs/blockcore.py",
+        "        concurrent.futures.wait([f for f in futures if not f.cancelled()])\n",
+        "        pass\n",
+    ),
+    Mutant(
+        "panels submitted without the caller's context",
+        "src/blockgs/blockcore.py",
+        "            contextvars.copy_context().run, lambda *p: job[0](*p), *panel\n",
+        "            lambda *p: job[0](*p), *panel\n",
+    ),
+    Mutant(
+        "cancelled panels keep the panel function alive in the pool's queue",
+        "src/blockgs/blockcore.py",
+        "        job.clear()\n",
+        "",
+    ),
+    Mutant(
         "muscles back on scipy.linalg's package import",
         "src/blockgs/muscles.py",
         "from .blockcore import (\n    all_finite,\n    lapack,\n",
