@@ -23,7 +23,6 @@ It also loads the compiled scipy modules the package calls, LAPACK, BLAS and
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import contextvars
 import ctypes
@@ -68,6 +67,12 @@ def _scipy_extension(package: str, name: str) -> types.ModuleType:
     when the file is not found exactly once, or when loading raises; a
     failed load first takes every ``sys.modules`` key it added back out.
     So a scipy that moves its files costs time, never a bit.
+
+    Known fault, not mended: a later ``import scipy.linalg`` binds neither
+    module loaded here as its attribute.  After ``import blockgs,
+    scipy.linalg``, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``
+    raise ``AttributeError``, while ``from scipy.linalg import _flapack``
+    yields this module object.
     """
     fullname = f"{package}.{name}"
     spec = None if package in sys.modules else importlib.util.find_spec(package)
@@ -265,9 +270,9 @@ def _one_blas_thread():
                     _pin_saved = []
 
 
-# Made at first use: importing the executor's module costs every process
-# about 2 ms.
-_pool: concurrent.futures.ThreadPoolExecutor | None = None
+# The shared ThreadPoolExecutor, made at first use: importing its module,
+# and the logging it pulls in, costs every process about 3.5 ms.
+_pool = None
 _pool_lock = threading.Lock()
 
 
@@ -328,6 +333,8 @@ def _run_panels(fn, bounds: list[int]) -> list:
     first, *rest = zip(bounds, bounds[1:])
     if not rest:
         return [fn(*first)]
+    import concurrent.futures
+
     with _pool_lock:
         if _pool is None:
             _pool = concurrent.futures.ThreadPoolExecutor(

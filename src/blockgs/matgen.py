@@ -127,18 +127,6 @@ def _log_sigma(kappa: float, cols: int) -> np.ndarray:
     return np.logspace(0.0, -np.log10(kappa), cols)
 
 
-def _compose(
-    u: np.ndarray, v: np.ndarray, sigma: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """U diag(sigma) V^T, written into the caller's fresh column-major
-    ``out``.
-
-    U is scaled by sigma in its own storage, so it must be the caller's to
-    overwrite; no third tall array is made.
-    """
-    return np.matmul(np.multiply(u, sigma, out=u), v.T, out=out)
-
-
 def svd_with_cond(
     rows: int,
     cols: int,
@@ -161,7 +149,9 @@ def svd_with_cond(
     # fresh memory while the hole stays resident, one X more at the peak.
     out = np.empty((rows, cols), order="F")
     u, v = _svd_factors(rng, rows, cols)
-    return _compose(u, v, _log_sigma(kappa, cols), out)
+    # U is this call's own, so sigma scales it in place: no third tall array.
+    sigma = _log_sigma(kappa, cols)
+    return np.matmul(np.multiply(u, sigma, out=u), v.T, out=out)
 
 
 def gen_default(
@@ -242,9 +232,8 @@ def gen_piled(
     out[:, :s] = x1
     sigma = _log_sigma(kappa_z, s)
     for k, (u, v) in enumerate(pairs, start=1):
-        # np.array keeps U_k's column-major layout, and with it the bits.
-        u = np.array(u)
-        z = _compose(u, v, sigma, np.empty_like(u)) / kappa_z
+        z = np.matmul(u * sigma, v.T, out=np.empty_like(u))
+        z /= kappa_z
         np.add(out[:, (k - 1) * s : k * s], z, out=out[:, k * s : (k + 1) * s])
     return BlockMatrix(out, s, p)
 

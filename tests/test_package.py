@@ -107,6 +107,40 @@ def test_import_runs_neither_scipy_linalg_nor_scipy_special():
     """)
 
 
+def test_import_leaves_the_executor_module_to_the_first_split():
+    # concurrent.futures, and the logging it imports, load only where the
+    # panel pool is made.
+    _python("""
+        import sys
+        import numpy as np
+        import blockgs
+        from blockgs import blockcore
+        assert not {"concurrent.futures", "logging"} & set(sys.modules)
+        a = np.linspace(0.0, 2.0, 1001)
+        out = np.empty_like(a)
+
+        def fill(lo, hi):
+            np.sqrt(a[lo:hi], out=out[lo:hi])
+            return hi - lo
+
+        assert blockcore._run_panels(fill, [0, 500, 1001]) == [500, 501]
+        assert blockcore._pool is not None
+        assert out.tobytes() == np.sqrt(a).tobytes()
+        print("ok")
+    """)
+
+
+def test_a_later_scipy_stats_import_works():
+    # scipy.stats imports from scipy's top-level package, which the loader
+    # leaves to the public import.
+    _python("""
+        import blockgs
+        import scipy.stats
+        assert scipy.stats.norm.cdf(0.0) == 0.5
+        print("ok")
+    """)
+
+
 def test_a_later_scipy_import_exposes_the_routines_blockgs_calls():
     _python("""
         import blockgs

@@ -222,6 +222,24 @@ MUTANTS = (
         "                del sys.modules[key]\n",
         "            pass\n",
     ),
+    Mutant(
+        "each piled increment added to X_1, not X_(k-1)",
+        "src/blockgs/matgen.py",
+        "np.add(out[:, (k - 1) * s : k * s], z,",
+        "np.add(out[:, :s], z,",
+    ),
+    Mutant(
+        "piled increments not scaled by 1/kappa_z",
+        "src/blockgs/matgen.py",
+        "        z /= kappa_z\n",
+        "",
+    ),
+    Mutant(
+        "svd_with_cond without its singular values",
+        "src/blockgs/matgen.py",
+        "np.matmul(np.multiply(u, sigma, out=u), v.T, out=out)",
+        "np.matmul(u, v.T, out=out)",
+    ),
 )
 
 
