@@ -20,7 +20,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from io import StringIO
 
 import numpy as np
@@ -181,13 +181,11 @@ def _run_combo(combo: Combo, x: BlockMatrix) -> BGSResult:
 
 @dataclass
 class RunRecord:
-    """One experiment point: a CSV row, plus ``note``, the reason a sweep
-    skipped the point, which stays out of the CSV.  The measured fields
+    """One experiment point: exactly one CSV row.  The measured fields
     default to a run that did not happen: NaN metrics, failed, zero time.
 
     The CSV columns are the fields in declaration order, each written and
-    read by its declared type; fields with ``metadata={"csv": False}`` stay
-    out.
+    read by its declared type.
     """
 
     matrix_class: str
@@ -206,7 +204,6 @@ class RunRecord:
     sync_per_block: float = math.nan
     failed: bool = True
     elapsed_ms: float = 0.0
-    note: str = field(default="", metadata={"csv": False})
 
 
 def _fmt_float(v: float) -> str:
@@ -250,7 +247,6 @@ _CSV_TYPES = typing.get_type_hints(RunRecord)
 _CSV_COLUMNS = tuple(
     (f.name, _CSV_CODECS[_CSV_TYPES[f.name]])
     for f in fields(RunRecord)
-    if f.metadata.get("csv", True)
 )
 CSV_FIELDS = tuple(name for name, _ in _CSV_COLUMNS)
 
@@ -384,12 +380,13 @@ def _divisors(n: int) -> list[int]:
 
 
 def _sweep_points(config: SweepConfig):
-    """Yield (kappa_target, matrix or None, kappa_actual, note) per point."""
+    """Yield (kappa_target, matrix or None, kappa_actual) per point; the
+    matrix is None and kappa_actual NaN where piled calibration missed."""
     m, p, s, seed = config.m, config.p, config.s, config.seed
     if config.matrix_class == "default":
         for kt in config.kappas:
             x = gen_default(m, p, s, seed, kappa=kt)
-            yield kt, x, cond_2(x.data), ""
+            yield kt, x, cond_2(x.data)
     elif config.matrix_class == "monomial":
         # Walk the divisor ladder once, keeping for each target the rung
         # nearest in log10 kappa so far; a tie keeps the earlier rung.
@@ -404,19 +401,16 @@ def _sweep_points(config: SweepConfig):
                     best[i] = (dist, x, ka)
             del x  # a rung no target chose is freed before the next
         for kt, (_, x, ka) in zip(config.kappas, best):
-            yield kt, x, ka, ""
+            yield kt, x, ka
     else:  # piled
         for kt in config.kappas:
             kappa_z, measured = calibrate_piled(m, p, s, kt, seed)
             # An unmeasurable probe (NaN) misses every target.
             if not abs(math.log10(measured) - math.log10(kt)) <= 1.0:
-                yield kt, None, math.nan, (
-                    f"piled calibration missed target {kt:.3g} "
-                    f"(best {measured:.3g})"
-                )
+                yield kt, None, math.nan
                 continue
             x = gen_piled(m, p, s, seed, kappa_z=kappa_z)
-            yield kt, x, measured, ""
+            yield kt, x, measured
 
 
 @blockcore._one_blas_thread()
@@ -435,13 +429,11 @@ def run_sweep(config: SweepConfig) -> list[RunRecord]:
     :func:`sync_table` do the same.
     """
     records: list[RunRecord] = []
-    for kt, x, kappa_actual, note in _sweep_points(config):
+    for kt, x, kappa_actual in _sweep_points(config):
         if x is None:
             shape = (config.m, config.p, config.s)
             records.extend(
-                _record(
-                    combo, config.matrix_class, shape, kt, math.nan, note=note
-                )
+                _record(combo, config.matrix_class, shape, kt, math.nan)
                 for combo in config.combos
             )
             continue
@@ -783,7 +775,12 @@ def cli_main(argv=None) -> int:
                 if isinstance(exc, (OSError, MemoryError)):
                     return _error_exit(exc)
                 raise
-            skipped = sum(1 for r in records if r.note)
+            # A piled point runs only when its measured kappa is finite;
+            # an overflowing monomial rung reads NaN kappa but runs.
+            skipped = sum(
+                r.matrix_class == "piled" and math.isnan(r.kappa_actual)
+                for r in records
+            )
             msg = f"wrote {len(records)} records to {args.out}"
             if skipped:
                 msg += f" ({skipped} skipped by calibration)"

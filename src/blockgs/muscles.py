@@ -22,12 +22,8 @@ exactly when Q or R holds a non-finite entry.  Every routine works in
 O(m·s) memory.
 
 Skeletons call the routines through :func:`apply_io`, which charges each
-call to a sync ledger and serves ``givensqr`` and ``mgs`` calls on blocks
-of at most 4 KiB from a thread-safe ``functools.lru_cache`` keyed by the
-block's contents (64 entries, at most 768 KiB).  A hit is bit-identical to
-a fresh call and charged like one, so ledgers and CSV bytes do not depend
-on the cache.  ``houseqr`` and ``cholqr`` calls, larger blocks and direct
-calls of the routines are never cached.
+call to a sync ledger and serves small blocks from a cache whose hits are
+bit-identical to fresh calls and charged like them.
 """
 
 from __future__ import annotations
@@ -409,15 +405,18 @@ _ROUTINES: dict[str, Callable[[np.ndarray], QROutput]] = {
 _CACHE_ENTRIES = 64
 _CACHE_BLOCK_BYTES = 4096
 
-# The muscles ``apply_io`` serves from the cache.  ``house_qr`` costs about
-# as much as hashing its block; a ``chol_qr`` hit would skip a triangular
-# solve that the benchmark counts.
-_CACHED_KINDS = frozenset({"givensqr", "mgs"})
+# The one muscle ``apply_io`` never serves from the cache: a ``chol_qr``
+# hit would skip a triangular solve that the benchmark counts.
+_UNCACHED_KIND = "cholqr"
 
 
 def _fresh(q: np.ndarray, r: np.ndarray) -> QROutput:
-    """Copies of Q and R in their memory layout, shared with no one."""
-    return QROutput(np.array(q, order="K"), np.array(r, order="K"))
+    """Copies of Q and R in their memory layout, strides included (a
+    single ``house_qr`` column is Fortran-ordered), shared with no one."""
+    return QROutput(
+        *(np.array(a, order="F" if a.strides[0] < a.strides[1] else "C")
+          for a in (q, r))
+    )
 
 
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
@@ -447,9 +446,10 @@ def apply_io(
     the reductions are spent either way.  A malformed block raises
     ``ValueError`` before anything is charged.
 
-    ``givensqr`` and ``mgs`` calls on blocks of at most 4 KiB are served
-    from a process-wide ``functools.lru_cache`` of 64 entries (at most
-    768 KiB), keyed by the muscle, the block's shape and its float64 bytes.
+    Calls on blocks of at most 4 KiB, of every muscle but
+    ``_UNCACHED_KIND``, are served from a process-wide
+    ``functools.lru_cache`` of 64 entries (at most 768 KiB), keyed by the
+    muscle, the block's shape and its float64 bytes.
     ``lru_cache`` is thread-safe; two threads that miss on one block at
     once may both factor it, with bit-identical results.  A sweep that puts
     one muscle in every slot factors the same blocks again and again: every
@@ -457,8 +457,7 @@ def apply_io(
     with tied slots repeat BCGS and BCGSI+ call for call.  A hit returns
     fresh copies of Q and R, bit-identical to a fresh call, and is charged
     like one, so ledgers, sync counts and CSV bytes do not depend on the
-    cache.  ``houseqr`` and ``cholqr`` calls, larger blocks and direct calls
-    of the routines are never cached.
+    cache.  Larger blocks and direct calls of the routines are never cached.
     """
     x = _as_block(x)
     try:
@@ -467,7 +466,7 @@ def apply_io(
         raise ValueError(f"unknown intraorthogonalization {spec.kind!r}") from None
     label = "io-gram" if spec.kind == "cholqr" else "io-cols"
     ledger.record(block, label, spec.sync_cost(x.shape[1]))
-    if spec.kind in _CACHED_KINDS and x.nbytes <= _CACHE_BLOCK_BYTES:
+    if spec.kind != _UNCACHED_KIND and x.nbytes <= _CACHE_BLOCK_BYTES:
         out = _cached_factor(spec.kind, x.shape, x.tobytes())
         return _fresh(out.q, out.r)
     return routine(x)

@@ -443,11 +443,12 @@ def test_run_sweep_piled_calibration_miss_is_skipped():
     records = run_sweep(config)
     assert len(records) == 2
     skipped, good = records
-    assert skipped.note.startswith("piled calibration missed target")
     assert skipped.failed and math.isnan(skipped.kappa_actual)
-    assert math.isnan(skipped.loo)
-    assert good.note == ""
-    assert not good.failed
+    assert all(
+        math.isnan(getattr(skipped, name))
+        for name in ("loo", "rel_res", "rel_chol_res", "sync_per_block")
+    )
+    assert not good.failed and math.isfinite(good.sync_per_block)
     assert abs(math.log10(good.kappa_actual) - 6.0) < 0.1
 
 
@@ -464,7 +465,7 @@ def test_run_sweep_on_an_overflowing_matrix_fails_its_rows():
         s=160,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        ((_, x, _, _),) = harness._sweep_points(config)
+        ((_, x, _),) = harness._sweep_points(config)
         assert not np.isfinite(x.data).all()
         records = run_sweep(config)
     assert len(records) == 2
@@ -487,7 +488,7 @@ def test_monomial_targets_map_to_the_nearest_rung():
         matrix_class="monomial", combos=(make_combo("bcgs"),),
         kappas=kappas, m=m, p=p, s=s,
     )
-    for kt, x, ka, _ in harness._sweep_points(config):
+    for kt, x, ka in harness._sweep_points(config):
         want = min(
             range(len(ladder)), key=lambda i: abs(logs[i] - math.log10(kt))
         )
@@ -653,8 +654,8 @@ def test_run_sweep_rows_equal_run_single_rows(matrix_class, kappas):
     )
     records = iter(run_sweep(config))
     compared = 0
-    for kt, x, _, note in harness._sweep_points(config):
-        assert note == ""
+    for kt, x, ka in harness._sweep_points(config):
+        assert x is not None and math.isfinite(ka)
         for combo in combos:
             swept = next(records)
             alone = run_single(
@@ -678,6 +679,10 @@ def test_run_sweep_is_deterministic():
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
+
+
+def test_the_csv_columns_are_exactly_the_record_fields():
+    assert [f.name for f in dataclasses.fields(RunRecord)] == list(CSV_FIELDS)
 
 
 def test_csv_round_trip(tmp_path):
@@ -1074,6 +1079,23 @@ def test_cli_sweep_reports_calibration_skips(tmp_path):
     )
     assert code == 0
     assert "(1 skipped by calibration)" in out
+
+
+def test_cli_sweep_counts_no_overflowing_monomial_row_as_skipped(tmp_path):
+    # Every row of this sweep reads NaN kappa, but the point ran: only a
+    # piled point that calibration missed counts as skipped.
+    out_path = tmp_path / "run.csv"
+    argv = [
+        "sweep", "--matrix", "monomial", "--m", "320", "--p", "2",
+        "--s", "160", "--skeletons", "bcgsi_plus_a,2s", "--kappas", "1e300",
+        "--out", str(out_path),
+    ]
+    code, out, err = _capture(cli_main, argv)
+    assert (code, err) == (0, "")
+    assert out == f"wrote 2 records to {out_path}\n"
+    records = read_csv(out_path)
+    assert len(records) == 2
+    assert all(math.isnan(rec.kappa_actual) for rec in records)
 
 
 def test_cli_byte_determinism(tmp_path):

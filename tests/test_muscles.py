@@ -315,7 +315,7 @@ def test_apply_io_rejects_a_malformed_block_before_charging(spec, x):
 # The muscle cache behind apply_io
 # ---------------------------------------------------------------------------
 
-CACHED_IOS = (GIVENS_QR, MGS)
+CACHED_IOS = (HOUSE_QR, GIVENS_QR, MGS)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -385,6 +385,7 @@ def test_the_cache_keys_kind_shape_and_signed_zeros_apart():
     calls = [
         (GIVENS_QR, x),
         (MGS, x),
+        (HOUSE_QR, x),
         (GIVENS_QR, x.reshape(4, 3)),
         (GIVENS_QR, negated_zero),
     ]
@@ -425,18 +426,22 @@ def test_a_cache_hit_is_charged_like_a_fresh_call(spec):
     assert ledger.total == 3 * spec.sync_cost(3)
 
 
-def test_only_givens_and_mgs_calls_through_apply_io_are_cached():
+def test_only_cholqr_calls_through_apply_io_are_never_cached():
+    assert set(ALL_IOS) - set(CACHED_IOS) == {CHOL_QR}
     muscles._cached_factor.cache_clear()
     x = np.random.default_rng(24).standard_normal((8, 3))
     for fn in FACTORIZERS.values():
         fn(x)
     ledger = SyncLedger()
-    for spec in (HOUSE_QR, CHOL_QR):
-        apply_io(spec, x, ledger=ledger, block=1)
+    apply_io(CHOL_QR, x, ledger=ledger, block=1)
     assert muscles._cached_factor.cache_info()[:] == (0, 0, 64, 0)
     for spec in CACHED_IOS:
         apply_io(spec, x, ledger=ledger, block=1)
-    assert _cache_size() == 2
+    assert _cache_size() == len(CACHED_IOS)
+    # A repeated cholqr call still factors afresh: no hit, no new entry.
+    out = apply_io(CHOL_QR, x, ledger=ledger, block=2)
+    assert _same_output(out, chol_qr(x))
+    assert muscles._cached_factor.cache_info()[:2] == (0, len(CACHED_IOS))
 
 
 def test_the_cache_holds_at_most_its_budget(monkeypatch):

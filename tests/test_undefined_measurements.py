@@ -251,8 +251,11 @@ def test_sweep_skips_a_point_whose_probes_are_all_undefined(monkeypatch):
         m=60, p=6, s=3,
     )
     [rec] = run_sweep(config)
-    assert rec.note.startswith("piled calibration missed target")
-    assert rec.failed and math.isnan(rec.kappa_actual) and math.isnan(rec.loo)
+    assert rec.failed and math.isnan(rec.kappa_actual)
+    assert all(
+        math.isnan(getattr(rec, name))
+        for name in ("loo", "rel_res", "rel_chol_res", "sync_per_block")
+    )
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])

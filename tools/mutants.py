@@ -80,6 +80,12 @@ MUTANTS = (
         'MGS = IOSpec("mgs", alpha=2)',
     ),
     Mutant(
+        "cholqr admitted to the muscle cache",
+        "src/blockgs/muscles.py",
+        '_UNCACHED_KIND = "cholqr"',
+        '_UNCACHED_KIND = ""',
+    ),
+    Mutant(
         "-1S without the triangular solve of its look-ahead row",
         "src/blockgs/skeletons.py",
         "bottom = tri_solve_left_transposed(out.r, p_blk - y_col.T @ z_blk)",
@@ -120,6 +126,12 @@ MUTANTS = (
         "src/blockgs/harness.py",
         "if math.isnan(rec.loo) or rec.loo > bound:",
         "if rec.loo > bound:",
+    ),
+    Mutant(
+        "the CLI skip count without its piled filter",
+        "src/blockgs/harness.py",
+        'r.matrix_class == "piled" and math.isnan(r.kappa_actual)',
+        "math.isnan(r.kappa_actual)",
     ),
     Mutant(
         "run_sweep without the BLAS pin",
