@@ -53,26 +53,24 @@ __all__ = [
 
 
 def _scipy_extension(package: str, name: str) -> types.ModuleType:
-    """scipy's compiled module ``package.name``, loaded from its file and
-    registered in ``sys.modules`` under that name, without running
-    ``package``'s ``__init__``, whose array-API layer would be most of a
-    process's start-up.  A later ``import package`` takes the same module
-    object from ``sys.modules``, so its routines are the public ones.
+    """scipy's compiled module ``package.name``, loaded from its file
+    without running ``package``'s ``__init__``, whose array-API layer would
+    be most of a process's start-up.
 
     The module's own init may import from its package (``_ufuncs`` does),
     so while it loads, an empty namespace module whose ``__path__`` is the
     package directory stands in ``sys.modules`` for ``package``: another
     thread importing ``package`` in those few milliseconds gets the stub.
+    Nothing binds the modules loaded under the stub as attributes of the
+    real package, so a successful load takes them back out of
+    ``sys.modules`` as well: a later ``import package`` loads each again
+    from the interpreter's cache of extension modules, binds it, and
+    exposes the very routine objects returned here.
+
     The public import runs instead when ``package`` is already imported,
     when the file is not found exactly once, or when loading raises; a
     failed load first takes every ``sys.modules`` key it added back out.
     So a scipy that moves its files costs time, never a bit.
-
-    Known fault, not mended: a later ``import scipy.linalg`` binds neither
-    module loaded here as its attribute.  After ``import blockgs,
-    scipy.linalg``, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``
-    raise ``AttributeError``, while ``from scipy.linalg import _flapack``
-    yields this module object.
     """
     fullname = f"{package}.{name}"
     spec = None if package in sys.modules else importlib.util.find_spec(package)
@@ -93,10 +91,14 @@ def _scipy_extension(package: str, name: str) -> types.ModuleType:
             module = importlib.util.module_from_spec(ext)
             sys.modules[fullname] = module
             ext.loader.exec_module(module)
-            return module
         except Exception:  # what fails under the stub may load publicly
             for key in set(sys.modules) - before:
                 del sys.modules[key]
+        else:
+            for key in set(sys.modules) - before:
+                if key.startswith(f"{package}."):
+                    del sys.modules[key]
+            return module
         finally:
             if sys.modules.get(package) is stub:
                 del sys.modules[package]

@@ -16,10 +16,11 @@ chol_qr     O(eps) * kappa(X)^2    1
 Every routine raises ``ValueError`` on a block that is not 2-d, is wider
 than tall or has no columns.  Numerical failure is data, never an
 exception or a warning: non-finite input, an indefinite or overflowing
-Gram matrix (``chol_qr``), an exactly zero pivot (``chol_qr``, ``mgs_qr``)
-or an overflowing one (``mgs_qr``) gives NaN, and ``failed`` is true
-exactly when Q or R holds a non-finite entry.  Every routine works in
-O(m·s) memory.
+Gram matrix (``chol_qr``), an exactly zero pivot (``chol_qr``, ``mgs_qr``),
+an overflowing one (``mgs_qr``) or an overflowing rotation
+(``givens_qr``) gives NaN, and ``failed`` is true exactly when Q or R
+holds a non-finite entry.  ``house_qr`` can fail on a finite block near
+overflow (see its docstring).  Every routine works in O(m·s) memory.
 
 Skeletons call the routines through :func:`apply_io`, which charges each
 call to a sync ledger and serves small blocks from a cache whose hits are
@@ -147,11 +148,15 @@ def _fix_signs(q: np.ndarray, r: np.ndarray) -> QROutput:
 def house_qr(x) -> QROutput:
     """Householder QR with explicitly assembled economic Q.
 
-    Loss of orthogonality O(eps) independent of kappa(X); never fails on
-    finite input.  LAPACK ``geqrf`` and ``orgqr``, each with its queried
-    optimal workspace, run in one column-major copy of X, which becomes the
-    Fortran-ordered ``q``: one m-by-s array plus O(s·nb) workspace.  Q and
-    R equal numpy's QR bit for bit.
+    Loss of orthogonality O(eps) independent of kappa(X).  On finite input
+    it can still fail near overflow, where LAPACK's reflector overflows
+    forming alpha - beta: ``[[1e308, 1], [1e308, 2], [0, 3], [1, 1]]``
+    (column norm 1.41e308, true R[0,1] = 2.12) gives R[0,1] = inf, a Q
+    with inf and NaN entries, and ``failed``.  LAPACK ``geqrf`` and
+    ``orgqr``, each with its queried optimal workspace, run in one
+    column-major copy of X, which becomes the Fortran-ordered ``q``: one
+    m-by-s array plus O(s·nb) workspace.  Q and R equal numpy's QR bit for
+    bit.
     """
     x = _as_block(x)
     m, s = x.shape
@@ -241,7 +246,9 @@ def givens_qr(x) -> QROutput:
     part of column s-1 gets its own product (see ``_rotate_pair``).  A
     stage of fewer than ``_STACK_MIN`` rotations, or with a zero g, turns
     its pairs one at a time.  Eliminated entries keep their rounding
-    residue, which no later rotation reads and ``np.triu`` drops.
+    residue, which no later rotation reads and ``np.triu`` drops.  A
+    rotation whose hypot or rotated rows overflow is a breakdown, never a
+    zero rotation: the output is NaN.
 
     R's and Qᵀ's rows are rows of ``W = [X | I]``, m-by-(s+m), but only a
     window of them is held: one C-order buffer of min(m, 2s +
@@ -266,43 +273,47 @@ def givens_qr(x) -> QROutput:
     step = 2 * n + 1
     stacks = {k: _rotation_stack(k) for k in range(_STACK_MIN, s + 1)}
     pair_rot = np.empty((2, 2))
-    for top, j0, k in _givens_stages(m, s):
-        if top < base:
-            # Slide the window up to row ``new``: the rows still in play,
-            # at most 2s at its top, move down, and the rows above them
-            # are loaded as [X row | e_row].
-            new = max(0, min(top + 2 * s, m) - height)
-            shift = base - new
-            keep = min(2 * s, height - shift)
-            w[shift : shift + keep] = w[:keep]
-            w[:shift, :s] = x[new:base]
-            w[:shift, s:] = 0.0
-            flat[s + new : shift * n : n + 1] = 1.0
-            base = new
-        top -= base
-        if k >= _STACK_MIN:
-            a = top * n + j0
-            b = a + (k - 1) * step + 1
-            g = flat[a + n : b + n : step]
-            if np.count_nonzero(g) == k:
-                rot, c, sn, c2, nsn, last_rot = stacks[k]
-                f = flat[a:b:step]
-                h = np.hypot(f, g)
-                np.divide(f, h, out=c)
-                np.divide(g, h, out=sn)
-                c2[...] = c
-                np.negative(sn, out=nsn)
-                rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
-                if j0 + k < s:
-                    rows[...] = np.matmul(rot, rows)
-                else:
-                    col = flat[b - 1 : b + n : n]
-                    last = np.matmul(last_rot, col)
-                    rows[...] = np.matmul(rot, rows)
-                    col[...] = last
-                continue
-        for r in range(k):
-            _rotate_pair(w, top + 2 * r, j0 + r, s, pair_rot)
+    try:
+        with np.errstate(over="raise"):
+            for top, j0, k in _givens_stages(m, s):
+                if top < base:
+                    # Slide the window up to row ``new``: the rows still in
+                    # play, at most 2s at its top, move down, and the rows
+                    # above them are loaded as [X row | e_row].
+                    new = max(0, min(top + 2 * s, m) - height)
+                    shift = base - new
+                    keep = min(2 * s, height - shift)
+                    w[shift : shift + keep] = w[:keep]
+                    w[:shift, :s] = x[new:base]
+                    w[:shift, s:] = 0.0
+                    flat[s + new : shift * n : n + 1] = 1.0
+                    base = new
+                top -= base
+                if k >= _STACK_MIN:
+                    a = top * n + j0
+                    b = a + (k - 1) * step + 1
+                    g = flat[a + n : b + n : step]
+                    if np.count_nonzero(g) == k:
+                        rot, c, sn, c2, nsn, last_rot = stacks[k]
+                        f = flat[a:b:step]
+                        h = np.hypot(f, g)
+                        np.divide(f, h, out=c)
+                        np.divide(g, h, out=sn)
+                        c2[...] = c
+                        np.negative(sn, out=nsn)
+                        rows = w[top : top + 2 * k, j0:].reshape(k, 2, n - j0)
+                        if j0 + k < s:
+                            rows[...] = np.matmul(rot, rows)
+                        else:
+                            col = flat[b - 1 : b + n : n]
+                            last = np.matmul(last_rot, col)
+                            rows[...] = np.matmul(rot, rows)
+                            col[...] = last
+                        continue
+                for r in range(k):
+                    _rotate_pair(w, top + 2 * r, j0 + r, s, pair_rot)
+    except FloatingPointError:  # a hypot or a rotated row overflowed
+        return _nan_output(m, s)
     q = w[:s, s:].T.copy()
     r = np.triu(w[:s, :s])
     return _fix_signs(q, r)
@@ -339,16 +350,17 @@ def mgs_qr(x) -> QROutput:
 def chol_free(g) -> CholFactor:
     """Right-looking Cholesky with no positive-definiteness fail-safe.
 
-    The input is symmetrized as (G + G^T)/2 first.  A negative pivot turns
-    into NaN through the square root; the sweep still runs to completion and
-    the result is flagged ``failed`` if any non-finite entry appears.  No
-    exception is ever raised: failure is a data state.
+    It factors the upper triangle of G, as LAPACK's ``dpotrf`` does with
+    ``uplo='U'``: the lower triangle is never read.  Every Gram the package
+    forms is exactly symmetric.  A negative pivot turns into NaN through
+    the square root; the sweep still runs to completion and the result is
+    flagged ``failed`` if any non-finite entry appears.  No exception is
+    ever raised: failure is a data state.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    a = np.array(g, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("Gram matrix must be square")
-    n = g.shape[0]
-    a = (g + g.T) / 2.0
+    n = a.shape[0]
     r = np.zeros((n, n))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for k in range(n):

@@ -165,11 +165,36 @@ def test_chol_free_indefinite_runs_to_completion():
     assert fac.r[0, 1] == pytest.approx(2.0)
 
 
-def test_chol_free_symmetrizes_first():
-    g = np.array([[4.0, 2.2], [1.8, 2.0]])  # asymmetric; mean is the example
+def test_chol_free_reads_the_upper_triangle():
+    # dpotrf's uplo='U' convention: the lower triangle is never read, so
+    # NaN there changes no bit of the factor of the symmetric G.
+    g = np.array([[4.0, 2.0], [-7.0, 2.0]])
     fac = chol_free(g)
     assert not fac.failed
     assert_allclose(fac.r, np.array([[2.0, 1.0], [0.0, 1.0]]))
+    x = np.random.default_rng(8).standard_normal((9, 4))
+    sym = x.T @ x
+    upper = np.where(np.triu(np.ones((4, 4), dtype=bool)), sym, np.nan)
+    assert np.array_equal(chol_free(upper).r, chol_free(sym).r)
+    assert np.isnan(upper[np.tril_indices(4, -1)]).all()  # left alone
+
+
+def test_chol_free_factors_a_gram_near_overflow():
+    # A diagonal entry above DBL_MAX/2 is no breakdown: R[0,0] = 1e154.
+    fac = chol_free(np.diag([1e308, 1.0]))
+    assert not fac.failed
+    assert np.array_equal(fac.r, np.diag([1e154, 1.0]))
+
+
+def test_chol_qr_factors_a_column_whose_gram_entry_nears_overflow():
+    # Its Gram entry 1.44e308 is finite; pytest turns a RuntimeWarning into
+    # an error, so this also checks that none is raised.
+    x = np.column_stack([[1.2e154, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+    out = chol_qr(x)
+    assert not out.failed
+    assert out.r[0, 0] == 1.2e154
+    assert_allclose(out.r, [[1.2e154, 1.0], [0.0, np.sqrt(29.0)]])
+    assert rel_res(x, out.q, out.r) <= 100.0 * EPS
 
 
 def test_chol_free_identity_and_diagonal():
@@ -247,6 +272,48 @@ def test_gram_overflow_is_a_failed_output_not_a_warning(name):
     out = FACTORIZERS[name](_overflowing_block())
     assert out.failed
     assert np.isnan(out.q).all()
+
+
+# Blocks whose first column norm nears DBL_MAX: hypot(1.5e308, 1.5e308)
+# overflows, hypot(1e308, 1e308) = 1.41e308 does not.
+_ROTATION_OVERFLOW = np.array([[1.5e308, 1], [1.5e308, 2], [0, 3], [1, 1]])
+_NEAR_OVERFLOW = np.array([[1e308, 1], [1e308, 2], [0, 3], [1, 1]])
+# Its first rotation is finite, but the row it turns overflows: the second
+# column's norm is 2.12e308.
+_ROTATED_ROW_OVERFLOW = np.array([[1, 1.5e308], [1, 1.5e308], [0, 1], [0, 2]])
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "apply_io"])
+def test_an_overflowing_givens_rotation_is_a_breakdown(direct):
+    # An overflowing hypot must not turn into a zero rotation (c = s = 0,
+    # an all-zero Q column beside failed=False); pytest turns the overflow
+    # warning into an error.
+    def factor(x):
+        if direct:
+            return givens_qr(x)
+        return apply_io(GIVENS_QR, x, ledger=SyncLedger(), block=1)
+
+    for x in (_ROTATION_OVERFLOW, _ROTATED_ROW_OVERFLOW):
+        out = factor(x)
+        assert out.failed
+        assert np.isnan(out.q).all() and np.isnan(out.r).all()
+    out = factor(_NEAR_OVERFLOW)
+    assert not out.failed
+    assert_allclose(
+        out.r, [[np.sqrt(2.0) * 1e308, 3.0 / np.sqrt(2.0)],
+                [0.0, np.sqrt(10.5)]], rtol=1e-15
+    )
+    assert loo(out.q) <= 10.0 * EPS
+
+
+def test_house_qr_fails_on_a_finite_block_near_overflow():
+    # Documented data, not a goal: LAPACK's reflector overflows forming
+    # alpha - beta, so R[0,1] = inf where the true value is 2.12.
+    out = house_qr(_NEAR_OVERFLOW)
+    assert out.failed
+    assert out.r[0, 0] == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+    assert out.r[0, 1] == np.inf
+    assert house_qr(_ROTATION_OVERFLOW).failed
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIZERS))

@@ -83,18 +83,26 @@ def _python(*parts):
 
 
 # Every routine blockgs calls, as ``scipy.linalg``'s and ``scipy.special``'s
-# public modules expose it.
+# public modules expose it, and every submodule of theirs bound on its
+# package, as in a process that never imported blockgs.
 _PUBLIC_ROUTINES = """
+    import sys
     import scipy.linalg, scipy.special
     from blockgs import blockcore, matgen, metrics, muscles
     for name in ("dtrtrs", "dgeqrf", "dgeqrf_lwork", "dorgqr"):
         assert getattr(blockcore.lapack, name) is getattr(scipy.linalg.lapack, name)
+        assert getattr(blockcore.lapack, name) is getattr(scipy.linalg._flapack, name)
     assert muscles.lapack is blockcore.lapack
     assert metrics.blas is blockcore.blas
     assert blockcore.blas.dtrmm is scipy.linalg.blas.dtrmm
-    assert matgen.ndtri is scipy.special.ndtri
+    assert blockcore.blas.dtrmm is scipy.linalg._fblas.dtrmm
+    assert matgen.ndtri is scipy.special.ndtri is scipy.special._ufuncs.ndtri
     for package in (scipy.linalg, scipy.special):
         assert package.__file__.endswith("__init__.py")
+    loaded = ("scipy.linalg.", "scipy.special.")
+    for key in [k for k in sys.modules if k.startswith(loaded)]:
+        parent, _, name = key.rpartition(".")
+        assert getattr(sys.modules[parent], name) is sys.modules[key], key
 """
 
 
@@ -201,7 +209,7 @@ def test_a_failed_load_falls_back_to_the_public_import(fault):
     _python("""
         import importlib, importlib.machinery, sys
         from blockgs import blockcore, matgen
-        del sys.modules["scipy.special._ufuncs"]
+        assert "scipy.special._ufuncs" not in sys.modules
     """, fault, """
         before = set(sys.modules)
         at_fallback = []

@@ -60,10 +60,16 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "chol_free without its (G + G^T)/2 step",
+        "chol_free reads the lower triangle",
         "src/blockgs/muscles.py",
-        "    a = (g + g.T) / 2.0\n",
-        "    a = g.copy()\n",
+        "    a = np.array(g, dtype=np.float64)\n",
+        "    a = np.array(g, dtype=np.float64).T\n",
+    ),
+    Mutant(
+        "Givens without its overflow guard",
+        "src/blockgs/muscles.py",
+        '        with np.errstate(over="raise"):\n',
+        '        with np.errstate(over="ignore"):\n',
     ),
     Mutant(
         "HouseQR without its sign fix",
@@ -226,6 +232,13 @@ MUTANTS = (
         "            if sys.modules.get(package) is stub:\n"
         "                del sys.modules[package]\n",
         "            pass\n",
+    ),
+    Mutant(
+        "the loader leaves what it loaded in sys.modules",
+        "src/blockgs/blockcore.py",
+        "                if key.startswith(f\"{package}.\"):\n"
+        "                    del sys.modules[key]\n",
+        "                pass\n",
     ),
     Mutant(
         "the loader's fallback keeps what the failed load added",
