@@ -105,6 +105,9 @@ class Combo:
 
 
 _SLOTS = tuple(f.name for f in fields(Combo) if f.name != "skeleton")
+# The muscle a slot takes when none is given; a tied skeleton takes its
+# first slot's in every slot.
+_SLOT_DEFAULTS = {"io_a": HOUSE_QR, "io1": CHOL_QR, "io2": CHOL_QR}
 
 
 def _check_muscle(spec, slot: str, io) -> None:
@@ -123,6 +126,11 @@ def _parse_skeleton(token: str) -> SkeletonKind:
         if key in (kind.value, spec.display.lower(), *spec.shorthands):
             return kind
     raise ConfigError(f"unknown skeleton {token!r}")
+
+
+def _flag(slot: str) -> str:
+    """The ``sweep`` option that fills a muscle slot (``--io-a``)."""
+    return "--" + slot.replace("_", "-")
 
 
 def _parse_io(token: str | None, flag: str) -> IOSpec | None:
@@ -144,14 +152,13 @@ def make_combo(
 
     Unused slots are dropped; for the tied aliases all supplied slots must
     name the same muscle (which then fills every consumed slot).  Missing
-    slots fall back to HouseQR for the first block and CholQR elsewhere.
-    ``skeleton`` is any spelling :func:`_parse_skeleton` accepts; an
-    unknown one raises ``ConfigError``.
+    slots fall back to ``_SLOT_DEFAULTS``.  ``skeleton`` is any spelling
+    :func:`_parse_skeleton` accepts; an unknown one raises ``ConfigError``.
     """
     kind = _parse_skeleton(skeleton)
     spec = SKELETONS[kind]
+    given = dict(zip(_SLOTS, (io_a, io1, io2)))
     if spec.tied:
-        given = dict(zip(_SLOTS, (io_a, io1, io2)))
         for slot, io in given.items():
             if io is not None:
                 _check_muscle(spec, slot, io)
@@ -161,12 +168,11 @@ def make_combo(
             raise ConfigError(
                 f"{spec.display} ties all muscle slots; got {names}"
             )
-        tied = supplied.pop() if supplied else HOUSE_QR
+        tied = supplied.pop() if supplied else _SLOT_DEFAULTS[spec.slots[0]]
         return Combo(kind, **{slot: tied for slot in spec.slots})
     pool = {
-        "io_a": HOUSE_QR if io_a is None else io_a,
-        "io1": CHOL_QR if io1 is None else io1,
-        "io2": CHOL_QR if io2 is None else io2,
+        slot: _SLOT_DEFAULTS[slot] if io is None else io
+        for slot, io in given.items()
     }
     return Combo(kind, **{slot: pool[slot] for slot in spec.slots})
 
@@ -473,10 +479,22 @@ def write_csv(records, path) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def _row_combo(rec: RunRecord) -> Combo:
-    """The combo a row names.  Its skeleton and muscle cells must be
-    spelled as the writer spells them and fill exactly the skeleton's
-    slots; otherwise raises ``ValueError``."""
+# Metrics a failed run never measures: NaN on every failed row.
+_METRICS = ("loo", "rel_res", "rel_chol_res")
+# Columns that hold a norm, a count or a duration: >= 0 or NaN.
+_NONNEGATIVE = (*_METRICS, "sync_per_block", "elapsed_ms")
+
+
+def _check_row(rec: RunRecord) -> Combo:
+    """The combo a row names; raises ``ValueError`` unless a sweep could
+    have written the row: a shape :func:`~blockgs.blockcore.check_partition`
+    accepts, skeleton and muscle cells spelled as the writer spells them
+    that fill exactly the skeleton's slots, kappas >= 1 or NaN, metrics,
+    sync count and time >= 0 or NaN, and NaN metrics on a failed row.
+    ``matrix_class`` is free text, since :func:`run_single` writes any
+    label.
+    """
+    check_partition(rec.m, rec.p, rec.s)
     kind = _parse_skeleton(rec.skeleton)
     if SKELETONS[kind].display != rec.skeleton:
         raise ConfigError(f"unknown skeleton {rec.skeleton!r}")
@@ -486,25 +504,7 @@ def _row_combo(rec: RunRecord) -> Combo:
         if cell and cell not in IO_BY_NAME:
             raise ConfigError(f"unknown muscle {cell!r} in column {slot}")
         ios.append(IO_BY_NAME.get(cell))
-    return Combo(kind, *ios)
-
-
-# Metrics a failed run never measures: NaN on every failed row.
-_METRICS = ("loo", "rel_res", "rel_chol_res")
-# Columns that hold a norm, a count or a duration: >= 0 or NaN.
-_NONNEGATIVE = (*_METRICS, "sync_per_block", "elapsed_ms")
-
-
-def _check_row(rec: RunRecord) -> None:
-    """Raise ``ValueError`` unless a sweep could have written the row: a
-    shape :func:`~blockgs.blockcore.check_partition` accepts, cells that
-    name a combo (:func:`_row_combo`), kappas >= 1 or NaN, metrics, sync
-    count and time >= 0 or NaN, and NaN metrics on a failed row.
-    ``matrix_class`` is free text, since :func:`run_single` writes any
-    label.
-    """
-    check_partition(rec.m, rec.p, rec.s)
-    _row_combo(rec)
+    combo = Combo(kind, *ios)
     for name in ("kappa_target", "kappa_actual"):
         value = getattr(rec, name)
         if value < 1.0:
@@ -521,10 +521,12 @@ def _check_row(rec: RunRecord) -> None:
             raise ValueError(
                 f"a failed row has NaN metrics, got {name}={value}"
             )
+    return combo
 
 
-def _read_rows(path) -> list[tuple[int, RunRecord]]:
-    """:func:`read_csv`'s records, each with the file line it ends on."""
+def _read_rows(path) -> list[tuple[int, RunRecord, Combo]]:
+    """:func:`read_csv`'s records, each with the file line it ends on and
+    the combo it names."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -543,10 +545,10 @@ def _read_rows(path) -> list[tuple[int, RunRecord]]:
                         for name, (_, parse) in _CSV_COLUMNS
                     }
                 )
-                _check_row(record)
+                combo = _check_row(record)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            rows.append((reader.line_num, record))
+            rows.append((reader.line_num, record, combo))
     return rows
 
 
@@ -558,13 +560,12 @@ def read_csv(path) -> list[RunRecord]:
     Raises ``OSError`` when the file cannot be read and ``ValueError``,
     naming the line, when its header or a row is malformed.
     """
-    return [record for _, record in _read_rows(path)]
+    return [record for _, record, _ in _read_rows(path)]
 
 
-def _row_envelope(rec: RunRecord) -> tuple[bool, float]:
-    """``(applicable, loo ceiling)`` of one row :func:`read_csv` accepted;
-    a combo no theorem covers is never applicable."""
-    combo = _row_combo(rec)
+def _row_envelope(rec: RunRecord, combo: Combo) -> tuple[bool, float]:
+    """``(applicable, loo ceiling)`` of one row :func:`read_csv` accepted,
+    naming ``combo``; a combo no theorem covers is never applicable."""
     spec = SKELETONS[combo.skeleton].envelope(*combo.muscles, s=rec.s)
     if spec is None:
         return False, math.nan
@@ -586,8 +587,8 @@ def check_bounds(path, *, out=None) -> list[str]:
     rows = _read_rows(path)
     violations = []
     checked = 0
-    for line, rec in rows:
-        applicable, bound = _row_envelope(rec)
+    for line, rec, combo in rows:
+        applicable, bound = _row_envelope(rec, combo)
         if not applicable:
             continue
         checked += 1
@@ -658,15 +659,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(kind.value for kind in SKELETONS),
         help="comma-separated skeleton list (default: all)",
     )
-    sweep.add_argument(
-        "--io-a", help="first-block muscle (default houseqr where needed)"
-    )
-    sweep.add_argument(
-        "--io1", help="inner muscle (default cholqr where needed)"
-    )
-    sweep.add_argument(
-        "--io2", help="second-pass muscle (default cholqr where needed)"
-    )
+    roles = ("first-block", "inner", "second-pass")
+    for (slot, default), role in zip(_SLOT_DEFAULTS.items(), roles):
+        sweep.add_argument(
+            _flag(slot),
+            help=f"{role} muscle (default {default.kind} where needed)",
+        )
     sweep.add_argument("--kappas", help="comma-separated condition targets")
     sweep.add_argument(
         "--kappa-range", help="log-spaced targets as lo:hi:count"
@@ -717,11 +715,12 @@ def _parse_kappas(args) -> tuple[float, ...]:
 
 
 def _config_from_args(args) -> SweepConfig:
-    io_a = _parse_io(args.io_a, "--io-a")
-    io1 = _parse_io(args.io1, "--io1")
-    io2 = _parse_io(args.io2, "--io2")
+    pool = {
+        slot: _parse_io(getattr(args, slot), _flag(slot))
+        for slot in _SLOT_DEFAULTS
+    }
     combos = tuple(
-        make_combo(tok, io_a, io1, io2)
+        make_combo(tok, **pool)
         for tok in args.skeletons.split(",")
         if tok.strip()
     )

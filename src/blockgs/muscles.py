@@ -69,27 +69,24 @@ class IOSpec:
 
     ``kind`` is the registry key (``houseqr``, ``givensqr``, ``mgs`` or
     ``cholqr``); ``alpha`` is the exponent of kappa(X) in the routine's loss
-    of orthogonality, O(eps) * kappa(X)**alpha.
+    of orthogonality, O(eps) * kappa(X)**alpha.  ``gram`` is true for the
+    muscle that spends a single reduction, its Gram product (``chol_qr``).
     """
 
     kind: str
     alpha: int
+    gram: bool = False
 
     def sync_cost(self, block_width: int) -> int:
-        """Simulated global reductions for one call on an m-by-w block.
-
-        ``chol_qr`` spends exactly one reduction (its Gram product); the
-        column-by-column routines are modeled at one reduction per column.
-        """
-        if self.kind == "cholqr":
-            return 1
-        return int(block_width)
+        """Simulated global reductions for one call on an m-by-w block:
+        one for the Gram muscle, one per column for the others."""
+        return 1 if self.gram else int(block_width)
 
 
 HOUSE_QR = IOSpec("houseqr", alpha=0)
 GIVENS_QR = IOSpec("givensqr", alpha=0)
 MGS = IOSpec("mgs", alpha=1)
-CHOL_QR = IOSpec("cholqr", alpha=2)
+CHOL_QR = IOSpec("cholqr", alpha=2, gram=True)
 
 IO_BY_NAME: dict[str, IOSpec] = {
     spec.kind: spec for spec in (HOUSE_QR, GIVENS_QR, MGS, CHOL_QR)
@@ -404,10 +401,13 @@ def chol_qr(x) -> QROutput:
 
 
 _ROUTINES: dict[str, Callable[[np.ndarray], QROutput]] = {
-    "houseqr": house_qr,
-    "givensqr": givens_qr,
-    "mgs": mgs_qr,
-    "cholqr": chol_qr,
+    spec.kind: routine
+    for spec, routine in (
+        (HOUSE_QR, house_qr),
+        (GIVENS_QR, givens_qr),
+        (MGS, mgs_qr),
+        (CHOL_QR, chol_qr),
+    )
 }
 
 # The muscle cache holds at most ``_CACHE_ENTRIES`` entries, each of a
@@ -416,10 +416,6 @@ _ROUTINES: dict[str, Callable[[np.ndarray], QROutput]] = {
 # cache holds at most 64 * 12 KiB = 768 KiB.  A larger block is never hashed.
 _CACHE_ENTRIES = 64
 _CACHE_BLOCK_BYTES = 4096
-
-# The one muscle ``apply_io`` never serves from the cache: a ``chol_qr``
-# hit would skip a triangular solve that the benchmark counts.
-_UNCACHED_KIND = "cholqr"
 
 
 def _fresh(q: np.ndarray, r: np.ndarray) -> QROutput:
@@ -452,16 +448,17 @@ def apply_io(
 ) -> QROutput:
     """Dispatch one muscle call, charging its reductions to ``block``.
 
-    The event goes into ``ledger``, labeled ``io-gram`` for the
-    Gram-product muscle (``chol_qr``) and ``io-cols`` for the column-sweep
-    muscles, and is recorded whether or not the call succeeds numerically —
-    the reductions are spent either way.  A malformed block raises
+    The event goes into ``ledger``, labeled ``io-gram`` for the Gram
+    muscle (``spec.gram``) and ``io-cols`` for the column-sweep muscles,
+    and is recorded whether or not the call succeeds numerically — the
+    reductions are spent either way.  A malformed block raises
     ``ValueError`` before anything is charged.
 
-    Calls on blocks of at most 4 KiB, of every muscle but
-    ``_UNCACHED_KIND``, are served from a process-wide
-    ``functools.lru_cache`` of 64 entries (at most 768 KiB), keyed by the
-    muscle, the block's shape and its float64 bytes.
+    Calls on blocks of at most 4 KiB, of every muscle but the Gram one
+    (whose hit would skip a triangular solve that the benchmark counts),
+    are served from a process-wide ``functools.lru_cache`` of 64 entries
+    (at most 768 KiB), keyed by the muscle, the block's shape and its
+    float64 bytes.
     ``lru_cache`` is thread-safe; two threads that miss on one block at
     once may both factor it, with bit-identical results.  A sweep that puts
     one muscle in every slot factors the same blocks again and again: every
@@ -476,9 +473,9 @@ def apply_io(
         routine = _ROUTINES[spec.kind]
     except KeyError:
         raise ValueError(f"unknown intraorthogonalization {spec.kind!r}") from None
-    label = "io-gram" if spec.kind == "cholqr" else "io-cols"
+    label = "io-gram" if spec.gram else "io-cols"
     ledger.record(block, label, spec.sync_cost(x.shape[1]))
-    if spec.kind != _UNCACHED_KIND and x.nbytes <= _CACHE_BLOCK_BYTES:
+    if not spec.gram and x.nbytes <= _CACHE_BLOCK_BYTES:
         out = _cached_factor(spec.kind, x.shape, x.tobytes())
         return _fresh(out.q, out.r)
     return routine(x)

@@ -1391,6 +1391,27 @@ def test_cli_config_errors_exit_2(argv, fragment, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag,slot", [("--io-a", "io_a"), ("--io1", "io1"), ("--io2", "io2")]
+)
+def test_each_muscle_flag_fills_its_slot(flag, slot, tmp_path, monkeypatch):
+    # The flags come from the slot-default table: each fills its slot alone,
+    # the others keep their defaults, and a bad muscle names its own flag.
+    argv = ["sweep", "--matrix", "default", "--skeletons", "bcgsi_plus_a",
+            "--kappas", "10"]
+    args = harness._build_parser().parse_args([*argv, flag, "mgs"])
+    (combo,) = harness._config_from_args(args).combos
+    defaults = make_combo("bcgsi_plus_a")
+    for other in ("io_a", "io1", "io2"):
+        want = MGS if other == slot else getattr(defaults, other)
+        assert getattr(combo, other) is want
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _capture(cli_main, [*argv, flag, "qr"])
+    assert code == 2
+    assert f"unknown muscle 'qr' for {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_interrupted_sweep_keeps_the_previous_csv(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     out.write_text("sentinel\n")

@@ -511,6 +511,37 @@ def test_only_cholqr_calls_through_apply_io_are_never_cached():
     assert muscles._cached_factor.cache_info()[:2] == (0, len(CACHED_IOS))
 
 
+@pytest.mark.parametrize(
+    "spec", IO_BY_NAME.values(), ids=lambda spec: spec.kind
+)
+def test_the_gram_flag_sets_cost_label_and_caching(spec, monkeypatch):
+    # One registry fact, read three ways: the Gram muscle spends one
+    # reduction whatever the width, is labeled io-gram, and reaches its
+    # routine on every call; every other muscle is charged per column,
+    # labeled io-cols, and served a repeated small block from the cache.
+    assert spec.gram == (spec is CHOL_QR)
+    assert muscles._ROUTINES.keys() == IO_BY_NAME.keys()
+    for width in (2, 3, 5):
+        assert (spec.sync_cost(width) == 1) == spec.gram
+    calls = []
+    routine = muscles._ROUTINES[spec.kind]
+    monkeypatch.setitem(
+        muscles._ROUTINES,
+        spec.kind,
+        lambda x: calls.append(x.shape) or routine(x),
+    )
+    muscles._cached_factor.cache_clear()
+    x = np.random.default_rng(27).standard_normal((8, 3))
+    assert x.nbytes <= muscles._CACHE_BLOCK_BYTES
+    ledger = SyncLedger()
+    for block in (1, 2):
+        apply_io(spec, x, ledger=ledger, block=block)
+    label = "io-gram" if spec.gram else "io-cols"
+    assert [e.label for e in ledger.events] == [label, label]
+    assert len(calls) == (2 if spec.gram else 1)
+    muscles._cached_factor.cache_clear()
+
+
 def test_the_cache_holds_at_most_its_budget(monkeypatch):
     assert muscles._CACHE_ENTRIES == 64
     assert muscles._CACHE_BLOCK_BYTES == 4096

@@ -256,6 +256,20 @@ def test_no_module_but_skeletons_names_a_skeleton_kind():
     assert offenders == []
 
 
+def test_no_module_but_muscles_names_a_muscle_kind():
+    # Every fact about a muscle lives in its registry entry, so its kind
+    # string is spelled once, where ``muscles`` defines its IOSpec, and
+    # nowhere else in the package.
+    spelled = []
+    for path in sorted(Path(blockgs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in IO_BY_NAME:
+                spelled.append((path.name, node.value))
+    assert sorted(spelled) == sorted(
+        ("muscles.py", kind) for kind in IO_BY_NAME
+    )
+
+
 def test_skeletons_share_one_block_loop():
     # Every variant is a per-block step handed to ``_run``: only the driver
     # builds a ledger or a result, and the module has one block loop.

@@ -88,8 +88,14 @@ MUTANTS = (
     Mutant(
         "cholqr admitted to the muscle cache",
         "src/blockgs/muscles.py",
-        '_UNCACHED_KIND = "cholqr"',
-        '_UNCACHED_KIND = ""',
+        "if not spec.gram and x.nbytes <= _CACHE_BLOCK_BYTES:",
+        "if x.nbytes <= _CACHE_BLOCK_BYTES:",
+    ),
+    Mutant(
+        "CholQR loses its Gram flag",
+        "src/blockgs/muscles.py",
+        'CHOL_QR = IOSpec("cholqr", alpha=2, gram=True)',
+        'CHOL_QR = IOSpec("cholqr", alpha=2)',
     ),
     Mutant(
         "-1S without the triangular solve of its look-ahead row",
