@@ -2,20 +2,13 @@
 
 Matrices are plain float64 ``numpy.ndarray`` objects; the only structured type
 is :class:`BlockMatrix`, which pins an explicit column partition onto a tall
-dense matrix.  Every kernel here is a pure function of its inputs.
+dense matrix.  Every kernel here is a pure function of its inputs, run on
+the calling thread.
 
-A pass over a large operand may run in panels, one contiguous range of an
-independent output dimension per usable core (:func:`_panels`,
-:func:`_run_panels`): the tall products :func:`project_out` and
-:func:`tall_inner`, each one expression over a range of output columns,
-and, through :func:`_split_pass`, the elementwise passes and max/min scans
-of the other modules, over ranges of flat buffers.  Each output element is
-formed by the same BLAS kernel or ufunc, from the same operands and in the
-same order as in one call, so the bits do not depend on the core count.
-This module alone decides when and how a pass splits, and alone knows
-OpenBLAS: it finds the loaded libraries, reads their thread counts (a
-product splits only while each reports one) and pins them to one thread
-while a sweep, a single run or a sync table runs (:func:`_one_blas_thread`).
+This module alone knows OpenBLAS: it finds the loaded libraries, reads
+their thread counts and pins them to one thread while a sweep, a single run
+or a sync table runs (:func:`_one_blas_thread`), so the bits do not depend
+on the core count.
 It also loads the compiled scipy modules the package calls, LAPACK, BLAS and
 ``ndtri``'s, without importing ``scipy.linalg`` or ``scipy.special``
 (:func:`_scipy_extension`).
@@ -24,7 +17,6 @@ It also loads the compiled scipy modules the package calls, LAPACK, BLAS and
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import functools
 import importlib.machinery
@@ -175,20 +167,6 @@ class BlockMatrix:
         return self.data[:, (k - 1) * s : k * s]
 
 
-# Panels.  An elementwise pass or a max/min over at least PANEL_BYTES
-# bytes, and a product whose operand holds at least its own threshold, is
-# split into one panel per usable core.  The calling thread runs the first
-# and takes back every other that no worker of a lazily made thread pool
-# has started; numpy and BLAS release the GIL for the work.  (Two or four
-# panels per core were slower on 20000x200 sweeps: each panel of a
-# reduction packs the narrow factor again.)
-PANEL_BYTES = 4 << 20
-
-# A product is split only into panels of at least this many multiply-adds:
-# above OpenBLAS's small-matrix cutoff (10**6 on SkylakeX), so each panel
-# takes the blocked kernel the whole product takes.
-_PANEL_MIN_WORK = 1 << 21
-
 # (get, set) thread counts of the OpenBLAS in numpy's and scipy's wheels.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
@@ -223,11 +201,6 @@ def _openblas_threads(maps: str = "/proc/self/maps") -> tuple:
                 found.append((getattr(lib, get), getattr(lib, set_)))
                 break
     return tuple(found)
-
-
-def _blas_on_one_thread() -> bool:
-    """True while an OpenBLAS is loaded and each one reports one thread."""
-    return {get() for get, _ in _openblas_threads()} == {1}
 
 
 # The pin's state: entries open, and the counts the outermost entry saved.
@@ -272,23 +245,9 @@ def _one_blas_thread():
                     _pin_saved = []
 
 
-# The shared ThreadPoolExecutor, made at first use: importing its module,
-# and the logging it pulls in, costs every process about 3.5 ms.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _cores() -> int:
-    """Cores this process may run on (``taskset`` narrows them)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _after_fork_in_child() -> None:
-    # The child has none of the pool's threads: it makes a pool of its own.
     # A lock some other thread held at the fork would stay held forever.
-    global _pool, _pool_lock, _pin_lock, _pin_depth, _pin_saved
-    _pool, _pool_lock = None, threading.Lock()
+    global _pin_lock, _pin_depth, _pin_saved
     _pin_lock, _pin_depth, _pin_saved = threading.Lock(), 0, []
 
 
@@ -296,116 +255,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def _panels(n: int, *, grain: int = 1, work: int = 0) -> list[int]:
-    """Bounds ``[0, b_1, ..., n]`` of the panels a pass over ``range(n)``
-    splits into, once its operand holds the caller's byte threshold;
-    ``[0, n]`` is one panel.
-
-    There is at most one panel per usable core.  Inner bounds are multiples
-    of ``grain``, and every panel holds at least ``grain`` indices and, for
-    a product of ``work`` multiply-adds, at least ``_PANEL_MIN_WORK`` of
-    them.  A product splits only while every loaded OpenBLAS reports one
-    thread (read at each call: the pin of :func:`_one_blas_thread` or a
-    caller's own); a BLAS on more threads splits it itself.
-    Bounds round up, so the first panel, which the calling thread takes, is
-    the largest: a reduction whose caller had the smaller panel ran no
-    faster than one call (20000-row products of 96 to 120 columns).
-    """
-    if work and not _blas_on_one_thread():
-        return [0, n]
-    k = min(_cores(), n // (2 * grain))
-    if work:
-        k = min(k, work // _PANEL_MIN_WORK)
-    if k < 2:
-        return [0, n]
-    return [0, *(-(-n * i // (k * grain)) * grain for i in range(1, k)), n]
-
-
-def _run_panels(fn, bounds: list[int]) -> list:
-    """``[fn(lo, hi) for each panel]`` of ``bounds`` (see :func:`_panels`).
-
-    Every panel but the first goes to the shared pool in a copy of the
-    caller's context, so ``np.errstate`` holds in it.  The caller runs the
-    first, then cancels and runs each one no worker has started: a late or
-    busy worker holds up no panel, and a call from a pool worker never
-    waits on itself.  Every started panel has finished when this returns
-    or raises; once the caller's own panel raises, no other starts.
-    """
-    global _pool
-    first, *rest = zip(bounds, bounds[1:])
-    if not rest:
-        return [fn(*first)]
-    import concurrent.futures
-
-    with _pool_lock:
-        if _pool is None:
-            _pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=max(1, _cores() - 1),
-                thread_name_prefix="blockgs-panel",
-            )
-        pool = _pool
-    # A cancelled panel stays in the pool's queue, and is not done, until a
-    # worker dequeues it; it reaches fn, and so fn's operands, only through
-    # ``job``, which is emptied before this returns or raises.
-    job = [fn]
-    futures = [
-        pool.submit(
-            contextvars.copy_context().run, lambda *p: job[0](*p), *panel
-        )
-        for panel in rest
-    ]
-    try:
-        mine = fn(*first)
-        taken = [fn(*p) if f.cancel() else None for f, p in zip(futures, rest)]
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        raise
-    finally:
-        concurrent.futures.wait([f for f in futures if not f.cancelled()])
-        job.clear()
-    return [mine, *(r if f.cancelled() else f.result()
-                    for f, r in zip(futures, taken))]
-
-
-def _split_pass(fn, *arrays) -> list:
-    """``[fn(*arrays)]``, an elementwise pass or a max/min over arrays of one
-    shape, or ``fn`` of each panel of them (see :func:`_run_panels`).
-
-    Arrays that share their strides, are contiguous in either order and
-    hold at least ``PANEL_BYTES`` are split as flat buffers: each panel is
-    one range of every array's ``ravel(order="K")`` view.  Anything else, a
-    strided array included, runs whole.
-    """
-    a = arrays[0]
-    if (
-        a.nbytes >= PANEL_BYTES
-        and a.flags.forc
-        and all(b.shape == a.shape and b.strides == a.strides for b in arrays)
-    ):
-        flat = [b.ravel(order="K") for b in arrays]
-        return _run_panels(
-            lambda lo, hi: fn(*(b[lo:hi] for b in flat)), _panels(a.size)
-        )
-    return [fn(*arrays)]
-
-
 def _extrema(a: np.ndarray) -> tuple[float, float]:
     """``(a.max(initial=0.0), a.min(initial=0.0))`` of a float array, so
-    ``(0.0, 0.0)`` when it is empty; NaN in any entry makes both NaN.
-
-    An ``a`` of at least ``PANEL_BYTES`` is read in panels
-    (:func:`_split_pass`), whose maxima and minima are combined by
-    ``np.max`` and ``np.min``: they propagate NaN whatever its panel.  A
-    smaller one, as in most calls, skips the helper.
-    """
-    def read(b):
-        return b.max(initial=0.0), b.min(initial=0.0)
-
-    if a.nbytes < PANEL_BYTES:
-        return read(a)
-    tops, bottoms = zip(*_split_pass(read, a))
-    return np.max(tops), np.min(bottoms)
+    ``(0.0, 0.0)`` when it is empty; NaN in any entry makes both NaN."""
+    return a.max(initial=0.0), a.min(initial=0.0)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -454,49 +307,17 @@ def cond_2(a) -> float:
     return _finite_or_nan(float(sv[0]) / smin) if smin else math.nan
 
 
-# Row panels of project_out hold at least this many rows: more than one
-# OpenBLAS row block (192 rows on SkylakeX), so a panel's last rows take
-# the kernel they take in the whole product.
-_PROJECT_GRAIN = 256
-
-# A tall product is split into panels of ``left``'s columns only when
-# ``left`` holds at least REDUCE_PANEL_BYTES (below it two panels were
-# slower than one call) and at most _REDUCE_MAX_COLS columns.  A product
-# with more output rows than one OpenBLAS row block (192 on SkylakeX)
-# forms its last rows with a kernel that depends on where the block
-# starts, which a panel would move.  Panels start on multiples of
-# _REDUCE_GRAIN columns, a multiple of the kernels' row unrolling, so a
-# one-column product's trailing group stays where one call puts it.
-REDUCE_PANEL_BYTES = 16 << 20
-_REDUCE_MAX_COLS = 192
-_REDUCE_GRAIN = 16
-
-
 def project_out(x, q, c) -> np.ndarray:
     """Deflate ``X - Q C`` for tall m-by-s ``X``, m-by-n ``Q``, n-by-s ``C``.
 
     Formed as ``(X^T - C^T Q^T)^T`` in one s-by-m buffer, the orientation
     of :func:`tall_inner`, so a column-major ``Q`` is read in place; the
     result is Fortran-ordered.  For s >= 5 its bits equal those of
-    ``x - q @ c``; narrower blocks may differ in the last bits.  Its one
-    product fills the buffer whole or, while BLAS runs on one thread and
-    ``Q`` holds at least ``PANEL_BYTES``, in panels of rows, one per core
-    (see :func:`_panels`), with the same bits.
+    ``x - q @ c``; narrower blocks may differ in the last bits.
     """
-    m, n = q.shape
-    s = c.shape[1]
-    t = np.empty_like(q, shape=(s, m), order="C")  # of Q's array type
-
-    def fill(lo, hi):
-        panel = t[:, lo:hi]
-        np.matmul(c.T, q[lo:hi].T, out=panel)
-        np.subtract(x[lo:hi].T, panel, out=panel)
-
-    # Most calls deflate one small block; they skip the panel helper.
-    if q.nbytes < PANEL_BYTES:
-        fill(0, m)
-    else:
-        _run_panels(fill, _panels(m, grain=_PROJECT_GRAIN, work=m * n * s))
+    t = np.empty_like(q, shape=(c.shape[1], q.shape[0]), order="C")  # Q's type
+    np.matmul(c.T, q.T, out=t)
+    np.subtract(x.T, t, out=t)
     return t.T
 
 
@@ -507,25 +328,10 @@ def tall_inner(left, right) -> np.ndarray:
     Formed as ``(R^T @ left)^T`` with ``R`` a C-ordered copy of ``right``,
     so ``left`` is read in place.  The copy keeps the sweeps' bits: an
     uncopied column-major ``right`` changes the BLAS call and the metric
-    digits.  Its one product fills the result whole or, while BLAS runs on
-    one thread and ``left`` holds at least ``REDUCE_PANEL_BYTES`` and at
-    most ``_REDUCE_MAX_COLS`` columns, in panels of those columns, one per
-    core (see :func:`_panels`); each entry is formed by the same BLAS
-    kernel in the same order as in one call.
+    digits.
     """
     r = np.ascontiguousarray(right)
-    (m, n), w = left.shape, r.shape[1]
-    out = np.empty((w, n))
-
-    def fill(lo, hi):
-        np.matmul(r.T, left[:, lo:hi], out=out[:, lo:hi])
-
-    # Most calls reduce against a few blocks; they skip the panel helper.
-    if left.nbytes < REDUCE_PANEL_BYTES or n > _REDUCE_MAX_COLS:
-        fill(0, n)
-    else:
-        _run_panels(fill, _panels(n, grain=_REDUCE_GRAIN, work=m * n * w))
-    return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray((r.T @ left).T)
 
 
 def zero_pivot(r: np.ndarray) -> bool:

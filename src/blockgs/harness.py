@@ -744,9 +744,8 @@ def cli_main(argv=None) -> int:
     """Run one ``blockgs`` command and return its exit code.
 
     A sweep and the sync table run BLAS on one thread, as they do when
-    called from Python (see :func:`run_sweep`); the large passes split
-    over the cores the process may run on, with the bits of one call, and
-    blockcore decides when.
+    called from Python (see :func:`run_sweep`), so their bits do not
+    depend on the cores the process may run on.
 
     Exit codes: 0 success, 1 bound violations found by ``check-bounds``,
     2 configuration errors, unreadable or unwritable files and sweeps whose

@@ -35,7 +35,6 @@ import numpy as np
 from .blockcore import (
     BlockMatrix,
     _scipy_extension,
-    _split_pass,
     check_partition,
     cond_2,
 )
@@ -101,11 +100,9 @@ def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard normal variates via the inverse CDF of uniform draws, which
-    a large array takes in flat panels, one per core."""
+    """Standard normal variates via the inverse CDF of uniform draws."""
     u = uniform_open(rng, size)
-    _split_pass(lambda a: ndtri(a, out=a), u)
-    return u
+    return ndtri(u, out=u)
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

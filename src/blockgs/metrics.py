@@ -42,7 +42,6 @@ from .blockcore import (
     BlockMatrix,
     _extrema,
     _finite_or_nan,
-    _split_pass,
     all_finite,
     blas,
     spectral_norm,
@@ -110,7 +109,7 @@ def _scale_and_gram(a: np.ndarray, out: np.ndarray) -> ScaledGram:
     if a.size == 0 or not math.isfinite(top):
         return ScaledGram(0, np.full((n, n), math.nan), math.nan)
     e = math.frexp(top)[1]
-    _split_pass(lambda b, o: np.ldexp(b, -e, out=o), a, out)
+    np.ldexp(a, -e, out=out)
     gram = out.T @ out
     return ScaledGram(e, gram, max(0.0, float(np.linalg.eigvalsh(gram)[-1])))
 
@@ -159,7 +158,7 @@ def rel_res(
     # the scaled X.
     buf = blas.dtrmm(1.0, rd, qd, side=1, overwrite_b=overwrite_q)
     with np.errstate(over="ignore", invalid="ignore"):
-        _split_pass(lambda a, b: np.subtract(a, b, out=b), xd, buf)
+        np.subtract(xd, buf, out=buf)
         e_res, _, lam_res = _scale_and_gram(buf, buf)
     del buf
     e_x, _, lam_x = scaled_gram(xd) if x_gram is None else x_gram

@@ -49,8 +49,7 @@ class SyncLedger:
 
         ``left`` is m-by-n, ``right`` a narrow m-by-w; a fused product such
         as ``[Q, V]^T [V, X]`` is one call and one charge.  The product is
-        :func:`~blockgs.blockcore.tall_inner`'s: C-ordered, and split over
-        the cores only where that kernel decides.
+        :func:`~blockgs.blockcore.tall_inner`'s, C-ordered.
         """
         self.record(block, label, 1)
         return tall_inner(left, right)

@@ -1,21 +1,30 @@
 import math
+import re
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from blockgs import blockcore
 from blockgs.blockcore import (
     BlockMatrix,
     all_finite,
     cond_2,
+    project_out,
     spectral_norm,
+    tall_inner,
     tri_solve_left_transposed,
     tri_solve_right,
 )
-from blockgs.metrics import loo, rel_chol_res, rel_res
+from blockgs.matgen import make_rng, standard_normal, uniform_open
+from blockgs.metrics import _scale_and_gram, loo, rel_chol_res, rel_res
 from blockgs.muscles import chol_qr, givens_qr, house_qr, mgs_qr
 
 EPS = 2.0**-53
@@ -272,3 +281,191 @@ def test_tri_solve_reconstruction_envelope():
     z = tri_solve_left_transposed(r, b)
     bound = 100.0 * EPS * cond_2(r) * spectral_norm(b)
     assert spectral_norm(r.T @ z - b) <= bound
+
+
+def test_only_blockcore_knows_openblas():
+    # Finding the loaded OpenBLAS libraries, reading their thread counts
+    # and pinning them while a sweep runs happen in blockcore alone.
+    pattern = r"\bctypes\b|/proc/self/maps|openblas_\w*num_threads"
+    package = Path(blockcore.__file__).parent
+    named = {
+        path.name: sorted(set(re.findall(pattern, path.read_text())))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "blockcore.py"
+    }
+    assert not any(named.values()), named
+
+
+# ---------------------------------------------------------------------------
+# The tall kernels and full-matrix scans at sweep sizes: one call each, on
+# the calling thread, with the bits of the plain numpy expression
+# ---------------------------------------------------------------------------
+
+# m-by-n Q against an m-by-s block, as in a sweep's later blocks.
+_TALL_SHAPES = [(3072, 192, 24), (2048, 96, 24), (1024, 64, 32)]
+
+
+def _ids(shape):
+    return "x".join(map(str, shape))
+
+
+def _tall_operands(m, n, s, order="F"):
+    rng = np.random.default_rng(4)
+    q = np.asarray(rng.standard_normal((m, n)), order=order)
+    x = np.asfortranarray(rng.standard_normal((m, s)))
+    return q, x, rng.standard_normal((n, s))
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("shape", _TALL_SHAPES, ids=_ids)
+def test_project_out_keeps_the_bits_of_the_plain_expression(shape, order):
+    q, x, c = _tall_operands(*shape, order=order)
+    got = project_out(x, q, c)
+    want = x - q @ c
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("s", [1, 4])
+def test_project_out_of_a_narrow_block_is_within_rounding(s):
+    # Below five columns the s-by-m product may take another kernel than
+    # ``q @ c``; the two agree to the rounding bound of an n-term sum.
+    q, x, c = _tall_operands(3072, 192, s)
+    got = project_out(x, q, c)
+    scale = np.abs(x) + np.abs(q) @ np.abs(c)
+    assert np.all(np.abs(got - (x - q @ c)) <= 1e-14 * scale)
+
+
+def test_project_out_leaves_its_operands_as_they_were():
+    q, x, c = _tall_operands(3072, 192, 24)
+    before = [a.copy() for a in (q, x, c)]
+    out = project_out(x, q, c)
+    assert not any(np.shares_memory(out, a) for a in (q, x, c))
+    assert all(np.array_equal(a, b) for a, b in zip((q, x, c), before))
+
+
+@pytest.mark.parametrize(
+    "shape", [(1000, 24, 24), (3072, 64, 5), (1000, 10, 5)], ids=_ids
+)
+def test_tall_inner_bits_do_not_depend_on_the_layout_of_right(shape):
+    # ``right`` is copied to C order before the product, so a column-major
+    # block, a row-major one and a strided view give one result.  At these
+    # shapes, a sweep's first reductions, an uncopied column-major block
+    # moves the last bits.
+    m, n, w = shape
+    rng = np.random.default_rng(6)
+    left = np.asfortranarray(rng.standard_normal((m, n)))
+    right = rng.standard_normal((m, w))
+    wide = np.empty((m, 2 * w), order="F")
+    wide[:, ::2] = right
+    got = [
+        tall_inner(left, r)
+        for r in (np.asfortranarray(right), right, wide[:, ::2])
+    ]
+    assert all(g.flags.c_contiguous for g in got)
+    assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+    assert_allclose(got[0], left.T @ right, rtol=1e-12, atol=1e-12)
+
+
+# Over 4 MiB: the size from which the scans once ran in panels.
+_SCAN_SHAPE = (1000, 600)
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+def test_extrema_read_one_non_finite_entry_wherever_it_is(value, order):
+    a = np.asarray(
+        np.random.default_rng(2).standard_normal(_SCAN_SHAPE), order=order
+    )
+    flat = a.ravel(order="K")  # a view, in memory order
+    for where in (0, a.size // 2, a.size - 1):
+        b = a.copy(order="K")
+        b.ravel(order="K")[where] = value
+        top, bottom = blockcore._extrema(b)
+        if math.isnan(value):
+            assert math.isnan(top) and math.isnan(bottom)
+        else:
+            assert (top, bottom) == (
+                (value, flat.min()) if value > 0 else (flat.max(), value)
+            )
+        assert not all_finite(b)
+    assert all_finite(a)
+
+
+def test_extrema_of_an_empty_array_are_zero():
+    for shape in [(0, 3), (3, 0), (0,)]:
+        assert blockcore._extrema(np.empty(shape)) == (0.0, 0.0)
+        assert all_finite(np.empty(shape))
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_extrema_start_from_zero(sign):
+    # A scale is read as max(top, -bottom), so entries of one sign still
+    # give the largest magnitude.
+    a = sign * (1.0 + np.random.default_rng(3).random(_SCAN_SHAPE))
+    top, bottom = blockcore._extrema(a)
+    if sign > 0:
+        assert (top, bottom) == (a.max(), 0.0)
+    else:
+        assert (top, bottom) == (0.0, a.min())
+
+
+@pytest.mark.parametrize("shape", [(100,), (3072, 192)], ids=str)
+def test_standard_normal_is_ndtri_of_the_open_uniform_draws(shape):
+    want = scipy.special.ndtri(uniform_open(make_rng(9), shape))
+    got = standard_normal(make_rng(9), shape)
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scaling_in_place_keeps_the_bits_of_scaling_into_a_copy():
+    # rel_res scales its residual in its own storage.
+    a = np.asfortranarray(
+        1e3 * np.random.default_rng(8).standard_normal(_SCAN_SHAPE)
+    )
+    out = np.empty_like(a)
+    e, gram, lam = _scale_and_gram(a, out)
+    e2, gram2, lam2 = _scale_and_gram(a, a)
+    assert (e2, lam2) == (e, lam)
+    assert gram2.tobytes() == gram.tobytes()
+    assert a.tobytes() == out.tobytes()
+
+
+def test_threads_calling_the_tall_kernels_keep_every_bit():
+    # The kernels are pure: callers on six threads, switching every
+    # microsecond, each get the bits of one call on this thread.
+    q, x, c = _tall_operands(2048, 192, 24)
+    q[1000, 150] = math.nan
+    sites = (
+        lambda: project_out(x, q, c),
+        lambda: tall_inner(q, x),
+        lambda: all_finite(q),
+        lambda: blockcore._extrema(x),
+    )
+
+    def bits():
+        return [np.asarray(site()).tobytes() for site in sites]
+
+    want, results, errors = bits(), [], []
+
+    def caller():
+        try:
+            for _ in range(5):
+                results.append(bits())
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(results) == 30
+    assert all(got == want for got in results)

@@ -1525,50 +1525,24 @@ def test_cli_sweep_exit_codes_property(matrix, m, p, s, kappas):
 # fresh interpreter, so no count it leaves behind reaches another test)
 # ---------------------------------------------------------------------------
 
-# Defines blas_threads(), the thread count of each loaded OpenBLAS;
-# splits(): how many of a reduction and a deflation above their byte
-# thresholds split on two cores, each byte-identical to one call; and
-# inside, the [blas_threads(), splits()] inside the first run of a combo
-# (in run_single or sync_table), read through a rebinding of
+# Defines blas_threads(), the thread count of each loaded OpenBLAS, and
+# inside, whose first entry is blas_threads() inside the first run of a
+# combo (in run_single or sync_table), read through a rebinding of
 # harness._run_combo.
 _PRELUDE = """
 import contextlib, io, json
-import numpy as np
 import blockgs.harness as harness
 from blockgs import blockcore
 
 def blas_threads():
     return [get() for get, _ in blockcore._openblas_threads()]
 
-def splits():
-    rng, split = np.random.default_rng(1), []
-    run, cores = blockcore._run_panels, blockcore._cores
-    q = np.asfortranarray(rng.standard_normal((20000, 120)))
-    x = np.asfortranarray(rng.standard_normal((20000, 10)))
-    c = rng.standard_normal((120, 10))
-
-    def counted(fn, bounds):
-        # A large product hands even one panel to the helper.
-        if len(bounds) > 2:
-            split.append(bounds)
-        return run(fn, bounds)
-
-    blockcore._run_panels = counted
-    bits = {}
-    for n in (1, 2):
-        blockcore._cores = lambda: n
-        bits[n] = [blockcore.tall_inner(q, x).tobytes(),
-                   blockcore.project_out(x, q, c).tobytes()]
-    blockcore._run_panels, blockcore._cores = run, cores
-    assert bits[1] == bits[2]
-    return len(split)
-
 inside = []
 run_combo = harness._run_combo
 
 def recording_run_combo(*args, **kwargs):
     if not inside:
-        inside.extend([blas_threads(), splits()])
+        inside.append(blas_threads())
     return run_combo(*args, **kwargs)
 
 harness._run_combo = recording_run_combo
@@ -1635,18 +1609,18 @@ def _threads_around(statement, env=None):
 def test_cli_runs_blas_on_one_thread():
     # One thread while the sync table runs; the counts are back when it
     # returns.
-    before, ((threads, _), after) = _after(
-        'assert harness.cli_main(["syncs"]) == 0', "[inside, blas_threads()]"
+    before, (threads, after) = _after(
+        'assert harness.cli_main(["syncs"]) == 0', "[inside[0], blas_threads()]"
     )
     assert set(threads) == {1}
     assert after == before
 
 
 def test_a_library_run_single_runs_blas_on_one_thread():
-    before, ((threads, _), after) = _after(
+    before, (threads, after) = _after(
         "harness.run_single(harness.gen_default(100, 10, 5, 42, kappa=1e4),"
         " harness.make_combo('1s'))",
-        "[inside, blas_threads()]",
+        "[inside[0], blas_threads()]",
     )
     assert set(threads) == {1}
     assert after == before
@@ -1698,46 +1672,18 @@ def test_thread_policy_is_a_silent_no_op_without_openblas(tmp_path):
     assert after == before
 
 
-# A product splits once every OpenBLAS reports one thread, whoever set it:
-# OpenBLAS's own variable wins over OMP_NUM_THREADS.
+# A CLI sweep runs on one thread whoever set it, and the counts are back
+# when it returns: OpenBLAS's own variable wins over OMP_NUM_THREADS.
 @pytest.mark.parametrize(
     "env", [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"},
             {"OMP_NUM_THREADS": "1"}, {}],
 )
-def test_cli_products_split_when_every_openblas_reports_one_thread(
-    env, tmp_path
-):
-    before, ((threads, split), after) = _after(
-        _cli_sweep(tmp_path), "[inside, blas_threads()]", env
+def test_a_cli_sweep_runs_blas_on_one_thread_whoever_sets_it(env, tmp_path):
+    before, (threads, after) = _after(
+        _cli_sweep(tmp_path), "[inside[0], blas_threads()]", env
     )
     assert set(threads) == {1}
-    assert split == 2
     assert after == before
-
-
-def test_library_products_split_under_a_one_thread_openblas():
-    env = {"OPENBLAS_NUM_THREADS": "1"}
-    assert _after("pass", "splits()", env)[1] == 2
-
-
-def test_products_run_whole_once_openblas_leaves_one_thread(tmp_path):
-    # Products split inside the CLI's sweep; once it returns the host's
-    # counts are back, and on more than one thread BLAS splits a product
-    # itself.
-    before, ((_, split_inside), split_after) = _after(
-        _cli_sweep(tmp_path), "[inside, splits()]"
-    )
-    assert split_inside == 2
-    if set(before) == {1}:
-        pytest.skip("the host's OpenBLAS runs on one thread")
-    assert split_after == 0
-
-
-def test_products_run_whole_on_the_hosts_default_blas_threads():
-    before, split = _after("pass", "splits()")
-    if set(before) == {1}:
-        pytest.skip("the host's OpenBLAS runs on one thread")
-    assert split == 0
 
 
 _CONCURRENT_SWEEPS = """

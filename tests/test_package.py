@@ -115,25 +115,20 @@ def test_import_runs_neither_scipy_linalg_nor_scipy_special():
     """)
 
 
-def test_import_leaves_the_executor_module_to_the_first_split():
-    # concurrent.futures, and the logging it imports, load only where the
-    # panel pool is made.
+def test_a_sweep_of_megabyte_passes_starts_no_thread():
+    # 3072x192 in blocks of 24 columns: deflations, reductions and
+    # elementwise passes of megabytes all run on the calling thread, so no
+    # thread is started and neither concurrent.futures nor the logging it
+    # imports is loaded.
     _python("""
-        import sys
-        import numpy as np
-        import blockgs
-        from blockgs import blockcore
+        import sys, threading
+        from blockgs.harness import SweepConfig, make_combo, run_sweep
+        run_sweep(SweepConfig(
+            matrix_class="default", combos=(make_combo("bcgsi_a_1s"),),
+            kappas=(1e4,), m=3072, p=8, s=24,
+        ))
+        assert threading.active_count() == 1
         assert not {"concurrent.futures", "logging"} & set(sys.modules)
-        a = np.linspace(0.0, 2.0, 1001)
-        out = np.empty_like(a)
-
-        def fill(lo, hi):
-            np.sqrt(a[lo:hi], out=out[lo:hi])
-            return hi - lo
-
-        assert blockcore._run_panels(fill, [0, 500, 1001]) == [500, 501]
-        assert blockcore._pool is not None
-        assert out.tobytes() == np.sqrt(a).tobytes()
         print("ok")
     """)
 
