@@ -2,8 +2,7 @@
 
 Matrices are plain float64 ``numpy.ndarray`` objects; the only structured type
 is :class:`BlockMatrix`, which pins an explicit column partition onto a tall
-dense matrix.  Every kernel here is a pure function of its inputs, run on
-the calling thread.
+dense matrix.  Every kernel here is a pure function of its inputs.
 
 This module alone knows OpenBLAS: it finds the loaded libraries, reads
 their thread counts and pins them to one thread while a sweep, a single run
@@ -37,7 +36,6 @@ __all__ = [
     "spectral_norm",
     "cond_2",
     "project_out",
-    "tall_inner",
     "zero_pivot",
     "tri_solve_left_transposed",
     "tri_solve_right",
@@ -310,28 +308,14 @@ def cond_2(a) -> float:
 def project_out(x, q, c) -> np.ndarray:
     """Deflate ``X - Q C`` for tall m-by-s ``X``, m-by-n ``Q``, n-by-s ``C``.
 
-    Formed as ``(X^T - C^T Q^T)^T`` in one s-by-m buffer, the orientation
-    of :func:`tall_inner`, so a column-major ``Q`` is read in place; the
-    result is Fortran-ordered.  For s >= 5 its bits equal those of
-    ``x - q @ c``; narrower blocks may differ in the last bits.
+    Formed as ``(X^T - C^T Q^T)^T`` in the s-by-m product's own buffer, so
+    a column-major ``Q`` is read in place; the result is Fortran-ordered.
+    Its bits equal those of ``x - q @ c`` on the shapes the tests pin; on
+    others, narrow blocks among them, the two agree to rounding.
     """
-    t = np.empty_like(q, shape=(c.shape[1], q.shape[0]), order="C")  # Q's type
-    np.matmul(c.T, q.T, out=t)
+    t = c.T @ q.T
     np.subtract(x.T, t, out=t)
     return t.T
-
-
-def tall_inner(left, right) -> np.ndarray:
-    """The tall product ``left^T @ right`` of an m-by-n ``left`` and a
-    narrow m-by-w ``right``; the n-by-w result is C-ordered.
-
-    Formed as ``(R^T @ left)^T`` with ``R`` a C-ordered copy of ``right``,
-    so ``left`` is read in place.  The copy keeps the sweeps' bits: an
-    uncopied column-major ``right`` changes the BLAS call and the metric
-    digits.
-    """
-    r = np.ascontiguousarray(right)
-    return np.ascontiguousarray((r.T @ left).T)
 
 
 def zero_pivot(r: np.ndarray) -> bool:

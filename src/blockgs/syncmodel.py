@@ -5,9 +5,8 @@ reduction across the m-dimensional row space: a Gram product ``X^T X``, a
 projection ``Q^T X``, or a fused product of several such factors counts as a
 single reduction regardless of how many small columns it produces.  Purely
 local work on s-by-s quantities (Cholesky factors, triangular solves, sums)
-is free.  :meth:`SyncLedger.reduce` charges such a product and forms it by
-:func:`~blockgs.blockcore.tall_inner` in one step, so a skeleton's ledger
-is the list of products it computed.
+is free.  :meth:`SyncLedger.reduce` forms such a product and charges it
+in one step, so a skeleton's ledger is the list of products it computed.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .blockcore import tall_inner
 
 __all__ = ["SyncEvent", "SyncLedger", "syncs_per_block"]
 
@@ -48,11 +45,15 @@ class SyncLedger:
         """One tall reduction ``left^T @ right``, charged to ``block``.
 
         ``left`` is m-by-n, ``right`` a narrow m-by-w; a fused product such
-        as ``[Q, V]^T [V, X]`` is one call and one charge.  The product is
-        :func:`~blockgs.blockcore.tall_inner`'s, C-ordered.
+        as ``[Q, V]^T [V, X]`` is one call and one charge.  The n-by-w
+        product is C-ordered, formed as ``(R^T @ left)^T`` with ``R`` a
+        C-ordered copy of ``right``, so ``left`` is read in place.  The copy
+        keeps the sweeps' bits: an uncopied column-major ``right`` changes
+        the BLAS call and the metric digits.
         """
         self.record(block, label, 1)
-        return tall_inner(left, right)
+        r = np.ascontiguousarray(right)
+        return np.ascontiguousarray((r.T @ left).T)
 
     @property
     def total(self) -> int:

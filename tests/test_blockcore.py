@@ -19,13 +19,13 @@ from blockgs.blockcore import (
     cond_2,
     project_out,
     spectral_norm,
-    tall_inner,
     tri_solve_left_transposed,
     tri_solve_right,
 )
 from blockgs.matgen import make_rng, standard_normal, uniform_open
 from blockgs.metrics import _scale_and_gram, loo, rel_chol_res, rel_res
 from blockgs.muscles import chol_qr, givens_qr, house_qr, mgs_qr
+from blockgs.syncmodel import SyncLedger
 
 EPS = 2.0**-53
 
@@ -297,8 +297,8 @@ def test_only_blockcore_knows_openblas():
 
 
 # ---------------------------------------------------------------------------
-# The tall kernels and full-matrix scans at sweep sizes: one call each, on
-# the calling thread, with the bits of the plain numpy expression
+# The tall products and full-matrix scans at sweep sizes, with the bits of
+# the plain numpy expression or within its rounding
 # ---------------------------------------------------------------------------
 
 # m-by-n Q against an m-by-s block, as in a sweep's later blocks.
@@ -326,14 +326,25 @@ def test_project_out_keeps_the_bits_of_the_plain_expression(shape, order):
     assert got.flags.f_contiguous
 
 
-@pytest.mark.parametrize("s", [1, 4])
-def test_project_out_of_a_narrow_block_is_within_rounding(s):
-    # Below five columns the s-by-m product may take another kernel than
-    # ``q @ c``; the two agree to the rounding bound of an n-term sum.
-    q, x, c = _tall_operands(3072, 192, s)
+def _assert_project_out_within_rounding(q, x, c):
+    # The two agree to the rounding bound of an n-term sum.
     got = project_out(x, q, c)
     scale = np.abs(x) + np.abs(q) @ np.abs(c)
     assert np.all(np.abs(got - (x - q @ c)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("s", [1, 4])
+def test_project_out_of_a_narrow_block_is_within_rounding(s):
+    # Below five columns the s-by-m product may take another kernel than
+    # ``q @ c``.
+    _assert_project_out_within_rounding(*_tall_operands(3072, 192, s))
+
+
+@pytest.mark.parametrize("shape", [(772, 64, 24), (772, 192, 16)], ids=_ids)
+def test_project_out_at_772_rows_is_within_rounding(shape):
+    # Wide blocks too may round apart from ``q @ c``: at these shapes the
+    # two differ by up to 2.8e-14 on one BLAS thread.
+    _assert_project_out_within_rounding(*_tall_operands(*shape))
 
 
 def test_project_out_leaves_its_operands_as_they_were():
@@ -347,7 +358,7 @@ def test_project_out_leaves_its_operands_as_they_were():
 @pytest.mark.parametrize(
     "shape", [(1000, 24, 24), (3072, 64, 5), (1000, 10, 5)], ids=_ids
 )
-def test_tall_inner_bits_do_not_depend_on_the_layout_of_right(shape):
+def test_reduce_bits_do_not_depend_on_the_layout_of_right(shape):
     # ``right`` is copied to C order before the product, so a column-major
     # block, a row-major one and a strided view give one result.  At these
     # shapes, a sweep's first reductions, an uncopied column-major block
@@ -359,7 +370,7 @@ def test_tall_inner_bits_do_not_depend_on_the_layout_of_right(shape):
     wide = np.empty((m, 2 * w), order="F")
     wide[:, ::2] = right
     got = [
-        tall_inner(left, r)
+        SyncLedger().reduce(1, "proj", left, r)
         for r in (np.asfortranarray(right), right, wide[:, ::2])
     ]
     assert all(g.flags.c_contiguous for g in got)
@@ -367,7 +378,7 @@ def test_tall_inner_bits_do_not_depend_on_the_layout_of_right(shape):
     assert_allclose(got[0], left.T @ right, rtol=1e-12, atol=1e-12)
 
 
-# Over 4 MiB: the size from which the scans once ran in panels.
+# 4.8 MB, on the order of the matrices a sweep's metrics scan.
 _SCAN_SHAPE = (1000, 600)
 
 
@@ -438,7 +449,7 @@ def test_threads_calling_the_tall_kernels_keep_every_bit():
     q[1000, 150] = math.nan
     sites = (
         lambda: project_out(x, q, c),
-        lambda: tall_inner(q, x),
+        lambda: SyncLedger().reduce(1, "proj", q, x),
         lambda: all_finite(q),
         lambda: blockcore._extrema(x),
     )

@@ -98,6 +98,12 @@ MUTANTS = (
         'CHOL_QR = IOSpec("cholqr", alpha=2)',
     ),
     Mutant(
+        "the ledger's product formed from an uncopied right",
+        "src/blockgs/syncmodel.py",
+        "        r = np.ascontiguousarray(right)\n",
+        "        r = right\n",
+    ),
+    Mutant(
         "-1S without the triangular solve of its look-ahead row",
         "src/blockgs/skeletons.py",
         "bottom = tri_solve_left_transposed(out.r, p_blk - y_col.T @ z_blk)",
